@@ -31,7 +31,7 @@ from typing import Any
 import numpy as np
 
 from . import bounds as bounds_mod
-from . import mechanisms, oracle
+from . import mechanisms, oracle, probcore
 from .errors import (
     AlphabetMismatchError,
     PrivboundError,
@@ -39,6 +39,8 @@ from .errors import (
     SchemaError,
     SizeCapError,
     ValidationError,
+    is_number,
+    want,
 )
 from .model import Component, Problem, ProblemStats, User, trivial_optimum, validate
 from .probcore import Joint2
@@ -56,19 +58,6 @@ EXIT_ALPHABET = 4
 # ---------------------------------------------------------------------------
 
 
-def _want(doc: dict, key: str, kind: type, where: str) -> Any:
-    if key not in doc:
-        raise SchemaError(f"{where}: missing field {key!r}")
-    val = doc[key]
-    if kind is float:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise SchemaError(f"{where}.{key}: expected a number, got {type(val).__name__}")
-        return float(val)
-    if not isinstance(val, kind):
-        raise SchemaError(f"{where}.{key}: expected {kind.__name__}, got {type(val).__name__}")
-    return val
-
-
 def parse_problem(doc: Any) -> tuple[Problem, dict]:
     """Parse a problem document; returns (problem, options)."""
     if not isinstance(doc, dict):
@@ -83,12 +72,12 @@ def parse_problem(doc: Any) -> tuple[Problem, dict]:
     if log_display not in ("nats", "bits"):
         raise SchemaError(f"options.log_display: must be 'nats' or 'bits', got {log_display!r}")
     sfrl_constant = options.get("sfrl_constant", 4)
-    if not isinstance(sfrl_constant, (int, float)) or isinstance(sfrl_constant, bool):
+    if not is_number(sfrl_constant):
         raise SchemaError("options.sfrl_constant: expected a number")
 
-    comps_doc = _want(doc, "components", list, "problem file")
-    users_doc = _want(doc, "users", list, "problem file")
-    epsilon = _want(doc, "epsilon", float, "problem file")
+    comps_doc = want(doc, "components", list, "problem file")
+    users_doc = want(doc, "users", list, "problem file")
+    epsilon = want(doc, "epsilon", float, "problem file")
     if not comps_doc:
         raise SchemaError("components: must be a non-empty list")
     if not users_doc:
@@ -100,7 +89,7 @@ def parse_problem(doc: Any) -> tuple[Problem, dict]:
         if not isinstance(entry, dict):
             raise SchemaError(f"{where}: expected an object")
         name = entry.get("name", f"c{idx}")
-        matrix = _want(entry, "matrix", list, where)
+        matrix = want(entry, "matrix", list, where)
         if not matrix or not all(isinstance(r, list) for r in matrix):
             raise SchemaError(f"{where}.matrix: expected a non-empty list of rows")
         width = len(matrix[0])
@@ -110,7 +99,7 @@ def parse_problem(doc: Any) -> tuple[Problem, dict]:
                     f"{where}.matrix: row {r} has {len(row)} entries, row 0 has {width}"
                 )
             for v in row:
-                if not isinstance(v, (int, float)) or isinstance(v, bool):
+                if not is_number(v):
                     raise SchemaError(f"{where}.matrix: row {r} contains a non-number")
         labels_x = entry.get("labels_x")
         labels_y = entry.get("labels_y")
@@ -131,8 +120,8 @@ def parse_problem(doc: Any) -> tuple[Problem, dict]:
         where = f"users[{idx}]"
         if not isinstance(entry, dict):
             raise SchemaError(f"{where}: expected an object")
-        demands = _want(entry, "demands", list, where)
-        weight = _want(entry, "weight", float, where)
+        demands = want(entry, "demands", list, where)
+        weight = want(entry, "weight", float, where)
         if not all(isinstance(d, int) and not isinstance(d, bool) for d in demands):
             raise SchemaError(f"{where}.demands: expected a list of integers")
         try:
@@ -386,11 +375,19 @@ def _parse_grid(spec: str) -> list[float]:
         start, stop, step = (float(v) for v in parts)
     except ValueError:
         raise SchemaError(f"--eps must contain numbers, got {spec!r}")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise SchemaError(f"--eps must contain finite numbers, got {spec!r}")
     if start < 0.0 or step <= 0.0:
         raise SchemaError(f"--eps requires from >= 0 and step > 0, got {spec!r}")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    if n < 1 or stop < start:
+    if stop < start:
         raise SchemaError(f"--eps grid is empty: {spec!r}")
+    # the count is checked before the grid is built; an overflowing span
+    # (huge range over a tiny step) is over the cap too
+    span = (stop - start) / step + 1e-9
+    cap = probcore.size_cap()
+    if not span < cap:
+        raise SchemaError(f"--eps grid has more than {cap} points: {spec!r}")
+    n = int(math.floor(span)) + 1
     return [start + k * step for k in range(n)]
 
 

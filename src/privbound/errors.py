@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy, and the file-schema field check, shared across the package."""
+
+from typing import Any
 
 
 class PrivboundError(Exception):
@@ -23,3 +25,29 @@ class AlphabetMismatchError(PrivboundError):
 
 class SchemaError(PrivboundError, ValueError):
     """A problem or mechanism file does not parse against its schema."""
+
+
+def is_number(v: object) -> bool:
+    """A JSON number: int or float, not bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_REQUIRED = object()
+
+
+def want(doc: dict, key: str, kind: type, where: str, default: Any = _REQUIRED) -> Any:
+    """``doc[key]`` checked against ``kind``; SchemaError if it is missing
+    and has no ``default``, or has another type. ``float`` accepts any
+    number and returns a float; neither ``int`` nor ``float`` accepts bool."""
+    if key not in doc:
+        if default is _REQUIRED:
+            raise SchemaError(f"{where}: missing field {key!r}")
+        return default
+    val = doc[key]
+    if kind is float:
+        if not is_number(val):
+            raise SchemaError(f"{where}.{key}: expected a number, got {type(val).__name__}")
+        return float(val)
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
+        raise SchemaError(f"{where}.{key}: expected {kind.__name__}, got {type(val).__name__}")
+    return val

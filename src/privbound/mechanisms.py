@@ -46,7 +46,14 @@ import numpy as np
 
 from . import probcore
 from .bounds import Allocation
-from .errors import AlphabetMismatchError, SizeCapError, ValidationError
+from .errors import (
+    AlphabetMismatchError,
+    SchemaError,
+    SizeCapError,
+    ValidationError,
+    is_number,
+    want,
+)
 from .model import Component, Problem, ProblemStats, validate
 from .probcore import JointN
 
@@ -592,39 +599,54 @@ def mechanism_to_dict(p: Problem, m: ComposedMechanism) -> dict:
 
 
 def mechanism_from_dict(doc: dict, p: Problem) -> ComposedMechanism:
-    """Parse a serialized mechanism and check it against a problem."""
+    """Parse a serialized mechanism and check it against a problem.
+
+    A malformed document raises SchemaError; a well-formed one whose
+    alphabets do not fit the problem raises AlphabetMismatchError."""
+    if not isinstance(doc, dict):
+        raise SchemaError("mechanism file: top level must be a JSON object")
     if doc.get("schema") != MECHANISM_SCHEMA:
-        raise ValidationError(f"unknown mechanism schema {doc.get('schema')!r}")
-    comps = doc.get("components")
-    if not isinstance(comps, list) or len(comps) != p.n_components:
+        raise SchemaError(
+            f"mechanism file: schema must be {MECHANISM_SCHEMA!r}, got {doc.get('schema')!r}"
+        )
+    comps = want(doc, "components", list, "mechanism file")
+    if len(comps) != p.n_components:
         raise AlphabetMismatchError(
-            f"mechanism has {len(comps) if isinstance(comps, list) else 'no'} components, "
-            f"problem has {p.n_components}"
+            f"mechanism has {len(comps)} components, problem has {p.n_components}"
         )
     kernels = []
     tags = []
-    for c, entry in zip(p.components, comps):
-        nx, ny, nu = int(entry["card_x"]), int(entry["card_y"]), int(entry["card_u"])
+    for idx, (c, entry) in enumerate(zip(p.components, comps)):
+        where = f"components[{idx}]"
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{where}: expected an object")
+        nx, ny, nu = (want(entry, key, int, where) for key in ("card_x", "card_y", "card_u"))
+        rows = want(entry, "kernel", list, where)
+        if not all(isinstance(r, list) and all(map(is_number, r)) for r in rows):
+            raise SchemaError(f"{where}.kernel: expected a list of rows of numbers")
+        kind = want(entry, "construction", str, where, "frl")
+        eps = want(entry, "epsilon", float, where, 0.0)
         if (nx, ny) != (c.card_x, c.card_y):
             raise AlphabetMismatchError(
                 f"component {c.name!r}: mechanism is {nx}x{ny}, problem is "
                 f"{c.card_x}x{c.card_y}"
             )
-        rows = np.asarray(entry["kernel"], dtype=float)
-        if rows.shape != (nx * ny, nu):
+        if len(rows) != nx * ny or any(len(r) != nu for r in rows):
             raise ValidationError(
-                f"component {c.name!r}: kernel rows have shape {rows.shape}, "
-                f"expected {(nx * ny, nu)}"
+                f"component {c.name!r}: kernel must have {nx * ny} rows of {nu} entries"
             )
-        kernels.append(Kernel(rows.reshape(nx, ny, nu)))
-        tags.append(ConstructionTag(str(entry.get("construction", "frl")), float(entry.get("epsilon", 0.0))))
+        kernels.append(Kernel(np.asarray(rows, dtype=float).reshape(nx, ny, nu)))
+        tags.append(ConstructionTag(kind, eps))
     alloc = None
     if "allocation" in doc:
-        a = doc["allocation"]
+        a = want(doc, "allocation", dict, "mechanism file")
+        shares = want(a, "eps_per_component", list, "allocation")
+        if not all(map(is_number, shares)):
+            raise SchemaError("allocation.eps_per_component: expected a list of numbers")
         alloc = Allocation(
-            eps_per_component=tuple(float(v) for v in a["eps_per_component"]),
-            variant=str(a.get("variant", "frl")),
-            target=int(a.get("target", 0)),
-            overflow=float(a.get("overflow", 0.0)),
+            eps_per_component=tuple(float(v) for v in shares),
+            variant=want(a, "variant", str, "allocation", "frl"),
+            target=want(a, "target", int, "allocation", 0),
+            overflow=want(a, "overflow", float, "allocation", 0.0),
         )
     return ComposedMechanism(kernels=tuple(kernels), tags=tuple(tags), allocation=alloc)

@@ -6,9 +6,10 @@ random-restart ascent over the kernel columns (each (x, y) column lives on
 the |U|-simplex): candidate steps move columns toward vertex directions
 picked by the objective's column gradient, plus occasional single-column
 vertex jumps; infeasible candidates are repaired by mixing toward the
-constant kernel (``leakage_project``). Everything is driven by numpy
-generators seeded from (seed, restart index), so results are reproducible
-bit for bit.
+constant kernel, with the mixing weight found by safeguarded Newton steps on
+the leakage of P(x,u) alone (``leakage_project``). Everything is driven by
+numpy generators seeded from (seed, restart index), so results are
+reproducible bit for bit.
 
 The returned value is an achieved objective: a certified lower estimate of
 the true optimum, never the optimum itself.
@@ -60,6 +61,8 @@ class OracleResult:
     best_kernel: Kernel
     leakage_at_best: float
     trace: tuple[float, ...]
+    projections: int = 0      # infeasible candidates repaired
+    leakage_evals: int = 0    # I(X;U) evaluations spent on those repairs
 
 
 @dataclass(frozen=True)
@@ -81,16 +84,31 @@ class SandwichReport:
         return self.lower_ok and self.middle_ok and self.upper_ok
 
 
-def _mi_from_joint_mat(m: np.ndarray) -> float:
-    """Mutual information of a 2-D joint mass matrix, in nats."""
+def _mi_terms(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mutual information of a 2-D joint mass matrix, in nats, with the
+    logarithms it used: ln m and ln of the column sums. Entries at or below
+    ``ZERO_FLOOR`` take ln := 0, so they drop out of every sum."""
+    floor = probcore.ZERO_FLOOR
     row = m.sum(axis=1)
     col = m.sum(axis=0)
-    mask = m > probcore.ZERO_FLOOR
-    if not mask.any():
-        return 0.0
-    ri, ci = np.nonzero(mask)
-    vals = m[mask]
-    return max(0.0, float((vals * (np.log(vals) - np.log(row[ri]) - np.log(col[ci]))).sum()))
+    ln_m = np.log(np.where(m > floor, m, 1.0))
+    ln_row = np.log(np.where(row > floor, row, 1.0))
+    ln_col = np.log(np.where(col > floor, col, 1.0))
+    mi = float(np.vdot(m, ln_m) - row @ ln_row - col @ ln_col)
+    return max(0.0, mi), ln_m, ln_col
+
+
+def _mi_from_joint_mat(m: np.ndarray) -> float:
+    """Mutual information of a 2-D joint mass matrix, in nats."""
+    return _mi_terms(m)[0]
+
+
+def _leakage_and_slope(m: np.ndarray, d: np.ndarray, d_col: np.ndarray) -> tuple[float, float]:
+    """Mutual information of a 2-D joint ``m`` and its derivative along
+    ``d``, which moves mass within rows (``d_col`` is its column sum):
+    dI = sum d ln m - sum_u d_col ln m_col."""
+    leak, ln_m, ln_col = _mi_terms(m)
+    return leak, float(np.vdot(d, ln_m) - d_col @ ln_col)
 
 
 class _Evaluator:
@@ -117,6 +135,8 @@ class _Evaluator:
         self.px = self.pxy.sum(axis=1)
         self.py = self.pxy.sum(axis=0)
         self.weights = tuple(u.weight for u in p.users)
+        self.projections = 0
+        self.leakage_evals = 0
         # per user: map from flat y to flat demanded sub-tuple
         self.user_maps: list[np.ndarray] = []
         self.user_sizes: list[int] = []
@@ -169,21 +189,38 @@ class _Evaluator:
     def project_t(self, marg: dict, eps: float, slack: float = 0.0) -> float:
         """Mixing weight toward the constant kernel that lands the leakage
         in [eps - PROJECT_BAND, eps]. Returns 0.0 if already feasible
-        (within ``slack``, which search uses to absorb float noise)."""
-        if self.leakage(marg) <= eps + slack:
+        (within ``slack``, which search uses to absorb float noise).
+
+        The leakage of (1-t) P(x,u) + t P_const(x,u) is convex in t (MI is
+        convex in the channel, and the channel is affine in t) and reaches 0
+        at t = 1, so it is non-increasing. Newton steps aim at the middle of
+        the band; a step that leaves the [lo, hi] bracket, or a slope that is
+        not negative, falls back to the bracket midpoint. Only P(x,u) is
+        touched; the user marginals are mixed once, by the caller.
+        """
+        xu = marg["xu"]
+        d = self.const_xu - xu
+        d_col = d.sum(axis=0)
+        g, slope = _leakage_and_slope(xu, d, d_col)
+        if g <= eps + slack:
             return 0.0
+        self.projections += 1
+        self.leakage_evals += 1
         if eps <= PROJECT_BAND:
             return 1.0
-        lo, hi = 0.0, 1.0
+        target = eps - 0.5 * PROJECT_BAND
+        lo, hi, t = 0.0, 1.0, 0.0
         for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            g = self.leakage(self.mix(marg, mid))
+            step = t - (g - target) / slope if slope < 0.0 else lo
+            t = step if lo < step < hi else 0.5 * (lo + hi)
+            g, slope = _leakage_and_slope((1.0 - t) * xu + t * self.const_xu, d, d_col)
+            self.leakage_evals += 1
             if g > eps:
-                lo = mid
+                lo = t
+            elif g < eps - PROJECT_BAND:
+                hi = t
             else:
-                hi = mid
-                if g >= eps - PROJECT_BAND:
-                    break
+                return t
         return hi
 
     def repaired(self, table: np.ndarray, eps: float) -> tuple[dict, float]:
@@ -358,16 +395,18 @@ def search(p: Problem, cfg: OracleConfig | None = None) -> OracleResult:
         best_kernel=Kernel(best[1]),
         leakage_at_best=float(best[2]),
         trace=tuple(float(v) for v in trace),
+        projections=ev.projections,
+        leakage_evals=ev.leakage_evals,
     )
 
 
 def leakage_project(m: Kernel, p: Problem, eps: float) -> Kernel:
     """Repair a kernel to satisfy I(X;U) <= eps by mixing toward constant U.
 
-    Returns the input unchanged when already feasible; otherwise bisects the
-    mixing weight so the leakage lands in [eps - 1e-9, eps]. The mixture is
-    continuous in the weight and reaches 0 at full mixing, so a crossing
-    always exists.
+    Returns the input unchanged when already feasible; otherwise finds the
+    mixing weight, by safeguarded Newton steps on P(x,u), so the leakage
+    lands in [eps - 1e-9, eps]. The leakage is convex and non-increasing in
+    the weight and reaches 0 at full mixing, so a crossing always exists.
     """
     if eps < 0.0:
         raise ValidationError(f"eps must be >= 0, got {eps}")

@@ -147,6 +147,34 @@ class TestMechanizeVerify:
         assert code == 4
 
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d["components"][0].pop("card_x"),
+            lambda d: d.update(schema="privbound/999-mechanism"),
+        ],
+        ids=["missing_card_x", "unknown_schema"],
+    )
+    def test_malformed_mechanism_exits_2(self, tmp_path, capsys, mutate):
+        path = write_problem(tmp_path, noisy_doc())
+        mech_path = tmp_path / "mech.json"
+        run(capsys, ["mechanize", path, "--out", str(mech_path)])
+        doc = json.loads(mech_path.read_text())
+        mutate(doc)
+        mech_path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["verify", path, str(mech_path)])
+        assert code == 2
+        assert err.startswith("schema error:")
+
+    def test_top_level_list_mechanism_exits_2(self, tmp_path, capsys):
+        path = write_problem(tmp_path, noisy_doc())
+        mech_path = tmp_path / "mech.json"
+        mech_path.write_text("[]")
+        code, _, err = run(capsys, ["verify", path, str(mech_path)])
+        assert code == 2
+        assert "JSON object" in err
+
+
 class TestOracleCommand:
     def test_table_output(self, tmp_path, capsys):
         path = write_problem(tmp_path, copy_pair_doc(0.1))
@@ -189,6 +217,22 @@ class TestSweepCommand:
         path = write_problem(tmp_path, copy_pair_doc())
         code, _, _ = run(capsys, ["sweep", path, "--eps", "0.5:0.1:0.1", "--csv", str(tmp_path / "x.csv")])
         assert code == 2
+
+
+    def test_oversized_grid_exits_2_before_building(self, tmp_path, capsys, monkeypatch):
+        # a 10^18-point spec must be refused from its count alone; the guard
+        # keeps a regression from trying to build the grid
+        def guarded_range(n, *rest):
+            assert n <= 10**6, f"grid of {n} points would be built"
+            return range(n, *rest)
+
+        monkeypatch.setattr(cli, "range", guarded_range, raising=False)
+        path = write_problem(tmp_path, copy_pair_doc())
+        out_csv = tmp_path / "x.csv"
+        code, _, err = run(capsys, ["sweep", path, "--eps", "0:1e18:1", "--csv", str(out_csv)])
+        assert code == 2
+        assert "points" in err
+        assert not out_csv.exists()
 
 
 class TestRoundTrip:
