@@ -1,15 +1,14 @@
 """Before/after bench of the oracle's feasibility repair: writes BENCH_oracle.json.
 
-    python3 bench/oracle.py --before REV [--after REV] [--reps 3]
-        [--bank-seeds 301 302 303] [--criterion-seeds 200] [--out BENCH_oracle.json]
+    python3 bench/oracle.py --before REV [--out BENCH_oracle.json]
 
-Each side is a source tree: ``--before`` (and ``--after``, if given) is a git
-revision exported with ``git archive`` into a temporary directory; without
-``--after`` the after side is this checkout's working tree. Both sides run
-on the same inputs, taken from this checkout: the benchmark's sandwich banks
-(``perfbench/inputs.py``, relabeled by each bank seed) and the 200 seeded
-problems of acceptance criterion 1 (``tests/helpers.py``). Every
-measurement runs in a fresh subprocess with BLAS at one thread.
+The before side is the git revision REV, exported with ``git archive`` into
+a temporary directory; the after side is this checkout's working tree. Both
+sides run on the same inputs, taken from this checkout: the benchmark's
+sandwich banks (``perfbench/inputs.py``, relabeled by each of BANK_SEEDS)
+and the CRITERION_SEEDS seeded problems of acceptance criterion 1
+(``tests/helpers.py``). Every measurement runs in a fresh subprocess with
+BLAS at one thread.
 
 - **Counts** (one run per side and bank seed; they repeat exactly): calls to
   ``_Evaluator.project_t``, the repairs among them (calls returning t > 0),
@@ -17,7 +16,7 @@ measurement runs in a fresh subprocess with BLAS at one thread.
   check included), and every mutual-information evaluation the sandwich
   checks made. They are taken by wrapping the oracle's private helpers, so
   the counting run is separate from the timed runs.
-- **Wall clocks** (``--reps`` runs per side, alternating which side goes
+- **Wall clocks** (REPS runs per side, alternating which side goes
   first): one pass over each bank per seed, and criterion 1.
 
 The JSON holds medians and all runs, the largest |difference| in the value
@@ -41,6 +40,9 @@ from time import perf_counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 BANKS = {"sandwich_small": False, "sandwich_large": True}
+BANK_SEEDS = (301, 302, 303)
+CRITERION_SEEDS = 200
+REPS = 3
 
 
 # -- worker: runs inside one side's source tree ------------------------------------
@@ -86,9 +88,9 @@ def worker_counts(oracle, seed: int) -> dict:
 
         return wrapper
 
-    for name in ("_mi_from_joint_mat", "_leakage_and_slope"):
-        if hasattr(oracle, name):
-            setattr(oracle, name, counted(getattr(oracle, name)))
+    # every MI evaluation goes through _mi_terms where it exists
+    name = "_mi_terms" if hasattr(oracle, "_mi_terms") else "_mi_from_joint_mat"
+    setattr(oracle, name, counted(getattr(oracle, name)))
     project_t = oracle._Evaluator.project_t
     out = {}
     for bank, large in BANKS.items():
@@ -113,17 +115,17 @@ def worker_counts(oracle, seed: int) -> dict:
     return out
 
 
-def worker_wall(oracle, what: str, seeds: list[int], n_criterion: int) -> dict:
+def worker_wall(oracle, what: str) -> dict:
     """Wall clock of one pass per bank and seed, or of criterion 1."""
     if what == "criterion_1":
-        problems = _criterion_problems(n_criterion)
+        problems = _criterion_problems(CRITERION_SEEDS)
         _sandwich_all(oracle, problems[:1])  # warm-up
         t0 = perf_counter()
         _sandwich_all(oracle, problems)
         return {"criterion_1": perf_counter() - t0}
     out = {}
     for bank, large in BANKS.items():
-        for seed in seeds:
+        for seed in BANK_SEEDS:
             problems = _bank(seed, large)
             _sandwich_all(oracle, problems[:1])
             t0 = perf_counter()
@@ -135,9 +137,9 @@ def worker_wall(oracle, what: str, seeds: list[int], n_criterion: int) -> dict:
 def worker_main(args: argparse.Namespace) -> None:
     oracle = _import_side(os.path.join(args.side, "src"))
     if args.worker == "counts":
-        result = {str(s): worker_counts(oracle, s) for s in args.bank_seeds}
+        result = {str(s): worker_counts(oracle, s) for s in BANK_SEEDS}
     else:
-        result = worker_wall(oracle, args.worker, args.bank_seeds, args.criterion_seeds)
+        result = worker_wall(oracle, args.worker)
     json.dump(result, sys.stdout)
 
 
@@ -154,13 +156,11 @@ def export_rev(rev: str, dest: str) -> str:
     return sha
 
 
-def run_worker(side: str, worker: str, args: argparse.Namespace) -> dict:
+def run_worker(side: str, worker: str) -> dict:
     env = dict(os.environ)
     for var in BLAS_VARS:
         env[var] = "1"
-    cmd = [sys.executable, os.path.abspath(__file__), "--worker", worker, "--side", side,
-           "--criterion-seeds", str(args.criterion_seeds), "--bank-seeds",
-           *map(str, args.bank_seeds)]
+    cmd = [sys.executable, os.path.abspath(__file__), "--worker", worker, "--side", side]
     proc = subprocess.run(cmd, check=True, capture_output=True, text=True, env=env)
     return json.loads(proc.stdout)
 
@@ -201,10 +201,6 @@ def count_summary(per_seed: dict) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--before")
-    ap.add_argument("--after")
-    ap.add_argument("--reps", type=int, default=3)
-    ap.add_argument("--bank-seeds", type=int, nargs="+", default=[301, 302, 303])
-    ap.add_argument("--criterion-seeds", type=int, default=200)
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_oracle.json"))
     ap.add_argument("--worker", choices=("counts", "banks", "criterion_1"), help=argparse.SUPPRESS)
     ap.add_argument("--side", help=argparse.SUPPRESS)
@@ -218,21 +214,18 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"before": os.path.join(tmp, "before"), "after": ROOT}
         revs = {"before": export_rev(args.before, sides["before"]), "after": "working tree"}
-        if args.after:
-            sides["after"] = os.path.join(tmp, "after")
-            revs["after"] = export_rev(args.after, sides["after"])
 
         counts = {}
         for name, side in sides.items():
             print(f"counts: {name}", file=sys.stderr)
-            counts[name] = run_worker(side, "counts", args)
+            counts[name] = run_worker(side, "counts")
         walls: dict = {"before": {}, "after": {}}
-        for rep in range(args.reps):
+        for rep in range(REPS):
             order = ("before", "after") if rep % 2 == 0 else ("after", "before")
             for name in order:
                 for worker in ("banks", "criterion_1"):
                     print(f"rep {rep}: {name} {worker}", file=sys.stderr)
-                    for key, sec in run_worker(sides[name], worker, args).items():
+                    for key, sec in run_worker(sides[name], worker).items():
                         walls[name].setdefault(key, []).append(sec)
 
     diffs = [
@@ -251,8 +244,8 @@ def main() -> None:
         "topic": "oracle feasibility repair",
         "machine": machine_facts(),
         "revisions": revs,
-        "settings": {"reps": args.reps, "bank_seeds": args.bank_seeds,
-                     "criterion_seeds": args.criterion_seeds},
+        "settings": {"reps": REPS, "bank_seeds": list(BANK_SEEDS),
+                     "criterion_seeds": CRITERION_SEEDS},
         "counts": {name: count_summary(counts[name]) for name in sides},
         "wall_s": {key: {name: wall(name, key) for name in sides} for key in wall_keys},
         "wall_s_per_bank_seed": {name: walls[name] for name in sides},

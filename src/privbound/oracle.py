@@ -103,14 +103,6 @@ def _mi_from_joint_mat(m: np.ndarray) -> float:
     return _mi_terms(m)[0]
 
 
-def _leakage_and_slope(m: np.ndarray, d: np.ndarray, d_col: np.ndarray) -> tuple[float, float]:
-    """Mutual information of a 2-D joint ``m`` and its derivative along
-    ``d``, which moves mass within rows (``d_col`` is its column sum):
-    dI = sum d ln m - sum_u d_col ln m_col."""
-    leak, ln_m, ln_col = _mi_terms(m)
-    return leak, float(np.vdot(d, ln_m) - d_col @ ln_col)
-
-
 class _Evaluator:
     """Precomputed problem geometry plus fast marginal/objective math.
 
@@ -199,21 +191,23 @@ class _Evaluator:
         touched; the user marginals are mixed once, by the caller.
         """
         xu = marg["xu"]
-        d = self.const_xu - xu
-        d_col = d.sum(axis=0)
-        g, slope = _leakage_and_slope(xu, d, d_col)
+        g, ln_m, ln_col = _mi_terms(xu)
         if g <= eps + slack:
             return 0.0
         self.projections += 1
         self.leakage_evals += 1
         if eps <= PROJECT_BAND:
             return 1.0
+        # d moves mass within rows, so dI/dt = sum d ln M - sum_u d_col ln M_col
+        d = self.const_xu - xu
+        d_col = d.sum(axis=0)
         target = eps - 0.5 * PROJECT_BAND
         lo, hi, t = 0.0, 1.0, 0.0
         for _ in range(80):
+            slope = float(np.vdot(d, ln_m) - d_col @ ln_col)
             step = t - (g - target) / slope if slope < 0.0 else lo
             t = step if lo < step < hi else 0.5 * (lo + hi)
-            g, slope = _leakage_and_slope((1.0 - t) * xu + t * self.const_xu, d, d_col)
+            g, ln_m, ln_col = _mi_terms((1.0 - t) * xu + t * self.const_xu)
             self.leakage_evals += 1
             if g > eps:
                 lo = t

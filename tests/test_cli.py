@@ -146,7 +146,6 @@ class TestMechanizeVerify:
         code, _, _ = run(capsys, ["verify", other, mech_path])
         assert code == 4
 
-
     @pytest.mark.parametrize(
         "mutate",
         [
@@ -217,7 +216,6 @@ class TestSweepCommand:
         path = write_problem(tmp_path, copy_pair_doc())
         code, _, _ = run(capsys, ["sweep", path, "--eps", "0.5:0.1:0.1", "--csv", str(tmp_path / "x.csv")])
         assert code == 2
-
 
     def test_oversized_grid_exits_2_before_building(self, tmp_path, capsys, monkeypatch):
         # a 10^18-point spec must be refused from its count alone; the guard
