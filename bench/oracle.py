@@ -1,4 +1,4 @@
-"""Before/after bench of the oracle's feasibility repair: writes BENCH_oracle.json.
+"""Before/after bench of the oracle search: writes a BENCH_oracle*.json file.
 
     python3 bench/oracle.py --before REV [--out BENCH_oracle.json]
 
@@ -10,17 +10,18 @@ and the CRITERION_SEEDS seeded problems of acceptance criterion 1
 (``tests/helpers.py``). Every measurement runs in a fresh subprocess with
 BLAS at one thread.
 
-- **Counts** (one run per side and bank seed; they repeat exactly): calls to
-  ``_Evaluator.project_t``, the repairs among them (calls returning t > 0),
-  the leakage evaluations those repairs spent (the initial feasibility
-  check included), and every mutual-information evaluation the sandwich
-  checks made. They are taken by wrapping the oracle's private helpers, so
-  the counting run is separate from the timed runs.
+- **Counts** (one run per side and bank seed; they repeat exactly): the
+  search counters of ``OracleResult``, summed over each bank, for the
+  search each sandwich check runs: ``projections`` (infeasible candidates
+  repaired), ``leakage_evals`` (leakage evaluations those repairs spent)
+  and, on revisions that have them, ``candidates`` (candidates scored) and
+  ``accepted``.
 - **Wall clocks** (REPS runs per side, alternating which side goes
   first): one pass over each bank per seed, and criterion 1.
 
 The JSON holds medians and all runs, the largest |difference| in the value
-each sandwich check found, and the machine (nproc, Python, numpy, CPU).
+each sandwich check's search found, and the machine (nproc, Python, numpy,
+CPU).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ BANKS = {"sandwich_small": False, "sandwich_large": True}
 BANK_SEEDS = (301, 302, 303)
 CRITERION_SEEDS = 200
 REPS = 3
+COUNTERS = ("projections", "leakage_evals", "candidates", "accepted")
 
 
 # -- worker: runs inside one side's source tree ------------------------------------
@@ -78,40 +80,20 @@ def _criterion_problems(n: int):
 
 
 def worker_counts(oracle, seed: int) -> dict:
-    """Projection and MI counts over both banks for one seed."""
-    counts = {"mi": 0}
+    """Search counters and values over both banks for one seed."""
+    from privbound.model import validate
 
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            counts["mi"] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    # every MI evaluation goes through _mi_terms where it exists
-    name = "_mi_terms" if hasattr(oracle, "_mi_terms") else "_mi_from_joint_mat"
-    setattr(oracle, name, counted(getattr(oracle, name)))
-    project_t = oracle._Evaluator.project_t
     out = {}
     for bank, large in BANKS.items():
-        tally = {"project_t_calls": 0, "repairs": 0, "repair_leakage_evals": 0}
-
-        def counted_project(self, marg, eps, slack=0.0, tally=tally):
-            before = counts["mi"]
-            t = project_t(self, marg, eps, slack)
-            tally["project_t_calls"] += 1
-            if t > 0.0:
-                tally["repairs"] += 1
-                tally["repair_leakage_evals"] += counts["mi"] - before
-            return t
-
-        oracle._Evaluator.project_t = counted_project
-        counts["mi"] = 0
-        values = _sandwich_all(oracle, _bank(seed, large))
-        tally["mi_evals"] = counts["mi"]
-        tally["values"] = values
+        tally: dict = {"values": []}
+        for p in _bank(seed, large):
+            cfg = oracle._sandwich_config(p, validate(p), oracle.OracleConfig(seed=0))
+            res = oracle.search(p, cfg)
+            tally["values"].append(res.best_objective)
+            for name in COUNTERS:
+                if hasattr(res, name):
+                    tally[name] = tally.get(name, 0) + getattr(res, name)
         out[bank] = tally
-    oracle._Evaluator.project_t = project_t
     return out
 
 
@@ -184,17 +166,18 @@ def summarize(runs: list[float]) -> dict:
 
 
 def count_summary(per_seed: dict) -> dict:
-    """Medians over bank seeds of the per-seed counts and their ratios."""
+    """Medians over bank seeds of the per-seed counters and their ratios."""
     out = {}
     for bank in BANKS:
         rows = [per_seed[s][bank] for s in per_seed]
-        out[bank] = {
-            "project_t_calls": statistics.median(r["project_t_calls"] for r in rows),
-            "repairs": statistics.median(r["repairs"] for r in rows),
-            "leakage_evals_per_repair": statistics.median(
-                r["repair_leakage_evals"] / r["repairs"] for r in rows),
-            "mi_evals": statistics.median(r["mi_evals"] for r in rows),
-        }
+        summary = {name: statistics.median(r[name] for r in rows)
+                   for name in COUNTERS if name in rows[0]}
+        summary["leakage_evals_per_repair"] = statistics.median(
+            r["leakage_evals"] / r["projections"] for r in rows)
+        if "accepted" in rows[0]:
+            summary["accepted_per_candidate"] = statistics.median(
+                r["accepted"] / r["candidates"] for r in rows)
+        out[bank] = summary
     return out
 
 
@@ -241,7 +224,7 @@ def main() -> None:
         return summarize(runs)
 
     doc = {
-        "topic": "oracle feasibility repair",
+        "topic": "oracle search",
         "machine": machine_facts(),
         "revisions": revs,
         "settings": {"reps": REPS, "bank_seeds": list(BANK_SEEDS),
@@ -261,7 +244,8 @@ def main() -> None:
     for bank in BANKS:
         b, a = doc["counts"]["before"][bank], doc["counts"]["after"][bank]
         print(f"{bank:<16} leakage evals/repair {b['leakage_evals_per_repair']:.2f} -> "
-              f"{a['leakage_evals_per_repair']:.2f}, MI evals {b['mi_evals']:.0f} -> {a['mi_evals']:.0f}")
+              f"{a['leakage_evals_per_repair']:.2f}, repairs {b['projections']:.0f} -> "
+              f"{a['projections']:.0f}, candidates {b.get('candidates', '-')} -> {a.get('candidates', '-')}")
     print(f"wrote {args.out}")
 
 

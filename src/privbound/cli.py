@@ -58,6 +58,16 @@ EXIT_ALPHABET = 4
 # ---------------------------------------------------------------------------
 
 
+def _labels(entry: dict, key: str, size: int, where: str) -> tuple[str, ...] | None:
+    """Optional axis labels ``entry[key]``: a list of ``size`` strings."""
+    if key not in entry:
+        return None
+    labels = entry[key]
+    if not isinstance(labels, list) or len(labels) != size or not all(isinstance(v, str) for v in labels):
+        raise SchemaError(f"{where}.{key}: expected a list of {size} strings")
+    return tuple(labels)
+
+
 def parse_problem(doc: Any) -> tuple[Problem, dict]:
     """Parse a problem document; returns (problem, options)."""
     if not isinstance(doc, dict):
@@ -72,8 +82,8 @@ def parse_problem(doc: Any) -> tuple[Problem, dict]:
     if log_display not in ("nats", "bits"):
         raise SchemaError(f"options.log_display: must be 'nats' or 'bits', got {log_display!r}")
     sfrl_constant = options.get("sfrl_constant", 4)
-    if not is_number(sfrl_constant):
-        raise SchemaError("options.sfrl_constant: expected a number")
+    if not is_number(sfrl_constant) or not math.isfinite(sfrl_constant):
+        raise SchemaError("options.sfrl_constant: expected a finite number")
 
     comps_doc = want(doc, "components", list, "problem file")
     users_doc = want(doc, "users", list, "problem file")
@@ -101,15 +111,15 @@ def parse_problem(doc: Any) -> tuple[Problem, dict]:
             for v in row:
                 if not is_number(v):
                     raise SchemaError(f"{where}.matrix: row {r} contains a non-number")
-        labels_x = entry.get("labels_x")
-        labels_y = entry.get("labels_y")
+        labels_x = _labels(entry, "labels_x", len(matrix), where)
+        labels_y = _labels(entry, "labels_y", width, where)
         try:
             components.append(
                 Component(
                     name=str(name),
                     joint=Joint2(np.asarray(matrix, dtype=float)),
-                    labels_x=tuple(labels_x) if labels_x else None,
-                    labels_y=tuple(labels_y) if labels_y else None,
+                    labels_x=labels_x,
+                    labels_y=labels_y,
                 )
             )
         except ValidationError as e:

@@ -3,13 +3,14 @@
 The search maximizes the weighted objective sum_j lambda_j I(C_j;U) over
 full-joint kernels P(u | x, y) subject to I(X;U) <= eps. It is a seeded
 random-restart ascent over the kernel columns (each (x, y) column lives on
-the |U|-simplex): candidate steps move columns toward vertex directions
-picked by the objective's column gradient, plus occasional single-column
-vertex jumps; infeasible candidates are repaired by mixing toward the
-constant kernel, with the mixing weight found by safeguarded Newton steps on
-the leakage of P(x,u) alone (``leakage_project``). Everything is driven by
-numpy generators seeded from (seed, restart index), so results are
-reproducible bit for bit.
+the |U|-simplex): each sweep steps every column toward vertex directions
+picked by the objective's column gradient, plus one single-column vertex
+jump. The sweep's candidates are scored as one batch on their marginals,
+which are linear in the kernel; infeasible candidates are repaired by
+mixing toward the constant kernel, with each mixing weight found by
+safeguarded Newton steps on the leakage of P(x,u) alone (``leakage_project``
+repairs one kernel the same way). Everything is driven by numpy generators
+seeded from (seed, restart index), so results are reproducible bit for bit.
 
 The returned value is an achieved objective: a certified lower estimate of
 the true optimum, never the optimum itself.
@@ -63,6 +64,8 @@ class OracleResult:
     trace: tuple[float, ...]
     projections: int = 0      # infeasible candidates repaired
     leakage_evals: int = 0    # I(X;U) evaluations spent on those repairs
+    candidates: int = 0       # candidates scored by the sweeps
+    accepted: int = 0         # candidates that beat the running best
 
 
 @dataclass(frozen=True)
@@ -84,32 +87,45 @@ class SandwichReport:
         return self.lower_ok and self.middle_ok and self.upper_ok
 
 
-def _mi_terms(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mutual information of a 2-D joint mass matrix, in nats, with the
-    logarithms it used: ln m and ln of the column sums. Entries at or below
-    ``ZERO_FLOOR`` take ln := 0, so they drop out of every sum."""
+def _mi(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mutual information of joint mass matrices stacked over leading axes
+    (shape (..., a, b)), in nats, with the logarithms it used: ln m and ln of
+    the column sums. Entries at or below ``ZERO_FLOOR`` take ln := 0, so they
+    drop out of every sum."""
     floor = probcore.ZERO_FLOOR
-    row = m.sum(axis=1)
-    col = m.sum(axis=0)
+    row = m.sum(axis=-1)
+    col = m.sum(axis=-2)
     ln_m = np.log(np.where(m > floor, m, 1.0))
     ln_row = np.log(np.where(row > floor, row, 1.0))
     ln_col = np.log(np.where(col > floor, col, 1.0))
-    mi = float(np.vdot(m, ln_m) - row @ ln_row - col @ ln_col)
-    return max(0.0, mi), ln_m, ln_col
+    mi = (m * ln_m).sum(axis=(-2, -1)) - (row * ln_row).sum(axis=-1) - (col * ln_col).sum(axis=-1)
+    return np.maximum(mi, 0.0), ln_m, ln_col
 
 
 def _mi_from_joint_mat(m: np.ndarray) -> float:
     """Mutual information of a 2-D joint mass matrix, in nats."""
-    return _mi_terms(m)[0]
+    return float(_mi(m)[0])
+
+
+STEP_SIZES = (0.15, 0.4, 1.0)
+MULTIPLIERS = (0.0, 0.7, 2.0)
+# one sweep scores a step of every size toward every multiplier's vertex
+# direction, then one single-column jump candidate
+BATCH = len(MULTIPLIERS) * len(STEP_SIZES) + 1
 
 
 class _Evaluator:
-    """Precomputed problem geometry plus fast marginal/objective math.
+    """Precomputed problem geometry plus batched marginal/objective math.
 
-    All candidate bookkeeping happens on small marginal matrices:
-    P(x, u), and P(y_S, u) per user. Mixing toward the constant kernel is
-    linear in those marginals, so feasibility repair never re-touches the
-    full kernel tensor until a candidate is accepted.
+    Candidates are scored on small marginal matrices stacked over a leading
+    candidate axis: P(x, u), and P(y_S, u) per user. Both are linear in the
+    kernel, so a step toward a vertex direction and a mix toward the
+    constant kernel are formed on the marginals of the current kernel and
+    of the direction (summed from its argmax indices); a step's kernel
+    tensor is built only when the step is accepted. The jump's tensor is
+    built every sweep and its marginals summed from it: forming them by
+    subtracting the moved columns would leave rounding residue where a
+    marginal is exactly zero, and the vertex score reads ln of those entries.
     """
 
     def __init__(self, p: Problem, card_u: int):
@@ -129,138 +145,196 @@ class _Evaluator:
         self.weights = tuple(u.weight for u in p.users)
         self.projections = 0
         self.leakage_evals = 0
-        # per user: map from flat y to flat demanded sub-tuple
+        self.candidates = 0
+        self.accepted = 0
+        # per user: map from flat y to flat demanded sub-tuple, and the same
+        # map as a 0/1 (|S|, |Y|) matrix that sums P(y, u) into P(y_S, u)
         self.user_maps: list[np.ndarray] = []
-        self.user_sizes: list[int] = []
+        self.user_aggs: list[np.ndarray] = []
         y_idx = np.arange(self.ny)
         multi = np.array(np.unravel_index(y_idx, self.dims_y))  # (N, ny)
         for u in p.users:
             dims_s = tuple(self.dims_y[i] for i in u.demands)
             flat_s = np.ravel_multi_index(tuple(multi[i] for i in u.demands), dims_s)
             self.user_maps.append(flat_s.astype(np.intp))
-            self.user_sizes.append(int(np.prod(dims_s)))
+            self.user_aggs.append((np.arange(int(np.prod(dims_s)))[:, None] == flat_s).astype(float))
         # constant-kernel marginals (all mass on u = 0)
         e0 = np.zeros(card_u)
         e0[0] = 1.0
         self.const_xu = np.outer(self.px, e0)
-        self.const_users = []
-        for m, sz in zip(self.user_maps, self.user_sizes):
-            ps = np.bincount(m, weights=self.py, minlength=sz)
-            self.const_users.append(np.outer(ps, e0))
+        self.const_users = [np.outer(agg @ self.py, e0) for agg in self.user_aggs]
+        # flat (x, u) and (y, u) offsets of every kernel column
+        self.x_offsets = np.repeat(np.arange(self.nx) * card_u, self.ny)
+        self.y_offsets = np.tile(np.arange(self.ny) * card_u, self.nx)
 
-    # -- marginals ---------------------------------------------------------
+    # -- marginals -------------------------------------------------------------
+    # A batch of marginals is (xu, users): xu of shape (B, |X|, |U|) and one
+    # (B, |S_j|, |U|) array per user.
 
-    def marginals(self, table: np.ndarray) -> dict:
+    def marginals(self, table: np.ndarray) -> tuple:
+        """Marginals of one kernel tensor, as a batch of one."""
         xu = np.einsum("xy,xyu->xu", self.pxy, table)
         yu = np.einsum("xy,xyu->yu", self.pxy, table)
-        users = []
-        for m, sz in zip(self.user_maps, self.user_sizes):
-            su = np.zeros((sz, self.card_u))
-            np.add.at(su, m, yu)
-            users.append(su)
-        return {"xu": xu, "users": users}
+        return xu[None], [(agg @ yu)[None] for agg in self.user_aggs]
 
-    def mix(self, marg: dict, t: float) -> dict:
-        return {
-            "xu": (1.0 - t) * marg["xu"] + t * self.const_xu,
-            "users": [
-                (1.0 - t) * m + t * c for m, c in zip(marg["users"], self.const_users)
-            ],
-        }
+    def _vertex_marginals(self, best_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """P(x, u) and P(y, u) of the vertex kernel putting column (x, y) on
+        u = best_u[x, y], summed from the indices."""
+        nu = self.card_u
+        flat_u = best_u.ravel()
+        w = self.pxy.ravel()
+        xu = np.bincount(self.x_offsets + flat_u, weights=w, minlength=self.nx * nu)
+        yu = np.bincount(self.y_offsets + flat_u, weights=w, minlength=self.ny * nu)
+        return xu.reshape(self.nx, nu), yu.reshape(self.ny, nu)
 
-    def leakage(self, marg: dict) -> float:
-        return _mi_from_joint_mat(marg["xu"])
+    def sweep_marginals(self, marg: tuple, choices: list[np.ndarray], jump_marg: tuple) -> tuple:
+        """Marginals of one sweep's BATCH candidates. Candidate
+        i * len(STEP_SIZES) + j is (1 - eta_j) K + eta_j D_i, for the current
+        kernel K (marginals ``marg``) and the vertex kernel D_i of
+        choices[i]; the last one is the jump (marginals ``jump_marg``)."""
+        dirs = [self._vertex_marginals(best_u) for best_u in choices]
+        xu_d = np.stack([d[0] for d in dirs])
+        yu_d = np.stack([d[1] for d in dirs])
+        eta = np.array(STEP_SIZES)[:, None, None]
 
-    def objective(self, marg: dict) -> float:
-        return float(
-            sum(w * _mi_from_joint_mat(m) for w, m in zip(self.weights, marg["users"]))
+        def stacked(cur: np.ndarray, d: np.ndarray, jump: np.ndarray) -> np.ndarray:
+            steps = (1.0 - eta) * cur[0] + eta * d[:, None]
+            return np.concatenate([steps.reshape(-1, *cur.shape[1:]), jump])
+
+        users = [
+            stacked(u, agg @ yu_d, j)
+            for u, agg, j in zip(marg[1], self.user_aggs, jump_marg[1])
+        ]
+        return stacked(marg[0], xu_d, jump_marg[0]), users
+
+    def mix(self, marg: tuple, t: np.ndarray) -> tuple:
+        """Each candidate's marginals mixed toward the constant kernel by its weight."""
+        s = t[:, None, None]
+        return (
+            (1.0 - s) * marg[0] + s * self.const_xu,
+            [(1.0 - s) * m + s * c for m, c in zip(marg[1], self.const_users)],
         )
+
+    def leakage(self, marg: tuple) -> float:
+        """I(X;U) of the first (in practice the only) kernel of a batch."""
+        return float(_mi(marg[0][0])[0])
+
+    def objective(self, users: list[np.ndarray]) -> np.ndarray:
+        """sum_j w_j I(C_j; U) of every candidate of a batch."""
+        return sum(w * _mi(m)[0] for w, m in zip(self.weights, users))
 
     # -- feasibility repair --------------------------------------------------
 
-    def project_t(self, marg: dict, eps: float, slack: float = 0.0) -> float:
-        """Mixing weight toward the constant kernel that lands the leakage
-        in [eps - PROJECT_BAND, eps]. Returns 0.0 if already feasible
-        (within ``slack``, which search uses to absorb float noise).
+    def repair(self, xu: np.ndarray, eps: float, slack: float = 0.0) -> np.ndarray:
+        """Per-candidate mixing weights toward the constant kernel that land
+        each leakage in [eps - PROJECT_BAND, eps]; 0.0 for a candidate that
+        is already feasible (within ``slack``, which search uses to absorb
+        float noise).
 
         The leakage of (1-t) P(x,u) + t P_const(x,u) is convex in t (MI is
         convex in the channel, and the channel is affine in t) and reaches 0
         at t = 1, so it is non-increasing. Newton steps aim at the middle of
-        the band; a step that leaves the [lo, hi] bracket, or a slope that is
-        not negative, falls back to the bracket midpoint. Only P(x,u) is
-        touched; the user marginals are mixed once, by the caller.
+        the band, one candidate per row, each with its own [lo, hi] bracket;
+        a step that leaves the bracket, or a slope that is not negative,
+        falls back to the bracket midpoint. A candidate leaves the batch once
+        its leakage is in the band. Only P(x,u) is touched.
         """
-        xu = marg["xu"]
-        g, ln_m, ln_col = _mi_terms(xu)
-        if g <= eps + slack:
-            return 0.0
-        self.projections += 1
-        self.leakage_evals += 1
+        g, ln_m, ln_col = _mi(xu)
+        t = np.zeros(len(xu))
+        bad = np.flatnonzero(g > eps + slack)
+        self.projections += bad.size
+        self.leakage_evals += bad.size
+        if bad.size == 0:
+            return t
         if eps <= PROJECT_BAND:
-            return 1.0
+            t[bad] = 1.0
+            return t
+        xu = xu[bad]
+        g, ln_m, ln_col = g[bad], ln_m[bad], ln_col[bad]
         # d moves mass within rows, so dI/dt = sum d ln M - sum_u d_col ln M_col
         d = self.const_xu - xu
-        d_col = d.sum(axis=0)
+        d_col = d.sum(axis=1)
         target = eps - 0.5 * PROJECT_BAND
-        lo, hi, t = 0.0, 1.0, 0.0
+        lo, hi, tb = np.zeros(bad.size), np.ones(bad.size), np.zeros(bad.size)
+        live = np.arange(bad.size)
         for _ in range(80):
-            slope = float(np.vdot(d, ln_m) - d_col @ ln_col)
-            step = t - (g - target) / slope if slope < 0.0 else lo
-            t = step if lo < step < hi else 0.5 * (lo + hi)
-            g, ln_m, ln_col = _mi_terms((1.0 - t) * xu + t * self.const_xu)
-            self.leakage_evals += 1
-            if g > eps:
-                lo = t
-            elif g < eps - PROJECT_BAND:
-                hi = t
-            else:
-                return t
-        return hi
+            slope = (d[live] * ln_m).sum(axis=(1, 2)) - (d_col[live] * ln_col).sum(axis=1)
+            descent = slope < 0.0
+            step = np.where(descent, tb[live] - (g - target) / np.where(descent, slope, -1.0), lo[live])
+            inside = (lo[live] < step) & (step < hi[live])
+            tl = np.where(inside, step, 0.5 * (lo[live] + hi[live]))
+            tb[live] = tl
+            s = tl[:, None, None]
+            g, ln_m, ln_col = _mi((1.0 - s) * xu[live] + s * self.const_xu)
+            self.leakage_evals += live.size
+            over = g > eps
+            under = g < eps - PROJECT_BAND
+            lo[live[over]] = tl[over]
+            hi[live[under]] = tl[under]
+            out = over | under
+            live, g, ln_m, ln_col = live[out], g[out], ln_m[out], ln_col[out]
+            if live.size == 0:
+                break
+        tb[live] = hi[live]
+        t[bad] = tb
+        return t
 
-    def repaired(self, table: np.ndarray, eps: float) -> tuple[dict, float]:
+    def repaired(self, table: np.ndarray, eps: float) -> tuple[tuple, float]:
+        """Marginals of one kernel after its feasibility repair, as a batch
+        of one, and the mixing weight the repair used."""
         marg = self.marginals(table)
-        t = self.project_t(marg, eps, slack=LEAKAGE_SLACK)
-        if t > 0.0:
-            marg = self.mix(marg, t)
-        return marg, t
+        t = self.repair(marg[0], eps, slack=LEAKAGE_SLACK)
+        return self.mix(marg, t), float(t[0])
 
     def mix_table(self, table: np.ndarray, t: float) -> np.ndarray:
+        """(1 - t) table + t (constant kernel); ``table`` itself when t <= 0."""
         if t <= 0.0:
             return table
-        const = np.zeros_like(table)
-        const[:, :, 0] = 1.0
-        return (1.0 - t) * table + t * const
+        out = (1.0 - t) * table
+        out[:, :, 0] += t
+        return out
 
     # -- candidate generation -------------------------------------------------
 
-    def vertex_direction(self, marg: dict, multiplier: float = 0.0) -> np.ndarray:
-        """Per-column best vertex of a Lagrangian gradient.
+    def vertex_choices(self, marg: tuple) -> list[np.ndarray]:
+        """Per-column best vertex of a Lagrangian gradient, one (|X|, |Y|)
+        index array per entry of MULTIPLIERS.
 
         d objective / d K[x,y,u] = P(x,y) * sum_j w_j ln(P(u|y_Sj)/P(u))
         depends on (y, u) only, while d leakage / d K[x,y,u] is
         P(x,y) * ln(P(u|x)/P(u)); a positive multiplier mixes the two so
         that directions can build or shed X-correlation deliberately.
         """
-        pu = np.log(np.maximum(marg["xu"].sum(axis=0), _TINY))
+        xu = marg[0][0]
+        pu = np.log(np.maximum(xu.sum(axis=0), _TINY))
         score = np.zeros((self.ny, self.card_u))
-        for w, m, idx in zip(self.weights, marg["users"], self.user_maps):
+        for w, m, idx in zip(self.weights, marg[1], self.user_maps):
             if w == 0.0:
                 continue
+            m = m[0]
             ps = m.sum(axis=1, keepdims=True)
             lcond = np.log(np.maximum(m, _TINY)) - np.log(np.maximum(ps, _TINY))
             score += w * lcond[idx, :]
         score -= pu[None, :]
-        full = score[None, :, :].repeat(self.nx, axis=0)
-        if multiplier != 0.0:
-            px = marg["xu"].sum(axis=1, keepdims=True)
-            leak_score = (
-                np.log(np.maximum(marg["xu"], _TINY)) - np.log(np.maximum(px, _TINY)) - pu[None, :]
-            )
-            full = full - multiplier * leak_score[:, None, :]
-        best_u = np.argmax(full, axis=2)
-        direction = np.zeros((self.nx, self.ny, self.card_u))
-        direction[np.arange(self.nx)[:, None], np.arange(self.ny)[None, :], best_u] = 1.0
-        return direction
+        px = xu.sum(axis=1, keepdims=True)
+        leak_score = np.log(np.maximum(xu, _TINY)) - np.log(np.maximum(px, _TINY)) - pu[None, :]
+        choices = []
+        for lam in MULTIPLIERS:
+            if lam == 0.0:
+                best_u = np.broadcast_to(np.argmax(score, axis=1), (self.nx, self.ny))
+            else:
+                best_u = np.argmax(score[None, :, :] - lam * leak_score[:, None, :], axis=2)
+            choices.append(best_u)
+        return choices
+
+    def step_table(self, table: np.ndarray, k: int, choices: list[np.ndarray]) -> np.ndarray:
+        """Kernel tensor of step candidate k of a sweep (see ``sweep_marginals``)."""
+        i, j = divmod(k, len(STEP_SIZES))
+        eta = STEP_SIZES[j]
+        cand = (1.0 - eta) * table
+        x, y = np.indices((self.nx, self.ny))
+        cand[x, y, choices[i]] += eta
+        return cand
 
 
 def _embed(kernel: Kernel, nx: int, ny: int, nu: int) -> np.ndarray | None:
@@ -317,47 +391,51 @@ def _initial_tables(ev: _Evaluator, p: Problem, cfg: OracleConfig, restart: int)
     return t / t.sum(axis=2, keepdims=True)
 
 
-STEP_SIZES = (0.15, 0.4, 1.0)
-MULTIPLIERS = (0.0, 0.7, 2.0)
-
-
 def _ascend(ev: _Evaluator, table: np.ndarray, eps: float, cfg: OracleConfig, restart: int) -> tuple[float, np.ndarray, float]:
-    """Candidate-step ascent from one start; returns (objective, table, leak)."""
+    """Candidate-step ascent from one start; returns (objective, table, leak).
+
+    Each sweep scores its BATCH candidates together and walks them in order,
+    accepting every one that beats the running best; the last accepted
+    becomes the current kernel.
+    """
     rng = np.random.default_rng([cfg.seed, restart, 1])
     marg, t_mix = ev.repaired(table, eps)
     table = ev.mix_table(table, t_mix)
-    best_obj = ev.objective(marg)
-    best_marg = marg
+    best_obj = float(ev.objective(marg[1])[0])
     stall = 0
     # large kernels get proportionally fewer sweeps to keep runtime flat
     size = ev.nx * ev.ny * ev.card_u
     iters = max(6, min(cfg.iters, int(cfg.iters * 12_000 / max(size, 1))))
     for _ in range(iters):
-        cands: list[np.ndarray] = []
-        for lam in MULTIPLIERS:
-            direction = ev.vertex_direction(best_marg, lam)
-            for eta in STEP_SIZES:
-                cands.append(table + eta * (direction - table))
+        choices = ev.vertex_choices(marg)
         # single-column vertex jumps (coordinate moves)
         ncols = min(8, ev.nx * ev.ny)
         cols = rng.choice(ev.nx * ev.ny, size=ncols, replace=False)
-        jump = table.copy().reshape(-1, ev.card_u)
-        jump[cols] = 0.0
-        jump[cols, rng.integers(0, ev.card_u, size=ncols)] = 1.0
-        cands.append(jump.reshape(table.shape))
-        improved = False
-        for cand in cands:
-            m, t = ev.repaired(cand, eps)
-            obj = ev.objective(m)
+        jump = table.copy()
+        flat = jump.reshape(-1, ev.card_u)
+        flat[cols] = 0.0
+        flat[cols, rng.integers(0, ev.card_u, size=ncols)] = 1.0
+        cands = ev.sweep_marginals(marg, choices, ev.marginals(jump))
+        t = ev.repair(cands[0], eps, slack=LEAKAGE_SLACK)
+        cands = ev.mix(cands, t)
+        objs = ev.objective(cands[1])
+        ev.candidates += BATCH
+        pick = -1
+        for k, obj in enumerate(objs):
             if obj > best_obj + cfg.tolerance:
-                best_obj = obj
-                best_marg = m
-                table = ev.mix_table(cand, t)
-                improved = True
-        stall = 0 if improved else stall + 1
-        if stall >= 6:
-            break
-    return best_obj, table, ev.leakage(best_marg)
+                best_obj = float(obj)
+                pick = k
+                ev.accepted += 1
+        if pick >= 0:
+            marg = (cands[0][pick:pick + 1], [m[pick:pick + 1] for m in cands[1]])
+            cand = jump if pick == BATCH - 1 else ev.step_table(table, pick, choices)
+            table = ev.mix_table(cand, float(t[pick]))
+            stall = 0
+        else:
+            stall += 1
+            if stall >= 6:
+                break
+    return best_obj, table, ev.leakage(marg)
 
 
 def default_card_u(p: Problem) -> int:
@@ -391,6 +469,8 @@ def search(p: Problem, cfg: OracleConfig | None = None) -> OracleResult:
         trace=tuple(float(v) for v in trace),
         projections=ev.projections,
         leakage_evals=ev.leakage_evals,
+        candidates=ev.candidates,
+        accepted=ev.accepted,
     )
 
 
@@ -405,10 +485,9 @@ def leakage_project(m: Kernel, p: Problem, eps: float) -> Kernel:
     if eps < 0.0:
         raise ValidationError(f"eps must be >= 0, got {eps}")
     ev = _Evaluator(p, m.alphabet_u)
-    marg = ev.marginals(m.table)
-    if ev.leakage(marg) <= eps:
+    t = float(ev.repair(ev.marginals(m.table)[0], eps)[0])
+    if t == 0.0:
         return m
-    t = ev.project_t(marg, eps)
     return Kernel(ev.mix_table(np.array(m.table), t))
 
 

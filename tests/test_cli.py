@@ -93,6 +93,27 @@ class TestBoundsCommand:
         code, _, _ = run(capsys, ["bounds", write_problem(tmp_path, doc)])
         assert code == 2
 
+    @pytest.mark.parametrize("key", ["labels_x", "labels_y"])
+    @pytest.mark.parametrize("labels", [5, "ab", None, ["a"], ["a", "b", "c"], ["a", 1]])
+    def test_malformed_labels_exit_2(self, tmp_path, capsys, key, labels):
+        # labels must be a list of card strings: a string is not split into them
+        doc = copy_pair_doc()
+        doc["components"][0][key] = labels
+        code, out, err = run(capsys, ["bounds", write_problem(tmp_path, doc)])
+        assert code == 2
+        assert key in err
+        assert out == ""
+
+    def test_non_finite_sfrl_constant_exits_2(self, tmp_path, capsys):
+        # 1e400 parses to inf; json.dumps would write it as Infinity
+        path = tmp_path / "problem.json"
+        text = json.dumps(copy_pair_doc(sfrl_constant=4))
+        path.write_text(text.replace('"sfrl_constant": 4', '"sfrl_constant": 1e400'))
+        code, out, err = run(capsys, ["bounds", str(path)])
+        assert code == 2
+        assert "sfrl_constant" in err
+        assert "Infinity" not in out and "NaN" not in out
+
 
 class TestMechanizeVerify:
     def test_round_trip_evaluation(self, tmp_path, capsys):
