@@ -80,15 +80,24 @@ def _criterion_problems(n: int):
 
 
 def worker_counts(oracle, seed: int) -> dict:
-    """Search counters and values over both banks for one seed."""
+    """Search counters and values over both banks for one seed.
+
+    ``SandwichReport`` does not carry the search's ``OracleResult``, so the
+    search is rerun here with the sandwich check's configuration; its value
+    must equal the sandwich check's ``oracle_best``, so that the counters
+    describe the timed runs.
+    """
     from privbound.model import validate
 
     out = {}
     for bank, large in BANKS.items():
         tally: dict = {"values": []}
-        for p in _bank(seed, large):
+        problems = _bank(seed, large)
+        for p, timed in zip(problems, _sandwich_all(oracle, problems)):
             cfg = oracle._sandwich_config(p, validate(p), oracle.OracleConfig(seed=0))
             res = oracle.search(p, cfg)
+            if res.best_objective != timed:
+                raise SystemExit(f"counted search found {res.best_objective}, sandwich check {timed}")
             tally["values"].append(res.best_objective)
             for name in COUNTERS:
                 if hasattr(res, name):

@@ -95,7 +95,8 @@ def _mi(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     floor = probcore.ZERO_FLOOR
     row = m.sum(axis=-1)
     col = m.sum(axis=-2)
-    ln_m = np.log(np.where(m > floor, m, 1.0))
+    ln_m = np.where(m > floor, m, 1.0)
+    np.log(ln_m, out=ln_m)
     ln_row = np.log(np.where(row > floor, row, 1.0))
     ln_col = np.log(np.where(col > floor, col, 1.0))
     mi = (m * ln_m).sum(axis=(-2, -1)) - (row * ln_row).sum(axis=-1) - (col * ln_col).sum(axis=-1)
@@ -147,22 +148,24 @@ class _Evaluator:
         self.leakage_evals = 0
         self.candidates = 0
         self.accepted = 0
-        # per user: map from flat y to flat demanded sub-tuple, and the same
-        # map as a 0/1 (|S|, |Y|) matrix that sums P(y, u) into P(y_S, u)
-        self.user_maps: list[np.ndarray] = []
-        self.user_aggs: list[np.ndarray] = []
-        y_idx = np.arange(self.ny)
-        multi = np.array(np.unravel_index(y_idx, self.dims_y))  # (N, ny)
-        for u in p.users:
-            dims_s = tuple(self.dims_y[i] for i in u.demands)
-            flat_s = np.ravel_multi_index(tuple(multi[i] for i in u.demands), dims_s)
-            self.user_maps.append(flat_s.astype(np.intp))
-            self.user_aggs.append((np.arange(int(np.prod(dims_s)))[:, None] == flat_s).astype(float))
+        # per user: the axes of the components it does not demand, counted
+        # from the end of a (..., *dims_y, |U|) array, and the shape of its
+        # P(y_S, u) with those axes kept as 1. Demands are sorted
+        # (model.User), so summing the axes out of P(y, u) leaves P(y_S, u)
+        # with y_S in flat order, in O(|Y||U|).
+        n = len(self.dims_y)
+        self.user_drops = [
+            tuple(i - n - 1 for i in range(n) if i not in u.demands) for u in p.users
+        ]
+        self.user_shapes = [
+            tuple(d if i in u.demands else 1 for i, d in enumerate(self.dims_y)) + (card_u,)
+            for u in p.users
+        ]
         # constant-kernel marginals (all mass on u = 0)
         e0 = np.zeros(card_u)
         e0[0] = 1.0
         self.const_xu = np.outer(self.px, e0)
-        self.const_users = [np.outer(agg @ self.py, e0) for agg in self.user_aggs]
+        self.const_users = [np.outer(m[:, 0], e0) for m in self.user_marginals(self.py[:, None])]
         # flat (x, u) and (y, u) offsets of every kernel column
         self.x_offsets = np.repeat(np.arange(self.nx) * card_u, self.ny)
         self.y_offsets = np.tile(np.arange(self.ny) * card_u, self.nx)
@@ -171,11 +174,20 @@ class _Evaluator:
     # A batch of marginals is (xu, users): xu of shape (B, |X|, |U|) and one
     # (B, |S_j|, |U|) array per user.
 
+    def user_marginals(self, yu: np.ndarray) -> list[np.ndarray]:
+        """P(y_S, u) of every user from P(y, u), over any leading axes."""
+        lead, nu = yu.shape[:-2], yu.shape[-1]
+        full = yu.reshape(*lead, *self.dims_y, nu)
+        return [
+            full.sum(axis=drop).reshape(*lead, -1, nu) if drop else yu
+            for drop in self.user_drops
+        ]
+
     def marginals(self, table: np.ndarray) -> tuple:
         """Marginals of one kernel tensor, as a batch of one."""
         xu = np.einsum("xy,xyu->xu", self.pxy, table)
         yu = np.einsum("xy,xyu->yu", self.pxy, table)
-        return xu[None], [(agg @ yu)[None] for agg in self.user_aggs]
+        return xu[None], self.user_marginals(yu[None])
 
     def _vertex_marginals(self, best_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """P(x, u) and P(y, u) of the vertex kernel putting column (x, y) on
@@ -195,25 +207,36 @@ class _Evaluator:
         dirs = [self._vertex_marginals(best_u) for best_u in choices]
         xu_d = np.stack([d[0] for d in dirs])
         yu_d = np.stack([d[1] for d in dirs])
-        eta = np.array(STEP_SIZES)[:, None, None]
+        n = len(STEP_SIZES)
 
         def stacked(cur: np.ndarray, d: np.ndarray, jump: np.ndarray) -> np.ndarray:
-            steps = (1.0 - eta) * cur[0] + eta * d[:, None]
-            return np.concatenate([steps.reshape(-1, *cur.shape[1:]), jump])
+            out = np.empty((BATCH, *cur.shape[1:]))
+            for j, eta in enumerate(STEP_SIZES):
+                # candidates j, n + j, ...: this step size toward every direction
+                out[j:-1:n] = (1.0 - eta) * cur[0] + eta * d
+            out[-1] = jump[0]
+            return out
 
         users = [
-            stacked(u, agg @ yu_d, j)
-            for u, agg, j in zip(marg[1], self.user_aggs, jump_marg[1])
+            stacked(u, d, j)
+            for u, d, j in zip(marg[1], self.user_marginals(yu_d), jump_marg[1])
         ]
         return stacked(marg[0], xu_d, jump_marg[0]), users
 
     def mix(self, marg: tuple, t: np.ndarray) -> tuple:
-        """Each candidate's marginals mixed toward the constant kernel by its weight."""
-        s = t[:, None, None]
-        return (
-            (1.0 - s) * marg[0] + s * self.const_xu,
-            [(1.0 - s) * m + s * c for m, c in zip(marg[1], self.const_users)],
-        )
+        """Each candidate's marginals mixed toward the constant kernel by its
+        weight; ``marg`` itself when no weight is positive."""
+        bad = np.flatnonzero(t > 0.0)
+        if bad.size == 0:
+            return marg
+        s = t[bad, None, None]
+
+        def mixed(m: np.ndarray, c: np.ndarray) -> np.ndarray:
+            out = m.copy()
+            out[bad] = (1.0 - s) * m[bad] + s * c
+            return out
+
+        return mixed(marg[0], self.const_xu), [mixed(m, c) for m, c in zip(marg[1], self.const_users)]
 
     def leakage(self, marg: tuple) -> float:
         """I(X;U) of the first (in practice the only) kernel of a batch."""
@@ -306,16 +329,18 @@ class _Evaluator:
         that directions can build or shed X-correlation deliberately.
         """
         xu = marg[0][0]
+        nu = self.card_u
         pu = np.log(np.maximum(xu.sum(axis=0), _TINY))
-        score = np.zeros((self.ny, self.card_u))
-        for w, m, idx in zip(self.weights, marg[1], self.user_maps):
+        score = np.zeros((*self.dims_y, nu))
+        for w, m, shape in zip(self.weights, marg[1], self.user_shapes):
             if w == 0.0:
                 continue
             m = m[0]
             ps = m.sum(axis=1, keepdims=True)
             lcond = np.log(np.maximum(m, _TINY)) - np.log(np.maximum(ps, _TINY))
-            score += w * lcond[idx, :]
-        score -= pu[None, :]
+            # broadcast over the components the user does not demand
+            score += w * lcond.reshape(shape)
+        score = score.reshape(self.ny, nu) - pu[None, :]
         px = xu.sum(axis=1, keepdims=True)
         leak_score = np.log(np.maximum(xu, _TINY)) - np.log(np.maximum(px, _TINY)) - pu[None, :]
         choices = []

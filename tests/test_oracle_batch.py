@@ -1,11 +1,14 @@
 """Batched candidate scoring: the MI kernel, the repair and the whole search
 against per-candidate references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import random_problem
 from privbound import oracle as O
+from privbound.model import Component, Problem, User
 from privbound.probcore import ZERO_FLOOR, Joint2, mutual_information
 
 QUICK = O.OracleConfig(restarts=4, iters=24, seed=0)
@@ -84,6 +87,43 @@ class TestBatchedRepair:
         assert np.allclose(together, alone, rtol=0, atol=1e-15)
 
 
+class TestUserMarginals:
+    def test_match_add_at_over_leading_axes(self):
+        rng = np.random.default_rng(7)
+        comps = tuple(
+            Component(f"c{i}", Joint2(rng.dirichlet(np.ones(2 * ny)).reshape(2, ny)))
+            for i, ny in enumerate((3, 2, 4))
+        )
+        # demands given out of order; model.User stores them sorted
+        users = (User((2, 0), 1.0), User((1,), 0.5), User((0, 1, 2), 0.3), User((2, 1), 0.2))
+        p = Problem(comps, users, 0.1)
+        ev = O._Evaluator(p, 5)
+        yu = rng.exponential(size=(2, 3, ev.ny, ev.card_u))
+        got = ev.user_marginals(yu)
+        for a in range(2):
+            for b in range(3):
+                for g, ref in zip(got, _ref_user_marginals(p, yu[a, b])):
+                    assert g.shape[:2] == (2, 3)
+                    assert np.allclose(g[a, b], ref, rtol=1e-14, atol=0)
+
+    def test_memory_linear_in_y(self):
+        # one 2 x 3000 component: a dense (|S|, |Y|) aggregation would take
+        # 72 MB per user; the kernel itself is 0.8 MB
+        rng = np.random.default_rng(0)
+        comp = Component("c", Joint2(rng.dirichlet(np.ones(6000)).reshape(2, 3000)))
+        p = Problem((comp,), (User((0,), 1.0), User((0,), 0.5)), 0.1)
+        tracemalloc.start()
+        try:
+            ev = O._Evaluator(p, O.default_card_u(p))
+            table = np.full((ev.nx, ev.ny, ev.card_u), 1.0 / ev.card_u)
+            ev.marginals(table)
+            ev.vertex_choices(ev.marginals(table))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+
 # -- per-candidate reference: dense candidate tensors, one at a time ----------
 
 
@@ -95,15 +135,29 @@ def _ref_mi(m: np.ndarray) -> float:
     return max(0.0, plogp(m) - plogp(m.sum(axis=1)) - plogp(m.sum(axis=0)))
 
 
+def _user_maps(p):
+    """Per user: the flat demanded sub-tuple of every flat y."""
+    dims_y = tuple(c.card_y for c in p.components)
+    multi = np.unravel_index(np.arange(int(np.prod(dims_y))), dims_y)
+    return [
+        np.ravel_multi_index(tuple(multi[i] for i in u.demands), tuple(dims_y[i] for i in u.demands))
+        for u in p.users
+    ]
+
+
+def _ref_user_marginals(p, yu):
+    users = []
+    for idx in _user_maps(p):
+        su = np.zeros((int(idx.max()) + 1, yu.shape[-1]))
+        np.add.at(su, idx, yu)
+        users.append(su)
+    return users
+
+
 def _ref_marginals(ev, table):
     xu = np.einsum("xy,xyu->xu", ev.pxy, table)
     yu = np.einsum("xy,xyu->yu", ev.pxy, table)
-    users = []
-    for idx in ev.user_maps:
-        su = np.zeros((int(idx.max()) + 1, ev.card_u))
-        np.add.at(su, idx, yu)
-        users.append(su)
-    return xu, users
+    return xu, _ref_user_marginals(ev.p, yu)
 
 
 def _ref_repair_t(xu, const_xu, eps, slack):
@@ -138,7 +192,7 @@ def _ref_direction(ev, marg, lam):
     tiny = O._TINY
     pu = np.log(np.maximum(xu.sum(axis=0), tiny))
     score = np.zeros((ev.ny, ev.card_u))
-    for w, m, idx in zip(ev.weights, users, ev.user_maps):
+    for w, m, idx in zip(ev.weights, users, _user_maps(ev.p)):
         if w == 0.0:
             continue
         lcond = np.log(np.maximum(m, tiny)) - np.log(np.maximum(m.sum(axis=1, keepdims=True), tiny))
