@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -404,10 +405,12 @@ def _parse_grid(spec: str) -> list[float]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     p, _options = load_problem(args.file)
     grid = _parse_grid(args.eps)
+    # the component statistics do not depend on eps; only the trivial flag does
+    base = validate(p)
     rows = []
     for eps in grid:
         pe = Problem(p.components, p.users, eps, p.sfrl_constant)
-        stats = validate(pe)
+        stats = dataclasses.replace(base, trivial=pe.epsilon >= base.total_mi)
         if stats.trivial:
             value = trivial_optimum(pe, stats)
             rows.append((eps, value, value, value, value, value))

@@ -171,6 +171,9 @@ def _interval_refinement(cond: np.ndarray, active_rows: np.ndarray | None = None
     cells = np.array(merged)
     lows, highs = cells[:-1], cells[1:]
     nu = lows.size
+    cap = probcore.size_cap()
+    if na * ny * nu > cap:
+        raise SizeCapError(f"refinement kernel would have {na * ny * nu} entries (cap {cap})")
 
     table = np.zeros((na, ny, nu))
     for a in range(na):
@@ -487,20 +490,25 @@ def decompose_transform(p: Problem, m: Kernel) -> tuple[BarMechanism, Decomposit
     u_axis = 2 * n
     b_axes = list(range(2 * n + 1, 2 * n + 1 + n))
 
-    leak_u = probcore.mi_between(big, x_axes, [u_axis])
-    leak_b = probcore.mi_between(big, x_axes, b_axes)
-    markov = probcore.conditional_mi(big, b_axes, y_axes + [u_axis], x_axes)
-    triples = big.marginal(x_axes + y_axes + b_axes)
+    # every check reads two sums over the decomposition joint: one over u,
+    # one over the b axes; in ``xyb`` the b axes become 2n..3n-1
+    h_all = probcore.joint_entropy(big)
+    xyb = big.marginal(x_axes + y_axes + b_axes)
+    xyu = big.marginal(x_axes + y_axes + [u_axis])
+    b_in_xyb = [a - 1 for a in b_axes]
+
+    leak_u = probcore.mi_between(xyu, x_axes, [u_axis])
+    leak_b = probcore.mi_between(xyb, x_axes, b_in_xyb)
+    # I(B; Y,U | X) = H(X,B) + H(X,Y,U) - H(X,Y,U,B) - H(X)
+    markov = (probcore.marginal_entropy(xyb, x_axes + b_in_xyb) + probcore.joint_entropy(xyu)
+              - h_all - probcore.marginal_entropy(xyu, x_axes))
     # total correlation across the N triples (x_i, y_i, b_i)
-    h_all = probcore.joint_entropy(triples)
-    h_parts = 0.0
-    for i in range(n):
-        h_parts += probcore.marginal_entropy(triples, [i, n + i, 2 * n + i])
+    h_parts = sum(probcore.marginal_entropy(xyb, [i, n + i, 2 * n + i]) for i in range(n))
     checks = DecompositionChecks(
         leakage_original=float(leak_u),
         leakage_bar=float(leak_b),
-        markov_residual=float(markov),
-        independence_residual=float(max(0.0, h_parts - h_all)),
+        markov_residual=float(max(0.0, markov)),
+        independence_residual=float(max(0.0, h_parts - probcore.joint_entropy(xyb))),
     )
     return bar, checks
 

@@ -52,6 +52,8 @@ class OracleConfig:
             raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
         if self.iters < 1:
             raise ValidationError(f"iters must be >= 1, got {self.iters}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -49,18 +49,20 @@ def size_cap() -> int:
 
 def _clean_mass(arr: np.ndarray, what: str) -> np.ndarray:
     """Validate a non-negative mass array and renormalize it to total 1."""
-    a = np.asarray(arr, dtype=float)
+    a = np.array(arr, dtype=float)
     if a.size == 0:
         raise ValidationError(f"{what} must be non-empty")
-    if not np.all(np.isfinite(a)):
+    lo, hi = a.min(), a.max()  # NaN propagates into both
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError(f"{what} contains non-finite entries")
-    if np.any(a < -ZERO_FLOOR):
-        raise ValidationError(f"{what} contains negative entries (min={a.min()!r})")
-    a = np.where(a < ZERO_FLOOR, 0.0, a)
+    if lo < -ZERO_FLOOR:
+        raise ValidationError(f"{what} contains negative entries (min={lo!r})")
+    if lo < ZERO_FLOOR:
+        np.copyto(a, 0.0, where=a < ZERO_FLOOR)
     total = float(a.sum())
     if abs(total - 1.0) > MASS_REJECT_TOL:
         raise ValidationError(f"{what} mass {total!r} deviates from 1 by more than {MASS_REJECT_TOL}")
-    a = a / total
+    a /= total
     a.setflags(write=False)
     return a
 
@@ -147,11 +149,9 @@ class JointN:
     def marginal(self, keep: Sequence[int]) -> "JointN":
         """Marginalize onto the given axes, preserving their order."""
         keep = list(keep)
-        _check_axes(self, keep, "keep")
-        drop = tuple(ax for ax in range(self.ndim) if ax not in keep)
-        t = self.table.sum(axis=drop) if drop else self.table
-        # sum() follows the original axis order; permute to requested order
-        kept_sorted = [ax for ax in range(self.ndim) if ax in keep]
+        t = _marginal_mass(self, keep, "keep")
+        # the sum follows the original axis order; permute to requested order
+        kept_sorted = sorted(keep)
         perm = [kept_sorted.index(ax) for ax in keep]
         return JointN(tuple(self.axes[ax] for ax in keep), np.transpose(t, perm))
 
@@ -166,13 +166,29 @@ def _check_axes(j: JointN, axes: Sequence[int], name: str) -> None:
             raise ValidationError(f"axis {ax} out of range for a {j.ndim}-axis joint")
 
 
+def _marginal_mass(j: JointN, axes: Sequence[int], name: str = "axes") -> np.ndarray:
+    """Masses of the marginal over ``axes`` as one sum over the joint.
+
+    The result keeps the joint's own axis order, whatever the order of
+    ``axes``: entropies do not depend on it. Covering every axis returns
+    the joint's table itself.
+    """
+    _check_axes(j, axes, name)
+    drop = tuple(ax for ax in range(j.ndim) if ax not in axes)
+    return j.table.sum(axis=drop) if drop else j.table
+
+
 def _entropy_raw(mass: np.ndarray) -> float:
     """-sum p ln p over an array of non-negative masses, 0 ln 0 := 0."""
     p = np.asarray(mass, dtype=float).ravel()
-    p = p[p > ZERO_FLOOR]
+    keep = p > ZERO_FLOOR
+    if not keep.all():
+        p = p[keep]
     if p.size == 0:
         return 0.0
-    return float(-(p * np.log(p)).sum())
+    terms = np.log(p)
+    terms *= p
+    return float(-terms.sum())
 
 
 def entropy(d: Dist | np.ndarray) -> float:
@@ -188,7 +204,7 @@ def joint_entropy(j: Joint2 | JointN) -> float:
 
 def marginal_entropy(j: JointN, axes: Sequence[int]) -> float:
     """Entropy of the marginal over the given axes, in nats."""
-    return _entropy_raw(j.marginal(axes).table)
+    return _entropy_raw(_marginal_mass(j, list(axes)))
 
 
 def conditional_entropy(j: Joint2, given: int | str = 0) -> float:
@@ -219,29 +235,32 @@ def mutual_information(j: Joint2) -> float:
 
 def mi_between(j: JointN, group_a: Sequence[int], group_b: Sequence[int]) -> float:
     """Mutual information between two disjoint axis groups, in nats."""
-    _check_axes(j, list(group_a), "group_a")
-    _check_axes(j, list(group_b), "group_b")
-    if set(group_a) & set(group_b):
+    a, b = list(group_a), list(group_b)
+    ha = _entropy_raw(_marginal_mass(j, a, "group_a"))
+    hb = _entropy_raw(_marginal_mass(j, b, "group_b"))
+    if set(a) & set(b):
         raise ValidationError(f"axis groups overlap: {group_a} and {group_b}")
-    ha = _entropy_raw(j.marginal(group_a).table)
-    hb = _entropy_raw(j.marginal(group_b).table)
-    hab = _entropy_raw(j.marginal(list(group_a) + list(group_b)).table)
+    hab = _entropy_raw(_marginal_mass(j, a + b))
     return max(0.0, ha + hb - hab)
 
 
 def conditional_mi(
     j: JointN, group_a: Sequence[int], group_b: Sequence[int], given: Sequence[int]
 ) -> float:
-    """I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C), in nats, clamped at 0."""
+    """I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C), in nats, clamped at 0.
+
+    No library function calls it; it stays public because the benchmark's
+    tracer (``perfbench/tracing.py``) wraps it by name.
+    """
     a, b, c = list(group_a), list(group_b), list(given)
     for grp, name in ((a, "group_a"), (b, "group_b"), (c, "given")):
         _check_axes(j, grp, name)
     if (set(a) & set(b)) or (set(a) & set(c)) or (set(b) & set(c)):
         raise ValidationError("axis groups for conditional MI must be pairwise disjoint")
-    hac = _entropy_raw(j.marginal(a + c).table)
-    hbc = _entropy_raw(j.marginal(b + c).table)
-    habc = _entropy_raw(j.marginal(a + b + c).table)
-    hc = _entropy_raw(j.marginal(c).table)
+    hac = _entropy_raw(_marginal_mass(j, a + c))
+    hbc = _entropy_raw(_marginal_mass(j, b + c))
+    habc = _entropy_raw(_marginal_mass(j, a + b + c))
+    hc = _entropy_raw(_marginal_mass(j, c))
     return max(0.0, hac + hbc - habc - hc)
 
 

@@ -205,6 +205,13 @@ class TestOracleCommand:
         assert keys[:4] == ["lower", "mech_objective", "oracle_best", "upper"]
         assert "ok              true" in out
 
+    def test_negative_seed_exits_3(self, tmp_path, capsys):
+        path = write_problem(tmp_path, copy_pair_doc(0.1))
+        code, out, err = run(capsys, ["oracle", path, "--seed", "-1"])
+        assert code == 3
+        assert out == ""
+        assert "seed must be >= 0" in err
+
 
 class TestSweepCommand:
     def test_deterministic_gap_constant(self, tmp_path, capsys):
@@ -252,6 +259,34 @@ class TestSweepCommand:
         assert code == 2
         assert "points" in err
         assert not out_csv.exists()
+
+
+    def test_csv_bytes_across_trivial_boundary(self, tmp_path, capsys):
+        # sum_i I(X_i;Y_i) = 0.454 for noisy_doc, so the grid crosses the
+        # trivial boundary; the bytes are those of the per-point validate path
+        path = write_problem(tmp_path, noisy_doc())
+        out_csv = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, ["sweep", path, "--eps", "0.3:0.6:0.05", "--csv", str(out_csv)])
+        assert code == 0
+        assert out_csv.read_bytes() == (
+            b"epsilon,upper,lower_frl,lower_sfrl,lower,mech_objective\r\n"
+            b"0.3,2.61727234384,0.460067756775,-4.68117600054,0.460067756775,0.774306980488\r\n"
+            b"0.35,2.69227234384,0.535067756775,-4.17463196217,0.535067756775,0.834306980488\r\n"
+            b"0.4,2.76727234384,0.610067756775,-3.6680879238,0.610067756775,0.894306980488\r\n"
+            b"0.45,2.84227234384,0.685067756775,-3.16154388543,0.685067756775,0.954306980488\r\n"
+            b"0.5,1.38629436112,1.38629436112,1.38629436112,1.38629436112,1.38629436112\r\n"
+            b"0.55,1.38629436112,1.38629436112,1.38629436112,1.38629436112,1.38629436112\r\n"
+            b"0.6,1.38629436112,1.38629436112,1.38629436112,1.38629436112,1.38629436112\r\n"
+        )
+
+    def test_one_validate_per_file(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = cli.validate
+        monkeypatch.setattr(cli, "validate", lambda p: calls.append(p) or real(p))
+        path = write_problem(tmp_path, noisy_doc())
+        code, _, _ = run(capsys, ["sweep", path, "--eps", "0:0.6:0.05", "--csv", str(tmp_path / "s.csv")])
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestRoundTrip:

@@ -16,7 +16,7 @@ from helpers import (
 from privbound import bounds as B
 from privbound import mechanisms as M
 from privbound import probcore as pc
-from privbound.errors import ValidationError
+from privbound.errors import SizeCapError, ValidationError
 from privbound.model import Component, Problem, User, validate
 from privbound.probcore import Joint2
 
@@ -276,6 +276,64 @@ class TestDecomposeTransform:
             assert abs(checks.leakage_original - checks.leakage_bar) <= 1e-9
             assert checks.markov_residual <= 1e-9
             assert checks.independence_residual <= 1e-9
+
+
+def reference_decomposition_checks(p: Problem, k: M.Kernel) -> tuple[float, ...]:
+    # every entropy read from a validated JointN.marginal table of the full
+    # decomposition joint, with the axes in the order each quantity names them
+    n = p.n_components
+    j = M.monolithic_joint(p, k)
+    big = M._joint_with_bars(p, j, M._bar_kernels(p, j))
+    x, y, u = list(range(n)), list(range(n, 2 * n)), [2 * n]
+    b = list(range(2 * n + 1, 3 * n + 1))
+
+    def h(axes):
+        return pc.joint_entropy(big.marginal(axes))
+
+    leak_u = h(x) + h(u) - h(x + u)
+    leak_b = h(x) + h(b) - h(x + b)
+    markov = h(b + x) + h(y + u + x) - h(b + y + u + x) - h(x)
+    indep = sum(h([b[i], x[i], y[i]]) for i in range(n)) - h(b + x + y)
+    return tuple(max(0.0, v) for v in (leak_u, leak_b, markov, indep))
+
+
+class TestDecomposeReference:
+    @pytest.mark.parametrize(
+        "shapes, card_u",
+        [
+            (((2, 2), (2, 2)), 2),
+            (((2, 2), (2, 2)), 3),
+            (((2, 2), (2, 2)), 4),
+            (((2, 3), (3, 2)), 6),
+            (((3, 3), (3, 3)), 8),
+            (((2, 3), (2, 3), (2, 3)), 4),  # 4.4e5-entry decomposition joint
+        ],
+    )
+    def test_checks_match_full_marginals(self, shapes, card_u):
+        rng = np.random.default_rng(card_u + 10 * len(shapes))
+        comps = tuple(
+            Component(f"c{i}", Joint2(rng.dirichlet(np.ones(nx * ny)).reshape(nx, ny)))
+            for i, (nx, ny) in enumerate(shapes)
+        )
+        p = Problem(comps, (User((0,), 1.0), User(tuple(range(len(comps))), 0.5)), 0.05)
+        k = random_monolithic_kernel(rng, p, card_u)
+        _, checks = M.decompose_transform(p, k)
+        got = (checks.leakage_original, checks.leakage_bar, checks.markov_residual,
+               checks.independence_residual)
+        want = reference_decomposition_checks(p, k)
+        assert want[0] > 1e-3  # a kernel that leaks, so the checks are not all zero
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, abs=1e-12)
+
+
+class TestRefinementSizeCap:
+    def test_refinement_kernel_obeys_cap(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        c = Component("wide", Joint2(rng.dirichlet(np.ones(2 * 40)).reshape(2, 40)))
+        assert M.frl_construct(c).table.size > 1000
+        monkeypatch.setenv("PRIVBOUND_SIZE_CAP", "1000")
+        with pytest.raises(SizeCapError, match="refinement kernel"):
+            M.frl_construct(c)
 
 
 class TestRefineTransform:

@@ -9,7 +9,8 @@ from helpers import binary_y_component, random_problem, xy_copy_component
 from privbound import bounds as B
 from privbound import mechanisms as M
 from privbound import oracle as O
-from privbound.model import Problem, User, trivial_optimum, validate
+from privbound.errors import ValidationError
+from privbound.model import Component, Problem, User, trivial_optimum, validate
 from privbound.probcore import Joint2, mutual_information
 
 QUICK = O.OracleConfig(restarts=4, iters=24, seed=0)
@@ -75,6 +76,23 @@ class TestSearch:
         res = O.search(p, QUICK)
         assert len(res.trace) == QUICK.restarts
         assert res.best_objective == max(res.trace)
+
+
+class TestSizeCap:
+    def test_refinement_start_falls_back_under_cap(self, monkeypatch):
+        # the all-refinement start (restart 1) needs 2*40*79 entries; under a
+        # 1000-entry cap it is refused and a seeded kernel takes its place
+        rng = np.random.default_rng(67)
+        c = Component("wide", Joint2(rng.dirichlet(np.ones(2 * 40)).reshape(2, 40)))
+        p = single_user(0.01, c)
+        monkeypatch.setenv("PRIVBOUND_SIZE_CAP", "1000")
+        res = O.search(p, O.OracleConfig(card_u=4, restarts=2, iters=2, seed=0))
+        assert len(res.trace) == 2
+        assert res.leakage_at_best <= p.epsilon + 1e-9
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            O.OracleConfig(seed=-1)
 
 
 class TestMiKernel:

@@ -7,12 +7,16 @@ import pytest
 
 from privbound.errors import SizeCapError, ValidationError
 from privbound.probcore import (
+    MASS_REJECT_TOL,
+    ZERO_FLOOR,
     Dist,
     Joint2,
     JointN,
+    _clean_mass,
     conditional_entropy,
     entropy,
     joint_entropy,
+    marginal_entropy,
     mi_between,
     mutual_information,
     product_join,
@@ -178,3 +182,94 @@ class TestValidation:
         d = Dist(np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             d.probs[0] = 1.0
+
+
+def reference_clean_mass(arr, what):
+    # the check-then-rebuild formulation that _clean_mass fuses into one copy
+    a = np.asarray(arr, dtype=float)
+    if a.size == 0:
+        raise ValidationError(f"{what} must be non-empty")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{what} contains non-finite entries")
+    if np.any(a < -ZERO_FLOOR):
+        raise ValidationError(f"{what} contains negative entries (min={a.min()!r})")
+    a = np.where(a < ZERO_FLOOR, 0.0, a)
+    total = float(a.sum())
+    if abs(total - 1.0) > MASS_REJECT_TOL:
+        raise ValidationError(f"{what} mass {total!r} deviates from 1 by more than {MASS_REJECT_TOL}")
+    return a / total
+
+
+class TestCleanMass:
+    def test_bitwise_equal_to_reference(self):
+        rng = np.random.default_rng(29)
+        for trial in range(40):
+            a = rng.exponential(size=int(rng.integers(2, 200)))
+            picks = rng.random(a.size)
+            picks[0] = 1.0  # keep some mass
+            a /= a[picks >= 0.35].sum()
+            a[picks < 0.2] = 0.0
+            a[(picks >= 0.2) & (picks < 0.3)] = 1e-17
+            a[(picks >= 0.3) & (picks < 0.35)] = -1e-16
+            if trial % 2:
+                a *= 1.0 + 5e-7  # renormalized, not rejected
+            a.setflags(write=False)
+            got = _clean_mass(a, "t")
+            want = reference_clean_mass(a, "t")
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+
+    def test_input_left_unchanged(self):
+        a = np.array([0.5, 1e-17, 0.5])
+        _clean_mass(a, "t")
+        assert a[1] == 1e-17
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.5, np.nan, 0.5],
+            [0.5, np.inf, 0.5],
+            [0.5, -np.inf, 1.5],
+            [np.nan, -0.5, 1.5],
+            [-0.1, 1.1],
+            [0.5, 0.5 + 1e-5],
+            [],
+        ],
+        ids=["nan", "+inf", "-inf", "nan+negative", "negative", "mass", "empty"],
+    )
+    def test_rejections_match_reference(self, values):
+        a = np.array(values, dtype=float)
+        with pytest.raises(ValidationError) as want:
+            reference_clean_mass(a, "JointN.table")
+        with pytest.raises(ValidationError) as got:
+            _clean_mass(a, "JointN.table")
+        assert str(got.value) == str(want.value)
+
+
+class TestMarginalGroups:
+    # reference: entropies of validated JointN.marginal tables, in the
+    # requested axis order
+    @staticmethod
+    def ref_h(j, axes):
+        return joint_entropy(j.marginal(axes))
+
+    def test_against_marginal_tables(self):
+        rng = np.random.default_rng(31)
+        t = rng.exponential(size=(2, 3, 4, 2))
+        t[0, 1] = 0.0
+        j = JointN(t.shape, t / t.sum())
+        groups = [[2, 0], [3, 1, 0, 2], [1], [0, 1, 2, 3], [3, 0]]
+        for axes in groups:
+            assert marginal_entropy(j, axes) == pytest.approx(self.ref_h(j, axes), abs=TOL)
+        for a, b in [([2, 0], [3, 1]), ([3], [0, 2, 1]), ([1, 0], [2]), ([0, 1, 2], [3])]:
+            want = self.ref_h(j, a) + self.ref_h(j, b) - self.ref_h(j, a + b)
+            assert mi_between(j, a, b) == pytest.approx(max(0.0, want), abs=TOL)
+            assert mi_between(j, b, a) == pytest.approx(mi_between(j, a, b), abs=TOL)
+
+    def test_bad_axes_rejected(self):
+        j = JointN((2, 2), np.full((2, 2), 0.25))
+        for axes in ([], [0, 0], [2]):
+            with pytest.raises(ValidationError):
+                marginal_entropy(j, axes)
+            with pytest.raises(ValidationError):
+                j.marginal(axes)
