@@ -20,6 +20,10 @@ thread, and REPS runs per side alternate which side goes first.
 - **Checks** (one run per side): the four ``DecompositionChecks`` fields on
   every transform case of every bank seed; the JSON reports the largest
   |difference| between the sides.
+- **Sweeps** (one run per side): the ``sweep`` CSV of every problem file of
+  every bank seed; the JSON reports, per CSV column, the largest
+  |difference| between the sides and the number of cells whose text
+  differs.
 
 The JSON holds medians with quartiles and all runs, and the machine (nproc,
 Python, numpy, CPU).
@@ -43,6 +47,7 @@ BANK_SEEDS = (301, 302, 303)
 REPS = 3
 DECOMPOSE_BIG = 5_000_000
 CHECK_FIELDS = ("leakage_original", "leakage_bar", "markov_residual", "independence_residual")
+SWEEP_COLUMNS = ("epsilon", "upper", "lower_frl", "lower_sfrl", "lower", "mech_objective")
 
 
 # -- worker: runs inside one side's source tree ------------------------------------
@@ -117,12 +122,38 @@ def worker_checks() -> dict:
     return out
 
 
+def worker_sweeps() -> dict:
+    """The sweep CSV rows (as text) of every problem file of every bank seed."""
+    import csv
+
+    import inputs
+    import workloads
+
+    out = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        for seed in BANK_SEEDS:
+            for i in range(inputs.CLI_FILES):
+                _, spec = inputs.cli_problem(seed, i)
+                path = os.path.join(workdir, "problem.json")
+                csv_path = os.path.join(workdir, "sweep.csv")
+                inputs.write_problem(path, spec)
+                grid, _ = inputs.sweep_spec(spec)
+                code, _ = workloads.cli_call(["sweep", path, "--eps", grid, "--csv", csv_path])
+                if code != 0:
+                    raise SystemExit(f"sweep on bank {seed} file {i} exited {code}")
+                with open(csv_path, newline="", encoding="utf-8") as fh:
+                    out[f"{seed}/{i}"] = list(csv.reader(fh))[1:]
+    return out
+
+
 def worker_main(args: argparse.Namespace) -> None:
     _import_side(os.path.join(args.side, "src"))
     if args.worker == "pass":
         result = worker_pass(args.seed)
     elif args.worker == "decompose":
         result = worker_decompose()
+    elif args.worker == "sweeps":
+        result = worker_sweeps()
     else:
         result = worker_checks()
     json.dump(result, sys.stdout)
@@ -141,11 +172,26 @@ def run_worker(side: str, worker: str, seed: int = 0) -> dict:
     return json.loads(proc.stdout)
 
 
+def sweep_differences(before: dict, after: dict) -> dict:
+    """Per sweep CSV column: the largest |difference| and the cells whose text differs."""
+    if before.keys() != after.keys():
+        raise SystemExit("the two sides swept different files")
+    out = {}
+    for k, col in enumerate(SWEEP_COLUMNS):
+        pairs = [(a[k], b[k]) for f in after for a, b in zip(before[f], after[f], strict=True)]
+        out[col] = {
+            "max_abs_diff": max(abs(float(a) - float(b)) for a, b in pairs),
+            "cells_differing": sum(a != b for a, b in pairs),
+            "cells": len(pairs),
+        }
+    return out
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--before")
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_closed_form.json"))
-    ap.add_argument("--worker", choices=("pass", "decompose", "checks"), help=argparse.SUPPRESS)
+    ap.add_argument("--worker", choices=("pass", "decompose", "checks", "sweeps"), help=argparse.SUPPRESS)
     ap.add_argument("--side", help=argparse.SUPPRESS)
     ap.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
     args = ap.parse_args()
@@ -164,10 +210,11 @@ def main() -> None:
         roots = {"before": os.path.join(tmp, "before"), "after": ROOT}
         revs = {"before": export_rev(args.before, roots["before"]), "after": "working tree"}
 
-        checks = {}
+        checks, sweeps = {}, {}
         for name in sides:
             print(f"checks: {name}", file=sys.stderr)
             checks[name] = run_worker(roots[name], "checks")
+            sweeps[name] = run_worker(roots[name], "sweeps")
         for rep in range(REPS):
             for name in sides if rep % 2 == 0 else reversed(sides):
                 print(f"rep {rep}: {name}", file=sys.stderr)
@@ -182,6 +229,7 @@ def main() -> None:
 
     diffs = {f: max(abs(a[k] - b[k]) for a, b in zip(checks["before"].values(), checks["after"].values()))
              for k, f in enumerate(CHECK_FIELDS)}
+    sweep_diffs = sweep_differences(sweeps["before"], sweeps["after"])
     doc = {
         "topic": "closed-form layers: probcore marginals, decomposition checks, sweep",
         "machine": machine_facts(),
@@ -194,6 +242,8 @@ def main() -> None:
                         "decompose": {name: summarize(decompose_rss[name]) for name in sides}},
         "decomposition_checks_max_abs_diff": diffs,
         "decomposition_cases_compared": len(checks["after"]),
+        "sweep_columns": sweep_diffs,
+        "sweep_files_compared": len(sweeps["after"]),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
@@ -207,6 +257,9 @@ def main() -> None:
         print(f"peak RSS {what:<11} before {row['before']['median']:7.1f} MB  "
               f"after {row['after']['median']:7.1f} MB")
     print(f"largest check difference {max(diffs.values()):.3g} over {len(checks['after'])} cases")
+    for col, row in sweep_diffs.items():
+        print(f"sweep {col:<15} largest difference {row['max_abs_diff']:.3g}, "
+              f"{row['cells_differing']} of {row['cells']} cells differ")
     print(f"wrote {args.out}")
 
 

@@ -403,10 +403,13 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    p, _options = load_problem(args.file)
+    p, options = load_problem(args.file)
     grid = _parse_grid(args.eps)
-    # the component statistics do not depend on eps; only the trivial flag does
+    # the component statistics and the refinement profile do not depend on
+    # eps; only the trivial flag does, and the canonical objective is read
+    # from the profile, built at the first non-trivial point
     base = validate(p)
+    profile = None
     rows = []
     for eps in grid:
         pe = Problem(p.components, p.users, eps, p.sfrl_constant)
@@ -415,14 +418,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             value = trivial_optimum(pe, stats)
             rows.append((eps, value, value, value, value, value))
             continue
+        if profile is None:
+            profile = mechanisms.refinement_profile(p)
         rep = bounds_mod.compute_bounds(pe, stats)
-        mech_obj = oracle._mechanize_objective(pe, stats)
+        mech_obj = mechanisms.canonical_objective(pe, stats, profile)
         rows.append((eps, rep.upper, rep.lower_frl, rep.lower_sfrl, rep.lower, mech_obj))
+    scale = _scale_factor(options)
     with open(args.csv, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epsilon", "upper", "lower_frl", "lower_sfrl", "lower", "mech_objective"])
         for row in rows:
-            writer.writerow([f"{v:.12g}" for v in row])
+            writer.writerow([f"{v * scale:.12g}" for v in row])
     sys.stdout.write(f"wrote {len(rows)} rows to {args.csv}\n")
     return EXIT_OK
 

@@ -45,9 +45,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import probcore
-from .bounds import Allocation
+from .bounds import Allocation, allocate_epsilon
 from .errors import (
     AlphabetMismatchError,
+    PrivboundError,
     SchemaError,
     SizeCapError,
     ValidationError,
@@ -175,18 +176,18 @@ def _interval_refinement(cond: np.ndarray, active_rows: np.ndarray | None = None
     if na * ny * nu > cap:
         raise SizeCapError(f"refinement kernel would have {na * ny * nu} entries (cap {cap})")
 
+    # interval y of row a is [lo_rows[a, y], cums[a, y]); one (y, u) overlap
+    # broadcast per row keeps temporaries to one row of the table
+    lo_rows = np.concatenate([np.zeros((na, 1)), cums[:, :-1]], axis=1)
+    lengths = cums - lo_rows
+    live = active_rows[:, None] & (lengths > 0.0)
     table = np.zeros((na, ny, nu))
-    for a in range(na):
-        lo = 0.0
-        for y in range(ny):
-            hi = float(cums[a, y])
-            length = hi - lo
-            if length <= 0.0 or not active_rows[a]:
-                table[a, y, 0] = 1.0
-            else:
-                overlap = np.minimum(hi, highs) - np.maximum(lo, lows)
-                table[a, y, :] = np.clip(overlap, 0.0, None) / length
-            lo = hi
+    for a in np.flatnonzero(live.any(axis=1)):
+        ys = live[a]
+        overlap = np.minimum(cums[a, ys, None], highs) - np.maximum(lo_rows[a, ys, None], lows)
+        table[a, ys] = np.clip(overlap, 0.0, None) / lengths[a, ys, None]
+    # empty intervals and inactive rows carry no mass: a point mass on cell 0
+    table[~live, 0] = 1.0
     return table
 
 
@@ -305,8 +306,7 @@ def evaluate_composed(p: Problem, m: ComposedMechanism) -> MechanismReport:
         leaks.append(probcore.mi_between(j, [0], [2]))
         utils.append(probcore.mi_between(j, [1], [2]))
         resids.append(max(0.0, probcore.joint_entropy(j) - probcore.marginal_entropy(j, [0, 2])))
-    utilities = tuple(float(sum(utils[i] for i in u.demands)) for u in p.users)
-    objective = float(sum(u.weight * util for u, util in zip(p.users, utilities)))
+    utilities, objective = _user_objective(p, utils)
     return MechanismReport(
         leakage=float(sum(leaks)),
         utilities=utilities,
@@ -316,6 +316,85 @@ def evaluate_composed(p: Problem, m: ComposedMechanism) -> MechanismReport:
         per_component_leakage=tuple(leaks),
         per_component_utility=tuple(utils),
     )
+
+
+def _user_objective(p: Problem, utils: list[float]) -> tuple[tuple[float, ...], float]:
+    """Per-user utilities sum_{i in demands} utils[i], and their weighted sum."""
+    utilities = tuple(float(sum(utils[i] for i in u.demands)) for u in p.users)
+    return utilities, float(sum(u.weight * util for u, util in zip(p.users, utilities)))
+
+
+@dataclass(frozen=True)
+class RefinementProfile:
+    """What the canonical compositions of a problem depend on besides eps.
+
+    Per component: the alphabet sizes |T_i| and |X_i|, and I(Y_i;T_i) and
+    H(Y_i|T_i), measured on the joint of the refinement T_i =
+    ``frl_construct(c_i)``. The randomized release U_i = (T_i, W_i) at share
+    eps_i > 0 has |U_i| = |T_i| (|X_i|+1), and W_i reveals X_i (and with
+    it Y_i given T_i, as H(Y_i|X_i,T_i) = 0) with probability eps_i/H(X_i),
+    independently of (X_i, Y_i, T_i), else nothing. So
+
+        I(Y_i;U_i) = I(Y_i;T_i) + (eps_i/H(X_i)) H(Y_i|T_i),
+
+    and a composition's objective is affine in the shares.
+    """
+
+    card_t: tuple[int, ...]
+    card_x: tuple[int, ...]
+    i_yt: tuple[float, ...]
+    h_y_given_t: tuple[float, ...]
+
+    def cardinality(self, alloc: Allocation) -> int:
+        """|U| of ``compose_multiuser(p, alloc)``."""
+        return math.prod(
+            t * (x + 1) if e > 0.0 else t
+            for t, x, e in zip(self.card_t, self.card_x, alloc.eps_per_component)
+        )
+
+    def utilities(self, stats: ProblemStats, alloc: Allocation) -> list[float]:
+        """I(Y_i;U_i) of every component of ``compose_multiuser(p, alloc)``."""
+        return [
+            i + (e / s.hX) * h if e > 0.0 else i
+            for i, h, e, s in zip(self.i_yt, self.h_y_given_t, alloc.eps_per_component, stats)
+        ]
+
+
+def refinement_profile(p: Problem) -> RefinementProfile:
+    """Build each component's refinement once and measure it."""
+    card_t, i_yt, h_yt = [], [], []
+    for c in p.components:
+        k = frl_construct(c)
+        j = _component_joint(c, k)
+        card_t.append(k.alphabet_u)
+        i_yt.append(probcore.mi_between(j, [1], [2]))
+        h_yt.append(max(0.0, probcore.marginal_entropy(j, [1, 2]) - probcore.marginal_entropy(j, [2])))
+    return RefinementProfile(
+        card_t=tuple(card_t),
+        card_x=tuple(c.card_x for c in p.components),
+        i_yt=tuple(i_yt),
+        h_y_given_t=tuple(h_yt),
+    )
+
+
+def canonical_objective(p: Problem, stats: ProblemStats, profile: RefinementProfile) -> float:
+    """Best objective of the two canonical compositions at ``p.epsilon``.
+
+    The compositions are those of the ``frl`` and ``esfrl`` allocations; a
+    variant whose allocation fails is skipped. Read from the profile in
+    O(N), with no kernel built; equal, up to rounding, to evaluating
+    ``compose_multiuser(p, allocate_epsilon(p, stats, variant))``.
+    """
+    objs = []
+    for variant in ("frl", "esfrl"):
+        try:
+            alloc = allocate_epsilon(p, stats, variant)
+        except (PrivboundError, ValueError):
+            continue
+        objs.append(_user_objective(p, profile.utilities(stats, alloc))[1])
+    if not objs:
+        raise ValidationError("no canonical mechanism could be constructed")
+    return max(objs)
 
 
 def flat_joint_xy(p: Problem) -> np.ndarray:

@@ -518,39 +518,31 @@ def leakage_project(m: Kernel, p: Problem, eps: float) -> Kernel:
     return Kernel(ev.mix_table(np.array(m.table), t))
 
 
-def _mechanize_objective(p: Problem, stats: ProblemStats) -> float:
-    """Best objective over the two canonical budget allocations."""
-    objs = []
-    for variant in ("frl", "esfrl"):
-        try:
-            alloc = bounds_mod.allocate_epsilon(p, stats, variant)
-        except (PrivboundError, ValueError):
-            continue
-        mech = mechanisms.compose_multiuser(p, alloc)
-        objs.append(mechanisms.evaluate_composed(p, mech).objective)
-    if not objs:
-        raise ValidationError("no canonical mechanism could be constructed")
-    return max(objs)
-
-
 WARM_CARD_CAP = 1500
 
 
-def _sandwich_config(p: Problem, stats: ProblemStats, cfg: OracleConfig | None) -> OracleConfig:
+def _sandwich_config(
+    p: Problem,
+    stats: ProblemStats,
+    cfg: OracleConfig | None,
+    profile: mechanisms.RefinementProfile | None = None,
+) -> OracleConfig:
     """Widen |U| (within reason) so the canonical mechanisms embed as warm
-    starts; the size-aware iteration budget keeps runtime flat."""
+    starts; the size-aware iteration budget keeps runtime flat. Their
+    cardinalities are read from ``profile`` (built here when not given)."""
     if cfg is not None and cfg.card_u is not None:
         return cfg
     base = cfg if cfg is not None else OracleConfig()
     card = default_card_u(p)
     if not stats.trivial:
+        if profile is None:
+            profile = mechanisms.refinement_profile(p)
         for variant in ("frl", "esfrl"):
             try:
                 alloc = bounds_mod.allocate_epsilon(p, stats, variant)
-                mech = mechanisms.compose_multiuser(p, alloc)
-                card = max(card, min(mech.cardinality, WARM_CARD_CAP))
             except (PrivboundError, ValueError):
                 continue
+            card = max(card, min(profile.cardinality(alloc), WARM_CARD_CAP))
     return OracleConfig(
         card_u=card, restarts=base.restarts, iters=base.iters,
         seed=base.seed, tolerance=base.tolerance,
@@ -560,7 +552,9 @@ def _sandwich_config(p: Problem, stats: ProblemStats, cfg: OracleConfig | None) 
 def sandwich_check(p: Problem, cfg: OracleConfig | None = None) -> SandwichReport:
     """Compare lower bound, constructed mechanism, search, and upper bound."""
     stats = validate(p)
-    result = search(p, _sandwich_config(p, stats, cfg))
+    # one profile serves the warm-start cardinality and the mechanism objective
+    profile = None if stats.trivial else mechanisms.refinement_profile(p)
+    result = search(p, _sandwich_config(p, stats, cfg, profile))
     if stats.trivial:
         value = trivial_optimum(p, stats)
         return SandwichReport(
@@ -574,7 +568,7 @@ def sandwich_check(p: Problem, cfg: OracleConfig | None = None) -> SandwichRepor
             trivial=True,
         )
     rep = bounds_mod.compute_bounds(p, stats)
-    mech_obj = _mechanize_objective(p, stats)
+    mech_obj = mechanisms.canonical_objective(p, stats, profile)
     return SandwichReport(
         lower=rep.lower,
         mech_objective=mech_obj,

@@ -76,17 +76,11 @@ class Dist:
     """
 
     probs: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         p = _clean_mass(self.probs, "Dist.probs")
         if p.ndim != 1:
             raise ValidationError(f"Dist.probs must be 1-D, got shape {p.shape}")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != p.size:
-                raise ValidationError("Dist.labels length does not match probs")
-            object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", p)
 
     def __len__(self) -> int:
@@ -207,24 +201,20 @@ def marginal_entropy(j: JointN, axes: Sequence[int]) -> float:
     return _entropy_raw(_marginal_mass(j, list(axes)))
 
 
-def conditional_entropy(j: Joint2, given: int | str = 0) -> float:
+def conditional_entropy(j: Joint2, given: int = 0) -> float:
     """H(other | given) = H(joint) - H(given axis marginal), in nats.
 
-    ``given`` selects the conditioning axis: 0/"rows" for the first
-    variable, 1/"cols" for the second.
+    ``given`` selects the conditioning axis: 0 for the first (row)
+    variable, 1 for the second (column) variable.
     """
-    axis = _axis_selector(given)
-    marg = j.marginal_rows() if axis == 0 else j.marginal_cols()
+    if given == 0:
+        marg = j.marginal_rows()
+    elif given == 1:
+        marg = j.marginal_cols()
+    else:
+        raise ValidationError(f"axis selector must be 0 or 1, got {given!r}")
     h = joint_entropy(j) - entropy(marg)
     return max(0.0, h)
-
-
-def _axis_selector(given: int | str) -> int:
-    if given in (0, "rows", "first"):
-        return 0
-    if given in (1, "cols", "second"):
-        return 1
-    raise ValidationError(f"axis selector must be 0/1/'rows'/'cols', got {given!r}")
 
 
 def mutual_information(j: Joint2) -> float:
@@ -279,12 +269,3 @@ def product_join(parts: Iterable[JointN]) -> JointN:
         table = np.multiply.outer(table, p.table)
         axes = axes + p.axes
     return JointN(axes, table)
-
-
-def joint2_from_conditional(marginal: np.ndarray, cond_rows: np.ndarray) -> Joint2:
-    """Build a Joint2 from P(first) and P(second | first) given per row."""
-    m = np.asarray(marginal, dtype=float)
-    c = np.asarray(cond_rows, dtype=float)
-    if c.ndim != 2 or m.ndim != 1 or c.shape[0] != m.size:
-        raise ValidationError("marginal/conditional shapes are inconsistent")
-    return Joint2(m[:, None] * c)

@@ -279,6 +279,22 @@ class TestSweepCommand:
             b"0.6,1.38629436112,1.38629436112,1.38629436112,1.38629436112,1.38629436112\r\n"
         )
 
+    def test_bits_row_matches_bounds_report(self, tmp_path, capsys):
+        for doc in (copy_pair_doc(0.1, log_display="bits"), dict(noisy_doc(0.1), options={"log_display": "bits"})):
+            path = write_problem(tmp_path, doc)
+            out_csv = str(tmp_path / "sweep.csv")
+            code, _, _ = run(capsys, ["sweep", path, "--eps", "0.1:0.1:0.1", "--csv", out_csv])
+            assert code == 0
+            with open(out_csv) as fh:
+                (row,) = list(csv.DictReader(fh))
+            _, out, _ = run(capsys, ["bounds", path])
+            rep = json.loads(out)
+            assert rep["units"] == "bits"
+            # the CSV's 12 significant digits of the report's numbers
+            assert row["epsilon"] == f"{rep['epsilon']:.12g}"
+            for key in ("upper", "lower_frl", "lower_sfrl", "lower"):
+                assert row[key] == f"{rep['bounds'][key]:.12g}", key
+
     def test_one_validate_per_file(self, tmp_path, capsys, monkeypatch):
         calls = []
         real = cli.validate

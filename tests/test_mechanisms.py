@@ -1,6 +1,7 @@
 """Constructions: refinement coupling, randomized release, composition,
 evaluation paths, and the decomposition transforms."""
 
+import dataclasses
 import json
 import math
 
@@ -16,7 +17,7 @@ from helpers import (
 from privbound import bounds as B
 from privbound import mechanisms as M
 from privbound import probcore as pc
-from privbound.errors import SizeCapError, ValidationError
+from privbound.errors import PrivboundError, SizeCapError, ValidationError
 from privbound.model import Component, Problem, User, validate
 from privbound.probcore import Joint2
 
@@ -175,6 +176,85 @@ class TestCompose:
         assert checked >= 20
 
 
+def canonical_reference(p, stats):
+    """Best objective of the canonical compositions, built and evaluated."""
+    objs = []
+    for variant in ("frl", "esfrl"):
+        try:
+            alloc = B.allocate_epsilon(p, stats, variant)
+        except (PrivboundError, ValueError):
+            continue
+        objs.append(M.evaluate_composed(p, M.compose_multiuser(p, alloc)).objective)
+    return max(objs)
+
+
+def flat_component(name="flat"):
+    """|X| = 1: H(X) = 0, so the component never receives a share."""
+    return Component(name, Joint2(np.array([[0.3, 0.7]])))
+
+
+class TestRefinementProfile:
+    def assert_matches_reference(self, p, stats, profile):
+        got = M.canonical_objective(p, stats, profile)
+        assert abs(got - canonical_reference(p, stats)) <= 1e-12
+        for variant in ("frl", "esfrl"):
+            try:
+                alloc = B.allocate_epsilon(p, stats, variant)
+            except (PrivboundError, ValueError):
+                continue
+            assert profile.cardinality(alloc) == M.compose_multiuser(p, alloc).cardinality
+
+    def test_matches_construction_on_random_problems(self):
+        overflowed = 0
+        for seed in range(40):
+            p = random_problem(seed)
+            base = validate(p)
+            profile = M.refinement_profile(p)
+            # eps = 0 (plain refinements) up to near sum I, past the target's cap
+            for frac in (0.0, 0.3, 0.6, 0.95):
+                pe = Problem(p.components, p.users, frac * base.total_mi)
+                stats = validate(pe)
+                overflowed += B.allocate_epsilon(pe, stats, "frl").overflow > 0.0
+                self.assert_matches_reference(pe, stats, profile)
+        assert overflowed >= 1
+
+    def test_overflow_probe(self):
+        # high-weight copy pair with H(X) = 0.135 < eps: the target is capped
+        comps = (xy_copy_component("skew", 0.03), xy_copy_component("fair"))
+        p = Problem(comps, (User((0,), 2.0), User((1,), 1.0)), 0.4)
+        stats = validate(p)
+        assert B.allocate_epsilon(p, stats, "frl").overflow > 0.2
+        self.assert_matches_reference(p, stats, M.refinement_profile(p))
+
+    def test_zero_entropy_components(self):
+        rng = np.random.default_rng(5)
+        comps = (flat_component(), random_component(rng, "a"), random_component(rng, "b"))
+        # the flat component carries the largest weight: frl targets it,
+        # gets a zero share and leaves the whole budget as overflow
+        users = (User((0,), 3.0), User((1, 2), 1.0), User((0, 2), 0.5))
+        total = validate(Problem(comps, users, 0.0)).total_mi
+        for frac in (0.0, 0.2, 0.5, 0.9):
+            p = Problem(comps, users, frac * total)
+            stats = validate(p)
+            self.assert_matches_reference(p, stats, M.refinement_profile(p))
+
+    def test_esfrl_impossible(self):
+        # every H(X) = 0: esfrl cannot allocate a positive budget and is skipped
+        comps = (flat_component("f0"), flat_component("f1"))
+        p = Problem(comps, (User((0, 1), 1.0),), 0.1)
+        stats = dataclasses.replace(validate(p), trivial=False)
+        with pytest.raises(PrivboundError):
+            B.allocate_epsilon(p, stats, "esfrl")
+        self.assert_matches_reference(p, stats, M.refinement_profile(p))
+
+    def test_no_variant_left_raises(self):
+        p = random_problem(3)
+        stats = validate(Problem(p.components, p.users, 10.0))
+        assert stats.trivial
+        with pytest.raises(ValidationError, match="no canonical mechanism"):
+            M.canonical_objective(p, stats, M.refinement_profile(p))
+
+
 class TestEvaluate:
     def test_identity_release(self):
         p = random_problem(21)
@@ -324,6 +404,57 @@ class TestDecomposeReference:
         assert want[0] > 1e-3  # a kernel that leaks, so the checks are not all zero
         for g, w in zip(got, want):
             assert g == pytest.approx(w, abs=1e-12)
+
+
+def interval_refinement_loop(cond, active_rows=None):
+    """Reference: the refinement kernel filled one (a, y) slice at a time."""
+    cond = np.asarray(cond, dtype=float)
+    na, ny = cond.shape
+    if active_rows is None:
+        active_rows = np.ones(na, dtype=bool)
+    cums = np.cumsum(cond, axis=1)
+    pts = [0.0, 1.0]
+    for a in range(na):
+        if active_rows[a]:
+            pts.extend(float(v) for v in cums[a, :-1])
+    pts.sort()
+    merged = [0.0]
+    for v in pts[1:]:
+        if v - merged[-1] > M.ENDPOINT_MERGE_TOL:
+            merged.append(v)
+    merged[-1] = 1.0
+    cells = np.array(merged)
+    lows, highs = cells[:-1], cells[1:]
+    table = np.zeros((na, ny, lows.size))
+    for a in range(na):
+        lo = 0.0
+        for y in range(ny):
+            hi = float(cums[a, y])
+            length = hi - lo
+            if length <= 0.0 or not active_rows[a]:
+                table[a, y, 0] = 1.0
+            else:
+                overlap = np.minimum(hi, highs) - np.maximum(lo, lows)
+                table[a, y, :] = np.clip(overlap, 0.0, None) / length
+            lo = hi
+    return table
+
+
+class TestIntervalRefinement:
+    def test_bitwise_equal_to_loop(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(2000):
+            na, ny = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            cond = rng.dirichlet(np.ones(ny), size=na)
+            cond[rng.random((na, ny)) < 0.3] = 0.0  # zero cells: empty intervals
+            cond[cond.sum(axis=1) == 0.0, 0] = 1.0
+            cond /= cond.sum(axis=1, keepdims=True)
+            if na > 1 and rng.random() < 0.3:
+                cond[1] = cond[0]  # shared endpoints
+            active = rng.random(na) < 0.8 if rng.random() < 0.5 else None
+            want = interval_refinement_loop(cond, active)
+            got = M._interval_refinement(cond, active)
+            assert np.array_equal(got, want)
 
 
 class TestRefinementSizeCap:

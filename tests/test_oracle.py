@@ -9,7 +9,7 @@ from helpers import binary_y_component, random_problem, xy_copy_component
 from privbound import bounds as B
 from privbound import mechanisms as M
 from privbound import oracle as O
-from privbound.errors import ValidationError
+from privbound.errors import PrivboundError, ValidationError
 from privbound.model import Component, Problem, User, trivial_optimum, validate
 from privbound.probcore import Joint2, mutual_information
 
@@ -190,3 +190,38 @@ class TestSandwich:
         if not found:
             pytest.skip("no gamma-dominant instance in the seeded suite (expected; "
                         "dominance requires a budget beyond the target's entropy)")
+
+
+def compose_config(p, stats, cfg):
+    """Reference: the warm-start |U| read off the composed canonical mechanisms."""
+    card = O.default_card_u(p)
+    if not stats.trivial:
+        for variant in ("frl", "esfrl"):
+            try:
+                alloc = B.allocate_epsilon(p, stats, variant)
+                mech = M.compose_multiuser(p, alloc)
+                card = max(card, min(mech.cardinality, O.WARM_CARD_CAP))
+            except (PrivboundError, ValueError):
+                continue
+    return O.OracleConfig(card_u=card, restarts=cfg.restarts, iters=cfg.iters,
+                          seed=cfg.seed, tolerance=cfg.tolerance)
+
+
+class TestSandwichConfig:
+    def test_matches_composed_cardinality(self):
+        # the criterion-1 problems
+        cfg = O.OracleConfig(seed=0)
+        for seed in range(200):
+            p = random_problem(seed)
+            stats = validate(p)
+            assert O._sandwich_config(p, stats, cfg) == compose_config(p, stats, cfg), seed
+
+    def test_composes_at_most_twice(self, monkeypatch):
+        # only the search's structured restarts 2 and 3 compose a mechanism
+        calls = []
+        real = M.compose_multiuser
+        monkeypatch.setattr(M, "compose_multiuser", lambda p, a: calls.append(a) or real(p, a))
+        for seed in range(6):
+            calls.clear()
+            O.sandwich_check(random_problem(seed), QUICK)
+            assert len(calls) <= 2, seed
