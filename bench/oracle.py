@@ -14,8 +14,9 @@ BLAS at one thread.
   search counters of ``OracleResult``, summed over each bank, for the
   search each sandwich check runs: ``projections`` (infeasible candidates
   repaired), ``leakage_evals`` (leakage evaluations those repairs spent)
-  and, on revisions that have them, ``candidates`` (candidates scored) and
-  ``accepted``.
+  and, on revisions that have them, ``candidates`` (candidates scored),
+  ``accepted``, ``sweeps`` (batched scoring passes) and ``groups``
+  (restart groups run in lockstep).
 - **Wall clocks** (REPS runs per side, alternating which side goes
   first): one pass over each bank per seed, and criterion 1.
 
@@ -44,7 +45,7 @@ BANKS = {"sandwich_small": False, "sandwich_large": True}
 BANK_SEEDS = (301, 302, 303)
 CRITERION_SEEDS = 200
 REPS = 3
-COUNTERS = ("projections", "leakage_evals", "candidates", "accepted")
+COUNTERS = ("projections", "leakage_evals", "candidates", "accepted", "sweeps", "groups")
 
 
 # -- worker: runs inside one side's source tree ------------------------------------
@@ -57,14 +58,14 @@ def _import_side(src: str):
     return oracle
 
 
-def _sandwich_all(oracle, problems) -> list[float]:
-    values = []
+def _sandwich_all(oracle, problems) -> list:
+    reports = []
     for p in problems:
         report = oracle.sandwich_check(p, oracle.OracleConfig(seed=0))
         if not report.ok:
             raise SystemExit(f"sandwich check failed: {report}")
-        values.append(report.oracle_best)
-    return values
+        reports.append(report)
+    return reports
 
 
 def _bank(seed: int, large: bool):
@@ -79,25 +80,30 @@ def _criterion_problems(n: int):
     return [random_problem(s) for s in range(n)]
 
 
+def _search_result(oracle, p, report):
+    """The ``OracleResult`` of a sandwich check's search. Revisions whose
+    ``SandwichReport`` does not carry it rerun the search with the check's
+    configuration, which must find the check's ``oracle_best``."""
+    res = getattr(report, "search", None)
+    if res is None:
+        from privbound.model import validate
+
+        cfg = oracle._sandwich_config(p, validate(p), oracle.OracleConfig(seed=0))
+        res = oracle.search(p, cfg)
+        if res.best_objective != report.oracle_best:
+            raise SystemExit(f"counted search found {res.best_objective}, sandwich check {report.oracle_best}")
+    return res
+
+
 def worker_counts(oracle, seed: int) -> dict:
-    """Search counters and values over both banks for one seed.
-
-    ``SandwichReport`` does not carry the search's ``OracleResult``, so the
-    search is rerun here with the sandwich check's configuration; its value
-    must equal the sandwich check's ``oracle_best``, so that the counters
-    describe the timed runs.
-    """
-    from privbound.model import validate
-
+    """Search counters and values over both banks for one seed, read from
+    each sandwich check's own search."""
     out = {}
     for bank, large in BANKS.items():
         tally: dict = {"values": []}
         problems = _bank(seed, large)
-        for p, timed in zip(problems, _sandwich_all(oracle, problems)):
-            cfg = oracle._sandwich_config(p, validate(p), oracle.OracleConfig(seed=0))
-            res = oracle.search(p, cfg)
-            if res.best_objective != timed:
-                raise SystemExit(f"counted search found {res.best_objective}, sandwich check {timed}")
+        for p, report in zip(problems, _sandwich_all(oracle, problems)):
+            res = _search_result(oracle, p, report)
             tally["values"].append(res.best_objective)
             for name in COUNTERS:
                 if hasattr(res, name):
@@ -186,6 +192,9 @@ def count_summary(per_seed: dict) -> dict:
         if "accepted" in rows[0]:
             summary["accepted_per_candidate"] = statistics.median(
                 r["accepted"] / r["candidates"] for r in rows)
+        if "sweeps" in rows[0]:
+            summary["candidates_per_sweep"] = statistics.median(
+                r["candidates"] / r["sweeps"] for r in rows)
         out[bank] = summary
     return out
 
@@ -254,7 +263,8 @@ def main() -> None:
         b, a = doc["counts"]["before"][bank], doc["counts"]["after"][bank]
         print(f"{bank:<16} leakage evals/repair {b['leakage_evals_per_repair']:.2f} -> "
               f"{a['leakage_evals_per_repair']:.2f}, repairs {b['projections']:.0f} -> "
-              f"{a['projections']:.0f}, candidates {b.get('candidates', '-')} -> {a.get('candidates', '-')}")
+              f"{a['projections']:.0f}, candidates {b.get('candidates', '-')} -> {a.get('candidates', '-')}, "
+              f"sweeps {b.get('sweeps', '-')} -> {a.get('sweeps', '-')}")
     print(f"wrote {args.out}")
 
 

@@ -5,12 +5,18 @@ full-joint kernels P(u | x, y) subject to I(X;U) <= eps. It is a seeded
 random-restart ascent over the kernel columns (each (x, y) column lives on
 the |U|-simplex): each sweep steps every column toward vertex directions
 picked by the objective's column gradient, plus one single-column vertex
-jump. The sweep's candidates are scored as one batch on their marginals,
-which are linear in the kernel; infeasible candidates are repaired by
-mixing toward the constant kernel, with each mixing weight found by
-safeguarded Newton steps on the leakage of P(x,u) alone (``leakage_project``
-repairs one kernel the same way). Everything is driven by numpy generators
-seeded from (seed, restart index), so results are reproducible bit for bit.
+jump. Restarts run in lockstep, in groups of at most GROUP_ENTRIES kernel
+entries: one sweep scores the candidates of every restart of a group as
+one batch on their marginals, which are linear in the kernel, while each
+restart keeps its own random stream, acceptance walk and stall count, and
+leaves the group when it stalls. Infeasible candidates are repaired by
+mixing toward the constant kernel, which scales every column u >= 1 of
+P(x,u) by (1 - t); so the leakage and its slope in t are read in closed
+form from column u = 0, and each mixing weight is found by safeguarded
+Newton steps on them (``leakage_project`` repairs one kernel the same
+way). Everything is driven by numpy generators seeded from (seed, restart
+index), so results are reproducible bit for bit and do not depend on how
+restarts are grouped.
 
 The returned value is an achieved objective: a certified lower estimate of
 the true optimum, never the optimum itself.
@@ -18,13 +24,15 @@ the true optimum, never the optimum itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from . import mechanisms, probcore
-from .errors import PrivboundError, SizeCapError, ValidationError
+from .errors import AlphabetMismatchError, PrivboundError, SizeCapError, ValidationError
 from .mechanisms import ComposedMechanism, Kernel
 from .model import Problem, ProblemStats, trivial_optimum, validate
 
@@ -68,6 +76,8 @@ class OracleResult:
     leakage_evals: int = 0    # I(X;U) evaluations spent on those repairs
     candidates: int = 0       # candidates scored by the sweeps
     accepted: int = 0         # candidates that beat the running best
+    sweeps: int = 0           # batched scoring passes, one per group sweep
+    groups: int = 0           # restart groups run in lockstep
 
 
 @dataclass(frozen=True)
@@ -83,6 +93,7 @@ class SandwichReport:
     upper_ok: bool
     trivial: bool = False
     exact: float | None = None
+    search: OracleResult | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -129,6 +140,8 @@ class _Evaluator:
     built every sweep and its marginals summed from it: forming them by
     subtracting the moved columns would leave rounding residue where a
     marginal is exactly zero, and the vertex score reads ln of those entries.
+    Marginals, repair and vertex choices work on stacked rows: the
+    candidates, or the current kernels of a restart group.
     """
 
     def __init__(self, p: Problem, card_u: int):
@@ -145,11 +158,14 @@ class _Evaluator:
         self.pxy = mechanisms.flat_joint_xy(p)
         self.px = self.pxy.sum(axis=1)
         self.py = self.pxy.sum(axis=0)
+        self.px_ln_px = float(self.px @ np.log(np.where(self.px > probcore.ZERO_FLOOR, self.px, 1.0)))
         self.weights = tuple(u.weight for u in p.users)
         self.projections = 0
         self.leakage_evals = 0
         self.candidates = 0
         self.accepted = 0
+        self.sweeps = 0
+        self.groups = 0
         # per user: the axes of the components it does not demand, counted
         # from the end of a (..., *dims_y, |U|) array, and the shape of its
         # P(y_S, u) with those axes kept as 1. Demands are sorted
@@ -172,6 +188,15 @@ class _Evaluator:
         self.x_offsets = np.repeat(np.arange(self.nx) * card_u, self.ny)
         self.y_offsets = np.tile(np.arange(self.ny) * card_u, self.nx)
 
+    @cached_property
+    def stats(self) -> ProblemStats | None:
+        """``validate(p)`` for the budgeted structured starts, computed once;
+        None when the problem does not validate."""
+        try:
+            return validate(self.p)
+        except (PrivboundError, ValueError):
+            return None
+
     # -- marginals -------------------------------------------------------------
     # A batch of marginals is (xu, users): xu of shape (B, |X|, |U|) and one
     # (B, |S_j|, |U|) array per user.
@@ -185,39 +210,45 @@ class _Evaluator:
             for drop in self.user_drops
         ]
 
-    def marginals(self, table: np.ndarray) -> tuple:
-        """Marginals of one kernel tensor, as a batch of one."""
-        xu = np.einsum("xy,xyu->xu", self.pxy, table)
-        yu = np.einsum("xy,xyu->yu", self.pxy, table)
-        return xu[None], self.user_marginals(yu[None])
+    def marginals(self, tables: np.ndarray) -> tuple:
+        """Marginals of one kernel tensor, or of a stack of them over a
+        leading axis, as a batch."""
+        xu = np.einsum("xy,...xyu->...xu", self.pxy, tables).reshape(-1, self.nx, self.card_u)
+        yu = np.einsum("xy,...xyu->...yu", self.pxy, tables).reshape(-1, self.ny, self.card_u)
+        return xu, self.user_marginals(yu)
 
     def _vertex_marginals(self, best_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """P(x, u) and P(y, u) of the vertex kernel putting column (x, y) on
-        u = best_u[x, y], summed from the indices."""
+        """P(x, u) and P(y, u) of the vertex kernels putting column (x, y) on
+        u = best_u[..., x, y], summed from the indices, over best_u's
+        leading axes."""
         nu = self.card_u
-        flat_u = best_u.ravel()
-        w = self.pxy.ravel()
-        xu = np.bincount(self.x_offsets + flat_u, weights=w, minlength=self.nx * nu)
-        yu = np.bincount(self.y_offsets + flat_u, weights=w, minlength=self.ny * nu)
-        return xu.reshape(self.nx, nu), yu.reshape(self.ny, nu)
+        lead = best_u.shape[:-2]
+        rows = int(np.prod(lead))
+        flat_u = best_u.reshape(rows, -1)
+        w = np.broadcast_to(self.pxy.ravel(), flat_u.shape).ravel()
+        row = np.arange(rows)[:, None]
+        xu = np.bincount((row * (self.nx * nu) + self.x_offsets + flat_u).ravel(),
+                         weights=w, minlength=rows * self.nx * nu)
+        yu = np.bincount((row * (self.ny * nu) + self.y_offsets + flat_u).ravel(),
+                         weights=w, minlength=rows * self.ny * nu)
+        return xu.reshape(*lead, self.nx, nu), yu.reshape(*lead, self.ny, nu)
 
     def sweep_marginals(self, marg: tuple, choices: list[np.ndarray], jump_marg: tuple) -> tuple:
-        """Marginals of one sweep's BATCH candidates. Candidate
-        i * len(STEP_SIZES) + j is (1 - eta_j) K + eta_j D_i, for the current
-        kernel K (marginals ``marg``) and the vertex kernel D_i of
-        choices[i]; the last one is the jump (marginals ``jump_marg``)."""
-        dirs = [self._vertex_marginals(best_u) for best_u in choices]
-        xu_d = np.stack([d[0] for d in dirs])
-        yu_d = np.stack([d[1] for d in dirs])
-        n = len(STEP_SIZES)
+        """Marginals of one sweep's BATCH candidates per row of ``marg``,
+        row-major. Candidate i * len(STEP_SIZES) + j of a row is
+        (1 - eta_j) K + eta_j D_i, for the row's current kernel K and the
+        vertex kernel D_i of choices[i]; the last one is the row's jump
+        (marginals ``jump_marg``)."""
+        xu_d, yu_d = self._vertex_marginals(np.stack(choices, axis=1))
+        rows, n = len(marg[0]), len(STEP_SIZES)
 
         def stacked(cur: np.ndarray, d: np.ndarray, jump: np.ndarray) -> np.ndarray:
-            out = np.empty((BATCH, *cur.shape[1:]))
+            out = np.empty((rows, BATCH, *cur.shape[1:]))
             for j, eta in enumerate(STEP_SIZES):
                 # candidates j, n + j, ...: this step size toward every direction
-                out[j:-1:n] = (1.0 - eta) * cur[0] + eta * d
-            out[-1] = jump[0]
-            return out
+                out[:, j:-1:n] = (1.0 - eta) * cur[:, None] + eta * d
+            out[:, -1] = jump
+            return out.reshape(rows * BATCH, *cur.shape[1:])
 
         users = [
             stacked(u, d, j)
@@ -250,6 +281,30 @@ class _Evaluator:
 
     # -- feasibility repair --------------------------------------------------
 
+    def mixed_leakage(self, x0: np.ndarray, rest: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """I(X;U) of (1 - t) P(x,u) + t P_const(x,u), and its slope in t,
+        per row, from column u = 0 of P(x,u) (``x0``, shape (B, |X|)) and
+        ``rest``, the u >= 1 part of sum P ln P - sum_u P(u) ln P(u).
+
+        Mixing scales every column u >= 1 by (1 - t), which scales ``rest``
+        by (1 - t) (the ln(1 - t) terms cancel within each column), and turns
+        column 0 into a_x = (1 - t) P(x,0) + t p(x), with column sum c; the
+        rows stay p(x). So I(t) = (1 - t) rest + sum_x a_x ln a_x - c ln c -
+        sum_x p(x) ln p(x), and dI/dt = -rest + sum_x (p(x) - P(x,0)) ln a_x
+        - (1 - P(u=0)) ln c, in O(|X|) per row. Entries at or below
+        ``ZERO_FLOOR`` take ln := 0, as in ``_mi``.
+        """
+        floor = probcore.ZERO_FLOOR
+        s = t[:, None]
+        a = (1.0 - s) * x0 + s * self.px
+        c = a.sum(axis=1)
+        ln_a = np.log(np.where(a > floor, a, 1.0))
+        ln_c = np.log(np.where(c > floor, c, 1.0))
+        d0 = self.px - x0
+        leak = (1.0 - t) * rest + (a * ln_a).sum(axis=1) - c * ln_c - self.px_ln_px
+        slope = (d0 * ln_a).sum(axis=1) - d0.sum(axis=1) * ln_c - rest
+        return np.maximum(leak, 0.0), slope
+
     def repair(self, xu: np.ndarray, eps: float, slack: float = 0.0) -> np.ndarray:
         """Per-candidate mixing weights toward the constant kernel that land
         each leakage in [eps - PROJECT_BAND, eps]; 0.0 for a candidate that
@@ -262,7 +317,9 @@ class _Evaluator:
         the band, one candidate per row, each with its own [lo, hi] bracket;
         a step that leaves the bracket, or a slope that is not negative,
         falls back to the bracket midpoint. A candidate leaves the batch once
-        its leakage is in the band. Only P(x,u) is touched.
+        its leakage is in the band. The feasibility check is one ``_mi``
+        call on P(x,u); every later leakage and slope is read in closed form
+        from column u = 0 (``mixed_leakage``).
         """
         g, ln_m, ln_col = _mi(xu)
         t = np.zeros(len(xu))
@@ -274,42 +331,40 @@ class _Evaluator:
         if eps <= PROJECT_BAND:
             t[bad] = 1.0
             return t
-        xu = xu[bad]
-        g, ln_m, ln_col = g[bad], ln_m[bad], ln_col[bad]
-        # d moves mass within rows, so dI/dt = sum d ln M - sum_u d_col ln M_col
-        d = self.const_xu - xu
-        d_col = d.sum(axis=1)
+        xu, g, ln_m, ln_col = xu[bad], g[bad], ln_m[bad], ln_col[bad]
+        x0 = xu[:, :, 0]
+        rest = ((xu[:, :, 1:] * ln_m[:, :, 1:]).sum(axis=(1, 2))
+                - (xu.sum(axis=1)[:, 1:] * ln_col[:, 1:]).sum(axis=1))
+        slope = self.mixed_leakage(x0, rest, np.zeros(bad.size))[1]
         target = eps - 0.5 * PROJECT_BAND
         lo, hi, tb = np.zeros(bad.size), np.ones(bad.size), np.zeros(bad.size)
         live = np.arange(bad.size)
         for _ in range(80):
-            slope = (d[live] * ln_m).sum(axis=(1, 2)) - (d_col[live] * ln_col).sum(axis=1)
             descent = slope < 0.0
             step = np.where(descent, tb[live] - (g - target) / np.where(descent, slope, -1.0), lo[live])
             inside = (lo[live] < step) & (step < hi[live])
             tl = np.where(inside, step, 0.5 * (lo[live] + hi[live]))
             tb[live] = tl
-            s = tl[:, None, None]
-            g, ln_m, ln_col = _mi((1.0 - s) * xu[live] + s * self.const_xu)
+            g, slope = self.mixed_leakage(x0[live], rest[live], tl)
             self.leakage_evals += live.size
             over = g > eps
             under = g < eps - PROJECT_BAND
             lo[live[over]] = tl[over]
             hi[live[under]] = tl[under]
             out = over | under
-            live, g, ln_m, ln_col = live[out], g[out], ln_m[out], ln_col[out]
+            live, g, slope = live[out], g[out], slope[out]
             if live.size == 0:
                 break
         tb[live] = hi[live]
         t[bad] = tb
         return t
 
-    def repaired(self, table: np.ndarray, eps: float) -> tuple[tuple, float]:
-        """Marginals of one kernel after its feasibility repair, as a batch
-        of one, and the mixing weight the repair used."""
-        marg = self.marginals(table)
+    def repaired(self, tables: np.ndarray, eps: float) -> tuple[tuple, np.ndarray]:
+        """Marginals of kernel tensors (see ``marginals``) after their
+        feasibility repair, and the mixing weights the repair used."""
+        marg = self.marginals(tables)
         t = self.repair(marg[0], eps, slack=LEAKAGE_SLACK)
-        return self.mix(marg, t), float(t[0])
+        return self.mix(marg, t), t
 
     def mix_table(self, table: np.ndarray, t: float) -> np.ndarray:
         """(1 - t) table + t (constant kernel); ``table`` itself when t <= 0."""
@@ -322,40 +377,40 @@ class _Evaluator:
     # -- candidate generation -------------------------------------------------
 
     def vertex_choices(self, marg: tuple) -> list[np.ndarray]:
-        """Per-column best vertex of a Lagrangian gradient, one (|X|, |Y|)
-        index array per entry of MULTIPLIERS.
+        """Per-column best vertex of a Lagrangian gradient, one (B, |X|, |Y|)
+        index array per entry of MULTIPLIERS, for every row of a batch.
 
         d objective / d K[x,y,u] = P(x,y) * sum_j w_j ln(P(u|y_Sj)/P(u))
         depends on (y, u) only, while d leakage / d K[x,y,u] is
         P(x,y) * ln(P(u|x)/P(u)); a positive multiplier mixes the two so
         that directions can build or shed X-correlation deliberately.
         """
-        xu = marg[0][0]
-        nu = self.card_u
-        pu = np.log(np.maximum(xu.sum(axis=0), _TINY))
-        score = np.zeros((*self.dims_y, nu))
+        xu = marg[0]
+        rows, nu = len(xu), self.card_u
+        pu = np.log(np.maximum(xu.sum(axis=1), _TINY))
+        score = np.zeros((rows, *self.dims_y, nu))
         for w, m, shape in zip(self.weights, marg[1], self.user_shapes):
             if w == 0.0:
                 continue
-            m = m[0]
-            ps = m.sum(axis=1, keepdims=True)
+            ps = m.sum(axis=2, keepdims=True)
             lcond = np.log(np.maximum(m, _TINY)) - np.log(np.maximum(ps, _TINY))
             # broadcast over the components the user does not demand
-            score += w * lcond.reshape(shape)
-        score = score.reshape(self.ny, nu) - pu[None, :]
-        px = xu.sum(axis=1, keepdims=True)
-        leak_score = np.log(np.maximum(xu, _TINY)) - np.log(np.maximum(px, _TINY)) - pu[None, :]
+            score += w * lcond.reshape(rows, *shape)
+        score = score.reshape(rows, self.ny, nu) - pu[:, None, :]
+        px = xu.sum(axis=2, keepdims=True)
+        leak_score = np.log(np.maximum(xu, _TINY)) - np.log(np.maximum(px, _TINY)) - pu[:, None, :]
         choices = []
         for lam in MULTIPLIERS:
             if lam == 0.0:
-                best_u = np.broadcast_to(np.argmax(score, axis=1), (self.nx, self.ny))
+                best_u = np.broadcast_to(np.argmax(score, axis=2)[:, None, :], (rows, self.nx, self.ny))
             else:
-                best_u = np.argmax(score[None, :, :] - lam * leak_score[:, None, :], axis=2)
+                best_u = np.argmax(score[:, None] - lam * leak_score[:, :, None], axis=3)
             choices.append(best_u)
         return choices
 
     def step_table(self, table: np.ndarray, k: int, choices: list[np.ndarray]) -> np.ndarray:
-        """Kernel tensor of step candidate k of a sweep (see ``sweep_marginals``)."""
+        """Kernel tensor of step candidate k of a sweep (see ``sweep_marginals``),
+        for one row's ``table`` and vertex ``choices``."""
         i, j = divmod(k, len(STEP_SIZES))
         eta = STEP_SIZES[j]
         cand = (1.0 - eta) * table
@@ -397,10 +452,11 @@ def _structured_table(ev: _Evaluator, p: Problem, restart: int) -> np.ndarray | 
         except SizeCapError:
             return None
     if restart in (2, 3):
+        if ev.stats is None:
+            return None
         variant = "frl" if restart == 2 else "esfrl"
         try:
-            stats = validate(p)
-            alloc = bounds_mod.allocate_epsilon(p, stats, variant)
+            alloc = bounds_mod.allocate_epsilon(p, ev.stats, variant)
             mech = mechanisms.compose_multiuser(p, alloc)
             return _embed(mechanisms.materialize_monolithic(p, mech), nx, ny, nu)
         except (PrivboundError, ValueError):
@@ -418,56 +474,92 @@ def _initial_tables(ev: _Evaluator, p: Problem, cfg: OracleConfig, restart: int)
     return t / t.sum(axis=2, keepdims=True)
 
 
-def _ascend(ev: _Evaluator, table: np.ndarray, eps: float, cfg: OracleConfig, restart: int) -> tuple[float, np.ndarray, float]:
-    """Candidate-step ascent from one start; returns (objective, table, leak).
+def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, restarts: range) -> list[tuple[float, np.ndarray, float]]:
+    """Candidate-step ascent of a group of restarts in lockstep; returns
+    (objective, table, leak) per restart, in order.
 
-    Each sweep scores its BATCH candidates together and walks them in order,
-    accepting every one that beats the running best; the last accepted
-    becomes the current kernel.
+    Each sweep scores BATCH candidates per live restart together; each
+    restart walks its own candidates in order, accepting every one that
+    beats its running best (the last accepted becomes its current kernel),
+    and leaves the group after 6 sweeps without an acceptance.
     """
-    rng = np.random.default_rng([cfg.seed, restart, 1])
-    marg, t_mix = ev.repaired(table, eps)
-    table = ev.mix_table(table, t_mix)
-    best_obj = float(ev.objective(marg[1])[0])
-    stall = 0
+    eps = p.epsilon
+    rngs = [np.random.default_rng([cfg.seed, r, 1]) for r in restarts]
+    tables = np.stack([_initial_tables(ev, p, cfg, r) for r in restarts])
+    marg, t_mix = ev.repaired(tables, eps)
+    tables = np.stack([ev.mix_table(tab, t) for tab, t in zip(tables, t_mix)])
+    best = ev.objective(marg[1]).tolist()
+    stall = np.zeros(len(rngs), dtype=int)
+    ids = np.arange(len(rngs))      # position in the group of each live row
+    done: dict[int, tuple[float, np.ndarray, float]] = {}
+
+    def leave(rows: np.ndarray) -> None:
+        leaks = _mi(marg[0][rows])[0]
+        for row, leak in zip(rows, leaks):
+            done[int(ids[row])] = (best[row], tables[row].copy(), float(leak))
+
     # large kernels get proportionally fewer sweeps to keep runtime flat
-    size = ev.nx * ev.ny * ev.card_u
-    iters = max(6, min(cfg.iters, int(cfg.iters * 12_000 / max(size, 1))))
+    nxy, nu = ev.nx * ev.ny, ev.card_u
+    iters = max(6, min(cfg.iters, int(cfg.iters * 12_000 / max(nxy * nu, 1))))
+    ncols = min(8, nxy)
     for _ in range(iters):
+        live = len(ids)
         choices = ev.vertex_choices(marg)
-        # single-column vertex jumps (coordinate moves)
-        ncols = min(8, ev.nx * ev.ny)
-        cols = rng.choice(ev.nx * ev.ny, size=ncols, replace=False)
-        jump = table.copy()
-        flat = jump.reshape(-1, ev.card_u)
-        flat[cols] = 0.0
-        flat[cols, rng.integers(0, ev.card_u, size=ncols)] = 1.0
-        cands = ev.sweep_marginals(marg, choices, ev.marginals(jump))
+        # single-column vertex jumps (coordinate moves), from each restart's stream
+        cols = np.empty((live, ncols), dtype=np.intp)
+        vals = np.empty((live, ncols), dtype=np.intp)
+        for row, rng in enumerate(rngs):
+            cols[row] = rng.choice(nxy, size=ncols, replace=False)
+            vals[row] = rng.integers(0, nu, size=ncols)
+        jumps = tables.copy()
+        flat = jumps.reshape(live, nxy, nu)
+        flat[np.arange(live)[:, None], cols] = 0.0
+        flat[np.arange(live)[:, None], cols, vals] = 1.0
+        cands = ev.sweep_marginals(marg, choices, ev.marginals(jumps))
         t = ev.repair(cands[0], eps, slack=LEAKAGE_SLACK)
         cands = ev.mix(cands, t)
-        objs = ev.objective(cands[1])
-        ev.candidates += BATCH
-        pick = -1
-        for k, obj in enumerate(objs):
-            if obj > best_obj + cfg.tolerance:
-                best_obj = float(obj)
-                pick = k
-                ev.accepted += 1
-        if pick >= 0:
-            marg = (cands[0][pick:pick + 1], [m[pick:pick + 1] for m in cands[1]])
-            cand = jump if pick == BATCH - 1 else ev.step_table(table, pick, choices)
-            table = ev.mix_table(cand, float(t[pick]))
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 6:
+        objs = ev.objective(cands[1]).reshape(live, BATCH).tolist()
+        ev.candidates += live * BATCH
+        ev.sweeps += 1
+        picks = np.full(live, -1)
+        for row in range(live):
+            for k, obj in enumerate(objs[row]):
+                if obj > best[row] + cfg.tolerance:
+                    best[row] = obj
+                    picks[row] = k
+                    ev.accepted += 1
+        moved = np.flatnonzero(picks >= 0)
+        pick = moved * BATCH + picks[moved]
+        marg[0][moved] = cands[0][pick]
+        for m, c in zip(marg[1], cands[1]):
+            m[moved] = c[pick]
+        for row, k in zip(moved, picks[moved]):
+            cand = jumps[row] if k == BATCH - 1 else ev.step_table(tables[row], k, [c[row] for c in choices])
+            tables[row] = ev.mix_table(cand, float(t[row * BATCH + k]))
+        stall += 1
+        stall[moved] = 0
+        stalled = stall >= 6
+        if stalled.any():
+            leave(np.flatnonzero(stalled))
+            keep = np.flatnonzero(~stalled)
+            marg = (marg[0][keep], [m[keep] for m in marg[1]])
+            tables, stall, ids = tables[keep], stall[keep], ids[keep]
+            best = [best[row] for row in keep]
+            rngs = [rngs[row] for row in keep]
+            if keep.size == 0:
                 break
-    return best_obj, table, ev.leakage(marg)
+    leave(np.arange(len(ids)))
+    return [done[i] for i in range(len(restarts))]
+
+
+def _flat_sizes(p: Problem) -> tuple[int, int]:
+    """|X| and |Y| of the flattened product alphabets."""
+    return (int(np.prod([c.card_x for c in p.components])),
+            int(np.prod([c.card_y for c in p.components])))
 
 
 def default_card_u(p: Problem) -> int:
-    nx = int(np.prod([c.card_x for c in p.components]))
-    ny = int(np.prod([c.card_y for c in p.components]))
+    nx, ny = _flat_sizes(p)
     return min(nx * (ny - 1) + 2, 16)
 
 
@@ -479,15 +571,15 @@ def search(p: Problem, cfg: OracleConfig | None = None) -> OracleResult:
         raise ValidationError(f"epsilon must be >= 0, got {p.epsilon}")
     card_u = cfg.card_u if cfg.card_u is not None else default_card_u(p)
     ev = _Evaluator(p, card_u)
-    eps = p.epsilon
+    group = max(1, GROUP_ENTRIES // (ev.nx * ev.ny * card_u))
     trace = []
     best: tuple[float, np.ndarray, float] | None = None
-    for r in range(cfg.restarts):
-        table = _initial_tables(ev, p, cfg, r)
-        obj, tab, leak = _ascend(ev, table, eps, cfg, r)
-        trace.append(obj)
-        if best is None or obj > best[0]:
-            best = (obj, tab, leak)
+    for first in range(0, cfg.restarts, group):
+        ev.groups += 1
+        for obj, tab, leak in _ascend_group(ev, p, cfg, range(first, min(first + group, cfg.restarts))):
+            trace.append(obj)
+            if best is None or obj > best[0]:
+                best = (obj, tab, leak)
     assert best is not None
     return OracleResult(
         best_objective=float(best[0]),
@@ -498,6 +590,8 @@ def search(p: Problem, cfg: OracleConfig | None = None) -> OracleResult:
         leakage_evals=ev.leakage_evals,
         candidates=ev.candidates,
         accepted=ev.accepted,
+        sweeps=ev.sweeps,
+        groups=ev.groups,
     )
 
 
@@ -509,8 +603,11 @@ def leakage_project(m: Kernel, p: Problem, eps: float) -> Kernel:
     lands in [eps - 1e-9, eps]. The leakage is convex and non-increasing in
     the weight and reaches 0 at full mixing, so a crossing always exists.
     """
-    if eps < 0.0:
-        raise ValidationError(f"eps must be >= 0, got {eps}")
+    if not math.isfinite(eps) or eps < 0.0:
+        raise ValidationError(f"eps must be finite and >= 0, got {eps}")
+    nx, ny = _flat_sizes(p)
+    if (m.card_x, m.card_y) != (nx, ny):
+        raise AlphabetMismatchError(f"kernel is {m.card_x}x{m.card_y}, flattened problem is {nx}x{ny}")
     ev = _Evaluator(p, m.alphabet_u)
     t = float(ev.repair(ev.marginals(m.table)[0], eps)[0])
     if t == 0.0:
@@ -519,6 +616,7 @@ def leakage_project(m: Kernel, p: Problem, eps: float) -> Kernel:
 
 
 WARM_CARD_CAP = 1500
+GROUP_ENTRIES = 2 ** 14   # restarts share a sweep while group x |X||Y||U| stays within this
 
 
 def _sandwich_config(
@@ -566,6 +664,7 @@ def sandwich_check(p: Problem, cfg: OracleConfig | None = None) -> SandwichRepor
             middle_ok=result.best_objective >= value - SEARCH_SLACK,
             upper_ok=result.best_objective <= value + LEAKAGE_SLACK,
             trivial=True,
+            search=result,
         )
     rep = bounds_mod.compute_bounds(p, stats)
     mech_obj = mechanisms.canonical_objective(p, stats, profile)
@@ -578,4 +677,5 @@ def sandwich_check(p: Problem, cfg: OracleConfig | None = None) -> SandwichRepor
         middle_ok=mech_obj <= result.best_objective + SEARCH_SLACK,
         upper_ok=result.best_objective <= rep.upper + LEAKAGE_SLACK,
         exact=rep.exact,
+        search=result,
     )

@@ -1,0 +1,150 @@
+"""Lockstep restart groups, the closed-form repair on column u = 0, and the
+input checks of ``leakage_project``."""
+
+import dataclasses
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from helpers import random_problem, xy_copy_component
+from privbound import mechanisms as M
+from privbound import oracle as O
+from privbound.errors import AlphabetMismatchError, ValidationError
+from privbound.model import Component, Problem, User
+from privbound.probcore import Joint2
+
+QUICK = O.OracleConfig(restarts=4, iters=24, seed=0)
+
+
+def _search_grouped(monkeypatch, p, cfg, entries):
+    monkeypatch.setattr(O, "GROUP_ENTRIES", entries)
+    return O.search(p, cfg)
+
+
+class TestGroupsAgree:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_groups_of_one_match_one_group(self, monkeypatch, seed):
+        p = random_problem(seed)
+        alone = _search_grouped(monkeypatch, p, QUICK, 1)
+        together = _search_grouped(monkeypatch, p, QUICK, 10**12)
+        assert alone.groups == QUICK.restarts
+        assert together.groups == 1
+        assert np.allclose(alone.trace, together.trace, rtol=0, atol=1e-12)
+        for name in ("projections", "leakage_evals", "candidates", "accepted"):
+            assert getattr(alone, name) == getattr(together, name), name
+        # one group sweeps as often as its longest restart
+        assert together.sweeps <= alone.sweeps <= QUICK.restarts * together.sweeps
+        assert alone.candidates == O.BATCH * alone.sweeps
+
+    def test_group_memory_capped(self):
+        # a 4096-entry kernel: groups of 4 restarts. One group of all 64
+        # restarts would hold 64 kernels in every sweep temporary (about
+        # 28 MB peak against 2 MB)
+        rng = np.random.default_rng(5)
+        comps = tuple(
+            Component(f"c{i}", Joint2(rng.dirichlet(np.ones(8)).reshape(2, 4))) for i in range(2)
+        )
+        p = Problem(comps, (User((0, 1), 1.0), User((0,), 0.5)), 0.2)
+        peaks = {}
+        for restarts in (6, 64):
+            cfg = O.OracleConfig(card_u=64, restarts=restarts, iters=6, seed=0)
+            tracemalloc.start()
+            try:
+                res = O.search(p, cfg)
+                peaks[restarts] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(res.trace) == restarts
+        assert peaks[64] <= peaks[6] + 1e6, peaks
+
+
+class TestClosedFormLeakage:
+    """``mixed_leakage`` against ``_mi`` of the explicitly mixed P(x,u). The
+    u >= 1 entries are 0 or at least 1e-2, so that at t = 1 - 1e-12 none
+    of them falls to ``ZERO_FLOOR``, where ``_mi`` would drop it."""
+
+    TS = (0.0, 1e-12, 0.3, 1.0 - 1e-12, 1.0)
+
+    def _cases(self):
+        rng = np.random.default_rng(11)
+        px = np.array([0.2, 0.5, 0.3])
+        p = Problem(
+            (Component("c", Joint2(px[:, None] * rng.dirichlet(np.ones(2), size=3))),),
+            (User((0,), 1.0),), 0.1,
+        )
+        ev = O._Evaluator(p, 4)
+        for case in ("dense", "zero_cells", "zero_u0"):
+            k = 0.1 + rng.random((3, 4))
+            if case == "zero_cells":
+                k[0, 1] = k[2, 3] = k[1, 0] = 0.0
+            if case == "zero_u0":
+                k[:, 0] = 0.0
+            yield ev, ev.px[:, None] * (k / k.sum(axis=1, keepdims=True))
+
+    @staticmethod
+    def _reference(ev, xu, t):
+        """Leakage and slope of (1 - t) xu + t const_xu from ``_mi``'s logs."""
+        g, ln_m, ln_col = O._mi((1.0 - t) * xu + t * ev.const_xu)
+        d = ev.const_xu - xu
+        return float(g), float((d * ln_m).sum() - d.sum(axis=0) @ ln_col)
+
+    def test_matches_mixed_mi(self):
+        for ev, xu in self._cases():
+            _, ln_m, ln_col = O._mi(xu)
+            rest = (xu[:, 1:] * ln_m[:, 1:]).sum() - xu.sum(axis=0)[1:] @ ln_col[1:]
+            for t in self.TS:
+                g, slope = ev.mixed_leakage(xu[None, :, 0], np.array([rest]), np.array([t]))
+                ref_g, ref_slope = self._reference(ev, xu, t)
+                assert g[0] == pytest.approx(ref_g, rel=0, abs=1e-13), t
+                if t == 1.0:
+                    # the u >= 1 columns are 0, and 0 ln 0 = 0 drops their
+                    # part of the slope; compare with the left limit
+                    ref_slope = self._reference(ev, xu, 1.0 - 1e-12)[1]
+                    assert slope[0] == pytest.approx(ref_slope, rel=0, abs=1e-9)
+                else:
+                    assert slope[0] == pytest.approx(ref_slope, rel=0, abs=1e-13), t
+
+
+class TestOncePerSearch:
+    def test_validate_once(self, monkeypatch):
+        calls = []
+        real = O.validate
+
+        def counting(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(O, "validate", counting)
+        O.search(random_problem(3), O.OracleConfig(restarts=6, iters=4, seed=0))
+        assert len(calls) == 1
+
+    def test_sandwich_report_carries_search(self):
+        p = random_problem(2)
+        rep = O.sandwich_check(p, QUICK)
+        assert rep.search is not None
+        assert rep.search.best_objective == rep.oracle_best
+        assert rep.search.sweeps > 0 and rep.search.groups >= 1
+        # the search result takes no part in equality or repr
+        assert dataclasses.replace(rep, search=None) == rep
+        assert "search=" not in repr(rep)
+
+
+class TestLeakageProjectInput:
+    def _copy_pair(self):
+        c = xy_copy_component()
+        p = Problem((c,), (User((0,), 1.0),), 0.3)
+        return p, M.identity_kernel(c)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps(self, eps):
+        p, k = self._copy_pair()
+        with pytest.raises(ValidationError, match="eps"):
+            O.leakage_project(k, p, eps)
+
+    def test_kernel_alphabet_mismatch(self):
+        p, _ = self._copy_pair()
+        k = M.Kernel(np.full((3, 2, 2), 0.5))
+        with pytest.raises(AlphabetMismatchError, match="3x2"):
+            O.leakage_project(k, p, 0.3)
