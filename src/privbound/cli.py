@@ -14,19 +14,21 @@ Problem files are JSON with schema tag "privbound/1":
     }
 
 Matrices are row-major joint tables P(x, y) with x on the rows. All
-computation is in nats; "log_display": "bits" only rescales the numbers in
-emitted reports. Exit codes: 0 success, 2 schema error, 3 invariant or
-regime violation, 4 mechanism/problem alphabet mismatch.
+computation is in nats: each report (bounds, mechanism, verify blocks, the
+oracle table, the sweep CSV) is assembled in nats from its dataclasses,
+and "log_display": "bits" rescales it once, in ``_in_units``, on output.
+Saved mechanism files stay in nats. Exit codes: 0 success, 2 schema error,
+3 invariant or regime violation, 4 mechanism/problem alphabet mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import sys
+from dataclasses import fields, replace
 from typing import Any
 
 import numpy as np
@@ -43,7 +45,7 @@ from .errors import (
     is_number,
     want,
 )
-from .model import Component, Problem, ProblemStats, User, trivial_optimum, validate
+from .model import Component, Problem, User, trivial_optimum, validate
 from .probcore import Joint2
 
 PROBLEM_SCHEMA = "privbound/1"
@@ -196,94 +198,87 @@ def load_problem(path: str) -> tuple[Problem, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _scale_factor(options: dict) -> float:
-    return 1.0 / math.log(2.0) if options.get("log_display") == "bits" else 1.0
+# report keys whose numbers are not information quantities: never rescaled
+DIMENSIONLESS = frozenset({"mu", "gamma"})
 
 
-def _stats_block(stats: ProblemStats, scale: float) -> list[dict]:
-    out = []
-    for s in stats:
-        out.append(
-            {
-                "name": s.name,
-                "hX": s.hX * scale,
-                "hY": s.hY * scale,
-                "hY_given_X": s.hY_given_X * scale,
-                "hX_given_Y": s.hX_given_Y * scale,
-                "iXY": s.iXY * scale,
-                "mu": s.mu,
-                "s1": s.s1 * scale,
-                "s2": s.s2 * scale,
-                "delta": s.delta * scale,
-                "gamma": s.gamma,
-            }
-        )
-    return out
+def _in_units(value: Any, options: dict) -> Any:
+    """A report part assembled in nats, in the file's ``log_display`` units.
+
+    For bits, every float is multiplied by 1/ln 2, except the values under
+    DIMENSIONLESS keys; dicts, lists and tuples are rebuilt, and ints,
+    bools, strings and None kept as they are. For nats, ``value`` itself.
+    """
+    if options.get("log_display") != "bits":
+        return value
+    scale = 1.0 / math.log(2.0)
+
+    def convert(v: Any, key: str | None = None) -> Any:
+        if key in DIMENSIONLESS:
+            return v
+        if isinstance(v, dict):
+            return {k: convert(item, k) for k, item in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [convert(item) for item in v]
+        return v * scale if isinstance(v, float) else v
+
+    return convert(value)
+
+
+def _fields(obj: Any) -> dict:
+    """A dataclass's fields by name, in order; unlike ``asdict``, copies no value."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def bounds_report(p: Problem, options: dict) -> dict:
+    """Statistics and bounds of a problem, in the file's display units."""
     stats = validate(p)
-    scale = _scale_factor(options)
     doc: dict = {
         "schema": "privbound/1-report",
         "units": options.get("log_display", "nats"),
-        "epsilon": p.epsilon * scale,
+        "epsilon": p.epsilon,
         "regime": {
             "trivial": stats.trivial,
             "deterministic": stats.deterministic,
             "perfect_privacy": p.epsilon == 0.0 and not stats.trivial,
         },
-        "total_mutual_information": stats.total_mi * scale,
-        "components": _stats_block(stats, scale),
+        "total_mutual_information": stats.total_mi,
+        "components": [_fields(s) for s in stats],
     }
     if stats.trivial:
-        value = trivial_optimum(p, stats) * scale
+        value = trivial_optimum(p, stats)
         doc["trivial_value"] = value
         doc["bounds"] = {"upper": value, "lower": value}
-        return doc
+        return _in_units(doc, options)
     rep = bounds_mod.compute_bounds(p, stats)
     doc["bounds"] = {
-        "upper": rep.upper * scale,
-        "lower_frl": rep.lower_frl * scale,
-        "lower_sfrl": rep.lower_sfrl * scale,
-        "lower": rep.lower * scale,
-        "gap": rep.gap_formula * scale,
+        "upper": rep.upper,
+        "lower_frl": rep.lower_frl,
+        "lower_sfrl": rep.lower_sfrl,
+        "lower": rep.lower,
+        "gap": rep.gap_formula,
     }
     if rep.beta is not None:
-        doc["bounds"]["beta"] = [b * scale for b in rep.beta]
+        doc["bounds"]["beta"] = rep.beta
     if rep.perfect_privacy:
-        doc["perfect_privacy"] = {
-            "upper": rep.pp_upper * scale,
-            "u1": [v * scale for v in rep.pp_u1],
-            "u2": [v * scale for v in rep.pp_u2],
-        }
+        doc["perfect_privacy"] = {"upper": rep.pp_upper, "u1": rep.pp_u1, "u2": rep.pp_u2}
     if rep.exact is not None:
-        doc["deterministic_exact"] = rep.exact * scale
-    return doc
+        doc["deterministic_exact"] = rep.exact
+    return _in_units(doc, options)
 
 
-def mechanism_report(p: Problem, mech: mechanisms.ComposedMechanism, options: dict) -> dict:
-    scale = _scale_factor(options)
-    rep = mechanisms.evaluate_composed(p, mech)
+def mechanism_report(
+    rep: mechanisms.MechanismReport, allocation: bounds_mod.Allocation | None, options: dict
+) -> dict:
+    """An evaluated mechanism and its budget split, in the file's display units."""
     doc = {
         "schema": "privbound/1-report",
         "units": options.get("log_display", "nats"),
-        "leakage": rep.leakage * scale,
-        "utilities": [u * scale for u in rep.utilities],
-        "objective": rep.objective * scale,
-        "h_y_given_xu": rep.h_y_given_xu * scale,
-        "cardinality": rep.cardinality,
-        "per_component_leakage": [v * scale for v in rep.per_component_leakage],
-        "per_component_utility": [v * scale for v in rep.per_component_utility],
+        **_fields(rep),
     }
-    if mech.allocation is not None:
-        doc["allocation"] = {
-            "eps_per_component": [v * scale for v in mech.allocation.eps_per_component],
-            "variant": mech.allocation.variant,
-            "target": mech.allocation.target,
-            "overflow": mech.allocation.overflow * scale,
-        }
-    return doc
+    if allocation is not None:
+        doc["allocation"] = _fields(allocation)
+    return _in_units(doc, options)
 
 
 def _emit(doc: dict) -> None:
@@ -320,7 +315,7 @@ def cmd_mechanize(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(mechanisms.mechanism_to_dict(p, mech), fh, indent=2)
         fh.write("\n")
-    _emit(mechanism_report(p, mech, options))
+    _emit(mechanism_report(rep, alloc, options))
     return EXIT_OK
 
 
@@ -334,45 +329,32 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as e:
         raise SchemaError(f"mechanism file: invalid JSON at line {e.lineno}: {e.msg}")
     mech = mechanisms.mechanism_from_dict(mdoc, p)
-    doc = mechanism_report(p, mech, options)
+    doc = mechanism_report(mechanisms.evaluate_composed(p, mech), mech.allocation, options)
     if args.decompose:
-        scale = _scale_factor(options)
         mono = mechanisms.materialize_monolithic(p, mech)
         _, dchecks = mechanisms.decompose_transform(p, mono)
         _, tchecks = mechanisms.refine_transform(p, mono)
-        doc["decompose"] = {
-            "leakage_original": dchecks.leakage_original * scale,
-            "leakage_bar": dchecks.leakage_bar * scale,
-            "markov_residual": dchecks.markov_residual * scale,
-            "independence_residual": dchecks.independence_residual * scale,
-        }
-        doc["refine"] = {
-            "leakage_original": tchecks.leakage_original * scale,
-            "leakage_star": tchecks.leakage_star * scale,
-            "user_utility_original": [v * scale for v in tchecks.user_utility_original],
-            "user_utility_star": [v * scale for v in tchecks.user_utility_star],
-            "user_slack": [v * scale for v in tchecks.user_slack],
-        }
+        doc.update(_in_units({"decompose": _fields(dchecks), "refine": _fields(tchecks)}, options))
     _emit(doc)
     return EXIT_OK
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    p, _options = load_problem(args.file)
+    p, options = load_problem(args.file)
     cfg = oracle.OracleConfig(
         card_u=args.card_u, restarts=args.restarts, iters=args.iters, seed=args.seed
     )
     report = oracle.sandwich_check(p, cfg)
-    rows = [
-        ("lower", report.lower),
-        ("mech_objective", report.mech_objective),
-        ("oracle_best", report.oracle_best),
-        ("upper", report.upper),
-    ]
-    for name, value in rows:
-        sys.stdout.write(f"{name:<16}{value:.12g}\n")
+    rows = {
+        "lower": report.lower,
+        "mech_objective": report.mech_objective,
+        "oracle_best": report.oracle_best,
+        "upper": report.upper,
+    }
     if report.exact is not None:
-        sys.stdout.write(f"{'exact':<16}{report.exact:.12g}\n")
+        rows["exact"] = report.exact
+    for name, value in _in_units(rows, options).items():
+        sys.stdout.write(f"{name:<16}{value:.12g}\n")
     sys.stdout.write(f"{'trivial':<16}{str(report.trivial).lower()}\n")
     sys.stdout.write(f"{'ok':<16}{str(report.ok).lower()}\n")
     return EXIT_OK
@@ -413,7 +395,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for eps in grid:
         pe = Problem(p.components, p.users, eps, p.sfrl_constant)
-        stats = dataclasses.replace(base, trivial=pe.epsilon >= base.total_mi)
+        stats = replace(base, trivial=pe.epsilon >= base.total_mi)
         if stats.trivial:
             value = trivial_optimum(pe, stats)
             rows.append((eps, value, value, value, value, value))
@@ -423,12 +405,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rep = bounds_mod.compute_bounds(pe, stats)
         mech_obj = mechanisms.canonical_objective(pe, stats, profile)
         rows.append((eps, rep.upper, rep.lower_frl, rep.lower_sfrl, rep.lower, mech_obj))
-    scale = _scale_factor(options)
     with open(args.csv, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epsilon", "upper", "lower_frl", "lower_sfrl", "lower", "mech_objective"])
-        for row in rows:
-            writer.writerow([f"{v * scale:.12g}" for v in row])
+        for row in _in_units(rows, options):
+            writer.writerow([f"{v:.12g}" for v in row])
     sys.stdout.write(f"wrote {len(rows)} rows to {args.csv}\n")
     return EXIT_OK
 

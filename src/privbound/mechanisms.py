@@ -40,7 +40,7 @@ Pair alphabets (a, b) flatten as a * |B| + b.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ from .errors import (
     AlphabetMismatchError,
     PrivboundError,
     SchemaError,
-    SizeCapError,
     ValidationError,
     is_number,
     want,
@@ -172,9 +171,7 @@ def _interval_refinement(cond: np.ndarray, active_rows: np.ndarray | None = None
     cells = np.array(merged)
     lows, highs = cells[:-1], cells[1:]
     nu = lows.size
-    cap = probcore.size_cap()
-    if na * ny * nu > cap:
-        raise SizeCapError(f"refinement kernel would have {na * ny * nu} entries (cap {cap})")
+    probcore.check_size("refinement kernel", na * ny * nu)
 
     # interval y of row a is [lo_rows[a, y], cums[a, y]); one (y, u) overlap
     # broadcast per row keeps temporaries to one row of the table
@@ -414,10 +411,7 @@ def monolithic_joint(p: Problem, k: Kernel) -> JointN:
         raise AlphabetMismatchError(
             f"kernel is {k.card_x}x{k.card_y}, flattened problem is {nx}x{ny}"
         )
-    total = nx * ny * k.alphabet_u
-    cap = probcore.size_cap()
-    if total > cap:
-        raise SizeCapError(f"monolithic joint would have {total} entries (cap {cap})")
+    probcore.check_size("monolithic joint", nx * ny * k.alphabet_u)
     pxy = flat_joint_xy(p)
     table = (pxy[:, :, None] * k.table).reshape(dims_x + dims_y + (k.alphabet_u,))
     return JointN(dims_x + dims_y + (k.alphabet_u,), table)
@@ -456,23 +450,17 @@ def evaluate(p: Problem, m: ComposedMechanism | Kernel) -> MechanismReport:
 
 def materialize_monolithic(p: Problem, m: ComposedMechanism) -> Kernel:
     """Flatten a composed mechanism to a single kernel over product alphabets."""
-    dims_x = tuple(c.card_x for c in p.components)
-    dims_y = tuple(c.card_y for c in p.components)
-    dims_u = tuple(k.alphabet_u for k in m.kernels)
-    total = int(np.prod(dims_x)) * int(np.prod(dims_y)) * int(np.prod(dims_u))
-    cap = probcore.size_cap()
-    if total > cap:
-        raise SizeCapError(f"materialized kernel would have {total} entries (cap {cap})")
+    nx = math.prod(c.card_x for c in p.components)
+    ny = math.prod(c.card_y for c in p.components)
+    nu = math.prod(k.alphabet_u for k in m.kernels)
+    probcore.check_size("materialized kernel", nx * ny * nu)
     t = m.kernels[0].table
     for k in m.kernels[1:]:
         t = np.multiply.outer(t, k.table)
     # axes currently (x1,y1,u1,...,xN,yN,uN); regroup to (x..., y..., u...)
     n = p.n_components
     perm = [3 * i for i in range(n)] + [3 * i + 1 for i in range(n)] + [3 * i + 2 for i in range(n)]
-    t = np.transpose(t, perm).reshape(
-        int(np.prod(dims_x)), int(np.prod(dims_y)), int(np.prod(dims_u))
-    )
-    return Kernel(t)
+    return Kernel(np.transpose(t, perm).reshape(nx, ny, nu))
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +527,7 @@ def _joint_with_bars(p: Problem, joint_xyu: JointN, bar: BarMechanism) -> JointN
     n = p.n_components
     t = joint_xyu.table
     axes = list(joint_xyu.axes)
-    total = t.size * int(np.prod(bar.alphabets))
-    cap = probcore.size_cap()
-    if total > cap:
-        raise SizeCapError(f"decomposition joint would have {total} entries (cap {cap})")
+    probcore.check_size("decomposition joint", t.size * math.prod(bar.alphabets))
     for i, mat in enumerate(bar.kernels):
         shape = [1] * t.ndim + [mat.shape[1]]
         shape[i] = mat.shape[0]
@@ -605,14 +590,10 @@ def refine_transform(
     """
     if stats is None:
         stats = validate(p)
-    n = p.n_components
     j = monolithic_joint(p, m)
     bar = _bar_kernels(p, j)
 
     kernels = []
-    tags = []
-    util_star = []
-    leak_star = 0.0
     for i, c in enumerate(p.components):
         b_mat = bar.kernels[i]  # (nx, mb)
         nx, ny, mb = c.card_x, c.card_y, b_mat.shape[1]
@@ -628,26 +609,19 @@ def refine_transform(
         f4 = f.reshape(mb, nx, ny, mt)
         # P(u* = (t, b) | x, y) = P(b|x) * P(t | (b,x), y), u* = t*mb + b
         star = np.einsum("bx,bxyt->xytb", b_mat.T, f4).reshape(nx, ny, mt * mb)
-        k_star = Kernel(star)
-        kernels.append(k_star)
-        tags.append(ConstructionTag("refined"))
-        cj = _component_joint(c, k_star)
-        leak_star += probcore.mi_between(cj, [0], [2])
-        util_star.append(probcore.mi_between(cj, [1], [2]))
+        kernels.append(Kernel(star))
 
+    mech = ComposedMechanism(tuple(kernels), tuple(ConstructionTag("refined") for _ in kernels))
     report = evaluate_monolithic(p, m)
-    star_utilities = tuple(
-        float(sum(util_star[i] for i in u.demands)) for u in p.users
-    )
+    refined = evaluate_composed(p, mech)
     slack = tuple(float(sum(stats[i].s1 for i in u.demands)) for u in p.users)
     checks = RefinementChecks(
         leakage_original=report.leakage,
-        leakage_star=float(leak_star),
+        leakage_star=refined.leakage,
         user_utility_original=report.utilities,
-        user_utility_star=star_utilities,
+        user_utility_star=refined.utilities,
         user_slack=slack,
     )
-    mech = ComposedMechanism(kernels=tuple(kernels), tags=tuple(tags))
     return mech, checks
 
 
@@ -676,12 +650,8 @@ def mechanism_to_dict(p: Problem, m: ComposedMechanism) -> dict:
         )
     doc: dict = {"schema": MECHANISM_SCHEMA, "components": comps}
     if m.allocation is not None:
-        doc["allocation"] = {
-            "eps_per_component": list(m.allocation.eps_per_component),
-            "variant": m.allocation.variant,
-            "target": m.allocation.target,
-            "overflow": m.allocation.overflow,
-        }
+        a = m.allocation
+        doc["allocation"] = {**asdict(a), "eps_per_component": list(a.eps_per_component)}
     return doc
 
 

@@ -193,11 +193,13 @@ class ProblemStats:
 
 
 def component_stats(c: Component, mu: float, sfrl_constant: float) -> ComponentStats:
+    # I, H(Y|X) and H(X|Y) from the three entropies, each clamped at 0
     hX = probcore.entropy(c.joint.marginal_rows())
     hY = probcore.entropy(c.joint.marginal_cols())
-    hYgX = probcore.conditional_entropy(c.joint, given=0)
-    hXgY = probcore.conditional_entropy(c.joint, given=1)
-    iXY = probcore.mutual_information(c.joint)
+    hXY = probcore.joint_entropy(c.joint)
+    hYgX = max(0.0, hXY - hX)
+    hXgY = max(0.0, hXY - hY)
+    iXY = max(0.0, hX + hY - hXY)
     s1 = iXY + hXgY
     s2 = iXY + math.log(iXY + 1.0) + sfrl_constant
     gamma = None

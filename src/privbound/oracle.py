@@ -7,14 +7,15 @@ the |U|-simplex): each sweep steps every column toward vertex directions
 picked by the objective's column gradient, plus one single-column vertex
 jump. Restarts run in lockstep, in groups of at most GROUP_ENTRIES kernel
 entries: one sweep scores the candidates of every restart of a group as
-one batch on their marginals, which are linear in the kernel, while each
-restart keeps its own random stream, acceptance walk and stall count, and
-leaves the group when it stalls. Infeasible candidates are repaired by
-mixing toward the constant kernel, which scales every column u >= 1 of
-P(x,u) by (1 - t); so the leakage and its slope in t are read in closed
-form from column u = 0, and each mixing weight is found by safeguarded
-Newton steps on them (``leakage_project`` repairs one kernel the same
-way). Everything is driven by numpy generators seeded from (seed, restart
+one batch on their marginals, which are linear in the kernel, with the
+package's one MI kernel (``probcore._mi``, batched over leading axes),
+while each restart keeps its own random stream, acceptance walk and stall
+count, and leaves the group when it stalls. Infeasible candidates are
+repaired by mixing toward the constant kernel, which scales every column
+u >= 1 of P(x,u) by (1 - t); so the leakage and its slope in t are read in
+closed form from column u = 0, and each mixing weight is found by
+safeguarded Newton steps on them (``leakage_project`` repairs one kernel
+the same way). Everything is driven by numpy generators seeded from (seed, restart
 index), so results are reproducible bit for bit and do not depend on how
 restarts are grouped.
 
@@ -35,6 +36,7 @@ from . import mechanisms, probcore
 from .errors import AlphabetMismatchError, PrivboundError, SizeCapError, ValidationError
 from .mechanisms import ComposedMechanism, Kernel
 from .model import Problem, ProblemStats, trivial_optimum, validate
+from .probcore import _mi
 
 LEAKAGE_SLACK = 1e-9      # feasibility tolerance on I(X;U) <= eps
 PROJECT_BAND = 1e-9       # leakage_project lands in [eps - band, eps]
@@ -100,27 +102,6 @@ class SandwichReport:
         return self.lower_ok and self.middle_ok and self.upper_ok
 
 
-def _mi(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mutual information of joint mass matrices stacked over leading axes
-    (shape (..., a, b)), in nats, with the logarithms it used: ln m and ln of
-    the column sums. Entries at or below ``ZERO_FLOOR`` take ln := 0, so they
-    drop out of every sum."""
-    floor = probcore.ZERO_FLOOR
-    row = m.sum(axis=-1)
-    col = m.sum(axis=-2)
-    ln_m = np.where(m > floor, m, 1.0)
-    np.log(ln_m, out=ln_m)
-    ln_row = np.log(np.where(row > floor, row, 1.0))
-    ln_col = np.log(np.where(col > floor, col, 1.0))
-    mi = (m * ln_m).sum(axis=(-2, -1)) - (row * ln_row).sum(axis=-1) - (col * ln_col).sum(axis=-1)
-    return np.maximum(mi, 0.0), ln_m, ln_col
-
-
-def _mi_from_joint_mat(m: np.ndarray) -> float:
-    """Mutual information of a 2-D joint mass matrix, in nats."""
-    return float(_mi(m)[0])
-
-
 STEP_SIZES = (0.15, 0.4, 1.0)
 MULTIPLIERS = (0.0, 0.7, 2.0)
 # one sweep scores a step of every size toward every multiplier's vertex
@@ -151,10 +132,7 @@ class _Evaluator:
         self.dims_y = tuple(c.card_y for c in p.components)
         self.nx = int(np.prod(self.dims_x))
         self.ny = int(np.prod(self.dims_y))
-        total = self.nx * self.ny * card_u
-        cap = probcore.size_cap()
-        if total > cap:
-            raise SizeCapError(f"oracle kernel would have {total} entries (cap {cap})")
+        probcore.check_size("oracle kernel", self.nx * self.ny * card_u)
         self.pxy = mechanisms.flat_joint_xy(p)
         self.px = self.pxy.sum(axis=1)
         self.py = self.pxy.sum(axis=0)

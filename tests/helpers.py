@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from privbound.model import Component, Problem, User, user_weight_mass
-from privbound.probcore import Joint2, mutual_information
+from privbound.probcore import Joint2, entropy, joint_entropy
+
+
+def entropy_mi(m: Joint2 | np.ndarray) -> float:
+    """Reference I(A;B) = H(A) + H(B) - H(A,B) of a joint or a 2-D joint mass
+    matrix, clamped at 0: built from probcore's entropies, not its MI kernel."""
+    j = m if isinstance(m, Joint2) else Joint2(m)
+    return max(0.0, entropy(j.marginal_rows()) + entropy(j.marginal_cols()) - joint_entropy(j))
 
 
 def random_joint(rng: np.random.Generator, nx: int, ny: int) -> Joint2:
@@ -41,7 +48,7 @@ def random_problem(
     n = int(rng.integers(1, max_n + 1))
     comps = tuple(random_component(rng, f"c{i}", max_card) for i in range(n))
     users = random_users(rng, n, max_k)
-    total_mi = sum(mutual_information(c.joint) for c in comps)
+    total_mi = sum(entropy_mi(c.joint) for c in comps)
     eps = float(rng.uniform(0.0, eps_frac * total_mi))
     return Problem(comps, users, eps)
 
@@ -72,7 +79,7 @@ def deterministic_problem(seed: int, eps_frac: float = 0.9) -> Problem:
     problem = Problem(comps, users, 0.0)
     mu = user_weight_mass(problem)
     target = int(np.argmax(mu))
-    cap = mutual_information(comps[target].joint)
+    cap = entropy_mi(comps[target].joint)
     eps = float(rng.uniform(0.0, eps_frac * cap))
     return Problem(comps, users, eps)
 

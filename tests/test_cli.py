@@ -305,6 +305,102 @@ class TestSweepCommand:
         assert len(calls) == 1
 
 
+# report fields that keep their value whatever the display units
+UNITLESS = {"mu", "gamma", "cardinality", "target"}
+
+
+def unit_pair(tmp_path, doc):
+    """Paths of ``doc`` written with log_display nats and with bits."""
+    return tuple(
+        write_problem(tmp_path, dict(doc, options=dict(doc["options"], log_display=units)), f"{units}.json")
+        for units in ("nats", "bits")
+    )
+
+
+def assert_bits_of(nats, bits, key=None):
+    """Every number of a bits report is its nats twin / ln 2, field by field;
+    UNITLESS fields, flags and labels are equal; keys keep their order."""
+    if isinstance(nats, dict):
+        assert list(bits) == list(nats)
+        for k in nats:
+            if k != "units":
+                assert_bits_of(nats[k], bits[k], k)
+    elif isinstance(nats, list):
+        assert len(bits) == len(nats), key
+        for a, b in zip(nats, bits):
+            assert_bits_of(a, b, key)
+    elif isinstance(nats, float) and key not in UNITLESS:
+        assert bits == pytest.approx(nats / LN2, rel=1e-12, abs=0.0), key
+    else:
+        assert bits == nats, key
+
+
+class TestDisplayUnits:
+    @pytest.mark.parametrize("doc, block", [
+        (noisy_doc(0.05), "beta"),                       # eps > 0
+        (noisy_doc(0.0), "perfect_privacy"),             # eps = 0
+        (copy_pair_doc(0.1), "deterministic_exact"),     # deterministic file
+        (copy_pair_doc(2.0), "trivial_value"),           # trivial regime
+    ])
+    def test_bounds(self, tmp_path, capsys, doc, block):
+        reports = []
+        for path in unit_pair(tmp_path, doc):
+            code, out, _ = run(capsys, ["bounds", path])
+            assert code == 0
+            reports.append(json.loads(out))
+        nats, bits = reports
+        assert (nats["units"], bits["units"]) == ("nats", "bits")
+        assert block in json.dumps(nats)
+        assert_bits_of(nats, bits)
+
+    @pytest.mark.parametrize("variant", ["frl", "esfrl"])
+    def test_mechanize_and_verify_decompose(self, tmp_path, capsys, variant):
+        reports, mech_files = {}, []
+        for units, path in zip(("nats", "bits"), unit_pair(tmp_path, noisy_doc(0.05))):
+            mech = tmp_path / f"{units}.mech.json"
+            code, out, _ = run(capsys, ["mechanize", path, "--out", str(mech), "--variant", variant])
+            assert code == 0
+            reports.setdefault("mechanize", []).append(json.loads(out))
+            mech_files.append(mech.read_text())
+            code, out, _ = run(capsys, ["verify", path, str(mech), "--decompose"])
+            assert code == 0
+            reports.setdefault("verify", []).append(json.loads(out))
+        # the mechanism file is stored in nats whatever the display units
+        assert mech_files[0] == mech_files[1]
+        for nats, bits in reports.values():
+            assert_bits_of(nats, bits)
+        assert {"allocation", "decompose", "refine"} <= set(reports["verify"][0])
+
+    def test_sweep(self, tmp_path, capsys):
+        tables = []
+        for units, path in zip(("nats", "bits"), unit_pair(tmp_path, noisy_doc())):
+            out_csv = tmp_path / f"{units}.csv"
+            code, _, _ = run(capsys, ["sweep", path, "--eps", "0:0.6:0.05", "--csv", str(out_csv)])
+            assert code == 0
+            with open(out_csv) as fh:
+                tables.append(list(csv.reader(fh)))
+        nats, bits = tables
+        assert bits[0] == nats[0]
+        assert len(bits) == len(nats) == 14
+        for a, b in zip(nats[1:], bits[1:]):
+            assert [float(v) for v in b] == pytest.approx([float(v) / LN2 for v in a], rel=1e-11)
+
+    @pytest.mark.parametrize("doc", [copy_pair_doc(0.1), noisy_doc(0.05), copy_pair_doc(2.0)])
+    def test_oracle_table(self, tmp_path, capsys, doc):
+        tables = []
+        for path in unit_pair(tmp_path, doc):
+            code, out, _ = run(capsys, ["oracle", path, "--restarts", "2", "--iters", "6"])
+            assert code == 0
+            tables.append(dict(line.split() for line in out.strip().splitlines()))
+        nats, bits = tables
+        assert list(bits) == list(nats)
+        for key in ("trivial", "ok"):
+            assert bits[key] == nats[key]
+        for key in set(nats) - {"trivial", "ok"}:
+            # the table's 12 significant digits of the nats value / ln 2
+            assert float(bits[key]) == pytest.approx(float(nats[key]) / LN2, rel=1e-11), key
+
+
 class TestRoundTrip:
     def test_parse_serialize_parse(self, tmp_path):
         doc = noisy_doc()

@@ -306,6 +306,15 @@ class TestSerialization:
         assert back.allocation.eps_per_component == mech.allocation.eps_per_component
         assert tuple(t.kind for t in back.tags) == tuple(t.kind for t in mech.tags)
 
+    def test_round_trip_in_memory(self):
+        # the document is JSON-typed: it parses back without a JSON pass
+        p = random_problem(3)
+        mech = M.compose_multiuser(p, B.allocate_epsilon(p, validate(p), "frl"))
+        doc = M.mechanism_to_dict(p, mech)
+        assert isinstance(doc["allocation"]["eps_per_component"], list)
+        back = M.mechanism_from_dict(doc, p)
+        assert back.allocation == mech.allocation
+
 
 def random_monolithic_kernel(rng, p: Problem, card_u: int) -> M.Kernel:
     nx = int(np.prod([c.card_x for c in p.components]))

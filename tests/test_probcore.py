@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import entropy_mi
 from privbound.errors import SizeCapError, ValidationError
 from privbound.probcore import (
     MASS_REJECT_TOL,
@@ -127,6 +130,30 @@ class TestMiBetween:
             mi_between(j, [0], [0])
         with pytest.raises(ValidationError):
             mi_between(j, [], [1])
+
+    def test_group_errors_name_the_group(self):
+        j = JointN((2, 2), np.full((2, 2), 0.25))
+        with pytest.raises(ValidationError, match="'group_a' must be nonempty"):
+            mi_between(j, [], [1])
+        with pytest.raises(ValidationError, match="'group_b' contains duplicates"):
+            mi_between(j, [0], [1, 1])
+        with pytest.raises(ValidationError, match="axis 2 out of range"):
+            mi_between(j, [0], [2])
+        with pytest.raises(ValidationError, match="axis groups overlap"):
+            mi_between(j, [0, 1], [1])
+
+    def test_interleaved_and_out_of_order_groups(self):
+        # groups that interleave, run against the joint's axis order and
+        # leave axes out, against H(A) + H(B) - H(A,B) of the (|A|, |B|)
+        # matrix laid out by hand
+        rng = np.random.default_rng(41)
+        t = rng.exponential(size=(2, 3, 2, 4, 3))
+        t[1, 2] = 0.0
+        t /= t.sum()
+        j = JointN(t.shape, t)
+        for a, b in [([3, 0], [4, 1]), ([2], [4, 0, 3]), ([4, 2, 0], [1]),
+                     ([1, 3], [0]), ([4, 3, 2, 1], [0])]:
+            assert mi_between(j, a, b) == pytest.approx(_hand_mi(t, a, b), rel=1e-12, abs=1e-14)
 
 
 class TestProductJoin:
@@ -273,3 +300,53 @@ class TestMarginalGroups:
                 marginal_entropy(j, axes)
             with pytest.raises(ValidationError):
                 j.marginal(axes)
+
+
+def _hand_mi(t: np.ndarray, a: list[int], b: list[int]) -> float:
+    """I(A;B) of axis groups of a mass tensor: drop the other axes, order
+    them a then b, flatten each group, and take the entropy reference."""
+    drop = tuple(ax for ax in range(t.ndim) if ax not in a + b)
+    kept = sorted(a + b)
+    m = np.transpose(t.sum(axis=drop), [kept.index(ax) for ax in a + b])
+    return entropy_mi(m.reshape(math.prod(t.shape[ax] for ax in a), -1))
+
+
+MI_CASES = settings(max_examples=80, deadline=None, derandomize=True)
+
+
+@st.composite
+def mass_tensors(draw, max_ndim: int = 4):
+    """A normalized mass tensor of 2..max_ndim axes of size 1..3, with
+    random zero cells (at least one cell stays positive)."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=max_ndim)))
+    size = math.prod(shape)
+    cells = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+    zeros = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    t = np.array([0.0 if z else c for c, z in zip(cells, zeros)]).reshape(shape)
+    t.flat[draw(st.integers(0, size - 1))] += 0.5
+    return t / t.sum()
+
+
+class TestMiProperties:
+    @MI_CASES
+    @given(t=mass_tensors(max_ndim=2))
+    def test_symmetric_nonnegative_and_bounded(self, t):
+        j = Joint2(t)
+        i = mutual_information(j)
+        assert i >= 0.0
+        assert i == pytest.approx(mutual_information(j.transpose()), abs=TOL)
+        assert i <= min(entropy(j.marginal_rows()), entropy(j.marginal_cols())) + TOL
+        assert i == pytest.approx(entropy_mi(t), rel=1e-12, abs=1e-14)
+
+    @MI_CASES
+    @given(t=mass_tensors(), data=st.data())
+    def test_groups_symmetric_and_nonnegative(self, t, data):
+        order = data.draw(st.permutations(range(t.ndim)))
+        cut = data.draw(st.integers(1, t.ndim - 1))
+        end = data.draw(st.integers(cut + 1, t.ndim))
+        a, b = list(order[:cut]), list(order[cut:end])
+        j = JointN(t.shape, t)
+        i = mi_between(j, a, b)
+        assert i >= 0.0
+        assert i == pytest.approx(mi_between(j, b, a), abs=TOL)
+        assert i == pytest.approx(_hand_mi(t, a, b), rel=1e-12, abs=1e-14)
