@@ -15,7 +15,8 @@ negative; it is reported raw, and only the combined lower bound is clamped
 at 0 (a constant release always achieves 0).
 
 The budget allocation that backs the mechanism constructions puts the whole
-budget on one argmax component, capped just below H(X_i) so the
+budget on the component with the largest slope of its variant (``VARIANTS``:
+mu_i for frl, mu_i gamma_i for esfrl), capped just below H(X_i) so the
 per-component randomized construction keeps its mixing weight eps_i/H(X_i)
 below 1; any capped-off remainder is reported as overflow, never silently
 redistributed.
@@ -44,6 +45,13 @@ from .model import Component, Problem, ProblemStats, validate
 
 CAP_MARGIN = 1e-12
 
+# allocation variant -> the slope of one component's objective in its budget
+# share; a component of slope -inf (H(X) = 0 for esfrl) never takes a share
+VARIANTS = {
+    "frl": lambda s: s.mu,
+    "esfrl": lambda s: s.mu * s.gamma if s.gamma is not None else -math.inf,
+}
+
 
 @dataclass(frozen=True)
 class Allocation:
@@ -60,6 +68,8 @@ class Allocation:
 
     def __post_init__(self) -> None:
         e = tuple(float(v) for v in self.eps_per_component)
+        if not all(map(math.isfinite, (*e, self.overflow))):
+            raise ValidationError(f"allocation has a non-finite share or overflow: {e}, {self.overflow}")
         if any(v < 0.0 for v in e):
             raise ValidationError(f"allocation has a negative share: {e}")
         object.__setattr__(self, "eps_per_component", e)
@@ -98,27 +108,22 @@ def _require_nontrivial(p: Problem, stats: ProblemStats, op: str) -> None:
 
 
 def allocate_epsilon(p: Problem, stats: ProblemStats, variant: str = "frl") -> Allocation:
-    """Put the whole budget on the component with the largest coefficient.
-
-    variant "frl":   argmax_i mu_i
-    variant "esfrl": argmax_i mu_i * gamma_i over components with H(X_i) > 0
+    """Put the whole budget on the component with the largest slope
+    ``VARIANTS[variant]``: mu_i for "frl", mu_i * gamma_i for "esfrl" (-inf,
+    so never chosen, where H(X_i) = 0).
 
     Ties break toward the lowest index. The chosen share is capped just
     below H(X_i) (the randomized release's validity range); the remainder
-    is reported as overflow.
+    is reported as overflow. A positive budget with every slope -inf raises
+    RegimeError.
     """
     _require_nontrivial(p, stats, "allocate_epsilon")
-    if variant == "frl":
-        coeff = [s.mu for s in stats]
-    elif variant == "esfrl":
-        coeff = [s.mu * s.gamma if s.gamma is not None else -math.inf for s in stats]
-        if all(c == -math.inf for c in coeff):
-            if p.epsilon > 0.0:
-                raise RegimeError("esfrl allocation impossible: every component has H(X) = 0")
-            coeff = [0.0 for _ in stats]
-    else:
+    if variant not in VARIANTS:
         raise ValidationError(f"unknown allocation variant {variant!r}")
-    target = int(np.argmax(coeff))  # argmax takes the first (lowest-index) maximizer
+    slopes = [VARIANTS[variant](s) for s in stats]
+    target = int(np.argmax(slopes))  # argmax takes the first (lowest-index) maximizer
+    if slopes[target] == -math.inf and p.epsilon > 0.0:
+        raise RegimeError(f"{variant} allocation impossible: every component has H(X) = 0")
     shares = [0.0] * len(stats)
     cap = max(0.0, stats[target].hX - CAP_MARGIN)
     shares[target] = min(p.epsilon, cap)
@@ -128,6 +133,18 @@ def allocate_epsilon(p: Problem, stats: ProblemStats, variant: str = "frl") -> A
         target=target,
         overflow=p.epsilon - shares[target],
     )
+
+
+def canonical_allocations(p: Problem, stats: ProblemStats) -> dict[str, Allocation]:
+    """``allocate_epsilon`` of every variant, in ``VARIANTS`` order; a
+    variant whose allocation fails is left out."""
+    allocs = {}
+    for variant in VARIANTS:
+        try:
+            allocs[variant] = allocate_epsilon(p, stats, variant)
+        except RegimeError:
+            continue
+    return allocs
 
 
 def upper_bound(p: Problem, stats: ProblemStats) -> float:
@@ -147,12 +164,6 @@ def lower_bound_frl(p: Problem, stats: ProblemStats) -> float:
     return p.epsilon * mu_max + sum(s.mu * (s.hY_given_X - s.hX_given_Y) for s in stats)
 
 
-def _esfrl_slope(stats: ProblemStats) -> float:
-    """max_i mu_i * gamma_i over components with H(X_i) > 0 (0 if none)."""
-    slopes = [s.mu * s.gamma for s in stats if s.gamma is not None]
-    return max(slopes) if slopes else 0.0
-
-
 def lower_bound_sfrl(p: Problem, stats: ProblemStats) -> float:
     """sum_i mu_i (H(Y_i|X_i) - (ln(I_i+1)+c)) + eps * max_i mu_i gamma_i.
 
@@ -160,7 +171,8 @@ def lower_bound_sfrl(p: Problem, stats: ProblemStats) -> float:
     """
     c = p.sfrl_constant
     base = sum(s.mu * (s.hY_given_X - (math.log(s.iXY + 1.0) + c)) for s in stats)
-    return base + p.epsilon * _esfrl_slope(stats)
+    slope = max(VARIANTS["esfrl"](s) for s in stats)
+    return base + (p.epsilon * slope if slope > -math.inf else 0.0)
 
 
 def esfrl_beta(p: Problem, stats: ProblemStats) -> tuple[float, ...]:
@@ -171,8 +183,8 @@ def esfrl_beta(p: Problem, stats: ProblemStats) -> tuple[float, ...]:
     mu_i * gamma_i, so that sum_i mu_i beta_i reproduces the sfrl lower
     bound identically.
     """
-    slopes = [s.mu * s.gamma if s.gamma is not None else -math.inf for s in stats]
-    target = int(np.argmax(slopes)) if any(v > -math.inf for v in slopes) else -1
+    slopes = [VARIANTS["esfrl"](s) for s in stats]
+    target = int(np.argmax(slopes)) if max(slopes) > -math.inf else -1
     c = p.sfrl_constant
     betas = []
     for i, s in enumerate(stats):

@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("mechanize", help="construct and save a composed mechanism")
     m.add_argument("file")
     m.add_argument("--out", required=True, help="output mechanism JSON path")
-    m.add_argument("--variant", choices=("frl", "esfrl"), default="frl")
+    m.add_argument("--variant", choices=tuple(bounds_mod.VARIANTS), default="frl")
     m.set_defaults(func=cmd_mechanize)
 
     v = sub.add_parser("verify", help="re-evaluate a saved mechanism against a problem")

@@ -29,6 +29,10 @@ fresh constant symbol otherwise. U = (refinement, W) then satisfies
     I(U;Y) >= H(Y|X) - H(X|Y) + eps,
     |U| <= (|X|(|Y|-1)+1) (|X|+1).
 
+Composition. A budget split gives each component its refinement where its
+share is 0 and the randomized release where it is positive. A
+``RefinementProfile`` builds the refinements once and composes any split.
+
 Index conventions
 -----------------
 
@@ -45,10 +49,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import probcore
-from .bounds import Allocation, allocate_epsilon
+from .bounds import VARIANTS, Allocation, canonical_allocations
 from .errors import (
     AlphabetMismatchError,
-    PrivboundError,
     SchemaError,
     ValidationError,
     is_number,
@@ -197,15 +200,9 @@ def frl_construct(c: Component) -> Kernel:
     return Kernel(_interval_refinement(c.cond_y_given_x()))
 
 
-def efrl_construct(c: Component, eps_i: float) -> Kernel:
-    """Refinement release augmented with a randomized release of X.
-
-    Requires 0 <= eps_i < H(X) (so the mixing weight a = eps_i/H(X) stays
-    below 1) and H(X) > 0 whenever eps_i > 0. The output leaks exactly
-    eps_i and still determines Y jointly with X. Symbols are pairs
-    (refinement symbol, w) with w in X's alphabet plus one constant symbol,
-    flattened as refinement * (|X|+1) + w.
-    """
+def _release(c: Component, table: np.ndarray, eps_i: float) -> np.ndarray:
+    """``efrl_construct`` on a refinement table (|X|, |Y|, |T|) of ``c``:
+    w = x with probability eps_i/H(X), else the constant symbol w = |X|."""
     eps_i = float(eps_i)
     if not math.isfinite(eps_i) or eps_i < 0.0:
         raise ValidationError(f"eps_i must be finite and >= 0, got {eps_i!r}")
@@ -215,17 +212,20 @@ def efrl_construct(c: Component, eps_i: float) -> Kernel:
             f"eps_i = {eps_i} is outside [0, H(X)) = [0, {h_x}) for component {c.name!r}"
         )
     alpha = eps_i / h_x if eps_i > 0.0 else 0.0
+    nx, ny, m = table.shape
+    probcore.check_size("randomized release", nx * ny * m * (nx + 1))
+    w = np.zeros((nx, nx + 1))  # P(w | x)
+    np.fill_diagonal(w, alpha)
+    w[:, nx] = 1.0 - alpha
+    return (table[..., None] * w[:, None, None, :]).reshape(nx, ny, -1)
 
-    base = frl_construct(c).table  # (nx, ny, m)
-    nx, ny, m = base.shape
-    nw = nx + 1  # X's alphabet plus the constant symbol
-    table = np.zeros((nx, ny, m * nw))
-    for x in range(nx):
-        w_probs = np.zeros(nw)
-        w_probs[x] = alpha
-        w_probs[nx] = 1.0 - alpha
-        table[x] = (base[x][:, :, None] * w_probs[None, None, :]).reshape(ny, m * nw)
-    return Kernel(table)
+
+def efrl_construct(c: Component, eps_i: float) -> Kernel:
+    """The refinement release augmented with a randomized release of X,
+    for 0 <= eps_i < H(X): it leaks exactly eps_i and still determines Y
+    jointly with X. Symbols are pairs (refinement symbol, w) with w in X's
+    alphabet plus one constant symbol, flattened as refinement * (|X|+1) + w."""
+    return Kernel(_release(c, frl_construct(c).table, eps_i))
 
 
 def identity_kernel(c: Component) -> Kernel:
@@ -255,24 +255,22 @@ def constant_mechanism(p: Problem) -> ComposedMechanism:
     )
 
 
+def _compose(p: Problem, refinements: tuple[Kernel, ...], alloc: Allocation | None) -> ComposedMechanism:
+    """Each component's refinement where its share is 0 (every share, when
+    ``alloc`` is None), its randomized release where the share is positive."""
+    shares = alloc.eps_per_component if alloc is not None else (0.0,) * p.n_components
+    if len(shares) != p.n_components:
+        raise AlphabetMismatchError(f"allocation has {len(shares)} shares for {p.n_components} components")
+    kernels = [Kernel(_release(c, k.table, e)) if e > 0.0 else k
+               for c, k, e in zip(p.components, refinements, shares)]
+    tags = [ConstructionTag("efrl", e) if e > 0.0 else ConstructionTag("frl") for e in shares]
+    return ComposedMechanism(tuple(kernels), tuple(tags), alloc)
+
+
 def compose_multiuser(p: Problem, alloc: Allocation) -> ComposedMechanism:
     """Per-component releases for a budget split: randomized release where
     the share is positive, plain refinement where it is zero."""
-    if len(alloc.eps_per_component) != p.n_components:
-        raise AlphabetMismatchError(
-            f"allocation has {len(alloc.eps_per_component)} shares for "
-            f"{p.n_components} components"
-        )
-    kernels = []
-    tags = []
-    for c, eps_i in zip(p.components, alloc.eps_per_component):
-        if eps_i > 0.0:
-            kernels.append(efrl_construct(c, eps_i))
-            tags.append(ConstructionTag("efrl", eps_i))
-        else:
-            kernels.append(frl_construct(c))
-            tags.append(ConstructionTag("frl", 0.0))
-    return ComposedMechanism(kernels=tuple(kernels), tags=tuple(tags), allocation=alloc)
+    return _compose(p, tuple(frl_construct(c) for c in p.components), alloc)
 
 
 # ---------------------------------------------------------------------------
@@ -323,75 +321,56 @@ def _user_objective(p: Problem, utils: list[float]) -> tuple[tuple[float, ...], 
 
 @dataclass(frozen=True)
 class RefinementProfile:
-    """What the canonical compositions of a problem depend on besides eps.
+    """Each component's refinement T_i = ``frl_construct(c_i)``, with
+    I(Y_i;T_i) and H(Y_i|T_i) measured on its joint.
 
-    Per component: the alphabet sizes |T_i| and |X_i|, and I(Y_i;T_i) and
-    H(Y_i|T_i), measured on the joint of the refinement T_i =
-    ``frl_construct(c_i)``. The randomized release U_i = (T_i, W_i) at share
-    eps_i > 0 has |U_i| = |T_i| (|X_i|+1), and W_i reveals X_i (and with
-    it Y_i given T_i, as H(Y_i|X_i,T_i) = 0) with probability eps_i/H(X_i),
-    independently of (X_i, Y_i, T_i), else nothing. So
-
-        I(Y_i;U_i) = I(Y_i;T_i) + (eps_i/H(X_i)) H(Y_i|T_i),
-
-    and a composition's objective is affine in the shares.
+    The randomized release U_i = (T_i, W_i) at share eps_i > 0 has |U_i| =
+    |T_i| (|X_i|+1), and W_i reveals X_i (and with it Y_i given T_i, as
+    H(Y_i|X_i,T_i) = 0) with probability eps_i/H(X_i), independently of
+    (X_i, Y_i, T_i), else nothing. So I(Y_i;U_i) = I(Y_i;T_i) +
+    (eps_i/H(X_i)) H(Y_i|T_i), and a composition's objective is affine in
+    the shares.
     """
 
-    card_t: tuple[int, ...]
-    card_x: tuple[int, ...]
+    refinements: tuple[Kernel, ...]
     i_yt: tuple[float, ...]
     h_y_given_t: tuple[float, ...]
 
-    def cardinality(self, alloc: Allocation) -> int:
-        """|U| of ``compose_multiuser(p, alloc)``."""
-        return math.prod(
-            t * (x + 1) if e > 0.0 else t
-            for t, x, e in zip(self.card_t, self.card_x, alloc.eps_per_component)
-        )
+    def compose(self, p: Problem, alloc: Allocation) -> ComposedMechanism:
+        """``compose_multiuser(p, alloc)``, on the stored refinements."""
+        return _compose(p, self.refinements, alloc)
 
-    def utilities(self, stats: ProblemStats, alloc: Allocation) -> list[float]:
-        """I(Y_i;U_i) of every component of ``compose_multiuser(p, alloc)``."""
-        return [
-            i + (e / s.hX) * h if e > 0.0 else i
-            for i, h, e, s in zip(self.i_yt, self.h_y_given_t, alloc.eps_per_component, stats)
-        ]
+    def cardinality(self, alloc: Allocation) -> int:
+        """|U| of ``compose(p, alloc)``."""
+        return math.prod(k.alphabet_u * (k.card_x + 1 if e > 0.0 else 1)
+                         for k, e in zip(self.refinements, alloc.eps_per_component))
+
+    def objective(self, p: Problem, stats: ProblemStats, alloc: Allocation) -> float:
+        """The objective of ``compose(p, alloc)``, with no kernel built."""
+        utils = [i + (e / s.hX) * h if e > 0.0 else i
+                 for i, h, e, s in zip(self.i_yt, self.h_y_given_t, alloc.eps_per_component, stats)]
+        return _user_objective(p, utils)[1]
 
 
 def refinement_profile(p: Problem) -> RefinementProfile:
     """Build each component's refinement once and measure it."""
-    card_t, i_yt, h_yt = [], [], []
-    for c in p.components:
-        k = frl_construct(c)
-        j = _component_joint(c, k)
-        card_t.append(k.alphabet_u)
-        i_yt.append(probcore.mi_between(j, [1], [2]))
-        h_yt.append(max(0.0, probcore.marginal_entropy(j, [1, 2]) - probcore.marginal_entropy(j, [2])))
+    refinements = tuple(frl_construct(c) for c in p.components)
+    joints = [_component_joint(c, k) for c, k in zip(p.components, refinements)]
     return RefinementProfile(
-        card_t=tuple(card_t),
-        card_x=tuple(c.card_x for c in p.components),
-        i_yt=tuple(i_yt),
-        h_y_given_t=tuple(h_yt),
+        refinements=refinements,
+        i_yt=tuple(probcore.mi_between(j, [1], [2]) for j in joints),
+        h_y_given_t=tuple(max(0.0, probcore.marginal_entropy(j, [1, 2]) - probcore.marginal_entropy(j, [2]))
+                          for j in joints),
     )
 
 
 def canonical_objective(p: Problem, stats: ProblemStats, profile: RefinementProfile) -> float:
-    """Best objective of the two canonical compositions at ``p.epsilon``.
-
-    The compositions are those of the ``frl`` and ``esfrl`` allocations; a
-    variant whose allocation fails is skipped. Read from the profile in
-    O(N), with no kernel built; equal, up to rounding, to evaluating
-    ``compose_multiuser(p, allocate_epsilon(p, stats, variant))``.
-    """
-    objs = []
-    for variant in ("frl", "esfrl"):
-        try:
-            alloc = allocate_epsilon(p, stats, variant)
-        except (PrivboundError, ValueError):
-            continue
-        objs.append(_user_objective(p, profile.utilities(stats, alloc))[1])
-    if not objs:
+    """Best objective of the compositions of ``canonical_allocations`` at
+    ``p.epsilon``, read from the profile with no kernel built."""
+    allocs = canonical_allocations(p, stats).values()
+    if not allocs:
         raise ValidationError("no canonical mechanism could be constructed")
-    return max(objs)
+    return max(profile.objective(p, stats, a) for a in allocs)
 
 
 def flat_joint_xy(p: Problem) -> np.ndarray:
@@ -419,8 +398,12 @@ def monolithic_joint(p: Problem, k: Kernel) -> JointN:
 
 def evaluate_monolithic(p: Problem, k: Kernel) -> MechanismReport:
     """Evaluate a kernel over the flattened joint via the full tensor."""
+    return _evaluate_joint(p, monolithic_joint(p, k))
+
+
+def _evaluate_joint(p: Problem, j: JointN) -> MechanismReport:
+    """Evaluate the ``monolithic_joint`` of a full-joint kernel."""
     n = p.n_components
-    j = monolithic_joint(p, k)
     x_axes = list(range(n))
     u_axis = [2 * n]
     leakage = probcore.mi_between(j, x_axes, u_axis)
@@ -435,7 +418,7 @@ def evaluate_monolithic(p: Problem, k: Kernel) -> MechanismReport:
         utilities=utilities,
         objective=objective,
         h_y_given_xu=float(resid),
-        cardinality=k.alphabet_u,
+        cardinality=j.axes[-1],
     )
 
 
@@ -612,7 +595,7 @@ def refine_transform(
         kernels.append(Kernel(star))
 
     mech = ComposedMechanism(tuple(kernels), tuple(ConstructionTag("refined") for _ in kernels))
-    report = evaluate_monolithic(p, m)
+    report = _evaluate_joint(p, j)
     refined = evaluate_composed(p, mech)
     slack = tuple(float(sum(stats[i].s1 for i in u.demands)) for u in p.users)
     checks = RefinementChecks(
@@ -683,6 +666,8 @@ def mechanism_from_dict(doc: dict, p: Problem) -> ComposedMechanism:
             raise SchemaError(f"{where}.kernel: expected a list of rows of numbers")
         kind = want(entry, "construction", str, where, "frl")
         eps = want(entry, "epsilon", float, where, 0.0)
+        if not math.isfinite(eps):
+            raise SchemaError(f"{where}.epsilon: expected a finite number")
         if (nx, ny) != (c.card_x, c.card_y):
             raise AlphabetMismatchError(
                 f"component {c.name!r}: mechanism is {nx}x{ny}, problem is "
@@ -700,10 +685,19 @@ def mechanism_from_dict(doc: dict, p: Problem) -> ComposedMechanism:
         shares = want(a, "eps_per_component", list, "allocation")
         if not all(map(is_number, shares)):
             raise SchemaError("allocation.eps_per_component: expected a list of numbers")
+        variant = want(a, "variant", str, "allocation", "frl")
+        if variant not in VARIANTS:
+            raise SchemaError(f"allocation.variant: must be one of {list(VARIANTS)}, got {variant!r}")
+        target = want(a, "target", int, "allocation", 0)
+        if len(shares) != p.n_components or not 0 <= target < p.n_components:
+            raise AlphabetMismatchError(
+                f"allocation has {len(shares)} shares and target {target}, "
+                f"problem has {p.n_components} components"
+            )
         alloc = Allocation(
             eps_per_component=tuple(float(v) for v in shares),
-            variant=want(a, "variant", str, "allocation", "frl"),
-            target=want(a, "target", int, "allocation", 0),
+            variant=variant,
+            target=target,
             overflow=want(a, "overflow", float, "allocation", 0.0),
         )
     return ComposedMechanism(kernels=tuple(kernels), tags=tuple(tags), allocation=alloc)

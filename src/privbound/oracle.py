@@ -26,15 +26,16 @@ the true optimum, never the optimum itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from . import mechanisms, probcore
-from .errors import AlphabetMismatchError, PrivboundError, SizeCapError, ValidationError
-from .mechanisms import ComposedMechanism, Kernel
+from .bounds import Allocation
+from .errors import AlphabetMismatchError, SizeCapError, ValidationError
+from .mechanisms import Kernel
 from .model import Problem, ProblemStats, trivial_optimum, validate
 from .probcore import _mi
 
@@ -166,13 +167,17 @@ class _Evaluator:
         self.x_offsets = np.repeat(np.arange(self.nx) * card_u, self.ny)
         self.y_offsets = np.tile(np.arange(self.ny) * card_u, self.nx)
 
+    # computed once for the structured starts: the canonical allocations,
+    # and each component's refinement (None when one is over the size cap)
     @cached_property
-    def stats(self) -> ProblemStats | None:
-        """``validate(p)`` for the budgeted structured starts, computed once;
-        None when the problem does not validate."""
+    def allocations(self) -> dict[str, Allocation]:
+        return bounds_mod.canonical_allocations(self.p, validate(self.p))
+
+    @cached_property
+    def refinements(self) -> tuple[Kernel, ...] | None:
         try:
-            return validate(self.p)
-        except (PrivboundError, ValueError):
+            return tuple(mechanisms.frl_construct(c) for c in self.p.components)
+        except SizeCapError:
             return None
 
     # -- marginals -------------------------------------------------------------
@@ -408,38 +413,30 @@ def _embed(kernel: Kernel, nx: int, ny: int, nu: int) -> np.ndarray | None:
 def _structured_table(ev: _Evaluator, p: Problem, restart: int) -> np.ndarray | None:
     """Deterministic structured starts for the first few restarts.
 
-    0: relabeling of Y (truncated if |U| < |Y|); 1: all-refinement
-    composition (zero leakage); 2 and 3: the two canonical budgeted
-    compositions, re-evaluated from scratch by the search. Starts that do
-    not fit the |U| cap fall back to seeded random kernels.
+    0: relabeling of Y (truncated if |U| < |Y|); 1: every component's
+    refinement (zero leakage); 2, 3, ...: the composition of each canonical
+    allocation, in ``bounds.VARIANTS`` order, re-evaluated from scratch by
+    the search. The compositions share one build of the refinements. Starts
+    that do not fit the |U| cap or the size cap fall back to seeded random
+    kernels.
     """
     nx, ny, nu = ev.nx, ev.ny, ev.card_u
     if restart == 0:
         t = np.zeros((nx, ny, nu))
         t[:, np.arange(ny), np.arange(ny) % nu] = 1.0
         return t
-    if restart == 1:
-        try:
-            frl = mechanisms.materialize_monolithic(
-                p, ComposedMechanism(
-                    kernels=tuple(mechanisms.frl_construct(c) for c in p.components),
-                    tags=tuple(mechanisms.ConstructionTag("frl") for _ in p.components),
-                )
-            )
-            return _embed(frl, nx, ny, nu)
-        except SizeCapError:
+    if restart > len(bounds_mod.VARIANTS) + 1 or ev.refinements is None:
+        return None
+    alloc = None  # restart 1: every share zero
+    if restart > 1:
+        alloc = ev.allocations.get(list(bounds_mod.VARIANTS)[restart - 2])
+        if alloc is None:
             return None
-    if restart in (2, 3):
-        if ev.stats is None:
-            return None
-        variant = "frl" if restart == 2 else "esfrl"
-        try:
-            alloc = bounds_mod.allocate_epsilon(p, ev.stats, variant)
-            mech = mechanisms.compose_multiuser(p, alloc)
-            return _embed(mechanisms.materialize_monolithic(p, mech), nx, ny, nu)
-        except (PrivboundError, ValueError):
-            return None
-    return None
+    try:
+        mech = mechanisms._compose(p, ev.refinements, alloc)
+        return _embed(mechanisms.materialize_monolithic(p, mech), nx, ny, nu)
+    except SizeCapError:
+        return None
 
 
 def _initial_tables(ev: _Evaluator, p: Problem, cfg: OracleConfig, restart: int) -> np.ndarray:
@@ -613,16 +610,9 @@ def _sandwich_config(
     if not stats.trivial:
         if profile is None:
             profile = mechanisms.refinement_profile(p)
-        for variant in ("frl", "esfrl"):
-            try:
-                alloc = bounds_mod.allocate_epsilon(p, stats, variant)
-            except (PrivboundError, ValueError):
-                continue
+        for alloc in bounds_mod.canonical_allocations(p, stats).values():
             card = max(card, min(profile.cardinality(alloc), WARM_CARD_CAP))
-    return OracleConfig(
-        card_u=card, restarts=base.restarts, iters=base.iters,
-        seed=base.seed, tolerance=base.tolerance,
-    )
+    return replace(base, card_u=card)
 
 
 def sandwich_check(p: Problem, cfg: OracleConfig | None = None) -> SandwichReport:

@@ -1,5 +1,6 @@
 """Closed-form bounds against direct evaluation and an integration oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from helpers import (
     xy_copy_component,
 )
 from privbound import bounds as B
-from privbound.errors import RegimeError
+from privbound.errors import RegimeError, ValidationError
 from privbound.model import Component, Problem, User, validate
 from privbound.probcore import Joint2
 
@@ -88,6 +89,28 @@ class TestAllocation:
         alloc = B.allocate_epsilon(p, validate(p), "esfrl")
         assert alloc.target == 1  # the H(X)=0 component is excluded
 
+    def test_canonical_allocations(self):
+        flat = Component("flat", Joint2(np.array([[0.5, 0.5]])))
+        p = Problem((flat, bsc_component(0.2, "d")), (User((0,), 3.0), User((1,), 1.0)), 0.05)
+        stats = validate(p)
+        allocs = B.canonical_allocations(p, stats)
+        assert list(allocs) == list(B.VARIANTS) == ["frl", "esfrl"]
+        for variant, alloc in allocs.items():
+            assert alloc == B.allocate_epsilon(p, stats, variant)
+        # every H(X) = 0: esfrl has no allocation at a positive budget
+        q = Problem((flat, flat), (User((0, 1), 1.0),), 0.05)
+        stats_q = dataclasses.replace(validate(q), trivial=False)
+        assert list(B.canonical_allocations(q, stats_q)) == ["frl"]
+        # the trivial regime has none
+        t = single_user(LN2, xy_copy_component())
+        assert B.canonical_allocations(t, validate(t)) == {}
+
+    @pytest.mark.parametrize("shares, overflow", [((math.nan, 0.0), 0.0), ((0.1, math.inf), 0.0),
+                                                  ((0.1, 0.0), math.inf), ((0.1, 0.0), math.nan)])
+    def test_non_finite_rejected(self, shares, overflow):
+        with pytest.raises(ValidationError, match="non-finite"):
+            B.Allocation(shares, "frl", 0, overflow)
+
 
 class TestUpperBound:
     def test_copy_pair(self):
@@ -132,6 +155,16 @@ class TestLowerBounds:
         gamma = 1.0 - s.hX_given_Y / s.hX + 4.0 / s.hX
         assert s.gamma == pytest.approx(gamma, abs=1e-12)
         assert B.lower_bound_sfrl(p, stats) == pytest.approx(s.hY - 4.0, abs=1e-12)
+
+    def test_sfrl_negative_slope(self):
+        # with c = -10 every mu*gamma is negative: the budget term takes the
+        # largest slope as it is, never one clamped at 0 (which gives 10.32)
+        p = Problem((bsc_component(0.2),), (User((0,), 1.0),), 0.1, sfrl_constant=-10.0)
+        stats = validate(p)
+        assert stats[0].mu * stats[0].gamma < 0.0
+        assert B.lower_bound_sfrl(p, stats) == pytest.approx(8.93468593792651, abs=1e-12)
+        total = sum(s.mu * b for s, b in zip(stats, B.esfrl_beta(p, stats)))
+        assert total == pytest.approx(8.93468593792651, abs=1e-12)
 
     def test_sfrl_zero_weights(self):
         p = single_user(0.1, xy_copy_component(), weight=0.0)

@@ -186,6 +186,41 @@ class TestMechanizeVerify:
         assert code == 2
         assert err.startswith("schema error:")
 
+    @pytest.mark.parametrize(
+        "mutate, code",
+        [
+            (lambda d: d["allocation"].update(eps_per_component=[math.nan, 0.0]), 3),
+            (lambda d: d["allocation"].update(overflow=math.inf), 3),
+            (lambda d: d["allocation"].update(target=7), 4),
+            (lambda d: d["allocation"].update(eps_per_component=[0.05]), 4),
+            (lambda d: d["allocation"].update(variant="bogus"), 2),
+            (lambda d: d["components"][0].update(epsilon=math.nan), 2),
+        ],
+        ids=["nan_share", "infinite_overflow", "target_out_of_range", "one_share", "unknown_variant",
+             "nan_component_epsilon"],
+    )
+    def test_corrupt_allocation_block(self, tmp_path, capsys, mutate, code):
+        # json writes and reads NaN and Infinity; verify must refuse them
+        path = write_problem(tmp_path, noisy_doc())
+        mech_path = tmp_path / "mech.json"
+        run(capsys, ["mechanize", path, "--out", str(mech_path)])
+        doc = json.loads(mech_path.read_text())
+        mutate(doc)
+        mech_path.write_text(json.dumps(doc))
+        got, out, _ = run(capsys, ["verify", path, str(mech_path)])
+        assert (got, out) == (code, "")
+
+    def test_release_over_cap_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the refinement fits the cap, the randomized release does not
+        rng = np.random.default_rng(61)
+        doc = copy_pair_doc(0.1)
+        doc["components"][0]["matrix"] = rng.dirichlet(np.ones(2 * 40)).reshape(2, 40).tolist()
+        path = write_problem(tmp_path, doc)
+        monkeypatch.setenv("PRIVBOUND_SIZE_CAP", "10000")
+        code, _, err = run(capsys, ["mechanize", path, "--out", str(tmp_path / "m.json")])
+        assert code == 3
+        assert "randomized release" in err
+
     def test_top_level_list_mechanism_exits_2(self, tmp_path, capsys):
         path = write_problem(tmp_path, noisy_doc())
         mech_path = tmp_path / "mech.json"

@@ -136,6 +136,42 @@ class TestEfrlConstruct:
         assert determinism_residual(c, k) <= 1e-10
 
 
+def efrl_loop(c: Component, eps_i: float) -> M.Kernel:
+    """Reference: the randomized release built one x at a time."""
+    h_x = pc.entropy(c.joint.marginal_rows())
+    alpha = eps_i / h_x if eps_i > 0.0 else 0.0
+    base = M.frl_construct(c).table
+    nx, ny, m = base.shape
+    nw = nx + 1
+    table = np.zeros((nx, ny, m * nw))
+    for x in range(nx):
+        w_probs = np.zeros(nw)
+        w_probs[x] = alpha
+        w_probs[nx] = 1.0 - alpha
+        table[x] = (base[x][:, :, None] * w_probs[None, None, :]).reshape(ny, m * nw)
+    return M.Kernel(table)
+
+
+class TestReleaseBroadcast:
+    def test_bitwise_equal_to_loop(self):
+        rng = np.random.default_rng(808)
+        for i in range(60):
+            c = random_component(rng, f"r{i}", max_card=4)
+            h_x = pc.entropy(c.joint.marginal_rows())
+            for eps in (0.0, 1e-6 * h_x, float(rng.uniform(0.0, h_x)), h_x - 2e-12):
+                got = M.efrl_construct(c, eps).table
+                assert np.array_equal(got, efrl_loop(c, eps).table), (i, eps)
+
+    def test_release_obeys_cap(self, monkeypatch):
+        # the refinement fits (2*40*79 = 6,320 entries), the release does not (x3)
+        rng = np.random.default_rng(61)
+        c = Component("wide", Joint2(rng.dirichlet(np.ones(2 * 40)).reshape(2, 40)))
+        monkeypatch.setenv("PRIVBOUND_SIZE_CAP", "10000")
+        assert M.frl_construct(c).table.size == 6320
+        with pytest.raises(SizeCapError, match="randomized release would have 18960 entries"):
+            M.efrl_construct(c, 0.1)
+
+
 class TestCompose:
     def test_zero_budget_composition_is_private(self):
         p = random_problem(12)
@@ -202,7 +238,13 @@ class TestRefinementProfile:
                 alloc = B.allocate_epsilon(p, stats, variant)
             except (PrivboundError, ValueError):
                 continue
-            assert profile.cardinality(alloc) == M.compose_multiuser(p, alloc).cardinality
+            built = M.compose_multiuser(p, alloc)
+            assert profile.cardinality(alloc) == built.cardinality
+            composed = profile.compose(p, alloc)
+            assert composed.tags == built.tags
+            assert composed.allocation == built.allocation == alloc
+            for a, b in zip(composed.kernels, built.kernels, strict=True):
+                assert np.array_equal(a.table, b.table)
 
     def test_matches_construction_on_random_problems(self):
         overflowed = 0
@@ -503,6 +545,19 @@ class TestRefineTransform:
         assert checks.user_utility_star[0] == pytest.approx(
             checks.user_utility_original[0], abs=1e-9
         )
+
+    def test_builds_the_monolithic_joint_once(self, monkeypatch):
+        rng = np.random.default_rng(2100)
+        p = two_binary_problem(4)
+        k = random_monolithic_kernel(rng, p, 3)
+        calls = []
+        real = M.monolithic_joint
+        monkeypatch.setattr(M, "monolithic_joint", lambda *a: calls.append(1) or real(*a))
+        _, checks = M.refine_transform(p, k)
+        assert len(calls) == 1
+        report = M.evaluate_monolithic(p, k)
+        assert checks.leakage_original == report.leakage
+        assert checks.user_utility_original == report.utilities
 
     def test_random_mechanisms(self):
         for seed in range(30):

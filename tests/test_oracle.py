@@ -90,6 +90,27 @@ class TestSizeCap:
         assert len(res.trace) == 2
         assert res.leakage_at_best <= p.epsilon + 1e-9
 
+    def test_release_starts_fall_back_under_cap(self, monkeypatch):
+        # the refinement fits a 10,000-entry cap (6,320 entries), the
+        # randomized release (18,960) does not: restarts 2 and 3 take seeded
+        # kernels, and the search still runs
+        rng = np.random.default_rng(61)
+        c = Component("wide", Joint2(rng.dirichlet(np.ones(2 * 40)).reshape(2, 40)))
+        p = single_user(0.1, c)
+        monkeypatch.setenv("PRIVBOUND_SIZE_CAP", "10000")
+        cfg = O.OracleConfig(card_u=4, restarts=4, iters=2, seed=0)
+        ev = O._Evaluator(p, cfg.card_u)
+        assert set(ev.allocations) == {"frl", "esfrl"}
+        assert ev.refinements is not None
+        for restart in (2, 3):
+            assert O._structured_table(ev, p, restart) is None
+            seeded = np.random.default_rng([cfg.seed, restart]).exponential(size=(2, 40, 4))
+            assert np.array_equal(O._initial_tables(ev, p, cfg, restart),
+                                  seeded / seeded.sum(axis=2, keepdims=True))
+        res = O.search(p, cfg)
+        assert len(res.trace) == 4
+        assert res.leakage_at_best <= p.epsilon + 1e-9
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed"):
             O.OracleConfig(seed=-1)
@@ -225,3 +246,14 @@ class TestSandwichConfig:
             calls.clear()
             O.sandwich_check(random_problem(seed), QUICK)
             assert len(calls) <= 2, seed
+
+    def test_refinements_built_at_most_twice(self, monkeypatch):
+        # once for the refinement profile, once for the search's structured starts
+        calls = []
+        real = M._interval_refinement
+        monkeypatch.setattr(M, "_interval_refinement", lambda *a, **k: calls.append(1) or real(*a, **k))
+        for seed in range(20):
+            p = random_problem(seed)
+            calls.clear()
+            O.sandwich_check(p, QUICK)
+            assert len(calls) <= 2 * p.n_components, seed
