@@ -153,11 +153,13 @@ def export_rev(rev: str, dest: str) -> str:
     return sha
 
 
-def run_worker(side: str, worker: str) -> dict:
+def run_worker(side: str, worker: str, script: str = __file__) -> dict:
+    """Run ``script --worker WORKER --side SIDE`` with BLAS at one thread
+    and return the JSON it prints."""
     env = dict(os.environ)
     for var in BLAS_VARS:
         env[var] = "1"
-    cmd = [sys.executable, os.path.abspath(__file__), "--worker", worker, "--side", side]
+    cmd = [sys.executable, os.path.abspath(script), "--worker", worker, "--side", side]
     proc = subprocess.run(cmd, check=True, capture_output=True, text=True, env=env)
     return json.loads(proc.stdout)
 

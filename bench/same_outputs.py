@@ -1,6 +1,6 @@
 """Check that a revision and this working tree give the same outputs.
 
-    python3 bench/same_outputs.py --before REV [--seed 301] [--criterion 200]
+    python3 bench/same_outputs.py --before REV
 
 The before side is the git revision REV, exported with ``git archive`` into
 a temporary directory; the after side is this checkout's working tree. Each
@@ -8,7 +8,7 @@ side runs in its own subprocess, on inputs taken from this checkout, with
 BLAS at one thread.
 
 - **CLI** (``privbound.cli.main`` in-process, in a scratch directory): on
-  each of the seed's benchmark problem files (``perfbench/inputs.py``), in
+  each of SEED's benchmark problem files (``perfbench/inputs.py``), in
   nats and in bits, ``bounds``; ``mechanize`` for each of VARIANTS, with
   the mechanism file it writes; ``verify`` on that file, with and without
   ``--decompose``; and ``sweep`` on the benchmark's grid, with its CSV.
@@ -16,8 +16,8 @@ BLAS at one thread.
   be equal; report numbers may differ by NUMBER_TOL (relative to their size
   where that exceeds 1).
 - **Search**: the sandwich check of every problem of both benchmark banks
-  at the seed, and of the first CRITERION problems of acceptance criterion
-  1 (``tests/helpers.py``). The search's trace, best objective, leakage,
+  at SEED, and of the CRITERION_SEEDS problems of acceptance criterion 1
+  (``tests/helpers.py``). The search's trace, best objective, leakage,
   best-kernel bytes and counters must be bitwise equal; the check's other
   numbers may differ by NUMBER_TOL.
 
@@ -33,15 +33,24 @@ import hashlib
 import io
 import json
 import os
-import subprocess
 import sys
 import tempfile
 
-from oracle import BLAS_VARS, ROOT, export_rev  # bench/oracle.py
+from oracle import (  # bench/oracle.py
+    BANKS,
+    COUNTERS,
+    CRITERION_SEEDS,
+    ROOT,
+    _bank,
+    _criterion_problems,
+    _import_side,
+    export_rev,
+    run_worker,
+)
 
+SEED = 301  # benchmark bank seed
 VARIANTS = ("frl", "esfrl")
 NUMBER_TOL = 1e-12
-COUNTERS = ("projections", "leakage_evals", "candidates", "accepted", "sweeps", "groups")
 SHOW = 10  # differences printed per part
 
 
@@ -69,14 +78,14 @@ def _cli(argv: list[str], written: str | None) -> dict:
     return {"exit": code, "stderr": err.getvalue(), "report": report, "file": text}
 
 
-def worker_cli(seed: int) -> dict:
+def worker_cli() -> dict:
     import inputs
 
     out = {}
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)  # relative paths: both sides print the same names
         for i in range(inputs.CLI_FILES):
-            regime, spec = inputs.cli_problem(seed, i)
+            regime, spec = inputs.cli_problem(SEED, i)
             grid, _ = inputs.sweep_spec(spec)
             for units in ("nats", "bits"):
                 doc = inputs.problem_document(spec)
@@ -114,39 +123,20 @@ def _search_record(report) -> dict:
     }
 
 
-def worker_search(seed: int, criterion: int) -> dict:
-    import inputs
-    from helpers import random_problem
-    from privbound import oracle
-
-    banks = {"sandwich_small": inputs.sandwich_problems(seed, False),
-             "sandwich_large": inputs.sandwich_problems(seed, True),
-             "criterion_1": [random_problem(s) for s in range(criterion)]}
+def worker_search(oracle) -> dict:
+    banks = {bank: _bank(SEED, large) for bank, large in BANKS.items()}
+    banks["criterion_1"] = _criterion_problems(CRITERION_SEEDS)
     return {f"{bank} {i}": _search_record(oracle.sandwich_check(p, oracle.OracleConfig(seed=0)))
             for bank, problems in banks.items() for i, p in enumerate(problems)}
 
 
 def worker_main(args: argparse.Namespace) -> None:
-    sys.path[:0] = [os.path.join(args.side, "src"), os.path.join(ROOT, "perfbench"),
-                    os.path.join(ROOT, "tests")]
-    if args.worker == "cli":
-        result = worker_cli(args.seed)
-    else:
-        result = worker_search(args.seed, args.criterion)
+    oracle = _import_side(os.path.join(args.side, "src"))
+    result = worker_cli() if args.worker == "cli" else worker_search(oracle)
     json.dump(result, sys.stdout)
 
 
 # -- coordinator ---------------------------------------------------------------------
-
-
-def run_worker(side: str, worker: str, args: argparse.Namespace) -> dict:
-    env = dict(os.environ)
-    for var in BLAS_VARS:
-        env[var] = "1"
-    cmd = [sys.executable, os.path.abspath(__file__), "--worker", worker, "--side", side,
-           "--seed", str(args.seed), "--criterion", str(args.criterion)]
-    proc = subprocess.run(cmd, check=True, capture_output=True, text=True, env=env)
-    return json.loads(proc.stdout)
 
 
 def _is_number(v) -> bool:
@@ -179,9 +169,6 @@ def differences(a, b, where: str = "", moved: list | None = None) -> list[str]:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--before")
-    ap.add_argument("--seed", type=int, default=301, help="benchmark bank seed (default 301)")
-    ap.add_argument("--criterion", type=int, default=200,
-                    help="criterion-1 problems whose searches are compared (default 200)")
     ap.add_argument("--worker", choices=("cli", "search"), help=argparse.SUPPRESS)
     ap.add_argument("--side", help=argparse.SUPPRESS)
     args = ap.parse_args()
@@ -194,10 +181,10 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         roots = {"before": os.path.join(tmp, "before"), "after": ROOT}
         sha = export_rev(args.before, roots["before"])
-        outputs = {part: {name: run_worker(root, part, args) for name, root in roots.items()}
+        outputs = {part: {name: run_worker(root, part, __file__) for name, root in roots.items()}
                    for part in ("cli", "search")}
 
-    print(f"before {sha[:12]}, after the working tree, seed {args.seed}")
+    print(f"before {sha[:12]}, after the working tree, seed {SEED}")
     failed = False
     for part, sides in outputs.items():
         before, after = sides["before"], sides["after"]

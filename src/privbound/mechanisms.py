@@ -336,8 +336,9 @@ class RefinementProfile:
     i_yt: tuple[float, ...]
     h_y_given_t: tuple[float, ...]
 
-    def compose(self, p: Problem, alloc: Allocation) -> ComposedMechanism:
-        """``compose_multiuser(p, alloc)``, on the stored refinements."""
+    def compose(self, p: Problem, alloc: Allocation | None) -> ComposedMechanism:
+        """``compose_multiuser(p, alloc)``, on the stored refinements (the
+        refinements themselves when ``alloc`` is None)."""
         return _compose(p, self.refinements, alloc)
 
     def cardinality(self, alloc: Allocation) -> int:

@@ -126,9 +126,10 @@ class _Evaluator:
     candidates, or the current kernels of a restart group.
     """
 
-    def __init__(self, p: Problem, card_u: int):
+    def __init__(self, p: Problem, card_u: int, profile: mechanisms.RefinementProfile | None = None):
         self.p = p
         self.card_u = card_u
+        self._profile = profile
         self.dims_x = tuple(c.card_x for c in p.components)
         self.dims_y = tuple(c.card_y for c in p.components)
         self.nx = int(np.prod(self.dims_x))
@@ -168,15 +169,18 @@ class _Evaluator:
         self.y_offsets = np.tile(np.arange(self.ny) * card_u, self.nx)
 
     # computed once for the structured starts: the canonical allocations,
-    # and each component's refinement (None when one is over the size cap)
+    # and the refinement profile (the one given, else built here; None when
+    # a refinement is over the size cap)
     @cached_property
     def allocations(self) -> dict[str, Allocation]:
         return bounds_mod.canonical_allocations(self.p, validate(self.p))
 
     @cached_property
-    def refinements(self) -> tuple[Kernel, ...] | None:
+    def profile(self) -> mechanisms.RefinementProfile | None:
+        if self._profile is not None:
+            return self._profile
         try:
-            return tuple(mechanisms.frl_construct(c) for c in self.p.components)
+            return mechanisms.refinement_profile(self.p)
         except SizeCapError:
             return None
 
@@ -416,7 +420,8 @@ def _structured_table(ev: _Evaluator, p: Problem, restart: int) -> np.ndarray | 
     0: relabeling of Y (truncated if |U| < |Y|); 1: every component's
     refinement (zero leakage); 2, 3, ...: the composition of each canonical
     allocation, in ``bounds.VARIANTS`` order, re-evaluated from scratch by
-    the search. The compositions share one build of the refinements. Starts
+    the search. Each is ``compose`` of the evaluator's refinement profile,
+    so they share one build of the refinements. Starts
     that do not fit the |U| cap or the size cap fall back to seeded random
     kernels.
     """
@@ -425,7 +430,7 @@ def _structured_table(ev: _Evaluator, p: Problem, restart: int) -> np.ndarray | 
         t = np.zeros((nx, ny, nu))
         t[:, np.arange(ny), np.arange(ny) % nu] = 1.0
         return t
-    if restart > len(bounds_mod.VARIANTS) + 1 or ev.refinements is None:
+    if restart > len(bounds_mod.VARIANTS) + 1 or ev.profile is None:
         return None
     alloc = None  # restart 1: every share zero
     if restart > 1:
@@ -433,7 +438,7 @@ def _structured_table(ev: _Evaluator, p: Problem, restart: int) -> np.ndarray | 
         if alloc is None:
             return None
     try:
-        mech = mechanisms._compose(p, ev.refinements, alloc)
+        mech = ev.profile.compose(p, alloc)
         return _embed(mechanisms.materialize_monolithic(p, mech), nx, ny, nu)
     except SizeCapError:
         return None
@@ -538,14 +543,20 @@ def default_card_u(p: Problem) -> int:
     return min(nx * (ny - 1) + 2, 16)
 
 
-def search(p: Problem, cfg: OracleConfig | None = None) -> OracleResult:
-    """Randomized-restart ascent; deterministic for a fixed (problem, cfg)."""
+def search(
+    p: Problem,
+    cfg: OracleConfig | None = None,
+    profile: mechanisms.RefinementProfile | None = None,
+) -> OracleResult:
+    """Randomized-restart ascent; deterministic for a fixed (problem, cfg).
+    The structured starts compose from ``profile`` (built on first use when
+    not given)."""
     if cfg is None:
         cfg = OracleConfig()
     if p.epsilon < 0.0:
         raise ValidationError(f"epsilon must be >= 0, got {p.epsilon}")
     card_u = cfg.card_u if cfg.card_u is not None else default_card_u(p)
-    ev = _Evaluator(p, card_u)
+    ev = _Evaluator(p, card_u, profile)
     group = max(1, GROUP_ENTRIES // (ev.nx * ev.ny * card_u))
     trace = []
     best: tuple[float, np.ndarray, float] | None = None
@@ -618,9 +629,10 @@ def _sandwich_config(
 def sandwich_check(p: Problem, cfg: OracleConfig | None = None) -> SandwichReport:
     """Compare lower bound, constructed mechanism, search, and upper bound."""
     stats = validate(p)
-    # one profile serves the warm-start cardinality and the mechanism objective
+    # one profile serves the warm-start cardinality, the search's structured
+    # starts and the mechanism objective
     profile = None if stats.trivial else mechanisms.refinement_profile(p)
-    result = search(p, _sandwich_config(p, stats, cfg, profile))
+    result = search(p, _sandwich_config(p, stats, cfg, profile), profile)
     if stats.trivial:
         value = trivial_optimum(p, stats)
         return SandwichReport(

@@ -101,7 +101,7 @@ class TestSizeCap:
         cfg = O.OracleConfig(card_u=4, restarts=4, iters=2, seed=0)
         ev = O._Evaluator(p, cfg.card_u)
         assert set(ev.allocations) == {"frl", "esfrl"}
-        assert ev.refinements is not None
+        assert ev.profile is not None
         for restart in (2, 3):
             assert O._structured_table(ev, p, restart) is None
             seeded = np.random.default_rng([cfg.seed, restart]).exponential(size=(2, 40, 4))
@@ -247,8 +247,8 @@ class TestSandwichConfig:
             O.sandwich_check(random_problem(seed), QUICK)
             assert len(calls) <= 2, seed
 
-    def test_refinements_built_at_most_twice(self, monkeypatch):
-        # once for the refinement profile, once for the search's structured starts
+    def test_refinements_built_once(self, monkeypatch):
+        # the check's refinement profile also serves the search's structured starts
         calls = []
         real = M._interval_refinement
         monkeypatch.setattr(M, "_interval_refinement", lambda *a, **k: calls.append(1) or real(*a, **k))
@@ -256,4 +256,12 @@ class TestSandwichConfig:
             p = random_problem(seed)
             calls.clear()
             O.sandwich_check(p, QUICK)
-            assert len(calls) <= 2 * p.n_components, seed
+            assert len(calls) == p.n_components, seed
+
+    def test_search_with_given_profile_is_unchanged(self):
+        for seed in range(6):
+            p = random_problem(seed)
+            a = O.search(p, QUICK)
+            b = O.search(p, QUICK, M.refinement_profile(p))
+            assert a.trace == b.trace, seed
+            assert np.array_equal(a.best_kernel.table, b.best_kernel.table), seed
