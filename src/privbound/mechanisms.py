@@ -337,8 +337,7 @@ class RefinementProfile:
     h_y_given_t: tuple[float, ...]
 
     def compose(self, p: Problem, alloc: Allocation | None) -> ComposedMechanism:
-        """``compose_multiuser(p, alloc)``, on the stored refinements (the
-        refinements themselves when ``alloc`` is None)."""
+        """``compose_multiuser(p, alloc)`` on the stored refinements (themselves if ``alloc`` is None)."""
         return _compose(p, self.refinements, alloc)
 
     def cardinality(self, alloc: Allocation) -> int:

@@ -35,7 +35,7 @@ from . import bounds as bounds_mod
 from . import mechanisms, probcore
 from .bounds import Allocation
 from .errors import AlphabetMismatchError, SizeCapError, ValidationError
-from .mechanisms import Kernel
+from .mechanisms import Kernel, RefinementProfile
 from .model import Problem, ProblemStats, trivial_optimum, validate
 from .probcore import _mi
 
@@ -126,7 +126,7 @@ class _Evaluator:
     candidates, or the current kernels of a restart group.
     """
 
-    def __init__(self, p: Problem, card_u: int, profile: mechanisms.RefinementProfile | None = None):
+    def __init__(self, p: Problem, card_u: int, profile: RefinementProfile | None = None):
         self.p = p
         self.card_u = card_u
         self._profile = profile
@@ -168,19 +168,16 @@ class _Evaluator:
         self.x_offsets = np.repeat(np.arange(self.nx) * card_u, self.ny)
         self.y_offsets = np.tile(np.arange(self.ny) * card_u, self.nx)
 
-    # computed once for the structured starts: the canonical allocations,
-    # and the refinement profile (the one given, else built here; None when
-    # a refinement is over the size cap)
+    # computed once for the structured starts: the canonical allocations, and
+    # the profile given, else one built here (None when over the size cap)
     @cached_property
     def allocations(self) -> dict[str, Allocation]:
         return bounds_mod.canonical_allocations(self.p, validate(self.p))
 
     @cached_property
-    def profile(self) -> mechanisms.RefinementProfile | None:
-        if self._profile is not None:
-            return self._profile
+    def profile(self) -> RefinementProfile | None:
         try:
-            return mechanisms.refinement_profile(self.p)
+            return self._profile or mechanisms.refinement_profile(self.p)
         except SizeCapError:
             return None
 
@@ -420,10 +417,9 @@ def _structured_table(ev: _Evaluator, p: Problem, restart: int) -> np.ndarray | 
     0: relabeling of Y (truncated if |U| < |Y|); 1: every component's
     refinement (zero leakage); 2, 3, ...: the composition of each canonical
     allocation, in ``bounds.VARIANTS`` order, re-evaluated from scratch by
-    the search. Each is ``compose`` of the evaluator's refinement profile,
-    so they share one build of the refinements. Starts
-    that do not fit the |U| cap or the size cap fall back to seeded random
-    kernels.
+    the search. Restarts 1-3 are ``compose`` on the evaluator's refinement
+    profile, so they share one build of the refinements. Starts that do not
+    fit the |U| cap or the size cap fall back to seeded random kernels.
     """
     nx, ny, nu = ev.nx, ev.ny, ev.card_u
     if restart == 0:
@@ -543,14 +539,10 @@ def default_card_u(p: Problem) -> int:
     return min(nx * (ny - 1) + 2, 16)
 
 
-def search(
-    p: Problem,
-    cfg: OracleConfig | None = None,
-    profile: mechanisms.RefinementProfile | None = None,
-) -> OracleResult:
+def search(p: Problem, cfg: OracleConfig | None = None,
+           profile: RefinementProfile | None = None) -> OracleResult:
     """Randomized-restart ascent; deterministic for a fixed (problem, cfg).
-    The structured starts compose from ``profile`` (built on first use when
-    not given)."""
+    The structured starts compose from ``profile``, built when not given."""
     if cfg is None:
         cfg = OracleConfig()
     if p.epsilon < 0.0:
@@ -609,7 +601,7 @@ def _sandwich_config(
     p: Problem,
     stats: ProblemStats,
     cfg: OracleConfig | None,
-    profile: mechanisms.RefinementProfile | None = None,
+    profile: RefinementProfile | None = None,
 ) -> OracleConfig:
     """Widen |U| (within reason) so the canonical mechanisms embed as warm
     starts; the size-aware iteration budget keeps runtime flat. Their
@@ -629,8 +621,7 @@ def _sandwich_config(
 def sandwich_check(p: Problem, cfg: OracleConfig | None = None) -> SandwichReport:
     """Compare lower bound, constructed mechanism, search, and upper bound."""
     stats = validate(p)
-    # one profile serves the warm-start cardinality, the search's structured
-    # starts and the mechanism objective
+    # one profile serves the warm-start |U|, the search's starts and the objective
     profile = None if stats.trivial else mechanisms.refinement_profile(p)
     result = search(p, _sandwich_config(p, stats, cfg, profile), profile)
     if stats.trivial:
