@@ -62,7 +62,7 @@ def _peak_rss_mb() -> float:
 
 
 def _decomposition_entries(p, k) -> int:
-    """Entries of the joint over (x's, y's, u, b's) that decompose_transform builds."""
+    """Entries of the joint over (x's, y's, u, b's) that decompose_transform's size cap counts."""
     dims_x = [c.card_x for c in p.components]
     bars = [math.prod(dims_x[:i]) * k.alphabet_u for i in range(len(dims_x))]
     return k.table.size * math.prod(bars)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -54,6 +55,9 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_INVARIANT = 3
 EXIT_ALPHABET = 4
+
+# how far a measured leakage may sit from the budget share it was built for
+LEAKAGE_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +312,7 @@ def cmd_mechanize(args: argparse.Namespace) -> int:
     alloc = bounds_mod.allocate_epsilon(p, stats, args.variant)
     mech = mechanisms.compose_multiuser(p, alloc)
     rep = mechanisms.evaluate_composed(p, mech)
-    if abs(rep.leakage - alloc.total) > 1e-9:
+    if abs(rep.leakage - alloc.total) > LEAKAGE_TOL:
         raise PrivboundError(
             f"constructed leakage {rep.leakage} deviates from allocated {alloc.total}"
         )
@@ -329,7 +333,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as e:
         raise SchemaError(f"mechanism file: invalid JSON at line {e.lineno}: {e.msg}")
     mech = mechanisms.mechanism_from_dict(mdoc, p)
-    doc = mechanism_report(mechanisms.evaluate_composed(p, mech), mech.allocation, options)
+    rep = mechanisms.evaluate_composed(p, mech)
+    if mech.allocation is not None:
+        shares = mech.allocation.eps_per_component
+        for c, share, leak in zip(p.components, shares, rep.per_component_leakage):
+            if abs(share - leak) > LEAKAGE_TOL:
+                raise PrivboundError(
+                    f"component {c.name!r}: allocated share {share} deviates from "
+                    f"its measured leakage {leak}"
+                )
+    doc = mechanism_report(rep, mech.allocation, options)
     if args.decompose:
         mono = mechanisms.materialize_monolithic(p, mech)
         _, dchecks = mechanisms.decompose_transform(p, mono)
@@ -419,7 +432,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process. ``main`` runs the
+    ``cmd_<command>`` it names, looked up at call time."""
     parser = argparse.ArgumentParser(
         prog="privbound",
         description="Bounds, mechanisms and search for budgeted multi-user disclosure",
@@ -428,19 +444,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bounds", help="compute the bounds report for a problem file")
     b.add_argument("file")
-    b.set_defaults(func=cmd_bounds)
 
     m = sub.add_parser("mechanize", help="construct and save a composed mechanism")
     m.add_argument("file")
     m.add_argument("--out", required=True, help="output mechanism JSON path")
     m.add_argument("--variant", choices=tuple(bounds_mod.VARIANTS), default="frl")
-    m.set_defaults(func=cmd_mechanize)
 
     v = sub.add_parser("verify", help="re-evaluate a saved mechanism against a problem")
     v.add_argument("file")
     v.add_argument("mechanism")
     v.add_argument("--decompose", action="store_true", help="run the decomposition checks")
-    v.set_defaults(func=cmd_verify)
 
     o = sub.add_parser("oracle", help="search for a good mechanism and print the sandwich table")
     o.add_argument("file")
@@ -448,21 +461,18 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--restarts", type=int, default=6)
     o.add_argument("--iters", type=int, default=48)
     o.add_argument("--card-u", dest="card_u", type=int, default=None)
-    o.set_defaults(func=cmd_oracle)
 
     s = sub.add_parser("sweep", help="evaluate bounds over an epsilon grid into a CSV")
     s.add_argument("file")
     s.add_argument("--eps", required=True, help="grid as from:to:step")
     s.add_argument("--csv", required=True, help="output CSV path")
-    s.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except SchemaError as e:
         sys.stderr.write(f"schema error: {e}\n")
         return EXIT_SCHEMA

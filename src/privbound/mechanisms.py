@@ -105,11 +105,14 @@ class Kernel:
         return self.table.shape[2]
 
 
+CONSTRUCTION_KINDS = ("frl", "efrl", "identity", "constant", "refined")
+
+
 @dataclass(frozen=True)
 class ConstructionTag:
     """How a per-component kernel was built (and with which budget share)."""
 
-    kind: str  # frl | efrl | identity | constant | refined
+    kind: str  # one of CONSTRUCTION_KINDS
     eps: float = 0.0
 
 
@@ -505,20 +508,6 @@ def _bar_kernels(p: Problem, joint_xyu: JointN) -> BarMechanism:
     return BarMechanism(kernels=tuple(kernels), alphabets=tuple(alphabets))
 
 
-def _joint_with_bars(p: Problem, joint_xyu: JointN, bar: BarMechanism) -> JointN:
-    """Joint over (x's, y's, u, b_1..b_N): bars drawn independently given x_i."""
-    n = p.n_components
-    t = joint_xyu.table
-    axes = list(joint_xyu.axes)
-    probcore.check_size("decomposition joint", t.size * math.prod(bar.alphabets))
-    for i, mat in enumerate(bar.kernels):
-        shape = [1] * t.ndim + [mat.shape[1]]
-        shape[i] = mat.shape[0]
-        t = t[..., None] * mat.reshape(shape)
-        axes.append(mat.shape[1])
-    return JointN(tuple(axes), t)
-
-
 def decompose_transform(p: Problem, m: Kernel) -> tuple[BarMechanism, DecompositionChecks]:
     """Replace a full-joint release by per-component surrogates.
 
@@ -526,28 +515,49 @@ def decompose_transform(p: Problem, m: Kernel) -> tuple[BarMechanism, Decomposit
     (X_1..X_{i-1}, U) given X_i. Verified and reported: the surrogates leak
     exactly as much as the original, B - X - (Y, U) is a Markov chain, and
     the triples (B_i, X_i, Y_i) are mutually independent across components.
+
+    The decomposition joint over (x's, y's, u, b's) is evaluated one x at a
+    time and never held whole: each block j(x, y's, u) K_1(x_1, .) ...
+    K_N(x_N, .) gives its mass, its sum of p ln p, and its slices of the
+    two marginals every check reads, ``xyb`` (u summed out) and ``xyu``
+    (the b's summed out). The largest arrays are ``xyb``, |X||Y| prod |B_i|
+    entries, and one block. The size cap still counts the whole joint, as
+    its cells are all computed.
     """
     n = p.n_components
     j = monolithic_joint(p, m)
     bar = _bar_kernels(p, j)
-    big = _joint_with_bars(p, j, bar)
+    probcore.check_size("decomposition joint", j.table.size * math.prod(bar.alphabets))
+
+    # the cleaning JointN applies to a whole table, block by block: cells
+    # below the floor are zeroed before any sum, and the total is checked
+    # (with JointN's own message)
+    xyb = np.empty(j.axes[:-1] + bar.alphabets)
+    xyu = np.empty(j.axes)
+    total = h_raw = 0.0
+    for xs in np.ndindex(*j.axes[:n]):
+        blk = j.table[xs]
+        for mat, xi in zip(bar.kernels, xs):
+            blk = blk[..., None] * mat[xi]
+        if blk.min() < probcore.ZERO_FLOOR:
+            np.copyto(blk, 0.0, where=blk < probcore.ZERO_FLOOR)
+        h_raw += probcore._entropy_raw(blk)
+        blk.sum(axis=n, out=xyb[xs])
+        total += float(blk.sum(axis=tuple(range(n + 1, 2 * n + 1)), out=xyu[xs]).sum())
+    probcore._check_total(total, "JointN.table")
+    # H of the renormalized joint p / T: -sum (p/T) ln (p/T) = h_raw / T + ln T
+    h_all = h_raw / total + math.log(total)
+    xyb = JointN(xyb.shape, xyb)
+    xyu = JointN(xyu.shape, xyu)
 
     x_axes = list(range(n))
-    y_axes = list(range(n, 2 * n))
     u_axis = 2 * n
-    b_axes = list(range(2 * n + 1, 2 * n + 1 + n))
-
-    # every check reads two sums over the decomposition joint: one over u,
-    # one over the b axes; in ``xyb`` the b axes become 2n..3n-1
-    h_all = probcore.joint_entropy(big)
-    xyb = big.marginal(x_axes + y_axes + b_axes)
-    xyu = big.marginal(x_axes + y_axes + [u_axis])
-    b_in_xyb = [a - 1 for a in b_axes]
+    b_axes = list(range(2 * n, 3 * n))  # in ``xyb``
 
     leak_u = probcore.mi_between(xyu, x_axes, [u_axis])
-    leak_b = probcore.mi_between(xyb, x_axes, b_in_xyb)
+    leak_b = probcore.mi_between(xyb, x_axes, b_axes)
     # I(B; Y,U | X) = H(X,B) + H(X,Y,U) - H(X,Y,U,B) - H(X)
-    markov = (probcore.marginal_entropy(xyb, x_axes + b_in_xyb) + probcore.joint_entropy(xyu)
+    markov = (probcore.marginal_entropy(xyb, x_axes + b_axes) + probcore.joint_entropy(xyu)
               - h_all - probcore.marginal_entropy(xyu, x_axes))
     # total correlation across the N triples (x_i, y_i, b_i)
     h_parts = sum(probcore.marginal_entropy(xyb, [i, n + i, 2 * n + i]) for i in range(n))
@@ -665,6 +675,10 @@ def mechanism_from_dict(doc: dict, p: Problem) -> ComposedMechanism:
         if not all(isinstance(r, list) and all(map(is_number, r)) for r in rows):
             raise SchemaError(f"{where}.kernel: expected a list of rows of numbers")
         kind = want(entry, "construction", str, where, "frl")
+        if kind not in CONSTRUCTION_KINDS:
+            raise SchemaError(
+                f"{where}.construction: must be one of {list(CONSTRUCTION_KINDS)}, got {kind!r}"
+            )
         eps = want(entry, "epsilon", float, where, 0.0)
         if not math.isfinite(eps):
             raise SchemaError(f"{where}.epsilon: expected a finite number")

@@ -56,6 +56,14 @@ def check_size(what: str, total: int) -> None:
         raise SizeCapError(f"{what} would have {total} entries (cap {cap})")
 
 
+def _check_total(total: float, what: str) -> None:
+    """Reject a total mass that is non-finite or off 1 by more than ``MASS_REJECT_TOL``."""
+    if not math.isfinite(total):
+        raise ValidationError(f"{what} contains non-finite entries")
+    if abs(total - 1.0) > MASS_REJECT_TOL:
+        raise ValidationError(f"{what} mass {total!r} deviates from 1 by more than {MASS_REJECT_TOL}")
+
+
 def _clean_mass(arr: np.ndarray, what: str) -> np.ndarray:
     """Validate a non-negative mass array and renormalize it to total 1."""
     a = np.array(arr, dtype=float)
@@ -69,8 +77,7 @@ def _clean_mass(arr: np.ndarray, what: str) -> np.ndarray:
     if lo < ZERO_FLOOR:
         np.copyto(a, 0.0, where=a < ZERO_FLOOR)
     total = float(a.sum())
-    if abs(total - 1.0) > MASS_REJECT_TOL:
-        raise ValidationError(f"{what} mass {total!r} deviates from 1 by more than {MASS_REJECT_TOL}")
+    _check_total(total, what)
     a /= total
     a.setflags(write=False)
     return a

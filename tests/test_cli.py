@@ -1,5 +1,6 @@
 """Command surface: parsing, exit codes, reports, mechanisms, sweeps."""
 
+import argparse
 import csv
 import json
 import math
@@ -195,9 +196,11 @@ class TestMechanizeVerify:
             (lambda d: d["allocation"].update(eps_per_component=[0.05]), 4),
             (lambda d: d["allocation"].update(variant="bogus"), 2),
             (lambda d: d["components"][0].update(epsilon=math.nan), 2),
+            (lambda d: d["components"][0].update(construction="bogus"), 2),
+            (lambda d: d["allocation"].update(eps_per_component=[0.0, 0.04]), 3),
         ],
         ids=["nan_share", "infinite_overflow", "target_out_of_range", "one_share", "unknown_variant",
-             "nan_component_epsilon"],
+             "nan_component_epsilon", "unknown_construction", "share_off_measured_leakage"],
     )
     def test_corrupt_allocation_block(self, tmp_path, capsys, mutate, code):
         # json writes and reads NaN and Infinity; verify must refuse them
@@ -221,6 +224,18 @@ class TestMechanizeVerify:
         assert code == 3
         assert "randomized release" in err
 
+    def test_decomposition_over_cap_exits_3(self, tmp_path, capsys, monkeypatch):
+        path = write_problem(tmp_path, noisy_doc())
+        mech_path = str(tmp_path / "mech.json")
+        run(capsys, ["mechanize", path, "--out", mech_path])
+        with open(mech_path, encoding="utf-8") as fh:
+            card_u = math.prod(c["card_u"] for c in json.load(fh)["components"])
+        # the cap admits the 4 x 4 x |U| monolithic joint, not the decomposition joint
+        monkeypatch.setenv("PRIVBOUND_SIZE_CAP", str(16 * card_u))
+        code, out, err = run(capsys, ["verify", path, mech_path, "--decompose"])
+        assert (code, out) == (3, "")
+        assert "decomposition joint" in err
+
     def test_top_level_list_mechanism_exits_2(self, tmp_path, capsys):
         path = write_problem(tmp_path, noisy_doc())
         mech_path = tmp_path / "mech.json"
@@ -228,6 +243,30 @@ class TestMechanizeVerify:
         code, _, err = run(capsys, ["verify", path, str(mech_path)])
         assert code == 2
         assert "JSON object" in err
+
+
+class TestParser:
+    def test_built_once_per_process(self, tmp_path, capsys, monkeypatch):
+        path = write_problem(tmp_path, copy_pair_doc())
+        cli.build_parser.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+        assert run(capsys, ["bounds", path])[0] == 0
+        first = len(built)
+        assert run(capsys, ["bounds", path])[0] == 0
+        assert first > 0 and len(built) == first
+
+    def test_runs_the_command_bound_at_call_time(self, tmp_path, capsys, monkeypatch):
+        # a cached parser must not keep the command functions it saw when it
+        # was built: callers (and tracers) may swap ``cli.cmd_*`` later
+        path = write_problem(tmp_path, copy_pair_doc())
+        assert run(capsys, ["bounds", path])[0] == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_bounds", lambda args: seen.append(args.file) or 0)
+        assert run(capsys, ["bounds", path]) == (0, "", "")
+        assert seen == [path]
 
 
 class TestOracleCommand:

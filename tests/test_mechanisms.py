@@ -4,6 +4,7 @@ evaluation paths, and the decomposition transforms."""
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -409,12 +410,24 @@ class TestDecomposeTransform:
             assert checks.independence_residual <= 1e-9
 
 
+def bar_products(joint_xyu: pc.JointN, bar: M.BarMechanism) -> np.ndarray:
+    """The cells of the decomposition joint over (x's, y's, u, b_1..b_N),
+    before cleaning: bars drawn independently given x_i."""
+    t = joint_xyu.table
+    for i, mat in enumerate(bar.kernels):
+        shape = [1] * t.ndim + [mat.shape[1]]
+        shape[i] = mat.shape[0]
+        t = t[..., None] * mat.reshape(shape)
+    return t
+
+
 def reference_decomposition_checks(p: Problem, k: M.Kernel) -> tuple[float, ...]:
     # every entropy read from a validated JointN.marginal table of the full
     # decomposition joint, with the axes in the order each quantity names them
     n = p.n_components
     j = M.monolithic_joint(p, k)
-    big = M._joint_with_bars(p, j, M._bar_kernels(p, j))
+    cells = bar_products(j, M._bar_kernels(p, j))
+    big = pc.JointN(cells.shape, cells)
     x, y, u = list(range(n)), list(range(n, 2 * n)), [2 * n]
     b = list(range(2 * n + 1, 3 * n + 1))
 
@@ -438,6 +451,7 @@ class TestDecomposeReference:
             (((2, 3), (3, 2)), 6),
             (((3, 3), (3, 3)), 8),
             (((2, 3), (2, 3), (2, 3)), 4),  # 4.4e5-entry decomposition joint
+            (((3, 2), (2, 3), (2, 2)), 3),  # mixed |X|: bars of 3, 9 and 18 symbols
         ],
     )
     def test_checks_match_full_marginals(self, shapes, card_u):
@@ -455,6 +469,56 @@ class TestDecomposeReference:
         assert want[0] > 1e-3  # a kernel that leaks, so the checks are not all zero
         for g, w in zip(got, want):
             assert g == pytest.approx(w, abs=1e-12)
+
+
+    def test_checks_match_on_mechanized_kernel(self):
+        # a skewed copy pair (H(X) = 0.135) beside a dense 3x3 component, its
+        # budget overflowing the pair: the decomposition joint has exact zeros
+        # and cells below ZERO_FLOOR, zeroed before any sum, and its mass
+        # then falls short of 1 by 1e-12, so H(all) must be renormalized
+        rng = np.random.default_rng(3)
+        skew = Component("skew", Joint2(np.array([[0.03, 0.0], [0.0, 0.97]])))
+        dense = Component("dense", Joint2(rng.dirichlet(np.ones(9)).reshape(3, 3)))
+        p = Problem((skew, dense), (User((0,), 2.0), User((1,), 1.0)), 0.4)
+        alloc = B.allocate_epsilon(p, validate(p), "frl")
+        k = M.materialize_monolithic(p, M.compose_multiuser(p, alloc))
+        j = M.monolithic_joint(p, k)
+        cells = bar_products(j, M._bar_kernels(p, j))
+        assert (cells == 0.0).any() and ((cells > 0.0) & (cells < pc.ZERO_FLOOR)).any()
+        _, checks = M.decompose_transform(p, k)
+        got = (checks.leakage_original, checks.leakage_bar, checks.markov_residual,
+               checks.independence_residual)
+        for g, w in zip(got, reference_decomposition_checks(p, k)):
+            assert g == pytest.approx(w, abs=1e-12)
+
+
+class TestDecomposeMemory:
+    def test_peak_below_half_the_joint(self):
+        # three 2x3 components at |U| = 8: a 7.1e6-entry decomposition joint
+        rng = np.random.default_rng(77)
+        comps = tuple(Component(f"c{i}", Joint2(rng.dirichlet(np.ones(6)).reshape(2, 3)))
+                      for i in range(3))
+        p = Problem(comps, (User((0,), 1.0), User((0, 1, 2), 0.5)), 0.05)
+        k = random_monolithic_kernel(rng, p, 8)
+        bars = (8, 2 * 8, 4 * 8)  # |B_i| = |X_1|..|X_{i-1}| |U|
+        joint_bytes = 8 * k.table.size * math.prod(bars)
+        tracemalloc.start()
+        try:
+            bar, _ = M.decompose_transform(p, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bar.alphabets == bars
+        assert peak < joint_bytes / 2
+
+    def test_decomposition_joint_obeys_cap(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        p = two_binary_problem(5)
+        k = random_monolithic_kernel(rng, p, 3)
+        monkeypatch.setenv("PRIVBOUND_SIZE_CAP", str(k.table.size))
+        M.monolithic_joint(p, k)  # the cap admits the monolithic joint
+        with pytest.raises(SizeCapError, match="decomposition joint"):
+            M.decompose_transform(p, k)
 
 
 def interval_refinement_loop(cond, active_rows=None):
