@@ -186,15 +186,20 @@ def problem_to_dict(p: Problem, options: dict | None = None) -> dict:
     return doc
 
 
-def load_problem(path: str) -> tuple[Problem, dict]:
+def _load_json(path: str, what: str) -> Any:
+    """The JSON document in ``path``; SchemaError naming the ``what`` file
+    and its path when it is missing or not valid JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        raise SchemaError(f"problem file {path!r} not found")
+        raise SchemaError(f"{what} file {path!r} not found")
     except json.JSONDecodeError as e:
-        raise SchemaError(f"problem file {path!r}: invalid JSON at line {e.lineno}: {e.msg}")
-    return parse_problem(doc)
+        raise SchemaError(f"{what} file {path!r}: invalid JSON at line {e.lineno}: {e.msg}")
+
+
+def load_problem(path: str) -> tuple[Problem, dict]:
+    return parse_problem(_load_json(path, "problem"))
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +330,7 @@ def cmd_mechanize(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     p, options = load_problem(args.file)
-    try:
-        with open(args.mechanism, "r", encoding="utf-8") as fh:
-            mdoc = json.load(fh)
-    except FileNotFoundError:
-        raise SchemaError(f"mechanism file {args.mechanism!r} not found")
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"mechanism file: invalid JSON at line {e.lineno}: {e.msg}")
-    mech = mechanisms.mechanism_from_dict(mdoc, p)
+    mech = mechanisms.mechanism_from_dict(_load_json(args.mechanism, "mechanism"), p)
     rep = mechanisms.evaluate_composed(p, mech)
     if mech.allocation is not None:
         shares = mech.allocation.eps_per_component
@@ -416,7 +414,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if profile is None:
             profile = mechanisms.refinement_profile(p)
         rep = bounds_mod.compute_bounds(pe, stats)
-        mech_obj = mechanisms.canonical_objective(pe, stats, profile)
+        allocs = bounds_mod.canonical_allocations(pe, stats)
+        mech_obj = mechanisms.canonical_objective(pe, stats, profile, allocs)
         rows.append((eps, rep.upper, rep.lower_frl, rep.lower_sfrl, rep.lower, mech_obj))
     with open(args.csv, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -49,7 +49,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import probcore
-from .bounds import VARIANTS, Allocation, canonical_allocations
+from .bounds import VARIANTS, Allocation
 from .errors import (
     AlphabetMismatchError,
     SchemaError,
@@ -367,13 +367,14 @@ def refinement_profile(p: Problem) -> RefinementProfile:
     )
 
 
-def canonical_objective(p: Problem, stats: ProblemStats, profile: RefinementProfile) -> float:
-    """Best objective of the compositions of ``canonical_allocations`` at
-    ``p.epsilon``, read from the profile with no kernel built."""
-    allocs = canonical_allocations(p, stats).values()
+def canonical_objective(p: Problem, stats: ProblemStats, profile: RefinementProfile,
+                        allocs: dict[str, Allocation]) -> float:
+    """Best objective of the compositions of ``allocs`` (the caller's
+    ``canonical_allocations(p, stats)``), read from the profile with no
+    kernel built."""
     if not allocs:
         raise ValidationError("no canonical mechanism could be constructed")
-    return max(profile.objective(p, stats, a) for a in allocs)
+    return max(profile.objective(p, stats, a) for a in allocs.values())
 
 
 def flat_joint_xy(p: Problem) -> np.ndarray:

@@ -142,10 +142,6 @@ class Problem:
     def n_components(self) -> int:
         return len(self.components)
 
-    @property
-    def n_users(self) -> int:
-        return len(self.users)
-
 
 @dataclass(frozen=True)
 class ComponentStats:

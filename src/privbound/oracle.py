@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -35,13 +34,14 @@ from . import bounds as bounds_mod
 from . import mechanisms, probcore
 from .bounds import Allocation
 from .errors import AlphabetMismatchError, SizeCapError, ValidationError
-from .mechanisms import Kernel, RefinementProfile
-from .model import Problem, ProblemStats, trivial_optimum, validate
+from .mechanisms import ComposedMechanism, Kernel, RefinementProfile
+from .model import Problem, trivial_optimum, validate
 from .probcore import _mi
 
 LEAKAGE_SLACK = 1e-9      # feasibility tolerance on I(X;U) <= eps
 PROJECT_BAND = 1e-9       # leakage_project lands in [eps - band, eps]
 SEARCH_SLACK = 1e-6       # allowance for search noise in sandwich checks
+ACCEPT_TOL = 1e-10        # a candidate is accepted when it beats the running best by more
 _TINY = 1e-300
 
 
@@ -54,7 +54,6 @@ class OracleConfig:
     restarts: int = 6
     iters: int = 48
     seed: int = 0
-    tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.card_u is not None and self.card_u < 1:
@@ -126,10 +125,8 @@ class _Evaluator:
     candidates, or the current kernels of a restart group.
     """
 
-    def __init__(self, p: Problem, card_u: int, profile: RefinementProfile | None = None):
-        self.p = p
+    def __init__(self, p: Problem, card_u: int):
         self.card_u = card_u
-        self._profile = profile
         self.dims_x = tuple(c.card_x for c in p.components)
         self.dims_y = tuple(c.card_y for c in p.components)
         self.nx = int(np.prod(self.dims_x))
@@ -167,19 +164,6 @@ class _Evaluator:
         # flat (x, u) and (y, u) offsets of every kernel column
         self.x_offsets = np.repeat(np.arange(self.nx) * card_u, self.ny)
         self.y_offsets = np.tile(np.arange(self.ny) * card_u, self.nx)
-
-    # computed once for the structured starts: the canonical allocations, and
-    # the profile given, else one built here (None when over the size cap)
-    @cached_property
-    def allocations(self) -> dict[str, Allocation]:
-        return bounds_mod.canonical_allocations(self.p, validate(self.p))
-
-    @cached_property
-    def profile(self) -> RefinementProfile | None:
-        try:
-            return self._profile or mechanisms.refinement_profile(self.p)
-        except SizeCapError:
-            return None
 
     # -- marginals -------------------------------------------------------------
     # A batch of marginals is (xu, users): xu of shape (B, |X|, |U|) and one
@@ -403,54 +387,50 @@ class _Evaluator:
         return cand
 
 
-def _embed(kernel: Kernel, nx: int, ny: int, nu: int) -> np.ndarray | None:
-    if kernel.alphabet_u > nu:
-        return None
-    t = np.zeros((nx, ny, nu))
-    t[:, :, : kernel.alphabet_u] = kernel.table
-    return t
+# the mechanisms the search starts restarts 1, 2, ... from; None: a seeded kernel
+Starts = tuple[ComposedMechanism | None, ...]
 
 
-def _structured_table(ev: _Evaluator, p: Problem, restart: int) -> np.ndarray | None:
-    """Deterministic structured starts for the first few restarts.
+def canonical_starts(p: Problem, profile: RefinementProfile, allocs: dict[str, Allocation]) -> Starts:
+    """The search's structured starts for restarts 1, 2, ...: every
+    component's refinement (zero leakage), then the composition of each
+    ``bounds.VARIANTS`` allocation in ``allocs``, in that order. An entry is
+    None when its variant has no allocation or its release is over the size
+    cap."""
 
-    0: relabeling of Y (truncated if |U| < |Y|); 1: every component's
-    refinement (zero leakage); 2, 3, ...: the composition of each canonical
-    allocation, in ``bounds.VARIANTS`` order, re-evaluated from scratch by
-    the search. Restarts 1-3 are ``compose`` on the evaluator's refinement
-    profile, so they share one build of the refinements. Starts that do not
-    fit the |U| cap or the size cap fall back to seeded random kernels.
-    """
+    def compose(alloc: Allocation | None) -> ComposedMechanism | None:
+        try:
+            return profile.compose(p, alloc)
+        except SizeCapError:
+            return None
+
+    return (compose(None),) + tuple(
+        compose(allocs[v]) if v in allocs else None for v in bounds_mod.VARIANTS
+    )
+
+
+def _initial_tables(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts, restart: int) -> np.ndarray:
+    """Restart 0 relabels Y (truncated if |U| < |Y|); restart r >= 1 embeds
+    ``starts[r - 1]`` in the first columns of u, to be re-evaluated from
+    scratch by the search. Restarts with no start, or one wider than |U|,
+    take seeded random kernels."""
     nx, ny, nu = ev.nx, ev.ny, ev.card_u
+    t = np.zeros((nx, ny, nu))
     if restart == 0:
-        t = np.zeros((nx, ny, nu))
         t[:, np.arange(ny), np.arange(ny) % nu] = 1.0
         return t
-    if restart > len(bounds_mod.VARIANTS) + 1 or ev.profile is None:
-        return None
-    alloc = None  # restart 1: every share zero
-    if restart > 1:
-        alloc = ev.allocations.get(list(bounds_mod.VARIANTS)[restart - 2])
-        if alloc is None:
-            return None
-    try:
-        mech = ev.profile.compose(p, alloc)
-        return _embed(mechanisms.materialize_monolithic(p, mech), nx, ny, nu)
-    except SizeCapError:
-        return None
-
-
-def _initial_tables(ev: _Evaluator, p: Problem, cfg: OracleConfig, restart: int) -> np.ndarray:
-    """Structured starts for the first restarts, then seeded random kernels."""
-    structured = _structured_table(ev, p, restart)
-    if structured is not None:
-        return structured
+    mech = starts[restart - 1] if restart <= len(starts) else None
+    if mech is not None and mech.cardinality <= nu:
+        # no wider than the evaluator's size-checked kernel, so within the cap
+        t[:, :, : mech.cardinality] = mechanisms.materialize_monolithic(p, mech).table
+        return t
     rng = np.random.default_rng([cfg.seed, restart])
-    t = rng.exponential(size=(ev.nx, ev.ny, ev.card_u))
+    t = rng.exponential(size=(nx, ny, nu))
     return t / t.sum(axis=2, keepdims=True)
 
 
-def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, restarts: range) -> list[tuple[float, np.ndarray, float]]:
+def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
+                  restarts: range) -> list[tuple[float, np.ndarray, float]]:
     """Candidate-step ascent of a group of restarts in lockstep; returns
     (objective, table, leak) per restart, in order.
 
@@ -461,7 +441,7 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, restarts: range
     """
     eps = p.epsilon
     rngs = [np.random.default_rng([cfg.seed, r, 1]) for r in restarts]
-    tables = np.stack([_initial_tables(ev, p, cfg, r) for r in restarts])
+    tables = np.stack([_initial_tables(ev, p, cfg, starts, r) for r in restarts])
     marg, t_mix = ev.repaired(tables, eps)
     tables = np.stack([ev.mix_table(tab, t) for tab, t in zip(tables, t_mix)])
     best = ev.objective(marg[1]).tolist()
@@ -500,7 +480,7 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, restarts: range
         picks = np.full(live, -1)
         for row in range(live):
             for k, obj in enumerate(objs[row]):
-                if obj > best[row] + cfg.tolerance:
+                if obj > best[row] + ACCEPT_TOL:
                     best[row] = obj
                     picks[row] = k
                     ev.accepted += 1
@@ -539,22 +519,31 @@ def default_card_u(p: Problem) -> int:
     return min(nx * (ny - 1) + 2, 16)
 
 
-def search(p: Problem, cfg: OracleConfig | None = None,
-           profile: RefinementProfile | None = None) -> OracleResult:
-    """Randomized-restart ascent; deterministic for a fixed (problem, cfg).
-    The structured starts compose from ``profile``, built when not given."""
+def search(p: Problem, cfg: OracleConfig | None = None, starts: Starts | None = None) -> OracleResult:
+    """Randomized-restart ascent; deterministic for a fixed (problem, cfg,
+    starts). Restart r >= 1 starts from ``starts[r - 1]`` where that is a
+    mechanism no wider than |U|, else from a seeded kernel. With ``starts``
+    None they are ``canonical_starts`` on a profile and allocations built
+    here (none when the refinements are over the size cap)."""
     if cfg is None:
         cfg = OracleConfig()
     if p.epsilon < 0.0:
         raise ValidationError(f"epsilon must be >= 0, got {p.epsilon}")
     card_u = cfg.card_u if cfg.card_u is not None else default_card_u(p)
-    ev = _Evaluator(p, card_u, profile)
+    ev = _Evaluator(p, card_u)
+    if starts is None:
+        try:
+            profile = mechanisms.refinement_profile(p)
+        except SizeCapError:
+            starts = ()
+        else:
+            starts = canonical_starts(p, profile, bounds_mod.canonical_allocations(p, validate(p)))
     group = max(1, GROUP_ENTRIES // (ev.nx * ev.ny * card_u))
     trace = []
     best: tuple[float, np.ndarray, float] | None = None
     for first in range(0, cfg.restarts, group):
         ev.groups += 1
-        for obj, tab, leak in _ascend_group(ev, p, cfg, range(first, min(first + group, cfg.restarts))):
+        for obj, tab, leak in _ascend_group(ev, p, cfg, starts, range(first, min(first + group, cfg.restarts))):
             trace.append(obj)
             if best is None or obj > best[0]:
                 best = (obj, tab, leak)
@@ -597,34 +586,13 @@ WARM_CARD_CAP = 1500
 GROUP_ENTRIES = 2 ** 14   # restarts share a sweep while group x |X||Y||U| stays within this
 
 
-def _sandwich_config(
-    p: Problem,
-    stats: ProblemStats,
-    cfg: OracleConfig | None,
-    profile: RefinementProfile | None = None,
-) -> OracleConfig:
-    """Widen |U| (within reason) so the canonical mechanisms embed as warm
-    starts; the size-aware iteration budget keeps runtime flat. Their
-    cardinalities are read from ``profile`` (built here when not given)."""
-    if cfg is not None and cfg.card_u is not None:
-        return cfg
-    base = cfg if cfg is not None else OracleConfig()
-    card = default_card_u(p)
-    if not stats.trivial:
-        if profile is None:
-            profile = mechanisms.refinement_profile(p)
-        for alloc in bounds_mod.canonical_allocations(p, stats).values():
-            card = max(card, min(profile.cardinality(alloc), WARM_CARD_CAP))
-    return replace(base, card_u=card)
-
-
 def sandwich_check(p: Problem, cfg: OracleConfig | None = None) -> SandwichReport:
     """Compare lower bound, constructed mechanism, search, and upper bound."""
+    if cfg is None:
+        cfg = OracleConfig()
     stats = validate(p)
-    # one profile serves the warm-start |U|, the search's starts and the objective
-    profile = None if stats.trivial else mechanisms.refinement_profile(p)
-    result = search(p, _sandwich_config(p, stats, cfg, profile), profile)
     if stats.trivial:
+        result = search(p, cfg)
         value = trivial_optimum(p, stats)
         return SandwichReport(
             lower=value,
@@ -637,8 +605,18 @@ def sandwich_check(p: Problem, cfg: OracleConfig | None = None) -> SandwichRepor
             trivial=True,
             search=result,
         )
+    # one profile and one set of allocations serve the warm-start |U|, the
+    # search's starts and the constructed objective
+    profile = mechanisms.refinement_profile(p)
+    allocs = bounds_mod.canonical_allocations(p, stats)
+    if cfg.card_u is None:
+        # widen |U| (within reason) so the canonical mechanisms embed as warm
+        # starts; the size-aware iteration budget keeps runtime flat
+        cards = [min(profile.cardinality(a), WARM_CARD_CAP) for a in allocs.values()]
+        cfg = replace(cfg, card_u=max([default_card_u(p), *cards]))
+    result = search(p, cfg, canonical_starts(p, profile, allocs))
     rep = bounds_mod.compute_bounds(p, stats)
-    mech_obj = mechanisms.canonical_objective(p, stats, profile)
+    mech_obj = mechanisms.canonical_objective(p, stats, profile, allocs)
     return SandwichReport(
         lower=rep.lower,
         mech_objective=mech_obj,

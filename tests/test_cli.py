@@ -244,6 +244,22 @@ class TestMechanizeVerify:
         assert code == 2
         assert "JSON object" in err
 
+    @pytest.mark.parametrize("which", ["problem", "mechanism"])
+    @pytest.mark.parametrize("content", [None, '{"schema": '])
+    def test_missing_or_invalid_json_exits_2(self, tmp_path, capsys, which, content):
+        # both messages name the file's role and its path
+        path = write_problem(tmp_path, noisy_doc())
+        mech_path = str(tmp_path / "mech.json")
+        run(capsys, ["mechanize", path, "--out", mech_path])
+        bad = tmp_path / "bad.json"
+        if content is not None:
+            bad.write_text(content)
+        argv = ["verify", str(bad), mech_path] if which == "problem" else ["verify", path, str(bad)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert f"{which} file {str(bad)!r}" in err
+        assert ("not found" if content is None else "invalid JSON at line 1") in err
+
 
 class TestParser:
     def test_built_once_per_process(self, tmp_path, capsys, monkeypatch):

@@ -232,7 +232,7 @@ def flat_component(name="flat"):
 
 class TestRefinementProfile:
     def assert_matches_reference(self, p, stats, profile):
-        got = M.canonical_objective(p, stats, profile)
+        got = M.canonical_objective(p, stats, profile, B.canonical_allocations(p, stats))
         assert abs(got - canonical_reference(p, stats)) <= 1e-12
         for variant in ("frl", "esfrl"):
             try:
@@ -295,7 +295,7 @@ class TestRefinementProfile:
         stats = validate(Problem(p.components, p.users, 10.0))
         assert stats.trivial
         with pytest.raises(ValidationError, match="no canonical mechanism"):
-            M.canonical_objective(p, stats, M.refinement_profile(p))
+            M.canonical_objective(p, stats, M.refinement_profile(p), B.canonical_allocations(p, stats))
 
 
 class TestEvaluate:

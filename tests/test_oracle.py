@@ -8,6 +8,7 @@ import pytest
 from helpers import binary_y_component, entropy_mi, random_problem, xy_copy_component
 from privbound import bounds as B
 from privbound import mechanisms as M
+from privbound import model
 from privbound import oracle as O
 from privbound.errors import PrivboundError, ValidationError
 from privbound.model import Component, Problem, User, trivial_optimum, validate
@@ -100,12 +101,13 @@ class TestSizeCap:
         monkeypatch.setenv("PRIVBOUND_SIZE_CAP", "10000")
         cfg = O.OracleConfig(card_u=4, restarts=4, iters=2, seed=0)
         ev = O._Evaluator(p, cfg.card_u)
-        assert set(ev.allocations) == {"frl", "esfrl"}
-        assert ev.profile is not None
+        allocs = B.canonical_allocations(p, validate(p))
+        assert set(allocs) == {"frl", "esfrl"}
+        starts = O.canonical_starts(p, M.refinement_profile(p), allocs)
+        assert starts[0] is not None and starts[1:] == (None, None)
         for restart in (2, 3):
-            assert O._structured_table(ev, p, restart) is None
             seeded = np.random.default_rng([cfg.seed, restart]).exponential(size=(2, 40, 4))
-            assert np.array_equal(O._initial_tables(ev, p, cfg, restart),
+            assert np.array_equal(O._initial_tables(ev, p, cfg, starts, restart),
                                   seeded / seeded.sum(axis=2, keepdims=True))
         res = O.search(p, cfg)
         assert len(res.trace) == 4
@@ -224,21 +226,47 @@ def compose_config(p, stats, cfg):
                 card = max(card, min(mech.cardinality, O.WARM_CARD_CAP))
             except (PrivboundError, ValueError):
                 continue
-    return O.OracleConfig(card_u=card, restarts=cfg.restarts, iters=cfg.iters,
-                          seed=cfg.seed, tolerance=cfg.tolerance)
+    return O.OracleConfig(card_u=card, restarts=cfg.restarts, iters=cfg.iters, seed=cfg.seed)
 
 
 class TestSandwichConfig:
     def test_matches_composed_cardinality(self):
-        # the criterion-1 problems
-        cfg = O.OracleConfig(seed=0)
+        # the criterion-1 problems; |U| does not depend on the search budget
+        cfg = O.OracleConfig(restarts=1, iters=1, seed=0)
         for seed in range(200):
             p = random_problem(seed)
-            stats = validate(p)
-            assert O._sandwich_config(p, stats, cfg) == compose_config(p, stats, cfg), seed
+            sw = O.sandwich_check(p, cfg)
+            card_u = compose_config(p, validate(p), cfg).card_u
+            assert sw.search.best_kernel.alphabet_u == card_u, seed
+
+    def test_constructions_derived_once(self, monkeypatch):
+        # one check validates, allocates and profiles once, and hands the
+        # results to the warm-start |U|, the search's starts and the objective
+        counts = {}
+        for home, name in ((model, "validate"), (B, "canonical_allocations"), (M, "refinement_profile")):
+            real = getattr(home, name)
+
+            def wrapped(*a, _name=name, _real=real, **k):
+                counts[_name] += 1
+                return _real(*a, **k)
+
+            # every module that holds the name, however it imported it
+            for module in (model, B, M, O):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapped)
+        checked = 0
+        for seed in range(8):
+            p = random_problem(seed)
+            if validate(p).trivial:
+                continue
+            counts.update(validate=0, canonical_allocations=0, refinement_profile=0)
+            O.sandwich_check(p, QUICK)
+            assert counts == {"validate": 1, "canonical_allocations": 1, "refinement_profile": 1}, seed
+            checked += 1
+        assert checked >= 4
 
     def test_composes_at_most_twice(self, monkeypatch):
-        # only the search's structured restarts 2 and 3 compose a mechanism
+        # only the structured starts of restarts 2 and 3 compose a mechanism
         calls = []
         real = M.compose_multiuser
         monkeypatch.setattr(M, "compose_multiuser", lambda p, a: calls.append(a) or real(p, a))
@@ -262,6 +290,7 @@ class TestSandwichConfig:
         for seed in range(6):
             p = random_problem(seed)
             a = O.search(p, QUICK)
-            b = O.search(p, QUICK, M.refinement_profile(p))
+            allocs = B.canonical_allocations(p, validate(p))
+            b = O.search(p, QUICK, O.canonical_starts(p, M.refinement_profile(p), allocs))
             assert a.trace == b.trace, seed
             assert np.array_equal(a.best_kernel.table, b.best_kernel.table), seed

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from helpers import entropy_mi, random_problem
+from privbound import bounds as B
+from privbound import mechanisms as M
 from privbound import oracle as O
-from privbound.model import Component, Problem, User
+from privbound.model import Component, Problem, User, validate
 from privbound.probcore import ZERO_FLOOR, Joint2
 
 QUICK = O.OracleConfig(restarts=4, iters=24, seed=0)
@@ -154,10 +156,10 @@ def _ref_user_marginals(p, yu):
     return users
 
 
-def _ref_marginals(ev, table):
+def _ref_marginals(ev, p, table):
     xu = np.einsum("xy,xyu->xu", ev.pxy, table)
     yu = np.einsum("xy,xyu->yu", ev.pxy, table)
-    return xu, _ref_user_marginals(ev.p, yu)
+    return xu, _ref_user_marginals(p, yu)
 
 
 def _ref_repair_t(xu, const_xu, eps, slack):
@@ -187,12 +189,12 @@ def _ref_repair_t(xu, const_xu, eps, slack):
     return hi
 
 
-def _ref_direction(ev, marg, lam):
+def _ref_direction(ev, p, marg, lam):
     xu, users = marg
     tiny = O._TINY
     pu = np.log(np.maximum(xu.sum(axis=0), tiny))
     score = np.zeros((ev.ny, ev.card_u))
-    for w, m, idx in zip(ev.weights, users, _user_maps(ev.p)):
+    for w, m, idx in zip(ev.weights, users, _user_maps(p)):
         if w == 0.0:
             continue
         lcond = np.log(np.maximum(m, tiny)) - np.log(np.maximum(m.sum(axis=1, keepdims=True), tiny))
@@ -208,14 +210,15 @@ def _ref_direction(ev, marg, lam):
     return d
 
 
-def _ref_ascend(ev, table, eps, cfg, restart):
+def _ref_ascend(ev, p, table, cfg, restart):
     rng = np.random.default_rng([cfg.seed, restart, 1])
     const = np.zeros_like(table)
     const[:, :, 0] = 1.0
-    const_xu, const_users = _ref_marginals(ev, const)
+    eps = p.epsilon
+    const_xu, const_users = _ref_marginals(ev, p, const)
 
     def repaired(cand):
-        xu, users = _ref_marginals(ev, cand)
+        xu, users = _ref_marginals(ev, p, cand)
         t = _ref_repair_t(xu, const_xu, eps, O.LEAKAGE_SLACK)
         if t == 0.0:
             return (xu, users), cand
@@ -234,7 +237,7 @@ def _ref_ascend(ev, table, eps, cfg, restart):
     for _ in range(iters):
         cands = []
         for lam in O.MULTIPLIERS:
-            d = _ref_direction(ev, marg, lam)
+            d = _ref_direction(ev, p, marg, lam)
             cands.extend(table + eta * (d - table) for eta in O.STEP_SIZES)
         ncols = min(8, ev.nx * ev.ny)
         cols = rng.choice(ev.nx * ev.ny, size=ncols, replace=False)
@@ -246,7 +249,7 @@ def _ref_ascend(ev, table, eps, cfg, restart):
         for cand in cands:
             m, mixed = repaired(cand)
             obj = objective(m)
-            if obj > best + cfg.tolerance:
+            if obj > best + O.ACCEPT_TOL:
                 best, marg, table, improved = obj, m, mixed, True
         stall = 0 if improved else stall + 1
         if stall >= 6:
@@ -256,7 +259,8 @@ def _ref_ascend(ev, table, eps, cfg, restart):
 
 def _ref_search(p, cfg):
     ev = O._Evaluator(p, O.default_card_u(p))
-    return [_ref_ascend(ev, O._initial_tables(ev, p, cfg, r), p.epsilon, cfg, r)
+    starts = O.canonical_starts(p, M.refinement_profile(p), B.canonical_allocations(p, validate(p)))
+    return [_ref_ascend(ev, p, O._initial_tables(ev, p, cfg, starts, r), cfg, r)
             for r in range(cfg.restarts)]
 
 
