@@ -16,10 +16,11 @@ BLAS at one thread.
   be equal; report numbers may differ by NUMBER_TOL (relative to their size
   where that exceeds 1).
 - **Search**: the sandwich check of every problem of both benchmark banks
-  at SEED, and of the CRITERION_SEEDS problems of acceptance criterion 1
-  (``tests/helpers.py``). The search's trace, best objective, leakage,
-  best-kernel bytes and counters must be bitwise equal; the check's other
-  numbers may differ by NUMBER_TOL.
+  at SEED, of the small bank again with each budget raised to the trivial
+  boundary eps = sum_i I(X_i;Y_i), and of the CRITERION_SEEDS problems of
+  acceptance criterion 1 (``tests/helpers.py``). The search's trace, best
+  objective, leakage, best-kernel bytes and counters must be bitwise equal;
+  the check's other numbers may differ by NUMBER_TOL.
 
 Prints, per part, the outputs compared and those that differ, with the
 first differences; exits 1 on any difference.
@@ -124,7 +125,11 @@ def _search_record(report) -> dict:
 
 
 def worker_search(oracle) -> dict:
+    from privbound.model import Problem, validate
+
     banks = {bank: _bank(SEED, large) for bank, large in BANKS.items()}
+    banks["sandwich_small_trivial"] = [Problem(p.components, p.users, validate(p).total_mi, p.sfrl_constant)
+                                       for p in banks["sandwich_small"]]
     banks["criterion_1"] = _criterion_problems(CRITERION_SEEDS)
     return {f"{bank} {i}": _search_record(oracle.sandwich_check(p, oracle.OracleConfig(seed=0)))
             for bank, problems in banks.items() for i, p in enumerate(problems)}

@@ -12,7 +12,6 @@ from .bounds import (
     gap_identity,
     lower_bound_frl,
     lower_bound_sfrl,
-    perfect_privacy_bounds,
     upper_bound,
 )
 from .errors import (

@@ -31,17 +31,22 @@ which is a sum of finitely many flat segments and is computed exactly by
 sorting the threshold values. The strengthened ceiling for one component is
 min{U1, U2} with U1 = H(Y|X) and U2 = H(Y|X) + T + I(X;Y); U2 is attained
 when |Y| = 2.
+
+``compute_bounds`` assembles the one report of every regime: at or above
+the trivial boundary eps >= sum_i I(X_i;Y_i) every bound is the optimum of
+releasing Y (``model.trivial_optimum``); at eps = 0 the upper bound is the
+strengthened ceiling; elsewhere it is ``upper(eps)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RegimeError, ValidationError
-from .model import Component, Problem, ProblemStats, validate
+from .model import Component, Problem, ProblemStats, trivial_optimum, validate
 
 CAP_MARGIN = 1e-12
 
@@ -83,17 +88,14 @@ class Allocation:
 class BoundsReport:
     """Upper/lower bounds for one problem at one budget."""
 
-    epsilon: float
     upper: float
     lower_frl: float
     lower_sfrl: float
     lower: float
     gap_formula: float
     trivial: bool
-    deterministic: bool
     perfect_privacy: bool
     beta: tuple[float, ...] | None = None
-    pp_upper: float | None = None
     pp_u1: tuple[float, ...] | None = None
     pp_u2: tuple[float, ...] | None = None
     exact: float | None = None
@@ -226,39 +228,6 @@ def excess_integral(c: Component) -> float:
     return min(0.0, total)
 
 
-def perfect_privacy_bounds(p: Problem, stats: ProblemStats) -> BoundsReport:
-    """Zero-leakage bounds with the strengthened per-component ceiling.
-
-    lower = max(0, L1(0), L2(0)); upper = sum_i mu_i (min{U1_i, U2_i} +
-    delta_i) with U1_i = H(Y_i|X_i) and U2_i = H(Y_i|X_i) + T_i + I_i.
-    U2_i is reported per component (it is attained when |Y_i| = 2).
-    """
-    if p.epsilon != 0.0:
-        raise RegimeError(f"perfect_privacy_bounds requires epsilon = 0, got {p.epsilon}")
-    l1 = lower_bound_frl(p, stats)
-    l2 = lower_bound_sfrl(p, stats)
-    u1 = tuple(s.hY_given_X for s in stats)
-    u2 = tuple(
-        s.hY_given_X + excess_integral(c) + s.iXY for c, s in zip(p.components, stats)
-    )
-    pp_upper = float(sum(s.mu * (min(a, b) + s.delta) for s, a, b in zip(stats, u1, u2)))
-    return BoundsReport(
-        epsilon=0.0,
-        upper=pp_upper,
-        lower_frl=l1,
-        lower_sfrl=l2,
-        lower=max(0.0, l1, l2),
-        gap_formula=gap_identity(p, stats),
-        trivial=False,
-        deterministic=stats.deterministic,
-        perfect_privacy=True,
-        beta=esfrl_beta(p, stats),
-        pp_upper=pp_upper,
-        pp_u1=u1,
-        pp_u2=u2,
-    )
-
-
 def deterministic_exact(p: Problem, stats: ProblemStats) -> float:
     """eps * max_i mu_i + sum_i mu_i H(Y_i|X_i) when every X_i = f_i(Y_i).
 
@@ -274,27 +243,42 @@ def deterministic_exact(p: Problem, stats: ProblemStats) -> float:
 
 
 def compute_bounds(p: Problem, stats: ProblemStats | None = None) -> BoundsReport:
-    """Assemble the full report for one problem (non-trivial regime)."""
+    """The full report for one problem, in every regime.
+
+    In the trivial regime every bound is ``trivial_optimum`` (releasing Y is
+    optimal) and the gap is 0. At eps = 0 the upper bound is the strengthened
+    ceiling sum_i mu_i (min{U1_i, U2_i} + delta_i) with U1_i = H(Y_i|X_i) and
+    U2_i = H(Y_i|X_i) + T_i + I_i, both reported per component (U2_i is
+    attained when |Y_i| = 2).
+    """
     if stats is None:
         stats = validate(p)
-    _require_nontrivial(p, stats, "compute_bounds")
-    if p.epsilon == 0.0:
-        report = perfect_privacy_bounds(p, stats)
-    else:
-        l1 = lower_bound_frl(p, stats)
-        l2 = lower_bound_sfrl(p, stats)
-        report = BoundsReport(
-            epsilon=p.epsilon,
-            upper=upper_bound(p, stats),
-            lower_frl=l1,
-            lower_sfrl=l2,
-            lower=max(0.0, l1, l2),
-            gap_formula=gap_identity(p, stats),
-            trivial=False,
-            deterministic=stats.deterministic,
-            perfect_privacy=False,
-            beta=esfrl_beta(p, stats),
+    if stats.trivial:
+        value = trivial_optimum(p, stats)
+        return BoundsReport(upper=value, lower_frl=value, lower_sfrl=value, lower=value,
+                            gap_formula=0.0, trivial=True, perfect_privacy=False)
+    perfect_privacy = p.epsilon == 0.0
+    pp_u1 = pp_u2 = None
+    if perfect_privacy:
+        pp_u1 = tuple(s.hY_given_X for s in stats)
+        pp_u2 = tuple(
+            s.hY_given_X + excess_integral(c) + s.iXY for c, s in zip(p.components, stats)
         )
-    if stats.deterministic:
-        report = replace(report, exact=deterministic_exact(p, stats))
-    return report
+        upper = float(sum(s.mu * (min(a, b) + s.delta) for s, a, b in zip(stats, pp_u1, pp_u2)))
+    else:
+        upper = upper_bound(p, stats)
+    l1 = lower_bound_frl(p, stats)
+    l2 = lower_bound_sfrl(p, stats)
+    return BoundsReport(
+        upper=upper,
+        lower_frl=l1,
+        lower_sfrl=l2,
+        lower=max(0.0, l1, l2),
+        gap_formula=gap_identity(p, stats),
+        trivial=False,
+        perfect_privacy=perfect_privacy,
+        beta=esfrl_beta(p, stats),
+        pp_u1=pp_u1,
+        pp_u2=pp_u2,
+        exact=deterministic_exact(p, stats) if stats.deterministic else None,
+    )

@@ -46,7 +46,7 @@ from .errors import (
     is_number,
     want,
 )
-from .model import Component, Problem, User, trivial_optimum, validate
+from .model import Component, Problem, User, validate
 from .probcore import Joint2
 
 PROBLEM_SCHEMA = "privbound/1"
@@ -242,35 +242,34 @@ def _fields(obj: Any) -> dict:
 def bounds_report(p: Problem, options: dict) -> dict:
     """Statistics and bounds of a problem, in the file's display units."""
     stats = validate(p)
+    rep = bounds_mod.compute_bounds(p, stats)
     doc: dict = {
         "schema": "privbound/1-report",
         "units": options.get("log_display", "nats"),
         "epsilon": p.epsilon,
         "regime": {
-            "trivial": stats.trivial,
+            "trivial": rep.trivial,
             "deterministic": stats.deterministic,
-            "perfect_privacy": p.epsilon == 0.0 and not stats.trivial,
+            "perfect_privacy": rep.perfect_privacy,
         },
         "total_mutual_information": stats.total_mi,
         "components": [_fields(s) for s in stats],
     }
-    if stats.trivial:
-        value = trivial_optimum(p, stats)
-        doc["trivial_value"] = value
-        doc["bounds"] = {"upper": value, "lower": value}
-        return _in_units(doc, options)
-    rep = bounds_mod.compute_bounds(p, stats)
-    doc["bounds"] = {
-        "upper": rep.upper,
-        "lower_frl": rep.lower_frl,
-        "lower_sfrl": rep.lower_sfrl,
-        "lower": rep.lower,
-        "gap": rep.gap_formula,
-    }
+    if rep.trivial:
+        doc["trivial_value"] = rep.upper
+        doc["bounds"] = {"upper": rep.upper, "lower": rep.lower}
+    else:
+        doc["bounds"] = {
+            "upper": rep.upper,
+            "lower_frl": rep.lower_frl,
+            "lower_sfrl": rep.lower_sfrl,
+            "lower": rep.lower,
+            "gap": rep.gap_formula,
+        }
     if rep.beta is not None:
         doc["bounds"]["beta"] = rep.beta
     if rep.perfect_privacy:
-        doc["perfect_privacy"] = {"upper": rep.pp_upper, "u1": rep.pp_u1, "u2": rep.pp_u2}
+        doc["perfect_privacy"] = {"upper": rep.upper, "u1": rep.pp_u1, "u2": rep.pp_u2}
     if rep.exact is not None:
         doc["deterministic_exact"] = rep.exact
     return _in_units(doc, options)
@@ -399,19 +398,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     p, options = load_problem(args.file)
     grid = _parse_grid(args.eps)
     # the component statistics and the refinement profile do not depend on
-    # eps; only the trivial flag does, and the canonical objective is read
-    # from the profile, built at the first non-trivial point
+    # eps; only the trivial flag does, and the profile, which the canonical
+    # objective reads only below the trivial boundary, is built at the first
+    # non-trivial point
     base = validate(p)
     profile = None
     rows = []
     for eps in grid:
         pe = Problem(p.components, p.users, eps, p.sfrl_constant)
         stats = replace(base, trivial=pe.epsilon >= base.total_mi)
-        if stats.trivial:
-            value = trivial_optimum(pe, stats)
-            rows.append((eps, value, value, value, value, value))
-            continue
-        if profile is None:
+        if profile is None and not stats.trivial:
             profile = mechanisms.refinement_profile(p)
         rep = bounds_mod.compute_bounds(pe, stats)
         allocs = bounds_mod.canonical_allocations(pe, stats)

@@ -57,7 +57,7 @@ from .errors import (
     is_number,
     want,
 )
-from .model import Component, Problem, ProblemStats, validate
+from .model import Component, Problem, ProblemStats, trivial_optimum, validate
 from .probcore import JointN
 
 ENDPOINT_MERGE_TOL = 1e-12
@@ -367,13 +367,15 @@ def refinement_profile(p: Problem) -> RefinementProfile:
     )
 
 
-def canonical_objective(p: Problem, stats: ProblemStats, profile: RefinementProfile,
+def canonical_objective(p: Problem, stats: ProblemStats, profile: RefinementProfile | None,
                         allocs: dict[str, Allocation]) -> float:
-    """Best objective of the compositions of ``allocs`` (the caller's
-    ``canonical_allocations(p, stats)``), read from the profile with no
+    """Objective of the best canonical mechanism. In the trivial regime that
+    is U = Y (``trivial_optimum``; no profile is read); elsewhere the best
+    composition of ``allocs`` (the caller's ``canonical_allocations(p,
+    stats)``, where frl always allocates), read from the profile with no
     kernel built."""
-    if not allocs:
-        raise ValidationError("no canonical mechanism could be constructed")
+    if stats.trivial:
+        return trivial_optimum(p, stats)
     return max(profile.objective(p, stats, a) for a in allocs.values())
 
 

@@ -183,10 +183,6 @@ class ProblemStats:
     def __getitem__(self, i: int) -> ComponentStats:
         return self.per_component[i]
 
-    @property
-    def mu(self) -> np.ndarray:
-        return np.array([s.mu for s in self.per_component])
-
 
 def component_stats(c: Component, mu: float, sfrl_constant: float) -> ComponentStats:
     # I, H(Y|X) and H(X|Y) from the three entropies, each clamped at 0

@@ -35,7 +35,7 @@ from . import mechanisms, probcore
 from .bounds import Allocation
 from .errors import AlphabetMismatchError, SizeCapError, ValidationError
 from .mechanisms import ComposedMechanism, Kernel, RefinementProfile
-from .model import Problem, trivial_optimum, validate
+from .model import Problem, validate
 from .probcore import _mi
 
 LEAKAGE_SLACK = 1e-9      # feasibility tolerance on I(X;U) <= eps
@@ -591,29 +591,18 @@ def sandwich_check(p: Problem, cfg: OracleConfig | None = None) -> SandwichRepor
     if cfg is None:
         cfg = OracleConfig()
     stats = validate(p)
-    if stats.trivial:
-        result = search(p, cfg)
-        value = trivial_optimum(p, stats)
-        return SandwichReport(
-            lower=value,
-            mech_objective=value,
-            oracle_best=result.best_objective,
-            upper=value,
-            lower_ok=True,
-            middle_ok=result.best_objective >= value - SEARCH_SLACK,
-            upper_ok=result.best_objective <= value + LEAKAGE_SLACK,
-            trivial=True,
-            search=result,
-        )
     # one profile and one set of allocations serve the warm-start |U|, the
     # search's starts and the constructed objective
     profile = mechanisms.refinement_profile(p)
     allocs = bounds_mod.canonical_allocations(p, stats)
     if cfg.card_u is None:
         # widen |U| (within reason) so the canonical mechanisms embed as warm
-        # starts; the size-aware iteration budget keeps runtime flat
-        cards = [min(profile.cardinality(a), WARM_CARD_CAP) for a in allocs.values()]
-        cfg = replace(cfg, card_u=max([default_card_u(p), *cards]))
+        # starts: the compositions, and in the trivial regime U = Y itself
+        # (restart 0); the size-aware iteration budget keeps runtime flat
+        cards = [profile.cardinality(a) for a in allocs.values()]
+        if stats.trivial:
+            cards.append(_flat_sizes(p)[1])
+        cfg = replace(cfg, card_u=max([default_card_u(p), *(min(c, WARM_CARD_CAP) for c in cards)]))
     result = search(p, cfg, canonical_starts(p, profile, allocs))
     rep = bounds_mod.compute_bounds(p, stats)
     mech_obj = mechanisms.canonical_objective(p, stats, profile, allocs)
@@ -625,6 +614,7 @@ def sandwich_check(p: Problem, cfg: OracleConfig | None = None) -> SandwichRepor
         lower_ok=rep.lower - LEAKAGE_SLACK <= mech_obj,
         middle_ok=mech_obj <= result.best_objective + SEARCH_SLACK,
         upper_ok=result.best_objective <= rep.upper + LEAKAGE_SLACK,
+        trivial=rep.trivial,
         exact=rep.exact,
         search=result,
     )

@@ -138,7 +138,7 @@ def test_criterion_5_perfect_privacy_tightness():
     for seed in range(20):
         c = binary_y_component(seed)
         p = Problem((c,), (User((0,), 1.0),), 0.0)
-        rep = B.perfect_privacy_bounds(p, validate(p))
+        rep = B.compute_bounds(p, validate(p))
         res = O.search(p, O.OracleConfig(seed=0))
         worst = max(worst, abs(res.best_objective - rep.pp_u2[0]))
     elapsed = time.monotonic() - t0

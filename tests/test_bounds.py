@@ -15,7 +15,7 @@ from helpers import (
 )
 from privbound import bounds as B
 from privbound.errors import RegimeError, ValidationError
-from privbound.model import Component, Problem, User, validate
+from privbound.model import Component, Problem, User, trivial_optimum, validate
 from privbound.probcore import Joint2
 
 LN2 = math.log(2.0)
@@ -238,7 +238,7 @@ class TestExcessIntegral:
 class TestPerfectPrivacy:
     def test_bsc_u2_below_u1(self):
         p = single_user(0.0, bsc_component(0.1))
-        rep = B.perfect_privacy_bounds(p, validate(p))
+        rep = B.compute_bounds(p, validate(p))
         assert rep.pp_u2[0] == pytest.approx(0.138629436111989, abs=1e-12)
         assert rep.pp_u1[0] == pytest.approx(0.325082973391448, abs=1e-12)
         assert rep.pp_u2[0] < rep.pp_u1[0]
@@ -247,22 +247,35 @@ class TestPerfectPrivacy:
         for seed in range(5):
             p = deterministic_problem(seed)
             p0 = Problem(p.components, p.users, 0.0)
-            rep = B.perfect_privacy_bounds(p0, validate(p0))
+            rep = B.compute_bounds(p0, validate(p0))
             for u1, u2, s in zip(rep.pp_u1, rep.pp_u2, validate(p0)):
                 assert u2 == pytest.approx(u1, abs=1e-12)
                 assert u1 == pytest.approx(s.hY_given_X, abs=1e-12)
 
     def test_independent_lower(self):
+        # an independent pair at eps 0 is trivial; the formula is evaluable anyway
         c = Component("ind", Joint2(np.outer([0.4, 0.6], [0.3, 0.7])))
         p = single_user(0.0, c)
         stats = validate(p)
-        rep = B.perfect_privacy_bounds(p, stats)
-        assert rep.lower_frl == pytest.approx(stats[0].hY - stats[0].hX, abs=1e-12)
+        assert stats.trivial
+        assert B.lower_bound_frl(p, stats) == pytest.approx(stats[0].hY - stats[0].hX, abs=1e-12)
 
-    def test_requires_zero_eps(self):
-        p = single_user(0.1, bsc_component(0.1))
-        with pytest.raises(RegimeError):
-            B.perfect_privacy_bounds(p, validate(p))
+
+class TestComputeBounds:
+    def test_trivial_regime(self):
+        # at and above the trivial boundary every bound is the optimum of releasing Y
+        for seed in range(6):
+            p = random_problem(seed)
+            total = validate(p).total_mi
+            for eps in (total, 1.1 * total):
+                pt = Problem(p.components, p.users, eps, p.sfrl_constant)
+                stats = validate(pt)
+                rep = B.compute_bounds(pt, stats)
+                value = trivial_optimum(pt, stats)
+                assert (rep.upper, rep.lower, rep.lower_frl, rep.lower_sfrl) == (value,) * 4, seed
+                assert rep.trivial and not rep.perfect_privacy
+                assert rep.gap_formula == 0.0
+                assert rep.exact is None and rep.beta is None
 
 
 class TestDeterministicExact:

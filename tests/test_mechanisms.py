@@ -19,7 +19,7 @@ from privbound import bounds as B
 from privbound import mechanisms as M
 from privbound import probcore as pc
 from privbound.errors import PrivboundError, SizeCapError, ValidationError
-from privbound.model import Component, Problem, User, validate
+from privbound.model import Component, Problem, User, trivial_optimum, validate
 from privbound.probcore import Joint2
 
 LN2 = math.log(2.0)
@@ -290,12 +290,16 @@ class TestRefinementProfile:
             B.allocate_epsilon(p, stats, "esfrl")
         self.assert_matches_reference(p, stats, M.refinement_profile(p))
 
-    def test_no_variant_left_raises(self):
+    def test_trivial_regime_is_release_of_y(self):
+        # no variant allocates in the trivial regime; the canonical mechanism is U = Y
         p = random_problem(3)
-        stats = validate(Problem(p.components, p.users, 10.0))
+        pt = Problem(p.components, p.users, 10.0)
+        stats = validate(pt)
         assert stats.trivial
-        with pytest.raises(ValidationError, match="no canonical mechanism"):
-            M.canonical_objective(p, stats, M.refinement_profile(p), B.canonical_allocations(p, stats))
+        allocs = B.canonical_allocations(pt, stats)
+        assert allocs == {}
+        got = M.canonical_objective(pt, stats, M.refinement_profile(pt), allocs)
+        assert got == trivial_optimum(pt, stats)
 
 
 class TestEvaluate:

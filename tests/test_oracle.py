@@ -39,7 +39,7 @@ class TestSearch:
         for seed in (0, 3, 11):
             c = binary_y_component(seed)
             p = single_user(0.0, c)
-            rep = B.perfect_privacy_bounds(p, validate(p))
+            rep = B.compute_bounds(p, validate(p))
             res = O.search(p, O.OracleConfig(seed=0))
             assert res.best_objective == pytest.approx(rep.pp_u2[0], abs=5e-3)
 
@@ -187,6 +187,16 @@ class TestSandwich:
         assert sw.ok
         assert sw.lower == pytest.approx(math.log(2), abs=1e-12)
 
+    def test_trivial_wide_y(self):
+        # |Y| = 18 is over default_card_u's 16; the warm-start |U| admits U = Y
+        for seed in (0, 2, 3, 7, 13):
+            p = random_problem(seed)
+            pt = Problem(p.components, p.users, validate(p).total_mi, p.sfrl_constant)
+            sw = O.sandwich_check(pt, O.OracleConfig(seed=0))
+            assert sw.trivial, seed
+            assert sw.search.best_kernel.alphabet_u == 18, seed
+            assert sw.ok, (seed, sw)
+
     def test_deterministic_instance_collapses(self):
         p = single_user(0.1, xy_copy_component())
         sw = O.sandwich_check(p, O.OracleConfig(seed=0))
@@ -218,7 +228,11 @@ class TestSandwich:
 def compose_config(p, stats, cfg):
     """Reference: the warm-start |U| read off the composed canonical mechanisms."""
     card = O.default_card_u(p)
-    if not stats.trivial:
+    if stats.trivial:
+        # U = Y, the trivial regime's optimum
+        ny = math.prod(c.card_y for c in p.components)
+        card = max(card, min(ny, O.WARM_CARD_CAP))
+    else:
         for variant in ("frl", "esfrl"):
             try:
                 alloc = B.allocate_epsilon(p, stats, variant)
@@ -254,16 +268,15 @@ class TestSandwichConfig:
             for module in (model, B, M, O):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, wrapped)
-        checked = 0
-        for seed in range(8):
-            p = random_problem(seed)
-            if validate(p).trivial:
-                continue
+        # the criterion-1 problems, and problem 3 at eps 10 (trivial regime)
+        p3 = random_problem(3)
+        problems = [random_problem(seed) for seed in range(8)]
+        problems.append(Problem(p3.components, p3.users, 10.0))
+        assert sum(validate(p).trivial for p in problems) == 1
+        for i, p in enumerate(problems):
             counts.update(validate=0, canonical_allocations=0, refinement_profile=0)
             O.sandwich_check(p, QUICK)
-            assert counts == {"validate": 1, "canonical_allocations": 1, "refinement_profile": 1}, seed
-            checked += 1
-        assert checked >= 4
+            assert counts == {"validate": 1, "canonical_allocations": 1, "refinement_profile": 1}, i
 
     def test_composes_at_most_twice(self, monkeypatch):
         # only the structured starts of restarts 2 and 3 compose a mechanism
