@@ -18,7 +18,9 @@ BLAS at one thread.
   ``accepted``, ``sweeps`` (batched scoring passes) and ``groups``
   (restart groups run in lockstep).
 - **Wall clocks** (REPS runs per side, alternating which side goes
-  first): one pass over each bank per seed, and criterion 1.
+  first): one pass over each bank per seed, and criterion 1. On revisions
+  whose ``SandwichReport`` has ``stage_s``, the bank passes also sum each
+  stage's seconds over their checks, to show which stage a change sped up.
 
 The JSON holds medians and all runs, the largest |difference| in the value
 each sandwich check's search found, and the machine (nproc, Python, numpy,
@@ -113,21 +115,26 @@ def worker_counts(oracle, seed: int) -> dict:
 
 
 def worker_wall(oracle, what: str) -> dict:
-    """Wall clock of one pass per bank and seed, or of criterion 1."""
+    """Wall clock of one pass per bank and seed, or of criterion 1, and the
+    seconds per sandwich-check stage summed over each bank's passes."""
     if what == "criterion_1":
         problems = _criterion_problems(CRITERION_SEEDS)
         _sandwich_all(oracle, problems[:1])  # warm-up
         t0 = perf_counter()
         _sandwich_all(oracle, problems)
-        return {"criterion_1": perf_counter() - t0}
-    out = {}
+        return {"wall": {"criterion_1": perf_counter() - t0}, "stage_s": {}}
+    out: dict = {"wall": {}, "stage_s": {}}
     for bank, large in BANKS.items():
+        stages = out["stage_s"].setdefault(bank, {})
         for seed in BANK_SEEDS:
             problems = _bank(seed, large)
             _sandwich_all(oracle, problems[:1])
             t0 = perf_counter()
-            _sandwich_all(oracle, problems)
-            out[f"{bank}/{seed}"] = perf_counter() - t0
+            reports = _sandwich_all(oracle, problems)
+            out["wall"][f"{bank}/{seed}"] = perf_counter() - t0
+            for report in reports:
+                for name, sec in getattr(report, "stage_s", {}).items():
+                    stages[name] = stages.get(name, 0.0) + sec
     return out
 
 
@@ -223,13 +230,18 @@ def main() -> None:
             print(f"counts: {name}", file=sys.stderr)
             counts[name] = run_worker(side, "counts")
         walls: dict = {"before": {}, "after": {}}
+        stages: dict = {"before": {}, "after": {}}
         for rep in range(REPS):
             order = ("before", "after") if rep % 2 == 0 else ("after", "before")
             for name in order:
                 for worker in ("banks", "criterion_1"):
                     print(f"rep {rep}: {name} {worker}", file=sys.stderr)
-                    for key, sec in run_worker(sides[name], worker).items():
+                    result = run_worker(sides[name], worker)
+                    for key, sec in result["wall"].items():
                         walls[name].setdefault(key, []).append(sec)
+                    for bank, per_stage in result["stage_s"].items():
+                        for stage, sec in per_stage.items():
+                            stages[name].setdefault(bank, {}).setdefault(stage, []).append(sec)
 
     diffs = [
         abs(a - b)
@@ -252,7 +264,15 @@ def main() -> None:
         "counts": {name: count_summary(counts[name]) for name in sides},
         "wall_s": {key: {name: wall(name, key) for name in sides} for key in wall_keys},
         "wall_s_per_bank_seed": {name: walls[name] for name in sides},
+        # per bank: seconds per sandwich-check stage over one pass of every
+        # bank seed, median over reps (empty for a side without stage_s)
+        "stage_s": {name: {bank: {stage: statistics.median(v) for stage, v in per.items()}
+                           for bank, per in stages[name].items()} for name in sides},
         "search_value_max_abs_diff": max(diffs),
+        # every search counter equal, per bank seed and bank, on both sides
+        "counters_equal": all(
+            counts["before"][seed][bank].get(name) == counts["after"][seed][bank].get(name)
+            for seed in counts["before"] for bank in BANKS for name in COUNTERS),
         "sandwich_checks_compared": len(diffs),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -267,6 +287,8 @@ def main() -> None:
               f"{a['leakage_evals_per_repair']:.2f}, repairs {b['projections']:.0f} -> "
               f"{a['projections']:.0f}, candidates {b.get('candidates', '-')} -> {a.get('candidates', '-')}, "
               f"sweeps {b.get('sweeps', '-')} -> {a.get('sweeps', '-')}")
+    print(f"counters equal: {doc['counters_equal']}, largest |search value change| "
+          f"{doc['search_value_max_abs_diff']:.3g}")
     print(f"wrote {args.out}")
 
 

@@ -18,9 +18,13 @@ BLAS at one thread.
 - **Search**: the sandwich check of every problem of both benchmark banks
   at SEED, of the small bank again with each budget raised to the trivial
   boundary eps = sum_i I(X_i;Y_i), and of the CRITERION_SEEDS problems of
-  acceptance criterion 1 (``tests/helpers.py``). The search's trace, best
-  objective, leakage, best-kernel bytes and counters must be bitwise equal;
-  the check's other numbers may differ by NUMBER_TOL.
+  acceptance criterion 1 (``tests/helpers.py``). The search's counters and
+  best-kernel shape must be equal; its trace, best objective, leakage, a
+  fingerprint of its best kernel (the entries' dot product with fixed
+  random weights) and the check's other numbers may differ by NUMBER_TOL,
+  so a change that only reorders the scoring's floating-point sums passes.
+  Where several restarts end within NUMBER_TOL of the best, rounding picks
+  which kernel is returned, and no fingerprint is compared.
 
 Prints, per part, the outputs compared and those that differ, with the
 first differences; exits 1 on any difference.
@@ -30,12 +34,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import io
 import json
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 from oracle import (  # bench/oracle.py
     BANKS,
@@ -106,15 +111,20 @@ def worker_cli() -> dict:
 
 
 def _search_record(report) -> dict:
-    """A sandwich check: its search bitwise (floats as hex), the rest as numbers."""
+    """A sandwich check: its search's numbers, kernel fingerprint and
+    counters, and the check's other numbers."""
     res = report.search
     table = res.best_kernel.table
+    weights = np.random.default_rng(0).random(table.size)
+    tol = NUMBER_TOL * max(1.0, abs(res.best_objective))
+    tied = sum(abs(v - res.best_objective) <= tol for v in res.trace) > 1
     return {
         "search": {
-            "trace": [v.hex() for v in res.trace],
-            "best_objective": res.best_objective.hex(),
-            "leakage_at_best": res.leakage_at_best.hex(),
-            "kernel": f"{table.shape} {hashlib.sha256(table.tobytes()).hexdigest()}",
+            "trace": list(res.trace),
+            "best_objective": res.best_objective,
+            "leakage_at_best": res.leakage_at_best,
+            "kernel_shape": list(table.shape),
+            "kernel_fingerprint": None if tied else float(table.ravel() @ weights),
             **{name: getattr(res, name) for name in COUNTERS if hasattr(res, name)},
         },
         "lower": report.lower,

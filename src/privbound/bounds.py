@@ -139,7 +139,10 @@ def allocate_epsilon(p: Problem, stats: ProblemStats, variant: str = "frl") -> A
 
 def canonical_allocations(p: Problem, stats: ProblemStats) -> dict[str, Allocation]:
     """``allocate_epsilon`` of every variant, in ``VARIANTS`` order; a
-    variant whose allocation fails is left out."""
+    variant whose allocation fails is left out. In the trivial regime,
+    where every allocation fails, none is tried."""
+    if stats.trivial:
+        return {}
     allocs = {}
     for variant in VARIANTS:
         try:

@@ -7,15 +7,20 @@ the |U|-simplex): each sweep steps every column toward vertex directions
 picked by the objective's column gradient, plus one single-column vertex
 jump. Restarts run in lockstep, in groups of at most GROUP_ENTRIES kernel
 entries: one sweep scores the candidates of every restart of a group as
-one batch on their marginals, which are linear in the kernel, with the
-package's one MI kernel (``probcore._mi``, batched over leading axes),
-while each restart keeps its own random stream, acceptance walk and stall
-count, and leaves the group when it stalls. Infeasible candidates are
-repaired by mixing toward the constant kernel, which scales every column
-u >= 1 of P(x,u) by (1 - t); so the leakage and its slope in t are read in
-closed form from column u = 0, and each mixing weight is found by
-safeguarded Newton steps on them (``leakage_project`` repairs one kernel
-the same way). Everything is driven by numpy generators seeded from (seed, restart
+one batch, while each restart keeps its own random stream, acceptance walk
+and stall count, and leaves the group when it stalls.
+
+Candidates are scored from a few sums of their marginals P(x,u) and
+P(y_S,u), which are linear in the kernel: sum m ln m per marginal,
+column u = 0, and P(u) (the row sums are fixed at p(x) and p(y_S)). A step
+toward a vertex direction changes at most |X||Y| cells of each marginal,
+so its sums follow from the current kernel's and those cells alone, and
+no candidate's marginals are formed. Infeasible candidates are repaired by
+mixing toward the constant kernel, which scales every column u >= 1 by
+(1 - t); so the leakage, its slope in t and the repaired utility are read
+in closed form from column u = 0, and each mixing weight is found by
+safeguarded Newton steps (``leakage_project`` repairs one kernel the same
+way). Everything is driven by numpy generators seeded from (seed, restart
 index), so results are reproducible bit for bit and do not depend on how
 restarts are grouped.
 
@@ -27,6 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +43,6 @@ from .bounds import Allocation
 from .errors import AlphabetMismatchError, SizeCapError, ValidationError
 from .mechanisms import ComposedMechanism, Kernel, RefinementProfile
 from .model import Problem, validate
-from .probcore import _mi
 
 LEAKAGE_SLACK = 1e-9      # feasibility tolerance on I(X;U) <= eps
 PROJECT_BAND = 1e-9       # leakage_project lands in [eps - band, eps]
@@ -96,6 +102,8 @@ class SandwichReport:
     trivial: bool = False
     exact: float | None = None
     search: OracleResult | None = field(default=None, compare=False, repr=False)
+    # wall-clock seconds per stage of the check, keyed by SANDWICH_STAGES
+    stage_s: dict[str, float] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -109,20 +117,52 @@ MULTIPLIERS = (0.0, 0.7, 2.0)
 BATCH = len(MULTIPLIERS) * len(STEP_SIZES) + 1
 
 
+def _xlogx(a: np.ndarray) -> np.ndarray:
+    """a ln a entrywise, with ln := 0 at or below ``ZERO_FLOOR`` (as in ``_mi``)."""
+    return a * np.log(np.where(a > probcore.ZERO_FLOOR, a, 1.0))
+
+
+class _Terms(NamedTuple):
+    """Sums that fix I(X;U) and every I(C_j;U) of a batch of kernels, mixed
+    toward the constant kernel or not (see ``_Evaluator``). Leading axis:
+    the batch; F families, P(x,u) and then each user's P(y_S,u)."""
+
+    plogp: np.ndarray   # (B, F): sum m ln m over each family's cells
+    col0: np.ndarray    # (B, sum of family rows): column u = 0 of every family, in family order
+    hu: np.ndarray      # (B,): sum_u P(u) ln P(u)
+    hu0: np.ndarray     # (B,): P(0) ln P(0)
+
+    def take(self, rows: np.ndarray) -> _Terms:
+        return _Terms(*(a[rows] for a in self))
+
+
 class _Evaluator:
     """Precomputed problem geometry plus batched marginal/objective math.
 
-    Candidates are scored on small marginal matrices stacked over a leading
-    candidate axis: P(x, u), and P(y_S, u) per user. Both are linear in the
-    kernel, so a step toward a vertex direction and a mix toward the
-    constant kernel are formed on the marginals of the current kernel and
-    of the direction (summed from its argmax indices); a step's kernel
-    tensor is built only when the step is accepted. The jump's tensor is
-    built every sweep and its marginals summed from it: forming them by
-    subtracting the moved columns would leave rounding residue where a
-    marginal is exactly zero, and the vertex score reads ln of those entries.
-    Marginals, repair and vertex choices work on stacked rows: the
-    candidates, or the current kernels of a restart group.
+    A kernel's marginals are packed into one flat row: the families P(x,u)
+    and P(y_S,u) of every user, each (rows, |U|) in C order. Their row sums
+    are fixed at p(x) and p(y_S), and their column sums are all P(u), so
+    every MI of a kernel follows from ``_Terms``: sum m ln m per family,
+    column u = 0, and sum_u P(u) ln P(u).
+
+    Candidates are scored from terms alone; no candidate's marginals are
+    formed. Step candidate (1 - eta) K + eta D, for the current kernel K
+    and a vertex kernel D, differs from K only on the cells D touches, at
+    most |X||Y| per family, whose flat positions come from D's argmax
+    indices. So its sum c ln c per family is (1 - eta)(S - S_D) +
+    (1 - eta) ln(1 - eta)(M - M_D) + sum over touched cells of c ln c, with
+    S and M the sums of m ln m and of m over the current kernel's cells
+    above ``ZERO_FLOOR``, and S_D, M_D the same over the touched cells; a
+    cell above the floor that the scaling takes to it or below drops out,
+    as in ``_mi``. Column 0 and P(u) are linear in the kernel. Mixing
+    toward the constant kernel scales every column u >= 1 by (1 - t), so
+    each family's MI after mixing is read in closed form from column 0
+    (``mixed``), for the repair's Newton steps and the repaired utility
+    alike. Only a row's accepted candidate gets marginals, formed from K's
+    and D's. The jump's tensor is built every sweep and its marginals
+    summed from it: forming them by subtracting the moved columns would
+    leave rounding residue where a marginal is exactly zero, and the vertex
+    score reads ln of those entries.
     """
 
     def __init__(self, p: Problem, card_u: int):
@@ -135,8 +175,7 @@ class _Evaluator:
         self.pxy = mechanisms.flat_joint_xy(p)
         self.px = self.pxy.sum(axis=1)
         self.py = self.pxy.sum(axis=0)
-        self.px_ln_px = float(self.px @ np.log(np.where(self.px > probcore.ZERO_FLOOR, self.px, 1.0)))
-        self.weights = tuple(u.weight for u in p.users)
+        self.weights = np.array([u.weight for u in p.users])
         self.projections = 0
         self.leakage_evals = 0
         self.candidates = 0
@@ -156,18 +195,38 @@ class _Evaluator:
             tuple(d if i in u.demands else 1 for i, d in enumerate(self.dims_y)) + (card_u,)
             for u in p.users
         ]
-        # constant-kernel marginals (all mass on u = 0)
-        e0 = np.zeros(card_u)
-        e0[0] = 1.0
-        self.const_xu = np.outer(self.px, e0)
-        self.const_users = [np.outer(m[:, 0], e0) for m in self.user_marginals(self.py[:, None])]
-        # flat (x, u) and (y, u) offsets of every kernel column
-        self.x_offsets = np.repeat(np.arange(self.nx) * card_u, self.ny)
-        self.y_offsets = np.tile(np.arange(self.ny) * card_u, self.nx)
+        # the packed layout: family f's rows start at row_starts[f] of
+        # column 0 and its cells at fam_offs[f] of a packed row
+        p_user = [m[:, 0] for m in self.user_marginals(self.py[:, None])]
+        rows = [self.nx] + [len(m) for m in p_user]
+        self.row_starts = np.cumsum([0] + rows)
+        self.fam_offs = self.row_starts[:-1] * card_u
+        self.size = int(self.row_starts[-1]) * card_u
+        self.col0_idx = np.concatenate([off + np.arange(r) * card_u for off, r in zip(self.fam_offs, rows)])
+        self.p_rows = np.concatenate([self.px, *p_user])
+        self.rowconst = np.add.reduceat(_xlogx(self.p_rows), self.row_starts[:-1])
+        self.const_marg = np.zeros(self.size)   # the constant kernel's (all mass on u = 0)
+        self.const_marg[self.col0_idx] = self.p_rows
+        # per family, the packed position of column (x, y)'s u = 0 cell
+        multi = np.unravel_index(np.arange(self.ny), self.dims_y)
+        y_rows = [
+            np.ravel_multi_index(tuple(multi[i] for i in u.demands), tuple(self.dims_y[i] for i in u.demands))
+            for u in p.users
+        ]
+        self.col_base = np.stack(
+            [np.repeat(np.arange(self.nx), self.ny)] + [np.tile(r, self.nx) for r in y_rows]
+        ) * card_u + self.fam_offs[:, None]
+        self.pxy_flat = self.pxy.ravel()
+        eta = np.array(STEP_SIZES)
+        self.scale = (1.0 - eta)[:, None]   # (J, 1): the current kernel's scale in step j
+        self.eta = eta[:, None]
+        self.kappa = np.array([(1.0 - e) * math.log(1.0 - e) if e < 1.0 else 0.0
+                               for e in STEP_SIZES])[:, None]
+        # cells above the floor that a step may take to it or below lie under this
+        self.near_floor = 2.0 * probcore.ZERO_FLOOR / min(1.0 - e for e in STEP_SIZES if e < 1.0)
+        self._owner = np.empty(0, dtype=np.intp)
 
     # -- marginals -------------------------------------------------------------
-    # A batch of marginals is (xu, users): xu of shape (B, |X|, |U|) and one
-    # (B, |S_j|, |U|) array per user.
 
     def user_marginals(self, yu: np.ndarray) -> list[np.ndarray]:
         """P(y_S, u) of every user from P(y, u), over any leading axes."""
@@ -178,119 +237,179 @@ class _Evaluator:
             for drop in self.user_drops
         ]
 
-    def marginals(self, tables: np.ndarray) -> tuple:
-        """Marginals of one kernel tensor, or of a stack of them over a
-        leading axis, as a batch."""
-        xu = np.einsum("xy,...xyu->...xu", self.pxy, tables).reshape(-1, self.nx, self.card_u)
+    def marginals(self, tables: np.ndarray) -> np.ndarray:
+        """Packed marginals of one kernel tensor, or of a stack of them over a
+        leading axis: shape (B, size)."""
+        xu = np.einsum("xy,...xyu->...xu", self.pxy, tables).reshape(-1, self.nx * self.card_u)
         yu = np.einsum("xy,...xyu->...yu", self.pxy, tables).reshape(-1, self.ny, self.card_u)
-        return xu, self.user_marginals(yu)
+        return np.concatenate([xu, *(m.reshape(len(yu), -1) for m in self.user_marginals(yu))], axis=1)
 
-    def _vertex_marginals(self, best_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """P(x, u) and P(y, u) of the vertex kernels putting column (x, y) on
-        u = best_u[..., x, y], summed from the indices, over best_u's
-        leading axes."""
+    def unpack(self, marg: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Views of packed marginals: P(x,u) as (B, |X|, |U|) and one
+        (B, |S_j|, |U|) array per user."""
+        fams = [f.reshape(len(marg), -1, self.card_u) for f in np.split(marg, self.fam_offs[1:], axis=1)]
+        return fams[0], fams[1:]
+
+    def toward_const(self, marg: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Packed marginals mixed toward the constant kernel, row by row;
+        a row with weight 0 comes back unchanged."""
+        s = t[:, None]
+        return (1.0 - s) * marg + s * self.const_marg
+
+    # -- terms and scores ------------------------------------------------------
+
+    def terms(self, marg: np.ndarray) -> _Terms:
+        """Terms of packed marginals, one log pass."""
         nu = self.card_u
-        lead = best_u.shape[:-2]
-        rows = int(np.prod(lead))
-        flat_u = best_u.reshape(rows, -1)
-        w = np.broadcast_to(self.pxy.ravel(), flat_u.shape).ravel()
-        row = np.arange(rows)[:, None]
-        xu = np.bincount((row * (self.nx * nu) + self.x_offsets + flat_u).ravel(),
-                         weights=w, minlength=rows * self.nx * nu)
-        yu = np.bincount((row * (self.ny * nu) + self.y_offsets + flat_u).ravel(),
-                         weights=w, minlength=rows * self.ny * nu)
-        return xu.reshape(*lead, self.nx, nu), yu.reshape(*lead, self.ny, nu)
+        pu = marg[:, : self.nx * nu].reshape(len(marg), self.nx, nu).sum(axis=1)
+        lpu = _xlogx(pu)
+        return _Terms(np.add.reduceat(_xlogx(marg), self.fam_offs, axis=1),
+                      marg[:, self.col0_idx], lpu.sum(axis=1), lpu[:, 0])
 
-    def sweep_marginals(self, marg: tuple, choices: list[np.ndarray], jump_marg: tuple) -> tuple:
-        """Marginals of one sweep's BATCH candidates per row of ``marg``,
-        row-major. Candidate i * len(STEP_SIZES) + j of a row is
-        (1 - eta_j) K + eta_j D_i, for the row's current kernel K and the
-        vertex kernel D_i of choices[i]; the last one is the row's jump
-        (marginals ``jump_marg``)."""
-        xu_d, yu_d = self._vertex_marginals(np.stack(choices, axis=1))
-        rows, n = len(marg[0]), len(STEP_SIZES)
+    def sweep_terms(self, marg: np.ndarray, choices: np.ndarray, jump: _Terms) -> tuple[_Terms, np.ndarray]:
+        """Terms of one sweep's BATCH candidates per row of ``marg``,
+        row-major, and the packed marginals of the vertex directions,
+        (rows, len(MULTIPLIERS), size). Candidate i * len(STEP_SIZES) + j of
+        a row is (1 - eta_j) K + eta_j D_i, for the row's current kernel K
+        and the vertex kernel D_i of choices[:, i]; the last one is the
+        row's jump (terms ``jump``)."""
+        rows, size, nu = len(marg), self.size, self.card_u
+        ndir = choices.shape[1]
+        u = choices.reshape(rows * ndir, 1, -1)
+        pos = self.col_base + u                                     # (rows * ndir, F, |X||Y|)
+        w = np.broadcast_to(self.pxy_flat, pos.shape).ravel()
+        didx = (np.arange(rows * ndir)[:, None, None] * size + pos).ravel()
+        d = np.bincount(didx, weights=w, minlength=rows * ndir * size)
+        pu_d = np.bincount((np.arange(rows * ndir)[:, None, None] * nu + u).ravel(),
+                           weights=np.broadcast_to(self.pxy_flat, u.shape).ravel(), minlength=rows * ndir * nu)
+        # the current kernels: one log pass
+        above = marg > probcore.ZERO_FLOOR
+        xl = marg * np.log(np.where(above, marg, 1.0))
+        mm = np.where(above, marg, 0.0)
+        s_k = np.add.reduceat(xl, self.fam_offs, axis=1)[:, None, None]
+        m_k = np.add.reduceat(mm, self.fam_offs, axis=1)[:, None, None]
+        pu_k = marg[:, : self.nx * nu].reshape(rows, self.nx, nu).sum(axis=1)
+        # the touched cells, each once, where D > 0
+        if self._owner.size < d.size:
+            self._owner = np.empty(d.size, dtype=np.intp)
+        owner = self._owner
+        k = np.arange(didx.size)
+        owner[didx] = k
+        d_g = d[didx]
+        once = (owner[didx] == k) & (d_g > 0.0)
+        bidx = (pos.reshape(rows, ndir, *pos.shape[1:]) + (np.arange(rows) * size)[:, None, None, None]).ravel()
+        shape = (rows, ndir, 1, *pos.shape[1:])
+        d_g = np.where(once, d_g, 0.0).reshape(shape)
+        m_g = np.where(once, marg.ravel()[bidx], 0.0).reshape(shape)
+        s_d = np.where(once, xl.ravel()[bidx], 0.0).reshape(shape).sum(axis=-1)
+        m_d = np.where(once, mm.ravel()[bidx], 0.0).reshape(shape).sum(axis=-1)
+        touched = _xlogx(self.scale[:, :, None] * m_g + self.eta[:, :, None] * d_g).sum(axis=-1)
+        plogp = self.scale * (s_k - s_d) + self.kappa * (m_k - m_d) + touched     # (rows, ndir, J, F)
+        d = d.reshape(rows, ndir, size)
+        near = above & (marg < self.near_floor)
+        if near.any():
+            plogp -= self._dropped(marg, xl, d, near)
+        col0 = self.scale * marg[:, None, None, self.col0_idx] + self.eta * d[:, :, None, self.col0_idx]
+        lpu = _xlogx(self.scale * pu_k[:, None, None] + self.eta * pu_d.reshape(rows, ndir, 1, nu))
+        steps = _Terms(plogp, col0, lpu.sum(axis=-1), lpu[..., 0])
 
-        def stacked(cur: np.ndarray, d: np.ndarray, jump: np.ndarray) -> np.ndarray:
-            out = np.empty((rows, BATCH, *cur.shape[1:]))
-            for j, eta in enumerate(STEP_SIZES):
-                # candidates j, n + j, ...: this step size toward every direction
-                out[:, j:-1:n] = (1.0 - eta) * cur[:, None] + eta * d
-            out[:, -1] = jump
-            return out.reshape(rows * BATCH, *cur.shape[1:])
+        def joined(s: np.ndarray, j: np.ndarray) -> np.ndarray:
+            out = np.concatenate((s.reshape(rows, BATCH - 1, *s.shape[3:]), j[:, None]), axis=1)
+            return out.reshape(rows * BATCH, *s.shape[3:])
 
-        users = [
-            stacked(u, d, j)
-            for u, d, j in zip(marg[1], self.user_marginals(yu_d), jump_marg[1])
-        ]
-        return stacked(marg[0], xu_d, jump_marg[0]), users
+        return _Terms(*(joined(s, j) for s, j in zip(steps, jump))), d
 
-    def mix(self, marg: tuple, t: np.ndarray) -> tuple:
-        """Each candidate's marginals mixed toward the constant kernel by its
-        weight; ``marg`` itself when no weight is positive."""
-        bad = np.flatnonzero(t > 0.0)
-        if bad.size == 0:
-            return marg
-        s = t[bad, None, None]
+    def _dropped(self, marg: np.ndarray, xl: np.ndarray, d: np.ndarray, near: np.ndarray) -> np.ndarray:
+        """The part of (1 - eta) S + (1 - eta) ln(1 - eta) M, per step
+        candidate and family, that comes from cells D leaves untouched and
+        the step takes from above ``ZERO_FLOOR`` to it or below: ``_mi``
+        reads those cells as 0. Only cells in ``near`` can be such cells."""
+        r, q = np.nonzero(near)
+        fam = np.searchsorted(self.fam_offs, q, side="right") - 1
+        m = marg[r, q]
+        dropped = self.scale.T * m[:, None] <= probcore.ZERO_FLOOR        # (cells, J)
+        share = self.scale.T * xl[r, q][:, None] + self.kappa.T * m[:, None]
+        untouched = d[r, :, q] == 0.0                                    # (cells, ndir)
+        vals = np.where(untouched[:, :, None] & dropped[:, None, :], share[:, None, :], 0.0)
+        rows, ndir = d.shape[:2]
+        nj = len(STEP_SIZES)
+        out = np.zeros((rows, ndir, nj, len(self.fam_offs)))
+        np.add.at(out, (r[:, None, None], np.arange(ndir)[:, None], np.arange(nj), fam[:, None, None]), vals)
+        return out
 
-        def mixed(m: np.ndarray, c: np.ndarray) -> np.ndarray:
-            out = m.copy()
-            out[bad] = (1.0 - s) * m[bad] + s * c
-            return out
+    def mi(self, terms: _Terms) -> np.ndarray:
+        """I(X;U) and every I(C_j;U), (B, F), of unmixed kernels."""
+        return np.maximum(terms.plogp - self.rowconst - terms.hu[:, None], 0.0)
 
-        return mixed(marg[0], self.const_xu), [mixed(m, c) for m, c in zip(marg[1], self.const_users)]
+    def _rest(self, terms: _Terms, nfam: int) -> np.ndarray:
+        """The u >= 1 part of sum m ln m - sum_u P(u) ln P(u), (B, nfam), for
+        the first ``nfam`` families."""
+        n = self.row_starts[nfam]
+        c0 = np.add.reduceat(_xlogx(terms.col0[:, :n]), self.row_starts[:nfam], axis=1)
+        return terms.plogp[:, :nfam] - c0 - (terms.hu - terms.hu0)[:, None]
 
-    def leakage(self, marg: tuple) -> float:
-        """I(X;U) of the first (in practice the only) kernel of a batch."""
-        return float(_mi(marg[0][0])[0])
-
-    def objective(self, users: list[np.ndarray]) -> np.ndarray:
-        """sum_j w_j I(C_j; U) of every candidate of a batch."""
-        return sum(w * _mi(m)[0] for w, m in zip(self.weights, users))
-
-    # -- feasibility repair --------------------------------------------------
-
-    def mixed_leakage(self, x0: np.ndarray, rest: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """I(X;U) of (1 - t) P(x,u) + t P_const(x,u), and its slope in t,
-        per row, from column u = 0 of P(x,u) (``x0``, shape (B, |X|)) and
-        ``rest``, the u >= 1 part of sum P ln P - sum_u P(u) ln P(u).
+    def mixed(self, col0: np.ndarray, rest: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """MI of the first nfam = rest.shape[1] families of
+        (1 - t) K + t K_const, and its slope in t, per row, from column 0 of
+        K's families (``col0``, their first row_starts[nfam] entries) and
+        ``rest`` (``_rest``).
 
         Mixing scales every column u >= 1 by (1 - t), which scales ``rest``
         by (1 - t) (the ln(1 - t) terms cancel within each column), and turns
-        column 0 into a_x = (1 - t) P(x,0) + t p(x), with column sum c; the
-        rows stay p(x). So I(t) = (1 - t) rest + sum_x a_x ln a_x - c ln c -
-        sum_x p(x) ln p(x), and dI/dt = -rest + sum_x (p(x) - P(x,0)) ln a_x
-        - (1 - P(u=0)) ln c, in O(|X|) per row. Entries at or below
+        column 0 into a = (1 - t) col0 + t p, with sum c per family; the rows
+        stay p (p(x), or p(y_S)). So I(t) = (1 - t) rest + sum a ln a -
+        c ln c - sum p ln p, and dI/dt = -rest + sum (p - col0) ln a -
+        sum (p - col0) ln c, in O(rows) per family. Entries at or below
         ``ZERO_FLOOR`` take ln := 0, as in ``_mi``.
         """
         floor = probcore.ZERO_FLOOR
+        nfam = rest.shape[1]
+        starts = self.row_starts[:nfam]
+        p = self.p_rows[: self.row_starts[nfam]]
         s = t[:, None]
-        a = (1.0 - s) * x0 + s * self.px
-        c = a.sum(axis=1)
+        a = (1.0 - s) * col0 + s * p
         ln_a = np.log(np.where(a > floor, a, 1.0))
+        c = np.add.reduceat(a, starts, axis=1)
         ln_c = np.log(np.where(c > floor, c, 1.0))
-        d0 = self.px - x0
-        leak = (1.0 - t) * rest + (a * ln_a).sum(axis=1) - c * ln_c - self.px_ln_px
-        slope = (d0 * ln_a).sum(axis=1) - d0.sum(axis=1) * ln_c - rest
-        return np.maximum(leak, 0.0), slope
+        d0 = p - col0
+        mi = (1.0 - s) * rest + np.add.reduceat(a * ln_a, starts, axis=1) - c * ln_c - self.rowconst[:nfam]
+        slope = np.add.reduceat(d0 * ln_a, starts, axis=1) - np.add.reduceat(d0, starts, axis=1) * ln_c - rest
+        return np.maximum(mi, 0.0), slope
 
-    def repair(self, xu: np.ndarray, eps: float, slack: float = 0.0) -> np.ndarray:
-        """Per-candidate mixing weights toward the constant kernel that land
-        each leakage in [eps - PROJECT_BAND, eps]; 0.0 for a candidate that
-        is already feasible (within ``slack``, which search uses to absorb
+    def scores(self, terms: _Terms, t: np.ndarray) -> np.ndarray:
+        """I(X;U) and every I(C_j;U), (B, F), of each kernel after mixing it
+        toward the constant kernel by its weight in ``t``."""
+        out = self.mi(terms)
+        bad = np.flatnonzero(t > 0.0)
+        if bad.size:
+            sub = terms.take(bad)
+            out[bad] = self.mixed(sub.col0, self._rest(sub, len(self.rowconst)), t[bad])[0]
+        return out
+
+    def objective(self, terms: _Terms, t: np.ndarray) -> np.ndarray:
+        """sum_j w_j I(C_j; U) of each kernel after its repair by ``t``."""
+        return (self.scores(terms, t)[:, 1:] * self.weights).sum(axis=1)
+
+    # -- feasibility repair --------------------------------------------------
+
+    def repair(self, terms: _Terms, eps: float, slack: float = 0.0) -> np.ndarray:
+        """Per-kernel mixing weights toward the constant kernel that land
+        each leakage in [eps - PROJECT_BAND, eps]; 0.0 for a kernel that is
+        already feasible (within ``slack``, which search uses to absorb
         float noise).
 
         The leakage of (1-t) P(x,u) + t P_const(x,u) is convex in t (MI is
         convex in the channel, and the channel is affine in t) and reaches 0
         at t = 1, so it is non-increasing. Newton steps aim at the middle of
-        the band, one candidate per row, each with its own [lo, hi] bracket;
+        the band, one kernel per row, each with its own [lo, hi] bracket;
         a step that leaves the bracket, or a slope that is not negative,
-        falls back to the bracket midpoint. A candidate leaves the batch once
-        its leakage is in the band. The feasibility check is one ``_mi``
-        call on P(x,u); every later leakage and slope is read in closed form
-        from column u = 0 (``mixed_leakage``).
+        falls back to the bracket midpoint. A kernel leaves the batch once
+        its leakage is in the band. The first leakage comes from ``terms``;
+        every later leakage and slope is read in closed form from column
+        u = 0 of P(x,u) (``mixed``).
         """
-        g, ln_m, ln_col = _mi(xu)
-        t = np.zeros(len(xu))
+        g = self.mi(terms)[:, 0]
+        t = np.zeros(len(g))
         bad = np.flatnonzero(g > eps + slack)
         self.projections += bad.size
         self.leakage_evals += bad.size
@@ -299,11 +418,9 @@ class _Evaluator:
         if eps <= PROJECT_BAND:
             t[bad] = 1.0
             return t
-        xu, g, ln_m, ln_col = xu[bad], g[bad], ln_m[bad], ln_col[bad]
-        x0 = xu[:, :, 0]
-        rest = ((xu[:, :, 1:] * ln_m[:, :, 1:]).sum(axis=(1, 2))
-                - (xu.sum(axis=1)[:, 1:] * ln_col[:, 1:]).sum(axis=1))
-        slope = self.mixed_leakage(x0, rest, np.zeros(bad.size))[1]
+        sub = terms.take(bad)
+        g, x0, rest = g[bad], sub.col0[:, : self.nx], self._rest(sub, 1)
+        slope = self.mixed(x0, rest, np.zeros(bad.size))[1][:, 0]
         target = eps - 0.5 * PROJECT_BAND
         lo, hi, tb = np.zeros(bad.size), np.ones(bad.size), np.zeros(bad.size)
         live = np.arange(bad.size)
@@ -313,7 +430,7 @@ class _Evaluator:
             inside = (lo[live] < step) & (step < hi[live])
             tl = np.where(inside, step, 0.5 * (lo[live] + hi[live]))
             tb[live] = tl
-            g, slope = self.mixed_leakage(x0[live], rest[live], tl)
+            g, slope = (v[:, 0] for v in self.mixed(x0[live], rest[live], tl))
             self.leakage_evals += live.size
             over = g > eps
             under = g < eps - PROJECT_BAND
@@ -327,13 +444,6 @@ class _Evaluator:
         t[bad] = tb
         return t
 
-    def repaired(self, tables: np.ndarray, eps: float) -> tuple[tuple, np.ndarray]:
-        """Marginals of kernel tensors (see ``marginals``) after their
-        feasibility repair, and the mixing weights the repair used."""
-        marg = self.marginals(tables)
-        t = self.repair(marg[0], eps, slack=LEAKAGE_SLACK)
-        return self.mix(marg, t), t
-
     def mix_table(self, table: np.ndarray, t: float) -> np.ndarray:
         """(1 - t) table + t (constant kernel); ``table`` itself when t <= 0."""
         if t <= 0.0:
@@ -344,20 +454,21 @@ class _Evaluator:
 
     # -- candidate generation -------------------------------------------------
 
-    def vertex_choices(self, marg: tuple) -> list[np.ndarray]:
-        """Per-column best vertex of a Lagrangian gradient, one (B, |X|, |Y|)
-        index array per entry of MULTIPLIERS, for every row of a batch.
+    def vertex_choices(self, marg: np.ndarray) -> np.ndarray:
+        """Per-column best vertex of a Lagrangian gradient for every row of
+        packed marginals: (B, len(MULTIPLIERS), |X|, |Y|) indices, one
+        plane per entry of MULTIPLIERS.
 
         d objective / d K[x,y,u] = P(x,y) * sum_j w_j ln(P(u|y_Sj)/P(u))
         depends on (y, u) only, while d leakage / d K[x,y,u] is
         P(x,y) * ln(P(u|x)/P(u)); a positive multiplier mixes the two so
         that directions can build or shed X-correlation deliberately.
         """
-        xu = marg[0]
+        xu, users = self.unpack(marg)
         rows, nu = len(xu), self.card_u
         pu = np.log(np.maximum(xu.sum(axis=1), _TINY))
         score = np.zeros((rows, *self.dims_y, nu))
-        for w, m, shape in zip(self.weights, marg[1], self.user_shapes):
+        for w, m, shape in zip(self.weights, users, self.user_shapes):
             if w == 0.0:
                 continue
             ps = m.sum(axis=2, keepdims=True)
@@ -367,17 +478,16 @@ class _Evaluator:
         score = score.reshape(rows, self.ny, nu) - pu[:, None, :]
         px = xu.sum(axis=2, keepdims=True)
         leak_score = np.log(np.maximum(xu, _TINY)) - np.log(np.maximum(px, _TINY)) - pu[:, None, :]
-        choices = []
-        for lam in MULTIPLIERS:
+        choices = np.empty((rows, len(MULTIPLIERS), self.nx, self.ny), dtype=np.intp)
+        for i, lam in enumerate(MULTIPLIERS):
             if lam == 0.0:
-                best_u = np.broadcast_to(np.argmax(score, axis=2)[:, None, :], (rows, self.nx, self.ny))
+                choices[:, i] = np.argmax(score, axis=2)[:, None, :]
             else:
-                best_u = np.argmax(score[:, None] - lam * leak_score[:, :, None], axis=3)
-            choices.append(best_u)
+                choices[:, i] = np.argmax(score[:, None] - lam * leak_score[:, :, None], axis=3)
         return choices
 
-    def step_table(self, table: np.ndarray, k: int, choices: list[np.ndarray]) -> np.ndarray:
-        """Kernel tensor of step candidate k of a sweep (see ``sweep_marginals``),
+    def step_table(self, table: np.ndarray, k: int, choices: np.ndarray) -> np.ndarray:
+        """Kernel tensor of step candidate k of a sweep (see ``sweep_terms``),
         for one row's ``table`` and vertex ``choices``."""
         i, j = divmod(k, len(STEP_SIZES))
         eta = STEP_SIZES[j]
@@ -442,15 +552,18 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
     eps = p.epsilon
     rngs = [np.random.default_rng([cfg.seed, r, 1]) for r in restarts]
     tables = np.stack([_initial_tables(ev, p, cfg, starts, r) for r in restarts])
-    marg, t_mix = ev.repaired(tables, eps)
+    marg = ev.marginals(tables)
+    terms = ev.terms(marg)
+    t_mix = ev.repair(terms, eps, slack=LEAKAGE_SLACK)
+    best = ev.objective(terms, t_mix).tolist()
+    marg = ev.toward_const(marg, t_mix)
     tables = np.stack([ev.mix_table(tab, t) for tab, t in zip(tables, t_mix)])
-    best = ev.objective(marg[1]).tolist()
     stall = np.zeros(len(rngs), dtype=int)
     ids = np.arange(len(rngs))      # position in the group of each live row
     done: dict[int, tuple[float, np.ndarray, float]] = {}
 
     def leave(rows: np.ndarray) -> None:
-        leaks = _mi(marg[0][rows])[0]
+        leaks = ev.mi(ev.terms(marg[rows]))[:, 0]
         for row, leak in zip(rows, leaks):
             done[int(ids[row])] = (best[row], tables[row].copy(), float(leak))
 
@@ -458,6 +571,7 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
     nxy, nu = ev.nx * ev.ny, ev.card_u
     iters = max(6, min(cfg.iters, int(cfg.iters * 12_000 / max(nxy * nu, 1))))
     ncols = min(8, nxy)
+    nsteps = len(STEP_SIZES)
     for _ in range(iters):
         live = len(ids)
         choices = ev.vertex_choices(marg)
@@ -471,10 +585,10 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
         flat = jumps.reshape(live, nxy, nu)
         flat[np.arange(live)[:, None], cols] = 0.0
         flat[np.arange(live)[:, None], cols, vals] = 1.0
-        cands = ev.sweep_marginals(marg, choices, ev.marginals(jumps))
-        t = ev.repair(cands[0], eps, slack=LEAKAGE_SLACK)
-        cands = ev.mix(cands, t)
-        objs = ev.objective(cands[1]).reshape(live, BATCH).tolist()
+        jump_marg = ev.marginals(jumps)
+        cands, dirs = ev.sweep_terms(marg, choices, ev.terms(jump_marg))
+        t = ev.repair(cands, eps, slack=LEAKAGE_SLACK)
+        objs = ev.objective(cands, t).reshape(live, BATCH).tolist()
         ev.candidates += live * BATCH
         ev.sweeps += 1
         picks = np.full(live, -1)
@@ -485,12 +599,16 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
                     picks[row] = k
                     ev.accepted += 1
         moved = np.flatnonzero(picks >= 0)
-        pick = moved * BATCH + picks[moved]
-        marg[0][moved] = cands[0][pick]
-        for m, c in zip(marg[1], cands[1]):
-            m[moved] = c[pick]
+        if moved.size:
+            # the accepted candidates' marginals, from K's and D's
+            k = picks[moved]
+            i, j = np.divmod(k, nsteps)
+            cand = ev.scale[j] * marg[moved] + ev.eta[j] * dirs[moved, np.minimum(i, dirs.shape[1] - 1)]
+            jumped = k == BATCH - 1
+            cand[jumped] = jump_marg[moved[jumped]]
+            marg[moved] = ev.toward_const(cand, t[moved * BATCH + k])
         for row, k in zip(moved, picks[moved]):
-            cand = jumps[row] if k == BATCH - 1 else ev.step_table(tables[row], k, [c[row] for c in choices])
+            cand = jumps[row] if k == BATCH - 1 else ev.step_table(tables[row], k, choices[row])
             tables[row] = ev.mix_table(cand, float(t[row * BATCH + k]))
         stall += 1
         stall[moved] = 0
@@ -498,8 +616,7 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
         if stalled.any():
             leave(np.flatnonzero(stalled))
             keep = np.flatnonzero(~stalled)
-            marg = (marg[0][keep], [m[keep] for m in marg[1]])
-            tables, stall, ids = tables[keep], stall[keep], ids[keep]
+            marg, tables, stall, ids = marg[keep], tables[keep], stall[keep], ids[keep]
             best = [best[row] for row in keep]
             rngs = [rngs[row] for row in keep]
             if keep.size == 0:
@@ -576,7 +693,7 @@ def leakage_project(m: Kernel, p: Problem, eps: float) -> Kernel:
     if (m.card_x, m.card_y) != (nx, ny):
         raise AlphabetMismatchError(f"kernel is {m.card_x}x{m.card_y}, flattened problem is {nx}x{ny}")
     ev = _Evaluator(p, m.alphabet_u)
-    t = float(ev.repair(ev.marginals(m.table)[0], eps)[0])
+    t = float(ev.repair(ev.terms(ev.marginals(m.table)), eps)[0])
     if t == 0.0:
         return m
     return Kernel(ev.mix_table(np.array(m.table), t))
@@ -586,11 +703,19 @@ WARM_CARD_CAP = 1500
 GROUP_ENTRIES = 2 ** 14   # restarts share a sweep while group x |X||Y||U| stays within this
 
 
+# the stages of a sandwich check, in order: its profile, allocations and
+# the search's starts are its "constructions"
+SANDWICH_STAGES = ("validate", "constructions", "search", "compute_bounds", "canonical_objective")
+
+
 def sandwich_check(p: Problem, cfg: OracleConfig | None = None) -> SandwichReport:
-    """Compare lower bound, constructed mechanism, search, and upper bound."""
+    """Compare lower bound, constructed mechanism, search, and upper bound;
+    the report times each of SANDWICH_STAGES (``stage_s``)."""
     if cfg is None:
         cfg = OracleConfig()
+    ticks = [perf_counter()]
     stats = validate(p)
+    ticks.append(perf_counter())
     # one profile and one set of allocations serve the warm-start |U|, the
     # search's starts and the constructed objective
     profile = mechanisms.refinement_profile(p)
@@ -603,9 +728,14 @@ def sandwich_check(p: Problem, cfg: OracleConfig | None = None) -> SandwichRepor
         if stats.trivial:
             cards.append(_flat_sizes(p)[1])
         cfg = replace(cfg, card_u=max([default_card_u(p), *(min(c, WARM_CARD_CAP) for c in cards)]))
-    result = search(p, cfg, canonical_starts(p, profile, allocs))
+    starts = canonical_starts(p, profile, allocs)
+    ticks.append(perf_counter())
+    result = search(p, cfg, starts)
+    ticks.append(perf_counter())
     rep = bounds_mod.compute_bounds(p, stats)
+    ticks.append(perf_counter())
     mech_obj = mechanisms.canonical_objective(p, stats, profile, allocs)
+    ticks.append(perf_counter())
     return SandwichReport(
         lower=rep.lower,
         mech_objective=mech_obj,
@@ -617,4 +747,5 @@ def sandwich_check(p: Problem, cfg: OracleConfig | None = None) -> SandwichRepor
         trivial=rep.trivial,
         exact=rep.exact,
         search=result,
+        stage_s={name: b - a for name, a, b in zip(SANDWICH_STAGES, ticks, ticks[1:])},
     )

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from privbound import bounds as B
 from privbound import cli
 
 LN2 = math.log(2.0)
@@ -294,6 +295,9 @@ class TestOracleCommand:
         keys = [ln.split()[0] for ln in lines]
         assert keys[:4] == ["lower", "mech_objective", "oracle_best", "upper"]
         assert "ok              true" in out
+        # the report's stage wall clocks are not printed: reruns print the same
+        assert "stage" not in out
+        assert run(capsys, ["oracle", path, "--seed", "0", "--restarts", "4"])[1] == out
 
     def test_negative_seed_exits_3(self, tmp_path, capsys):
         path = write_problem(tmp_path, copy_pair_doc(0.1))
@@ -363,6 +367,30 @@ class TestSweepCommand:
             b"0.3,2.61727234384,0.460067756775,-4.68117600054,0.460067756775,0.774306980488\r\n"
             b"0.35,2.69227234384,0.535067756775,-4.17463196217,0.535067756775,0.834306980488\r\n"
             b"0.4,2.76727234384,0.610067756775,-3.6680879238,0.610067756775,0.894306980488\r\n"
+            b"0.45,2.84227234384,0.685067756775,-3.16154388543,0.685067756775,0.954306980488\r\n"
+            b"0.5,1.38629436112,1.38629436112,1.38629436112,1.38629436112,1.38629436112\r\n"
+            b"0.55,1.38629436112,1.38629436112,1.38629436112,1.38629436112,1.38629436112\r\n"
+            b"0.6,1.38629436112,1.38629436112,1.38629436112,1.38629436112,1.38629436112\r\n"
+        )
+
+    def test_trivial_rows_allocate_nothing(self, tmp_path, capsys, monkeypatch):
+        # the rows from 0.5 on are trivial (sum_i I(X_i;Y_i) = 0.454): they
+        # try no allocation, and their bytes are those above
+        calls = []
+        real = B.allocate_epsilon
+
+        def counting(p, stats, variant):
+            calls.append(p.epsilon)
+            return real(p, stats, variant)
+
+        monkeypatch.setattr(B, "allocate_epsilon", counting)
+        path = write_problem(tmp_path, noisy_doc())
+        out_csv = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, ["sweep", path, "--eps", "0.45:0.6:0.05", "--csv", str(out_csv)])
+        assert code == 0
+        assert calls == [0.45] * len(B.VARIANTS)
+        assert out_csv.read_bytes() == (
+            b"epsilon,upper,lower_frl,lower_sfrl,lower,mech_objective\r\n"
             b"0.45,2.84227234384,0.685067756775,-3.16154388543,0.685067756775,0.954306980488\r\n"
             b"0.5,1.38629436112,1.38629436112,1.38629436112,1.38629436112,1.38629436112\r\n"
             b"0.55,1.38629436112,1.38629436112,1.38629436112,1.38629436112,1.38629436112\r\n"

@@ -11,7 +11,7 @@ from privbound import bounds as B
 from privbound import mechanisms as M
 from privbound import oracle as O
 from privbound.model import Component, Problem, User, validate
-from privbound.probcore import ZERO_FLOOR, Joint2
+from privbound.probcore import ZERO_FLOOR, Joint2, _mi
 
 QUICK = O.OracleConfig(restarts=4, iters=24, seed=0)
 
@@ -26,7 +26,7 @@ class TestBatchedMi:
             m[:, :, rng.integers(c)] = 0.0          # an all-zero column in every slice
             m[:, 0, 0] += 0.1
             m /= m.sum(axis=(1, 2), keepdims=True)
-            mi = O._mi(m)[0]
+            mi = _mi(m)[0]
             assert mi.shape == (b,)
             for k in range(b):
                 ref = entropy_mi(m[k])
@@ -34,17 +34,12 @@ class TestBatchedMi:
 
 
 def _random_batch(seed: int, size: int = 12):
-    """An evaluator and the P(x,u) and user marginals of ``size`` random kernels."""
+    """An evaluator and the packed marginals of ``size`` random kernels."""
     p = random_problem(seed, max_n=2)
     rng = np.random.default_rng(seed)
     ev = O._Evaluator(p, int(rng.integers(2, 6)))
-    margs = []
-    for _ in range(size):
-        k = rng.exponential(size=(ev.nx, ev.ny, ev.card_u)) ** 3
-        margs.append(ev.marginals(k / k.sum(axis=2, keepdims=True)))
-    xu = np.concatenate([m[0] for m in margs])
-    users = [np.concatenate(u) for u in zip(*(m[1] for m in margs))]
-    return ev, xu, users
+    k = rng.exponential(size=(size, ev.nx, ev.ny, ev.card_u)) ** 3
+    return ev, ev.marginals(k / k.sum(axis=3, keepdims=True))
 
 
 def _leak(xu_k: np.ndarray) -> float:
@@ -55,7 +50,8 @@ class TestBatchedRepair:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("where", ["above_band", "median", "all_feasible", "at_band"])
     def test_every_infeasible_candidate_lands_in_band(self, seed, where):
-        ev, xu, users = _random_batch(seed)
+        ev, marg = _random_batch(seed)
+        xu, users = ev.unpack(marg)
         leaks = np.array([_leak(m) for m in xu])
         eps = {
             "above_band": O.PROJECT_BAND * (1.0 + 1e-3),
@@ -63,9 +59,10 @@ class TestBatchedRepair:
             "all_feasible": float(leaks.max()) + 1e-6,
             "at_band": O.PROJECT_BAND,
         }[where]
-        t = ev.repair(xu, eps)
-        mixed_xu, mixed_users = ev.mix((xu, users), t)
-        infeasible = O._mi(xu)[0] > eps
+        t = ev.repair(ev.terms(marg), eps)
+        mixed_xu, mixed_users = ev.unpack(ev.toward_const(marg, t))
+        const_users = ev.unpack(ev.const_marg[None])[1]
+        infeasible = _mi(xu)[0] > eps
         assert ev.projections == int(infeasible.sum())
         if where == "all_feasible":
             assert not infeasible.any()
@@ -78,15 +75,107 @@ class TestBatchedRepair:
             else:
                 assert eps - O.PROJECT_BAND <= _leak(mixed_xu[k]) <= eps, (k, eps)
             # the user marginals are mixed by the same weight
-            for m, mm, c in zip(users, mixed_users, ev.const_users):
-                assert np.allclose(mm[k], (1.0 - t[k]) * m[k] + t[k] * c, rtol=0, atol=1e-15)
+            for m, mm, c in zip(users, mixed_users, const_users):
+                assert np.allclose(mm[k], (1.0 - t[k]) * m[k] + t[k] * c[0], rtol=0, atol=1e-15)
 
     def test_batch_of_one_matches_batch(self):
-        ev, xu, _ = _random_batch(3)
-        eps = float(np.median(O._mi(xu)[0]))
-        together = ev.repair(xu, eps)
-        alone = np.array([ev.repair(xu[k:k + 1], eps)[0] for k in range(len(xu))])
+        ev, marg = _random_batch(3)
+        terms = ev.terms(marg)
+        eps = float(np.median(_mi(ev.unpack(marg)[0])[0]))
+        together = ev.repair(terms, eps)
+        alone = np.array([ev.repair(terms.take([k]), eps)[0] for k in range(len(marg))])
         assert np.allclose(together, alone, rtol=0, atol=1e-15)
+
+
+def _step_case(seed: int, rows: int = 3):
+    """An evaluator, the packed marginals of ``rows`` random kernels, their
+    tables and vertex choices. The problem has a user who demands every
+    component; the kernels have exact zeros (cells and whole u columns)
+    and, in the last row, P(x,u) cells just above ``ZERO_FLOOR`` that the
+    steps take to it or below."""
+    rng = np.random.default_rng(seed)
+    comps = tuple(
+        Component(f"c{i}", Joint2(rng.dirichlet(np.ones(cx * cy)).reshape(cx, cy)))
+        for i, (cx, cy) in enumerate(((2, 3), (3, 2))[: 1 + seed % 2])
+    )
+    n = len(comps)
+    users = (User(tuple(range(n)), 1.0), User((n - 1,), 0.7), User((0,), 0.0))
+    p = Problem(comps, users, 0.1)
+    ev = O._Evaluator(p, 40)
+    k = rng.exponential(size=(rows, ev.nx, ev.ny, ev.card_u)) ** 3
+    k[rng.random(k.shape) < 0.2] = 0.0
+    k[:, :, :, rng.permutation(ev.card_u)[:3]] = 0.0
+    k[:, :, :, 0] += 1e-3
+    k /= k.sum(axis=3, keepdims=True)
+    # P(x, u) = m for the columns u of ``tiny``, m between the floor and
+    # floor / (1 - eta) of the smaller steps
+    tiny = rng.permutation(np.arange(1, ev.card_u))[:30]
+    m = ZERO_FLOOR * rng.uniform(1.05, 1.6, size=(ev.nx, len(tiny)))
+    k[-1][:, :, tiny] = (m / ev.px[:, None])[:, None, :]
+    k[-1][:, :, 0] += 1.0 - k[-1].sum(axis=2)
+    marg = ev.marginals(k)
+    choices = rng.integers(0, ev.card_u, size=(rows, len(O.MULTIPLIERS), ev.nx, ev.ny))
+    choices[:, 0, :, :] = ev.vertex_choices(marg)[:, 0]
+    choices[:, :, 0, 0] = tiny[0]    # column (0, 0) touches near-floor cells
+    return ev, marg, k, choices
+
+
+def _materialized(ev, marg, k, choices):
+    """Packed marginals of every candidate of ``sweep_terms``, formed
+    densely: each step from its own kernel tensor, the jump (here the
+    current kernel) as given."""
+    out = []
+    for row in range(len(marg)):
+        for c in range(O.BATCH - 1):
+            out.append(ev.marginals(ev.step_table(k[row], c, choices[row]))[0])
+        out.append(marg[row])
+    return np.array(out)
+
+
+def _dense_mi(ev, marg):
+    """I(X;U) and every I(C_j;U) of packed marginals, from ``_mi``."""
+    xu, users = ev.unpack(marg)
+    return np.stack([_mi(xu)[0]] + [_mi(u)[0] for u in users], axis=1)
+
+
+class TestStepTerms:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_match_materialized_candidates(self, seed):
+        ev, marg, k, choices = _step_case(seed)
+        eta_min = 1.0 - max(e for e in O.STEP_SIZES if e < 1.0)
+        near = (marg > ZERO_FLOOR) & (marg <= ZERO_FLOOR / eta_min)
+        assert near[-1].sum() >= 30 and not near[:-1].any()
+        cands, dirs = ev.sweep_terms(marg, choices, ev.terms(marg))
+        dense = _materialized(ev, marg, k, choices)
+        assert np.allclose(ev.mi(cands), _dense_mi(ev, dense), rtol=0, atol=1e-12)
+        # the directions' marginals (the eta = 1 steps), and the columns
+        # u = 0 the repair reads
+        assert O.STEP_SIZES[-1] == 1.0
+        for row in range(len(marg)):
+            for i in range(len(O.MULTIPLIERS)):
+                step = dense[row * O.BATCH + i * len(O.STEP_SIZES) + len(O.STEP_SIZES) - 1]
+                assert np.allclose(dirs[row, i], step, rtol=0, atol=1e-15)
+        assert np.allclose(cands.col0, dense[:, ev.col0_idx], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_repaired_utility_is_mix_then_mi(self, seed):
+        ev, marg, k, choices = _step_case(seed)
+        cands, _ = ev.sweep_terms(marg, choices, ev.terms(marg))
+        dense = _materialized(ev, marg, k, choices)
+        eps = float(np.median(ev.mi(cands)[:, 0]))
+        t = ev.repair(cands, eps, slack=O.LEAKAGE_SLACK)
+        assert (t > 0.0).sum() >= len(t) // 3
+        ref = _dense_mi(ev, ev.toward_const(dense, t))
+        assert np.allclose(ev.scores(cands, t), ref, rtol=0, atol=1e-12)
+        assert np.allclose(ev.objective(cands, t), ref[:, 1:] @ ev.weights, rtol=0, atol=1e-12)
+
+    def test_near_floor_cells_drop_out(self):
+        # without the cells the steps take to the floor, the sums would be
+        # off by about 1e-14 per cell; with 30 of them, by more than 1e-13
+        ev, marg, k, choices = _step_case(0, rows=1)
+        cands, _ = ev.sweep_terms(marg, choices, ev.terms(marg))
+        ref = _dense_mi(ev, _materialized(ev, marg, k, choices))
+        assert np.abs(ev.mi(cands) - ref).max() < 1e-13
 
 
 class TestUserMarginals:

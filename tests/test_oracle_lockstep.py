@@ -13,7 +13,7 @@ from privbound import mechanisms as M
 from privbound import oracle as O
 from privbound.errors import AlphabetMismatchError, ValidationError
 from privbound.model import Component, Problem, User
-from privbound.probcore import Joint2
+from privbound.probcore import Joint2, _mi
 
 QUICK = O.OracleConfig(restarts=4, iters=24, seed=0)
 
@@ -61,7 +61,7 @@ class TestGroupsAgree:
 
 
 class TestClosedFormLeakage:
-    """``mixed_leakage`` against ``_mi`` of the explicitly mixed P(x,u). The
+    """``mixed`` on P(x,u) against ``_mi`` of the explicitly mixed P(x,u). The
     u >= 1 entries are 0 or at least 1e-2, so that at t = 1 - 1e-12 none
     of them falls to ``ZERO_FLOOR``, where ``_mi`` would drop it."""
 
@@ -86,16 +86,17 @@ class TestClosedFormLeakage:
     @staticmethod
     def _reference(ev, xu, t):
         """Leakage and slope of (1 - t) xu + t const_xu from ``_mi``'s logs."""
-        g, ln_m, ln_col = O._mi((1.0 - t) * xu + t * ev.const_xu)
-        d = ev.const_xu - xu
+        const_xu = ev.unpack(ev.const_marg[None])[0][0]
+        g, ln_m, ln_col = _mi((1.0 - t) * xu + t * const_xu)
+        d = const_xu - xu
         return float(g), float((d * ln_m).sum() - d.sum(axis=0) @ ln_col)
 
     def test_matches_mixed_mi(self):
         for ev, xu in self._cases():
-            _, ln_m, ln_col = O._mi(xu)
+            _, ln_m, ln_col = _mi(xu)
             rest = (xu[:, 1:] * ln_m[:, 1:]).sum() - xu.sum(axis=0)[1:] @ ln_col[1:]
             for t in self.TS:
-                g, slope = ev.mixed_leakage(xu[None, :, 0], np.array([rest]), np.array([t]))
+                g, slope = (v[:, 0] for v in ev.mixed(xu[None, :, 0], np.array([[rest]]), np.array([t])))
                 ref_g, ref_slope = self._reference(ev, xu, t)
                 assert g[0] == pytest.approx(ref_g, rel=0, abs=1e-13), t
                 if t == 1.0:
@@ -129,6 +130,15 @@ class TestOncePerSearch:
         # the search result takes no part in equality or repr
         assert dataclasses.replace(rep, search=None) == rep
         assert "search=" not in repr(rep)
+
+    def test_sandwich_report_times_its_stages(self):
+        rep = O.sandwich_check(random_problem(2), QUICK)
+        assert tuple(rep.stage_s) == O.SANDWICH_STAGES
+        assert all(s >= 0.0 for s in rep.stage_s.values())
+        assert rep.stage_s["search"] > 0.0
+        # wall clocks take no part in equality or repr
+        assert dataclasses.replace(rep, stage_s={}) == rep
+        assert "stage_s=" not in repr(rep)
 
 
 class TestLeakageProjectInput:

@@ -8,7 +8,7 @@ from helpers import xy_copy_component
 from privbound import mechanisms as M
 from privbound import oracle as O
 from privbound.model import Component, Problem, User
-from privbound.probcore import Joint2
+from privbound.probcore import Joint2, _mi
 
 
 def single_user(eps, *comps, weight=1.0):
@@ -65,13 +65,17 @@ def _assert_projection_in_band(p: Problem, k: M.Kernel, edge: str, frac: float) 
         assert leak <= eps
     else:
         assert eps - 1e-9 <= leak <= eps, (eps, leak)
-    # the marginals the search scores after its own repair
+    # the search's own repair: the leakage it scores, and that of the
+    # marginals it keeps
     ev = O._Evaluator(pe, k.alphabet_u)
-    marg, t = ev.repaired(k.table, eps)
-    if t > 0.0:
-        assert eps - 1e-9 <= ev.leakage(marg) <= eps, (eps, ev.leakage(marg))
-    else:
-        assert ev.leakage(marg) <= eps + O.LEAKAGE_SLACK
+    marg = ev.marginals(k.table)
+    terms = ev.terms(marg)
+    t = ev.repair(terms, eps, slack=O.LEAKAGE_SLACK)
+    for leak in (float(ev.scores(terms, t)[0, 0]), float(_mi(ev.unpack(ev.toward_const(marg, t))[0])[0][0])):
+        if t[0] > 0.0:
+            assert eps - 1e-9 <= leak <= eps, (eps, leak)
+        else:
+            assert leak <= eps + O.LEAKAGE_SLACK
 
 
 class TestProjectionEdges:
