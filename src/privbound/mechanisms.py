@@ -325,7 +325,7 @@ def _user_objective(p: Problem, utils: list[float]) -> tuple[tuple[float, ...], 
 @dataclass(frozen=True)
 class RefinementProfile:
     """Each component's refinement T_i = ``frl_construct(c_i)``, with
-    I(Y_i;T_i) and H(Y_i|T_i) measured on its joint.
+    I(Y_i;T_i) measured on its joint; H(Y_i|T_i) = H(Y_i) - I(Y_i;T_i).
 
     The randomized release U_i = (T_i, W_i) at share eps_i > 0 has |U_i| =
     |T_i| (|X_i|+1), and W_i reveals X_i (and with it Y_i given T_i, as
@@ -337,21 +337,15 @@ class RefinementProfile:
 
     refinements: tuple[Kernel, ...]
     i_yt: tuple[float, ...]
-    h_y_given_t: tuple[float, ...]
 
     def compose(self, p: Problem, alloc: Allocation | None) -> ComposedMechanism:
         """``compose_multiuser(p, alloc)`` on the stored refinements (themselves if ``alloc`` is None)."""
         return _compose(p, self.refinements, alloc)
 
-    def cardinality(self, alloc: Allocation) -> int:
-        """|U| of ``compose(p, alloc)``."""
-        return math.prod(k.alphabet_u * (k.card_x + 1 if e > 0.0 else 1)
-                         for k, e in zip(self.refinements, alloc.eps_per_component))
-
     def objective(self, p: Problem, stats: ProblemStats, alloc: Allocation) -> float:
         """The objective of ``compose(p, alloc)``, with no kernel built."""
-        utils = [i + (e / s.hX) * h if e > 0.0 else i
-                 for i, h, e, s in zip(self.i_yt, self.h_y_given_t, alloc.eps_per_component, stats)]
+        utils = [i + (e / s.hX) * (s.hY - i) if e > 0.0 else i
+                 for i, e, s in zip(self.i_yt, alloc.eps_per_component, stats)]
         return _user_objective(p, utils)[1]
 
 
@@ -362,8 +356,6 @@ def refinement_profile(p: Problem) -> RefinementProfile:
     return RefinementProfile(
         refinements=refinements,
         i_yt=tuple(probcore.mi_between(j, [1], [2]) for j in joints),
-        h_y_given_t=tuple(max(0.0, probcore.marginal_entropy(j, [1, 2]) - probcore.marginal_entropy(j, [2]))
-                          for j in joints),
     )
 
 

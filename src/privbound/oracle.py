@@ -10,19 +10,20 @@ entries: one sweep scores the candidates of every restart of a group as
 one batch, while each restart keeps its own random stream, acceptance walk
 and stall count, and leaves the group when it stalls.
 
-Candidates are scored from a few sums of their marginals P(x,u) and
-P(y_S,u), which are linear in the kernel: sum m ln m per marginal,
+A restart's only state is its kernel tensor. Each sweep packs the group's
+marginals P(x,u) and P(y_S,u) once and scores every candidate from a few
+sums of marginals, which are linear in the kernel: sum m ln m per marginal,
 column u = 0, and P(u) (the row sums are fixed at p(x) and p(y_S)). A step
 toward a vertex direction changes at most |X||Y| cells of each marginal,
-so its sums follow from the current kernel's and those cells alone, and
-no candidate's marginals are formed. Infeasible candidates are repaired by
-mixing toward the constant kernel, which scales every column u >= 1 by
-(1 - t); so the leakage, its slope in t and the repaired utility are read
-in closed form from column u = 0, and each mixing weight is found by
-safeguarded Newton steps (``leakage_project`` repairs one kernel the same
-way). Everything is driven by numpy generators seeded from (seed, restart
-index), so results are reproducible bit for bit and do not depend on how
-restarts are grouped.
+and the jump only those of its moved columns, so only the accepted
+candidate's kernel is formed. Infeasible candidates are repaired by mixing
+toward the constant kernel, which scales every column u >= 1 by (1 - t);
+so the leakage, its slope in t and the repaired utility are read in closed
+form from column u = 0, and each mixing weight is found by safeguarded
+Newton steps (``leakage_project`` repairs one kernel the same way).
+Everything is driven by numpy generators seeded from (seed, restart index),
+so results are reproducible bit for bit and do not depend on how restarts
+are grouped.
 
 The returned value is an achieved objective: a certified lower estimate of
 the true optimum, never the optimum itself.
@@ -53,8 +54,9 @@ _TINY = 1e-300
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Search knobs. ``card_u`` defaults to |X|(|Y|-1)+2 over the flattened
-    alphabets, capped at 16."""
+    """Search knobs. ``card_u`` is |U| for ``search`` and the least |U| for
+    ``sandwich_check``, which widens it to fit its warm starts; it defaults
+    to |X|(|Y|-1)+2 over the flattened alphabets, capped at 16."""
 
     card_u: int | None = None
     restarts: int = 6
@@ -145,8 +147,8 @@ class _Evaluator:
     every MI of a kernel follows from ``_Terms``: sum m ln m per family,
     column u = 0, and sum_u P(u) ln P(u).
 
-    Candidates are scored from terms alone; no candidate's marginals are
-    formed. Step candidate (1 - eta) K + eta D, for the current kernel K
+    Candidates are scored from terms alone; no step candidate's marginals
+    are formed. Step candidate (1 - eta) K + eta D, for the current kernel K
     and a vertex kernel D, differs from K only on the cells D touches, at
     most |X||Y| per family, whose flat positions come from D's argmax
     indices. So its sum c ln c per family is (1 - eta)(S - S_D) +
@@ -158,11 +160,11 @@ class _Evaluator:
     toward the constant kernel scales every column u >= 1 by (1 - t), so
     each family's MI after mixing is read in closed form from column 0
     (``mixed``), for the repair's Newton steps and the repaired utility
-    alike. Only a row's accepted candidate gets marginals, formed from K's
-    and D's. The jump's tensor is built every sweep and its marginals
-    summed from it: forming them by subtracting the moved columns would
-    leave rounding residue where a marginal is exactly zero, and the vertex
-    score reads ln of those entries.
+    alike. The jump's marginals shift the current ones on the cells of its
+    moved columns, which can leave rounding residue where they are exactly
+    zero; only the terms read them, and those take a cell at or below
+    ``ZERO_FLOOR`` as zero, as ``_mi`` does. ``vertex_choices``, which reads
+    ln of every cell, sees only the marginals of real kernels.
     """
 
     def __init__(self, p: Problem, card_u: int):
@@ -205,8 +207,6 @@ class _Evaluator:
         self.col0_idx = np.concatenate([off + np.arange(r) * card_u for off, r in zip(self.fam_offs, rows)])
         self.p_rows = np.concatenate([self.px, *p_user])
         self.rowconst = np.add.reduceat(_xlogx(self.p_rows), self.row_starts[:-1])
-        self.const_marg = np.zeros(self.size)   # the constant kernel's (all mass on u = 0)
-        self.const_marg[self.col0_idx] = self.p_rows
         # per family, the packed position of column (x, y)'s u = 0 cell
         multi = np.unravel_index(np.arange(self.ny), self.dims_y)
         y_rows = [
@@ -250,11 +250,17 @@ class _Evaluator:
         fams = [f.reshape(len(marg), -1, self.card_u) for f in np.split(marg, self.fam_offs[1:], axis=1)]
         return fams[0], fams[1:]
 
-    def toward_const(self, marg: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Packed marginals mixed toward the constant kernel, row by row;
-        a row with weight 0 comes back unchanged."""
-        s = t[:, None]
-        return (1.0 - s) * marg + s * self.const_marg
+    def jump_marginals(self, marg: np.ndarray, tables: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """Packed marginals of each row's ``jump_table``: its current ones
+        ``marg`` plus P(x,y) (e_v - K[x,y,.]) on every family's cells of each
+        moved column (x, y), in one ``bincount``."""
+        rows, nu = len(cols), self.card_u
+        k = tables.reshape(rows, -1, nu)[np.arange(rows)[:, None], cols]          # (rows, ncols, |U|)
+        delta = self.pxy_flat[cols][..., None] * ((np.arange(nu) == vals[..., None]) - k)
+        base = self.col_base[:, cols] + (np.arange(rows) * self.size)[:, None]   # (F, rows, ncols)
+        idx = base[..., None] + np.arange(nu)
+        shift = np.bincount(idx.ravel(), weights=np.broadcast_to(delta, idx.shape).ravel(), minlength=marg.size)
+        return marg + shift.reshape(marg.shape)
 
     # -- terms and scores ------------------------------------------------------
 
@@ -266,13 +272,13 @@ class _Evaluator:
         return _Terms(np.add.reduceat(_xlogx(marg), self.fam_offs, axis=1),
                       marg[:, self.col0_idx], lpu.sum(axis=1), lpu[:, 0])
 
-    def sweep_terms(self, marg: np.ndarray, choices: np.ndarray, jump: _Terms) -> tuple[_Terms, np.ndarray]:
+    def sweep_terms(self, marg: np.ndarray, choices: np.ndarray, jump: _Terms) -> _Terms:
         """Terms of one sweep's BATCH candidates per row of ``marg``,
-        row-major, and the packed marginals of the vertex directions,
-        (rows, len(MULTIPLIERS), size). Candidate i * len(STEP_SIZES) + j of
-        a row is (1 - eta_j) K + eta_j D_i, for the row's current kernel K
-        and the vertex kernel D_i of choices[:, i]; the last one is the
-        row's jump (terms ``jump``)."""
+        row-major. Candidate i * len(STEP_SIZES) + j of a row is
+        (1 - eta_j) K + eta_j D_i, for the row's current kernel K and the
+        vertex kernel D_i of choices[:, i], scored from K's marginals and
+        D_i's touched cells; the last one is the row's jump (terms
+        ``jump``)."""
         rows, size, nu = len(marg), self.size, self.card_u
         ndir = choices.shape[1]
         u = choices.reshape(rows * ndir, 1, -1)
@@ -317,7 +323,7 @@ class _Evaluator:
             out = np.concatenate((s.reshape(rows, BATCH - 1, *s.shape[3:]), j[:, None]), axis=1)
             return out.reshape(rows * BATCH, *s.shape[3:])
 
-        return _Terms(*(joined(s, j) for s, j in zip(steps, jump))), d
+        return _Terms(*(joined(s, j) for s, j in zip(steps, jump)))
 
     def _dropped(self, marg: np.ndarray, xl: np.ndarray, d: np.ndarray, near: np.ndarray) -> np.ndarray:
         """The part of (1 - eta) S + (1 - eta) ln(1 - eta) M, per step
@@ -386,9 +392,9 @@ class _Evaluator:
             out[bad] = self.mixed(sub.col0, self._rest(sub, len(self.rowconst)), t[bad])[0]
         return out
 
-    def objective(self, terms: _Terms, t: np.ndarray) -> np.ndarray:
-        """sum_j w_j I(C_j; U) of each kernel after its repair by ``t``."""
-        return (self.scores(terms, t)[:, 1:] * self.weights).sum(axis=1)
+    def objective(self, scores: np.ndarray) -> np.ndarray:
+        """sum_j w_j I(C_j; U) per row of ``scores``."""
+        return (scores[:, 1:] * self.weights).sum(axis=1)
 
     # -- feasibility repair --------------------------------------------------
 
@@ -496,6 +502,15 @@ class _Evaluator:
         cand[x, y, choices[i]] += eta
         return cand
 
+    def jump_table(self, table: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """Kernel tensor of a sweep's jump candidate: ``table`` with flat
+        column cols[k] = (x, y) moved to the vertex vals[k], for each k."""
+        cand = table.copy()
+        flat = cand.reshape(self.nx * self.ny, self.card_u)
+        flat[cols] = 0.0
+        flat[cols, vals] = 1.0
+        return cand
+
 
 # the mechanisms the search starts restarts 1, 2, ... from; None: a seeded kernel
 Starts = tuple[ComposedMechanism | None, ...]
@@ -542,38 +557,38 @@ def _initial_tables(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Start
 def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
                   restarts: range) -> list[tuple[float, np.ndarray, float]]:
     """Candidate-step ascent of a group of restarts in lockstep; returns
-    (objective, table, leak) per restart, in order.
+    (objective, table, leak) per restart, in order, the objective and leak
+    as scored for the restart's last accepted kernel.
 
-    Each sweep scores BATCH candidates per live restart together; each
-    restart walks its own candidates in order, accepting every one that
-    beats its running best (the last accepted becomes its current kernel),
+    Each sweep scores BATCH candidates per live restart together, from the
+    marginals of the restarts' kernels; each restart walks its own
+    candidates in order, accepting every one that beats its running best
+    (the last accepted becomes its current kernel, the only one formed),
     and leaves the group after 6 sweeps without an acceptance.
     """
     eps = p.epsilon
     rngs = [np.random.default_rng([cfg.seed, r, 1]) for r in restarts]
     tables = np.stack([_initial_tables(ev, p, cfg, starts, r) for r in restarts])
-    marg = ev.marginals(tables)
-    terms = ev.terms(marg)
+    terms = ev.terms(ev.marginals(tables))
     t_mix = ev.repair(terms, eps, slack=LEAKAGE_SLACK)
-    best = ev.objective(terms, t_mix).tolist()
-    marg = ev.toward_const(marg, t_mix)
+    scores = ev.scores(terms, t_mix)
+    best, leak = ev.objective(scores).tolist(), scores[:, 0].tolist()
     tables = np.stack([ev.mix_table(tab, t) for tab, t in zip(tables, t_mix)])
     stall = np.zeros(len(rngs), dtype=int)
     ids = np.arange(len(rngs))      # position in the group of each live row
     done: dict[int, tuple[float, np.ndarray, float]] = {}
 
     def leave(rows: np.ndarray) -> None:
-        leaks = ev.mi(ev.terms(marg[rows]))[:, 0]
-        for row, leak in zip(rows, leaks):
-            done[int(ids[row])] = (best[row], tables[row].copy(), float(leak))
+        for row in rows:
+            done[int(ids[row])] = (best[row], tables[row].copy(), leak[row])
 
     # large kernels get proportionally fewer sweeps to keep runtime flat
     nxy, nu = ev.nx * ev.ny, ev.card_u
     iters = max(6, min(cfg.iters, int(cfg.iters * 12_000 / max(nxy * nu, 1))))
     ncols = min(8, nxy)
-    nsteps = len(STEP_SIZES)
     for _ in range(iters):
         live = len(ids)
+        marg = ev.marginals(tables)
         choices = ev.vertex_choices(marg)
         # single-column vertex jumps (coordinate moves), from each restart's stream
         cols = np.empty((live, ncols), dtype=np.intp)
@@ -581,14 +596,10 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
         for row, rng in enumerate(rngs):
             cols[row] = rng.choice(nxy, size=ncols, replace=False)
             vals[row] = rng.integers(0, nu, size=ncols)
-        jumps = tables.copy()
-        flat = jumps.reshape(live, nxy, nu)
-        flat[np.arange(live)[:, None], cols] = 0.0
-        flat[np.arange(live)[:, None], cols, vals] = 1.0
-        jump_marg = ev.marginals(jumps)
-        cands, dirs = ev.sweep_terms(marg, choices, ev.terms(jump_marg))
+        cands = ev.sweep_terms(marg, choices, ev.terms(ev.jump_marginals(marg, tables, cols, vals)))
         t = ev.repair(cands, eps, slack=LEAKAGE_SLACK)
-        objs = ev.objective(cands, t).reshape(live, BATCH).tolist()
+        scores = ev.scores(cands, t)
+        objs = ev.objective(scores).reshape(live, BATCH).tolist()
         ev.candidates += live * BATCH
         ev.sweeps += 1
         picks = np.full(live, -1)
@@ -599,16 +610,12 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
                     picks[row] = k
                     ev.accepted += 1
         moved = np.flatnonzero(picks >= 0)
-        if moved.size:
-            # the accepted candidates' marginals, from K's and D's
-            k = picks[moved]
-            i, j = np.divmod(k, nsteps)
-            cand = ev.scale[j] * marg[moved] + ev.eta[j] * dirs[moved, np.minimum(i, dirs.shape[1] - 1)]
-            jumped = k == BATCH - 1
-            cand[jumped] = jump_marg[moved[jumped]]
-            marg[moved] = ev.toward_const(cand, t[moved * BATCH + k])
         for row, k in zip(moved, picks[moved]):
-            cand = jumps[row] if k == BATCH - 1 else ev.step_table(tables[row], k, choices[row])
+            leak[row] = float(scores[row * BATCH + k, 0])
+            if k == BATCH - 1:
+                cand = ev.jump_table(tables[row], cols[row], vals[row])
+            else:
+                cand = ev.step_table(tables[row], k, choices[row])
             tables[row] = ev.mix_table(cand, float(t[row * BATCH + k]))
         stall += 1
         stall[moved] = 0
@@ -616,8 +623,9 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
         if stalled.any():
             leave(np.flatnonzero(stalled))
             keep = np.flatnonzero(~stalled)
-            marg, tables, stall, ids = marg[keep], tables[keep], stall[keep], ids[keep]
+            tables, stall, ids = tables[keep], stall[keep], ids[keep]
             best = [best[row] for row in keep]
+            leak = [leak[row] for row in keep]
             rngs = [rngs[row] for row in keep]
             if keep.size == 0:
                 break
@@ -720,15 +728,14 @@ def sandwich_check(p: Problem, cfg: OracleConfig | None = None) -> SandwichRepor
     # search's starts and the constructed objective
     profile = mechanisms.refinement_profile(p)
     allocs = bounds_mod.canonical_allocations(p, stats)
-    if cfg.card_u is None:
-        # widen |U| (within reason) so the canonical mechanisms embed as warm
-        # starts: the compositions, and in the trivial regime U = Y itself
-        # (restart 0); the size-aware iteration budget keeps runtime flat
-        cards = [profile.cardinality(a) for a in allocs.values()]
-        if stats.trivial:
-            cards.append(_flat_sizes(p)[1])
-        cfg = replace(cfg, card_u=max([default_card_u(p), *(min(c, WARM_CARD_CAP) for c in cards)]))
     starts = canonical_starts(p, profile, allocs)
+    # widen |U| (within reason) so the canonical mechanisms embed as warm
+    # starts: the compositions, and in the trivial regime U = Y itself
+    # (restart 0); the size-aware iteration budget keeps runtime flat
+    cards = [s.cardinality for s in starts[1:] if s is not None]
+    if stats.trivial:
+        cards.append(_flat_sizes(p)[1])
+    cfg = replace(cfg, card_u=max(cfg.card_u or default_card_u(p), *(min(c, WARM_CARD_CAP) for c in cards)))
     ticks.append(perf_counter())
     result = search(p, cfg, starts)
     ticks.append(perf_counter())

@@ -102,3 +102,19 @@ def bsc_component(theta: float = 0.1, name: str = "bsc") -> Component:
         name,
         Joint2(np.array([[(1 - theta) / 2, theta / 2], [theta / 2, (1 - theta) / 2]])),
     )
+
+
+def const_marginals(ev) -> np.ndarray:
+    """Packed marginals, shape (1, size), of the constant kernel (all mass on
+    u = 0) for an ``oracle._Evaluator``."""
+    const = np.zeros((ev.nx, ev.ny, ev.card_u))
+    const[:, :, 0] = 1.0
+    return ev.marginals(const)
+
+
+def toward_const(ev, marg: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Reference for the search's repair: packed marginals mixed toward the
+    constant kernel, row by row, by the weights ``t``; a row with weight 0
+    comes back unchanged."""
+    s = np.asarray(t, dtype=float)[:, None]
+    return (1.0 - s) * marg + s * const_marginals(ev)

@@ -197,6 +197,19 @@ class TestSandwich:
             assert sw.search.best_kernel.alphabet_u == 18, seed
             assert sw.ok, (seed, sw)
 
+    def test_explicit_card_u_is_a_floor(self):
+        # card_u = 16 is under |Y| = 18: the check still widens |U| so that
+        # U = Y fits, a wider card_u stands, and a lone search keeps its own
+        p = random_problem(2)
+        pt = Problem(p.components, p.users, validate(p).total_mi, p.sfrl_constant)
+        cfg = O.OracleConfig(card_u=16, seed=0)
+        sw = O.sandwich_check(pt, cfg)
+        assert sw.search.best_kernel.alphabet_u == 18
+        assert sw.ok, sw
+        quick = O.OracleConfig(card_u=20, restarts=1, iters=1, seed=0)
+        assert O.sandwich_check(pt, quick).search.best_kernel.alphabet_u == 20
+        assert O.search(pt, cfg).best_kernel.alphabet_u == 16
+
     def test_deterministic_instance_collapses(self):
         p = single_user(0.1, xy_copy_component())
         sw = O.sandwich_check(p, O.OracleConfig(seed=0))

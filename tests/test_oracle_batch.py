@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import entropy_mi, random_problem
+from helpers import const_marginals, entropy_mi, random_problem, toward_const
 from privbound import bounds as B
 from privbound import mechanisms as M
 from privbound import oracle as O
@@ -60,8 +60,8 @@ class TestBatchedRepair:
             "at_band": O.PROJECT_BAND,
         }[where]
         t = ev.repair(ev.terms(marg), eps)
-        mixed_xu, mixed_users = ev.unpack(ev.toward_const(marg, t))
-        const_users = ev.unpack(ev.const_marg[None])[1]
+        mixed_xu, mixed_users = ev.unpack(toward_const(ev, marg, t))
+        const_users = ev.unpack(const_marginals(ev))[1]
         infeasible = _mi(xu)[0] > eps
         assert ev.projections == int(infeasible.sum())
         if where == "all_feasible":
@@ -145,37 +145,88 @@ class TestStepTerms:
         eta_min = 1.0 - max(e for e in O.STEP_SIZES if e < 1.0)
         near = (marg > ZERO_FLOOR) & (marg <= ZERO_FLOOR / eta_min)
         assert near[-1].sum() >= 30 and not near[:-1].any()
-        cands, dirs = ev.sweep_terms(marg, choices, ev.terms(marg))
+        cands = ev.sweep_terms(marg, choices, ev.terms(marg))
         dense = _materialized(ev, marg, k, choices)
         assert np.allclose(ev.mi(cands), _dense_mi(ev, dense), rtol=0, atol=1e-12)
-        # the directions' marginals (the eta = 1 steps), and the columns
-        # u = 0 the repair reads
-        assert O.STEP_SIZES[-1] == 1.0
-        for row in range(len(marg)):
-            for i in range(len(O.MULTIPLIERS)):
-                step = dense[row * O.BATCH + i * len(O.STEP_SIZES) + len(O.STEP_SIZES) - 1]
-                assert np.allclose(dirs[row, i], step, rtol=0, atol=1e-15)
+        # the columns u = 0 the repair reads
         assert np.allclose(cands.col0, dense[:, ev.col0_idx], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_repaired_utility_is_mix_then_mi(self, seed):
         ev, marg, k, choices = _step_case(seed)
-        cands, _ = ev.sweep_terms(marg, choices, ev.terms(marg))
+        cands = ev.sweep_terms(marg, choices, ev.terms(marg))
         dense = _materialized(ev, marg, k, choices)
         eps = float(np.median(ev.mi(cands)[:, 0]))
         t = ev.repair(cands, eps, slack=O.LEAKAGE_SLACK)
         assert (t > 0.0).sum() >= len(t) // 3
-        ref = _dense_mi(ev, ev.toward_const(dense, t))
+        ref = _dense_mi(ev, toward_const(ev, dense, t))
         assert np.allclose(ev.scores(cands, t), ref, rtol=0, atol=1e-12)
-        assert np.allclose(ev.objective(cands, t), ref[:, 1:] @ ev.weights, rtol=0, atol=1e-12)
+        assert np.allclose(ev.objective(ev.scores(cands, t)), ref[:, 1:] @ ev.weights, rtol=0, atol=1e-12)
 
     def test_near_floor_cells_drop_out(self):
         # without the cells the steps take to the floor, the sums would be
         # off by about 1e-14 per cell; with 30 of them, by more than 1e-13
         ev, marg, k, choices = _step_case(0, rows=1)
-        cands, _ = ev.sweep_terms(marg, choices, ev.terms(marg))
+        cands = ev.sweep_terms(marg, choices, ev.terms(marg))
         ref = _dense_mi(ev, _materialized(ev, marg, k, choices))
         assert np.abs(ev.mi(cands) - ref).max() < 1e-13
+
+
+def _jump_case(seed: int, rows: int = 3):
+    """An evaluator, ``rows`` kernel tensors with their packed marginals, and
+    8 moved columns per row with their vertices. The problem has a user who
+    demands every component and 24 columns over 4 or 6 rows of P(x,u), so
+    every row moves two or more columns of one marginal row. In row 0, column
+    u = 0 has mass only on the moved columns, which all jump elsewhere: every
+    family's cells at u = 0 are exactly 0 after the jump. In row 1, four
+    moved columns already sit on the vertex they jump to."""
+    rng = np.random.default_rng(seed)
+    comps = tuple(
+        Component(f"c{i}", Joint2(rng.dirichlet(np.ones(cx * cy)).reshape(cx, cy)))
+        for i, (cx, cy) in enumerate(((2, 2), (2, 3) if seed % 2 else (3, 2)))
+    )
+    users = (User((0, 1), 1.0), User((1,), 0.5), User((0,), 0.3))
+    ev = O._Evaluator(Problem(comps, users, 0.1), 6)
+    nxy, nu = ev.nx * ev.ny, ev.card_u
+    k = rng.exponential(size=(rows, nxy, nu)) ** 3
+    k[rng.random(k.shape) < 0.2] = 0.0
+    k[:, :, -1] += 1e-3
+    cols = np.stack([rng.choice(nxy, size=8, replace=False) for _ in range(rows)])
+    vals = rng.integers(0, nu, size=(rows, 8))
+    k[0, :, 0] = 0.0
+    k[0, cols[0], 0] = rng.uniform(0.5, 2.0, size=8)
+    vals[0] = rng.integers(1, nu, size=8)
+    k /= k.sum(axis=2, keepdims=True)
+    k[1, cols[1, :4]] = 0.0
+    k[1, cols[1, :4], vals[1, :4]] = 1.0
+    tables = k.reshape(rows, ev.nx, ev.ny, nu)
+    return ev, tables, ev.marginals(tables), cols, vals
+
+
+class TestJumpMarginals:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_match_materialized_jump(self, seed):
+        ev, tables, marg, cols, vals = _jump_case(seed)
+        assert all(np.unique(c // ev.ny).size < c.size for c in cols)
+        shifted = ev.jump_marginals(marg, tables, cols, vals)
+        dense = ev.marginals(np.stack([ev.jump_table(t, c, v) for t, c, v in zip(tables, cols, vals)]))
+        assert np.allclose(shifted, dense, rtol=0, atol=1e-15)
+        # the residue case: the materialised cells are exactly 0
+        assert not dense[0, ev.col0_idx].any()
+        assert np.abs(shifted[0, ev.col0_idx]).max() <= ZERO_FLOOR
+        for got, ref in zip(ev.terms(shifted), ev.terms(dense)):
+            assert np.allclose(got, ref, rtol=0, atol=1e-12)
+        assert np.allclose(ev.mi(ev.terms(shifted)), _dense_mi(ev, dense), rtol=0, atol=1e-12)
+
+    def test_residue_case_is_reached(self):
+        # the shift leaves rounding residue on cells that are exactly 0
+        cases = [_jump_case(seed) for seed in range(6)]
+        assert sum(ev.jump_marginals(m, t, c, v)[0, ev.col0_idx].any() for ev, t, m, c, v in cases) >= 3
+
+    def test_vertex_at_current_symbol_moves_nothing(self):
+        ev, tables, marg, cols, vals = _jump_case(0)
+        shifted = ev.jump_marginals(marg, tables, cols[:, :4], vals[:, :4])
+        assert np.array_equal(shifted[1], marg[1])
 
 
 class TestUserMarginals:

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import random_problem, xy_copy_component
+from helpers import const_marginals, random_problem, xy_copy_component
 from privbound import mechanisms as M
 from privbound import oracle as O
 from privbound.errors import AlphabetMismatchError, ValidationError
@@ -86,7 +86,7 @@ class TestClosedFormLeakage:
     @staticmethod
     def _reference(ev, xu, t):
         """Leakage and slope of (1 - t) xu + t const_xu from ``_mi``'s logs."""
-        const_xu = ev.unpack(ev.const_marg[None])[0][0]
+        const_xu = ev.unpack(const_marginals(ev))[0][0]
         g, ln_m, ln_col = _mi((1.0 - t) * xu + t * const_xu)
         d = const_xu - xu
         return float(g), float((d * ln_m).sum() - d.sum(axis=0) @ ln_col)

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import xy_copy_component
+from helpers import toward_const, xy_copy_component
 from privbound import mechanisms as M
 from privbound import oracle as O
 from privbound.model import Component, Problem, User
@@ -66,12 +66,12 @@ def _assert_projection_in_band(p: Problem, k: M.Kernel, edge: str, frac: float) 
     else:
         assert eps - 1e-9 <= leak <= eps, (eps, leak)
     # the search's own repair: the leakage it scores, and that of the
-    # marginals it keeps
+    # marginals mixed by its weight
     ev = O._Evaluator(pe, k.alphabet_u)
     marg = ev.marginals(k.table)
     terms = ev.terms(marg)
     t = ev.repair(terms, eps, slack=O.LEAKAGE_SLACK)
-    for leak in (float(ev.scores(terms, t)[0, 0]), float(_mi(ev.unpack(ev.toward_const(marg, t))[0])[0][0])):
+    for leak in (float(ev.scores(terms, t)[0, 0]), float(_mi(ev.unpack(toward_const(ev, marg, t))[0])[0][0])):
         if t[0] > 0.0:
             assert eps - 1e-9 <= leak <= eps, (eps, leak)
         else:
