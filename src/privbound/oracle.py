@@ -8,7 +8,8 @@ picked by the objective's column gradient, plus one single-column vertex
 jump. Restarts run in lockstep, in groups of at most GROUP_ENTRIES kernel
 entries: one sweep scores the candidates of every restart of a group as
 one batch, while each restart keeps its own random stream, acceptance walk
-and stall count, and leaves the group when it stalls.
+and stall count, and its own row of the group's kernel stack, which it
+keeps after it stalls and stops sweeping.
 
 A restart's only state is its kernel tensor. Each sweep packs the group's
 marginals P(x,u) and P(y_S,u) once and scores every candidate from a few
@@ -18,10 +19,10 @@ toward a vertex direction changes at most |X||Y| cells of each marginal,
 and the jump only those of its moved columns, so only the accepted
 candidate's kernel is formed. Infeasible candidates are repaired by mixing
 toward the constant kernel, which scales every column u >= 1 by (1 - t);
-so the leakage, its slope in t and the repaired utility are read in closed
-form from column u = 0, and each mixing weight is found by safeguarded
-Newton steps (``leakage_project`` repairs one kernel the same way).
-Everything is driven by numpy generators seeded from (seed, restart index),
+so every MI and its slope in t are read in closed form from column u = 0,
+and each mixing weight is found by safeguarded Newton steps that also
+return the repaired scores (``leakage_project`` repairs one kernel the
+same way). Everything is driven by numpy generators seeded from (seed, restart index),
 so results are reproducible bit for bit and do not depend on how restarts
 are grouped.
 
@@ -56,7 +57,9 @@ _TINY = 1e-300
 class OracleConfig:
     """Search knobs. ``card_u`` is |U| for ``search`` and the least |U| for
     ``sandwich_check``, which widens it to fit its warm starts; it defaults
-    to |X|(|Y|-1)+2 over the flattened alphabets, capped at 16."""
+    to |X|(|Y|-1)+2 over the flattened alphabets, capped at 16. ``iters``
+    caps each restart's sweeps; kernels over 12,000 entries get
+    proportionally fewer, but no fewer than 6 unless ``iters`` is."""
 
     card_u: int | None = None
     restarts: int = 6
@@ -159,12 +162,12 @@ class _Evaluator:
     as in ``_mi``. Column 0 and P(u) are linear in the kernel. Mixing
     toward the constant kernel scales every column u >= 1 by (1 - t), so
     each family's MI after mixing is read in closed form from column 0
-    (``mixed``), for the repair's Newton steps and the repaired utility
-    alike. The jump's marginals shift the current ones on the cells of its
-    moved columns, which can leave rounding residue where they are exactly
-    zero; only the terms read them, and those take a cell at or below
-    ``ZERO_FLOOR`` as zero, as ``_mi`` does. ``vertex_choices``, which reads
-    ln of every cell, sees only the marginals of real kernels.
+    (``mixed``): each of the repair's Newton steps scores every family of
+    its iterate. The jump's marginals shift the current ones on the cells
+    of its moved columns, which can leave rounding residue where they are
+    exactly zero; only the terms read them, and those take a cell at or
+    below ``ZERO_FLOOR`` as zero, as ``_mi`` does. ``vertex_choices``, which
+    reads ln of every cell, sees only the marginals of real kernels.
     """
 
     def __init__(self, p: Problem, card_u: int):
@@ -250,12 +253,12 @@ class _Evaluator:
         fams = [f.reshape(len(marg), -1, self.card_u) for f in np.split(marg, self.fam_offs[1:], axis=1)]
         return fams[0], fams[1:]
 
-    def jump_marginals(self, marg: np.ndarray, tables: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    def jump_marginals(self, marg: np.ndarray, k: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
         """Packed marginals of each row's ``jump_table``: its current ones
         ``marg`` plus P(x,y) (e_v - K[x,y,.]) on every family's cells of each
-        moved column (x, y), in one ``bincount``."""
+        moved column (x, y), in one ``bincount``. ``k`` holds the moved
+        columns' current entries K[x,y,.], (rows, ncols, |U|)."""
         rows, nu = len(cols), self.card_u
-        k = tables.reshape(rows, -1, nu)[np.arange(rows)[:, None], cols]          # (rows, ncols, |U|)
         delta = self.pxy_flat[cols][..., None] * ((np.arange(nu) == vals[..., None]) - k)
         base = self.col_base[:, cols] + (np.arange(rows) * self.size)[:, None]   # (F, rows, ncols)
         idx = base[..., None] + np.arange(nu)
@@ -272,11 +275,12 @@ class _Evaluator:
         return _Terms(np.add.reduceat(_xlogx(marg), self.fam_offs, axis=1),
                       marg[:, self.col0_idx], lpu.sum(axis=1), lpu[:, 0])
 
-    def sweep_terms(self, marg: np.ndarray, choices: np.ndarray, jump: _Terms) -> _Terms:
+    def sweep_terms(self, marg: np.ndarray, ln: np.ndarray, choices: np.ndarray, jump: _Terms) -> _Terms:
         """Terms of one sweep's BATCH candidates per row of ``marg``,
         row-major. Candidate i * len(STEP_SIZES) + j of a row is
         (1 - eta_j) K + eta_j D_i, for the row's current kernel K and the
-        vertex kernel D_i of choices[:, i], scored from K's marginals and
+        vertex kernel D_i of choices[:, i], scored from K's marginals (and
+        ``ln``, their logs floored at ``_TINY``, which this overwrites) and
         D_i's touched cells; the last one is the row's jump (terms
         ``jump``)."""
         rows, size, nu = len(marg), self.size, self.card_u
@@ -288,9 +292,11 @@ class _Evaluator:
         d = np.bincount(didx, weights=w, minlength=rows * ndir * size)
         pu_d = np.bincount((np.arange(rows * ndir)[:, None, None] * nu + u).ravel(),
                            weights=np.broadcast_to(self.pxy_flat, u.shape).ravel(), minlength=rows * ndir * nu)
-        # the current kernels: one log pass
+        # the current kernels, with ln := 0 at or below the floor; m ln m
+        # takes ln's buffer, so no second array of its size stays alive
         above = marg > probcore.ZERO_FLOOR
-        xl = marg * np.log(np.where(above, marg, 1.0))
+        xl = np.multiply(ln, marg, out=ln)
+        xl[~above] = 0.0
         mm = np.where(above, marg, 0.0)
         s_k = np.add.reduceat(xl, self.fam_offs, axis=1)[:, None, None]
         m_k = np.add.reduceat(mm, self.fam_offs, axis=1)[:, None, None]
@@ -347,17 +353,15 @@ class _Evaluator:
         """I(X;U) and every I(C_j;U), (B, F), of unmixed kernels."""
         return np.maximum(terms.plogp - self.rowconst - terms.hu[:, None], 0.0)
 
-    def _rest(self, terms: _Terms, nfam: int) -> np.ndarray:
-        """The u >= 1 part of sum m ln m - sum_u P(u) ln P(u), (B, nfam), for
-        the first ``nfam`` families."""
-        n = self.row_starts[nfam]
-        c0 = np.add.reduceat(_xlogx(terms.col0[:, :n]), self.row_starts[:nfam], axis=1)
-        return terms.plogp[:, :nfam] - c0 - (terms.hu - terms.hu0)[:, None]
+    def _rest(self, terms: _Terms) -> np.ndarray:
+        """The u >= 1 part of sum m ln m - sum_u P(u) ln P(u), (B, F), per
+        family."""
+        c0 = np.add.reduceat(_xlogx(terms.col0), self.row_starts[:-1], axis=1)
+        return terms.plogp - c0 - (terms.hu - terms.hu0)[:, None]
 
     def mixed(self, col0: np.ndarray, rest: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """MI of the first nfam = rest.shape[1] families of
-        (1 - t) K + t K_const, and its slope in t, per row, from column 0 of
-        K's families (``col0``, their first row_starts[nfam] entries) and
+        """MI of every family of (1 - t) K + t K_const, (B, F), and its
+        slope in t, per row, from column 0 of K's families (``col0``) and
         ``rest`` (``_rest``).
 
         Mixing scales every column u >= 1 by (1 - t), which scales ``rest``
@@ -369,28 +373,16 @@ class _Evaluator:
         ``ZERO_FLOOR`` take ln := 0, as in ``_mi``.
         """
         floor = probcore.ZERO_FLOOR
-        nfam = rest.shape[1]
-        starts = self.row_starts[:nfam]
-        p = self.p_rows[: self.row_starts[nfam]]
+        starts, p = self.row_starts[:-1], self.p_rows
         s = t[:, None]
         a = (1.0 - s) * col0 + s * p
         ln_a = np.log(np.where(a > floor, a, 1.0))
         c = np.add.reduceat(a, starts, axis=1)
         ln_c = np.log(np.where(c > floor, c, 1.0))
         d0 = p - col0
-        mi = (1.0 - s) * rest + np.add.reduceat(a * ln_a, starts, axis=1) - c * ln_c - self.rowconst[:nfam]
+        mi = (1.0 - s) * rest + np.add.reduceat(a * ln_a, starts, axis=1) - c * ln_c - self.rowconst
         slope = np.add.reduceat(d0 * ln_a, starts, axis=1) - np.add.reduceat(d0, starts, axis=1) * ln_c - rest
         return np.maximum(mi, 0.0), slope
-
-    def scores(self, terms: _Terms, t: np.ndarray) -> np.ndarray:
-        """I(X;U) and every I(C_j;U), (B, F), of each kernel after mixing it
-        toward the constant kernel by its weight in ``t``."""
-        out = self.mi(terms)
-        bad = np.flatnonzero(t > 0.0)
-        if bad.size:
-            sub = terms.take(bad)
-            out[bad] = self.mixed(sub.col0, self._rest(sub, len(self.rowconst)), t[bad])[0]
-        return out
 
     def objective(self, scores: np.ndarray) -> np.ndarray:
         """sum_j w_j I(C_j; U) per row of ``scores``."""
@@ -398,35 +390,41 @@ class _Evaluator:
 
     # -- feasibility repair --------------------------------------------------
 
-    def repair(self, terms: _Terms, eps: float, slack: float = 0.0) -> np.ndarray:
-        """Per-kernel mixing weights toward the constant kernel that land
-        each leakage in [eps - PROJECT_BAND, eps]; 0.0 for a kernel that is
-        already feasible (within ``slack``, which search uses to absorb
-        float noise).
+    def repair(self, terms: _Terms, eps: float, slack: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+        """Per-kernel mixing weights t toward the constant kernel that land
+        each leakage in [eps - PROJECT_BAND, eps], and the scores, I(X;U)
+        and every I(C_j;U) as (B, F), of the kernels so mixed; t = 0.0 for a
+        kernel that is already feasible (within ``slack``, which search uses
+        to absorb float noise).
 
         The leakage of (1-t) P(x,u) + t P_const(x,u) is convex in t (MI is
         convex in the channel, and the channel is affine in t) and reaches 0
         at t = 1, so it is non-increasing. Newton steps aim at the middle of
         the band, one kernel per row, each with its own [lo, hi] bracket;
         a step that leaves the bracket, or a slope that is not negative,
-        falls back to the bracket midpoint. A kernel leaves the batch once
-        its leakage is in the band. The first leakage comes from ``terms``;
-        every later leakage and slope is read in closed form from column
-        u = 0 of P(x,u) (``mixed``).
+        falls back to the bracket midpoint. A kernel leaves the batch with
+        the scores of the iterate that lands its leakage in the band; one
+        still outside after 80 steps is scored at hi, and with
+        eps <= PROJECT_BAND every infeasible kernel at t = 1. The first
+        scores come from ``terms``; every later score and slope is read in
+        closed form from column u = 0 of every family (``mixed``).
         """
-        g = self.mi(terms)[:, 0]
+        scores = self.mi(terms)
+        g = scores[:, 0]
         t = np.zeros(len(g))
         bad = np.flatnonzero(g > eps + slack)
         self.projections += bad.size
         self.leakage_evals += bad.size
         if bad.size == 0:
-            return t
+            return t, scores
+        sub = terms.take(bad)
+        col0, rest = sub.col0, self._rest(sub)
         if eps <= PROJECT_BAND:
             t[bad] = 1.0
-            return t
-        sub = terms.take(bad)
-        g, x0, rest = g[bad], sub.col0[:, : self.nx], self._rest(sub, 1)
-        slope = self.mixed(x0, rest, np.zeros(bad.size))[1][:, 0]
+            scores[bad] = self.mixed(col0, rest, t[bad])[0]
+            return t, scores
+        g = g[bad]
+        slope = self.mixed(col0, rest, np.zeros(bad.size))[1][:, 0]
         target = eps - 0.5 * PROJECT_BAND
         lo, hi, tb = np.zeros(bad.size), np.ones(bad.size), np.zeros(bad.size)
         live = np.arange(bad.size)
@@ -436,19 +434,23 @@ class _Evaluator:
             inside = (lo[live] < step) & (step < hi[live])
             tl = np.where(inside, step, 0.5 * (lo[live] + hi[live]))
             tb[live] = tl
-            g, slope = (v[:, 0] for v in self.mixed(x0[live], rest[live], tl))
+            mi, slope = self.mixed(col0[live], rest[live], tl)
+            g, slope = mi[:, 0], slope[:, 0]
             self.leakage_evals += live.size
             over = g > eps
             under = g < eps - PROJECT_BAND
             lo[live[over]] = tl[over]
             hi[live[under]] = tl[under]
             out = over | under
+            scores[bad[live[~out]]] = mi[~out]
             live, g, slope = live[out], g[out], slope[out]
             if live.size == 0:
                 break
-        tb[live] = hi[live]
+        if live.size:
+            tb[live] = hi[live]
+            scores[bad[live]] = self.mixed(col0[live], rest[live], tb[live])[0]
         t[bad] = tb
-        return t
+        return t, scores
 
     def mix_table(self, table: np.ndarray, t: float) -> np.ndarray:
         """(1 - t) table + t (constant kernel); ``table`` itself when t <= 0."""
@@ -460,30 +462,31 @@ class _Evaluator:
 
     # -- candidate generation -------------------------------------------------
 
-    def vertex_choices(self, marg: np.ndarray) -> np.ndarray:
+    def vertex_choices(self, marg: np.ndarray, ln: np.ndarray) -> np.ndarray:
         """Per-column best vertex of a Lagrangian gradient for every row of
-        packed marginals: (B, len(MULTIPLIERS), |X|, |Y|) indices, one
-        plane per entry of MULTIPLIERS.
+        packed marginals ``marg``, given ``ln``, their logs floored at
+        ``_TINY``: (B, len(MULTIPLIERS), |X|, |Y|) indices, one plane per
+        entry of MULTIPLIERS.
 
         d objective / d K[x,y,u] = P(x,y) * sum_j w_j ln(P(u|y_Sj)/P(u))
         depends on (y, u) only, while d leakage / d K[x,y,u] is
         P(x,y) * ln(P(u|x)/P(u)); a positive multiplier mixes the two so
         that directions can build or shed X-correlation deliberately.
         """
-        xu, users = self.unpack(marg)
+        (xu, users), (ln_xu, ln_users) = self.unpack(marg), self.unpack(ln)
         rows, nu = len(xu), self.card_u
         pu = np.log(np.maximum(xu.sum(axis=1), _TINY))
         score = np.zeros((rows, *self.dims_y, nu))
-        for w, m, shape in zip(self.weights, users, self.user_shapes):
+        for w, m, ln_m, shape in zip(self.weights, users, ln_users, self.user_shapes):
             if w == 0.0:
                 continue
             ps = m.sum(axis=2, keepdims=True)
-            lcond = np.log(np.maximum(m, _TINY)) - np.log(np.maximum(ps, _TINY))
+            lcond = ln_m - np.log(np.maximum(ps, _TINY))
             # broadcast over the components the user does not demand
             score += w * lcond.reshape(rows, *shape)
         score = score.reshape(rows, self.ny, nu) - pu[:, None, :]
         px = xu.sum(axis=2, keepdims=True)
-        leak_score = np.log(np.maximum(xu, _TINY)) - np.log(np.maximum(px, _TINY)) - pu[:, None, :]
+        leak_score = ln_xu - np.log(np.maximum(px, _TINY)) - pu[:, None, :]
         choices = np.empty((rows, len(MULTIPLIERS), self.nx, self.ny), dtype=np.intp)
         for i, lam in enumerate(MULTIPLIERS):
             if lam == 0.0:
@@ -560,77 +563,66 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
     (objective, table, leak) per restart, in order, the objective and leak
     as scored for the restart's last accepted kernel.
 
-    Each sweep scores BATCH candidates per live restart together, from the
-    marginals of the restarts' kernels; each restart walks its own
-    candidates in order, accepting every one that beats its running best
-    (the last accepted becomes its current kernel, the only one formed),
-    and leaves the group after 6 sweeps without an acceptance.
+    Every restart keeps its row of the group's state (kernel stack, best,
+    leak, stall count, random stream) throughout. Each sweep scores BATCH
+    candidates per live restart together, from the marginals of the live
+    restarts' kernels; each restart walks its own candidates in order,
+    accepting every one that beats its running best (the last accepted
+    overwrites its kernel, the only candidate formed), and stops sweeping
+    after 6 sweeps without an acceptance.
     """
     eps = p.epsilon
     rngs = [np.random.default_rng([cfg.seed, r, 1]) for r in restarts]
     tables = np.stack([_initial_tables(ev, p, cfg, starts, r) for r in restarts])
-    terms = ev.terms(ev.marginals(tables))
-    t_mix = ev.repair(terms, eps, slack=LEAKAGE_SLACK)
-    scores = ev.scores(terms, t_mix)
+    t_mix, scores = ev.repair(ev.terms(ev.marginals(tables)), eps, slack=LEAKAGE_SLACK)
     best, leak = ev.objective(scores).tolist(), scores[:, 0].tolist()
     tables = np.stack([ev.mix_table(tab, t) for tab, t in zip(tables, t_mix)])
     stall = np.zeros(len(rngs), dtype=int)
-    ids = np.arange(len(rngs))      # position in the group of each live row
-    done: dict[int, tuple[float, np.ndarray, float]] = {}
-
-    def leave(rows: np.ndarray) -> None:
-        for row in rows:
-            done[int(ids[row])] = (best[row], tables[row].copy(), leak[row])
-
     # large kernels get proportionally fewer sweeps to keep runtime flat
     nxy, nu = ev.nx * ev.ny, ev.card_u
-    iters = max(6, min(cfg.iters, int(cfg.iters * 12_000 / max(nxy * nu, 1))))
+    iters = min(cfg.iters, max(6, int(cfg.iters * 12_000 / max(nxy * nu, 1))))
     ncols = min(8, nxy)
     for _ in range(iters):
-        live = len(ids)
-        marg = ev.marginals(tables)
-        choices = ev.vertex_choices(marg)
+        live = np.flatnonzero(stall < 6)
+        if live.size == 0:
+            break
+        # marginals of the whole stack: indexing the stack by ``live`` would copy it
+        marg = ev.marginals(tables)[live]
+        # one log of the marginals serves both scorers; in place, to hold
+        # only one array of its size
+        ln = np.maximum(marg, _TINY)
+        np.log(ln, out=ln)
+        choices = ev.vertex_choices(marg, ln)
         # single-column vertex jumps (coordinate moves), from each restart's stream
-        cols = np.empty((live, ncols), dtype=np.intp)
-        vals = np.empty((live, ncols), dtype=np.intp)
-        for row, rng in enumerate(rngs):
-            cols[row] = rng.choice(nxy, size=ncols, replace=False)
-            vals[row] = rng.integers(0, nu, size=ncols)
-        cands = ev.sweep_terms(marg, choices, ev.terms(ev.jump_marginals(marg, tables, cols, vals)))
-        t = ev.repair(cands, eps, slack=LEAKAGE_SLACK)
-        scores = ev.scores(cands, t)
-        objs = ev.objective(scores).reshape(live, BATCH).tolist()
-        ev.candidates += live * BATCH
+        cols = np.empty((live.size, ncols), dtype=np.intp)
+        vals = np.empty((live.size, ncols), dtype=np.intp)
+        for row, r in enumerate(live):
+            cols[row] = rngs[r].choice(nxy, size=ncols, replace=False)
+            vals[row] = rngs[r].integers(0, nu, size=ncols)
+        moved = tables.reshape(len(rngs), nxy, nu)[live[:, None], cols]
+        cands = ev.sweep_terms(marg, ln, choices, ev.terms(ev.jump_marginals(marg, moved, cols, vals)))
+        t, scores = ev.repair(cands, eps, slack=LEAKAGE_SLACK)
+        objs = ev.objective(scores).reshape(live.size, BATCH).tolist()
+        ev.candidates += live.size * BATCH
         ev.sweeps += 1
-        picks = np.full(live, -1)
-        for row in range(live):
+        stall[live] += 1
+        for row, r in enumerate(live):
+            pick = -1
             for k, obj in enumerate(objs[row]):
-                if obj > best[row] + ACCEPT_TOL:
-                    best[row] = obj
-                    picks[row] = k
+                if obj > best[r] + ACCEPT_TOL:
+                    best[r] = obj
+                    pick = k
                     ev.accepted += 1
-        moved = np.flatnonzero(picks >= 0)
-        for row, k in zip(moved, picks[moved]):
-            leak[row] = float(scores[row * BATCH + k, 0])
-            if k == BATCH - 1:
-                cand = ev.jump_table(tables[row], cols[row], vals[row])
+            if pick < 0:
+                continue
+            stall[r] = 0
+            leak[r] = float(scores[row * BATCH + pick, 0])
+            if pick == BATCH - 1:
+                cand = ev.jump_table(tables[r], cols[row], vals[row])
             else:
-                cand = ev.step_table(tables[row], k, choices[row])
-            tables[row] = ev.mix_table(cand, float(t[row * BATCH + k]))
-        stall += 1
-        stall[moved] = 0
-        stalled = stall >= 6
-        if stalled.any():
-            leave(np.flatnonzero(stalled))
-            keep = np.flatnonzero(~stalled)
-            tables, stall, ids = tables[keep], stall[keep], ids[keep]
-            best = [best[row] for row in keep]
-            leak = [leak[row] for row in keep]
-            rngs = [rngs[row] for row in keep]
-            if keep.size == 0:
-                break
-    leave(np.arange(len(ids)))
-    return [done[i] for i in range(len(restarts))]
+                cand = ev.step_table(tables[r], pick, choices[row])
+            tables[r] = ev.mix_table(cand, float(t[row * BATCH + pick]))
+    return [(best[r], tables[r].copy(), leak[r]) for r in range(len(rngs))]
 
 
 def _flat_sizes(p: Problem) -> tuple[int, int]:
@@ -701,7 +693,7 @@ def leakage_project(m: Kernel, p: Problem, eps: float) -> Kernel:
     if (m.card_x, m.card_y) != (nx, ny):
         raise AlphabetMismatchError(f"kernel is {m.card_x}x{m.card_y}, flattened problem is {nx}x{ny}")
     ev = _Evaluator(p, m.alphabet_u)
-    t = float(ev.repair(ev.terms(ev.marginals(m.table)), eps)[0])
+    t = float(ev.repair(ev.terms(ev.marginals(m.table)), eps)[0][0])
     if t == 0.0:
         return m
     return Kernel(ev.mix_table(np.array(m.table), t))

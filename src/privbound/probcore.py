@@ -30,7 +30,6 @@ from .errors import SizeCapError, ValidationError
 
 ZERO_FLOOR = 1e-15
 MASS_REJECT_TOL = 1e-6
-MASS_POST_TOL = 1e-9
 DEFAULT_SIZE_CAP = 10_000_000
 
 

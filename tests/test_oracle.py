@@ -78,6 +78,13 @@ class TestSearch:
         assert len(res.trace) == QUICK.restarts
         assert res.best_objective == max(res.trace)
 
+    @pytest.mark.parametrize("iters", [1, 2])
+    def test_iters_caps_the_sweeps(self, iters):
+        # a small kernel: the size-aware floor of 6 sweeps does not lift
+        # the budget above ``iters``
+        res = O.search(random_problem(1), O.OracleConfig(restarts=1, iters=iters, seed=0))
+        assert res.sweeps == iters
+
 
 class TestSizeCap:
     def test_refinement_start_falls_back_under_cap(self, monkeypatch):

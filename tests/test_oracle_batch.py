@@ -46,6 +46,12 @@ def _leak(xu_k: np.ndarray) -> float:
     return entropy_mi(xu_k / xu_k.sum())
 
 
+def _ln(marg: np.ndarray) -> np.ndarray:
+    """The logs of packed marginals that a sweep hands ``vertex_choices``
+    and ``sweep_terms``."""
+    return np.log(np.maximum(marg, O._TINY))
+
+
 class TestBatchedRepair:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("where", ["above_band", "median", "all_feasible", "at_band"])
@@ -59,7 +65,7 @@ class TestBatchedRepair:
             "all_feasible": float(leaks.max()) + 1e-6,
             "at_band": O.PROJECT_BAND,
         }[where]
-        t = ev.repair(ev.terms(marg), eps)
+        t = ev.repair(ev.terms(marg), eps)[0]
         mixed_xu, mixed_users = ev.unpack(toward_const(ev, marg, t))
         const_users = ev.unpack(const_marginals(ev))[1]
         infeasible = _mi(xu)[0] > eps
@@ -82,8 +88,8 @@ class TestBatchedRepair:
         ev, marg = _random_batch(3)
         terms = ev.terms(marg)
         eps = float(np.median(_mi(ev.unpack(marg)[0])[0]))
-        together = ev.repair(terms, eps)
-        alone = np.array([ev.repair(terms.take([k]), eps)[0] for k in range(len(marg))])
+        together = ev.repair(terms, eps)[0]
+        alone = np.array([ev.repair(terms.take([k]), eps)[0][0] for k in range(len(marg))])
         assert np.allclose(together, alone, rtol=0, atol=1e-15)
 
 
@@ -115,7 +121,7 @@ def _step_case(seed: int, rows: int = 3):
     k[-1][:, :, 0] += 1.0 - k[-1].sum(axis=2)
     marg = ev.marginals(k)
     choices = rng.integers(0, ev.card_u, size=(rows, len(O.MULTIPLIERS), ev.nx, ev.ny))
-    choices[:, 0, :, :] = ev.vertex_choices(marg)[:, 0]
+    choices[:, 0, :, :] = ev.vertex_choices(marg, _ln(marg))[:, 0]
     choices[:, :, 0, 0] = tiny[0]    # column (0, 0) touches near-floor cells
     return ev, marg, k, choices
 
@@ -145,7 +151,7 @@ class TestStepTerms:
         eta_min = 1.0 - max(e for e in O.STEP_SIZES if e < 1.0)
         near = (marg > ZERO_FLOOR) & (marg <= ZERO_FLOOR / eta_min)
         assert near[-1].sum() >= 30 and not near[:-1].any()
-        cands = ev.sweep_terms(marg, choices, ev.terms(marg))
+        cands = ev.sweep_terms(marg, _ln(marg), choices, ev.terms(marg))
         dense = _materialized(ev, marg, k, choices)
         assert np.allclose(ev.mi(cands), _dense_mi(ev, dense), rtol=0, atol=1e-12)
         # the columns u = 0 the repair reads
@@ -154,20 +160,21 @@ class TestStepTerms:
     @pytest.mark.parametrize("seed", range(6))
     def test_repaired_utility_is_mix_then_mi(self, seed):
         ev, marg, k, choices = _step_case(seed)
-        cands = ev.sweep_terms(marg, choices, ev.terms(marg))
+        cands = ev.sweep_terms(marg, _ln(marg), choices, ev.terms(marg))
         dense = _materialized(ev, marg, k, choices)
         eps = float(np.median(ev.mi(cands)[:, 0]))
-        t = ev.repair(cands, eps, slack=O.LEAKAGE_SLACK)
+        t, scores = ev.repair(cands, eps, slack=O.LEAKAGE_SLACK)
         assert (t > 0.0).sum() >= len(t) // 3
+        # every family's repaired MI, against _mi of the mixed marginals
         ref = _dense_mi(ev, toward_const(ev, dense, t))
-        assert np.allclose(ev.scores(cands, t), ref, rtol=0, atol=1e-12)
-        assert np.allclose(ev.objective(ev.scores(cands, t)), ref[:, 1:] @ ev.weights, rtol=0, atol=1e-12)
+        assert np.allclose(scores, ref, rtol=0, atol=1e-12)
+        assert np.allclose(ev.objective(scores), ref[:, 1:] @ ev.weights, rtol=0, atol=1e-12)
 
     def test_near_floor_cells_drop_out(self):
         # without the cells the steps take to the floor, the sums would be
         # off by about 1e-14 per cell; with 30 of them, by more than 1e-13
         ev, marg, k, choices = _step_case(0, rows=1)
-        cands = ev.sweep_terms(marg, choices, ev.terms(marg))
+        cands = ev.sweep_terms(marg, _ln(marg), choices, ev.terms(marg))
         ref = _dense_mi(ev, _materialized(ev, marg, k, choices))
         assert np.abs(ev.mi(cands) - ref).max() < 1e-13
 
@@ -203,12 +210,19 @@ def _jump_case(seed: int, rows: int = 3):
     return ev, tables, ev.marginals(tables), cols, vals
 
 
+def _moved(tables, cols):
+    """The moved columns' current entries K[x,y,.] that ``jump_marginals``
+    takes, (rows, ncols, |U|)."""
+    rows, nu = len(tables), tables.shape[-1]
+    return tables.reshape(rows, -1, nu)[np.arange(rows)[:, None], cols]
+
+
 class TestJumpMarginals:
     @pytest.mark.parametrize("seed", range(6))
     def test_match_materialized_jump(self, seed):
         ev, tables, marg, cols, vals = _jump_case(seed)
         assert all(np.unique(c // ev.ny).size < c.size for c in cols)
-        shifted = ev.jump_marginals(marg, tables, cols, vals)
+        shifted = ev.jump_marginals(marg, _moved(tables, cols), cols, vals)
         dense = ev.marginals(np.stack([ev.jump_table(t, c, v) for t, c, v in zip(tables, cols, vals)]))
         assert np.allclose(shifted, dense, rtol=0, atol=1e-15)
         # the residue case: the materialised cells are exactly 0
@@ -221,11 +235,11 @@ class TestJumpMarginals:
     def test_residue_case_is_reached(self):
         # the shift leaves rounding residue on cells that are exactly 0
         cases = [_jump_case(seed) for seed in range(6)]
-        assert sum(ev.jump_marginals(m, t, c, v)[0, ev.col0_idx].any() for ev, t, m, c, v in cases) >= 3
+        assert sum(ev.jump_marginals(m, _moved(t, c), c, v)[0, ev.col0_idx].any() for ev, t, m, c, v in cases) >= 3
 
     def test_vertex_at_current_symbol_moves_nothing(self):
         ev, tables, marg, cols, vals = _jump_case(0)
-        shifted = ev.jump_marginals(marg, tables, cols[:, :4], vals[:, :4])
+        shifted = ev.jump_marginals(marg, _moved(tables, cols[:, :4]), cols[:, :4], vals[:, :4])
         assert np.array_equal(shifted[1], marg[1])
 
 
@@ -258,8 +272,8 @@ class TestUserMarginals:
         try:
             ev = O._Evaluator(p, O.default_card_u(p))
             table = np.full((ev.nx, ev.ny, ev.card_u), 1.0 / ev.card_u)
-            ev.marginals(table)
-            ev.vertex_choices(ev.marginals(table))
+            marg = ev.marginals(table)
+            ev.vertex_choices(marg, _ln(marg))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -32,6 +32,10 @@ class TestGroupsAgree:
         assert alone.groups == QUICK.restarts
         assert together.groups == 1
         assert np.allclose(alone.trace, together.trace, rtol=0, atol=1e-12)
+        # and bit for bit
+        assert alone.trace == together.trace
+        assert np.array_equal(alone.best_kernel.table, together.best_kernel.table)
+        assert alone.leakage_at_best == together.leakage_at_best
         for name in ("projections", "leakage_evals", "candidates", "accepted"):
             assert getattr(alone, name) == getattr(together, name), name
         # one group sweeps as often as its longest restart
@@ -61,7 +65,8 @@ class TestGroupsAgree:
 
 
 class TestClosedFormLeakage:
-    """``mixed`` on P(x,u) against ``_mi`` of the explicitly mixed P(x,u). The
+    """``mixed``'s P(x,u) column against ``_mi`` of the explicitly mixed
+    P(x,u); the user's family is the constant kernel's P(y,u). The
     u >= 1 entries are 0 or at least 1e-2, so that at t = 1 - 1e-12 none
     of them falls to ``ZERO_FLOOR``, where ``_mi`` would drop it."""
 
@@ -95,8 +100,9 @@ class TestClosedFormLeakage:
         for ev, xu in self._cases():
             _, ln_m, ln_col = _mi(xu)
             rest = (xu[:, 1:] * ln_m[:, 1:]).sum() - xu.sum(axis=0)[1:] @ ln_col[1:]
+            col0 = np.concatenate([xu[:, 0], ev.p_rows[ev.nx:]])[None]
             for t in self.TS:
-                g, slope = (v[:, 0] for v in ev.mixed(xu[None, :, 0], np.array([[rest]]), np.array([t])))
+                g, slope = (v[:, 0] for v in ev.mixed(col0, np.array([[rest, 0.0]]), np.array([t])))
                 ref_g, ref_slope = self._reference(ev, xu, t)
                 assert g[0] == pytest.approx(ref_g, rel=0, abs=1e-13), t
                 if t == 1.0:

@@ -70,8 +70,8 @@ def _assert_projection_in_band(p: Problem, k: M.Kernel, edge: str, frac: float) 
     ev = O._Evaluator(pe, k.alphabet_u)
     marg = ev.marginals(k.table)
     terms = ev.terms(marg)
-    t = ev.repair(terms, eps, slack=O.LEAKAGE_SLACK)
-    for leak in (float(ev.scores(terms, t)[0, 0]), float(_mi(ev.unpack(toward_const(ev, marg, t))[0])[0][0])):
+    t, scores = ev.repair(terms, eps, slack=O.LEAKAGE_SLACK)
+    for leak in (float(scores[0, 0]), float(_mi(ev.unpack(toward_const(ev, marg, t))[0])[0][0])):
         if t[0] > 0.0:
             assert eps - 1e-9 <= leak <= eps, (eps, leak)
         else:
