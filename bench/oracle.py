@@ -16,7 +16,12 @@ BLAS at one thread.
   repaired), ``leakage_evals`` (leakage evaluations those repairs spent)
   and, on revisions that have them, ``candidates`` (candidates scored),
   ``accepted``, ``sweeps`` (batched scoring passes) and ``groups``
-  (restart groups run in lockstep).
+  (restart groups run in lockstep). Beside them, outside COUNTERS (it
+  depends on how restarts are grouped, so it is not compared):
+  ``swept_entries``, the kernel entries the sweeps' marginals and vertex
+  choices formed, on revisions that count it, against
+  ``full_width_entries``, what they form when every u-column is read
+  (rows x |X||Y||U| twice per sweep row, from ``candidates``).
 - **Wall clocks** (REPS runs per side, alternating which side goes
   first): one pass over each bank per seed, and criterion 1. On revisions
   whose ``SandwichReport`` has ``stage_s``, the bank passes also sum each
@@ -107,9 +112,12 @@ def worker_counts(oracle, seed: int) -> dict:
         for p, report in zip(problems, _sandwich_all(oracle, problems)):
             res = _search_result(oracle, p, report)
             tally["values"].append(res.best_objective)
-            for name in COUNTERS:
+            for name in COUNTERS + ("swept_entries",):
                 if hasattr(res, name):
                     tally[name] = tally.get(name, 0) + getattr(res, name)
+            if hasattr(res, "candidates"):
+                full = 2 * res.best_kernel.table.size * res.candidates // oracle.BATCH
+                tally["full_width_entries"] = tally.get("full_width_entries", 0) + full
         out[bank] = tally
     return out
 
@@ -195,7 +203,7 @@ def count_summary(per_seed: dict) -> dict:
     for bank in BANKS:
         rows = [per_seed[s][bank] for s in per_seed]
         summary = {name: statistics.median(r[name] for r in rows)
-                   for name in COUNTERS if name in rows[0]}
+                   for name in COUNTERS + ("swept_entries", "full_width_entries") if name in rows[0]}
         summary["leakage_evals_per_repair"] = statistics.median(
             r["leakage_evals"] / r["projections"] for r in rows)
         if "accepted" in rows[0]:
@@ -204,6 +212,9 @@ def count_summary(per_seed: dict) -> dict:
         if "sweeps" in rows[0]:
             summary["candidates_per_sweep"] = statistics.median(
                 r["candidates"] / r["sweeps"] for r in rows)
+        if "swept_entries" in rows[0]:
+            summary["swept_frac"] = statistics.median(
+                r["swept_entries"] / r["full_width_entries"] for r in rows)
         out[bank] = summary
     return out
 
@@ -286,7 +297,9 @@ def main() -> None:
         print(f"{bank:<16} leakage evals/repair {b['leakage_evals_per_repair']:.2f} -> "
               f"{a['leakage_evals_per_repair']:.2f}, repairs {b['projections']:.0f} -> "
               f"{a['projections']:.0f}, candidates {b.get('candidates', '-')} -> {a.get('candidates', '-')}, "
-              f"sweeps {b.get('sweeps', '-')} -> {a.get('sweeps', '-')}")
+              f"sweeps {b.get('sweeps', '-')} -> {a.get('sweeps', '-')}, "
+              f"swept entries {b.get('swept_entries', b.get('full_width_entries', '-'))} -> "
+              f"{a.get('swept_entries', '-')}")
     print(f"counters equal: {doc['counters_equal']}, largest |search value change| "
           f"{doc['search_value_max_abs_diff']:.3g}")
     print(f"wrote {args.out}")

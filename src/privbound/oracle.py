@@ -11,20 +11,29 @@ one batch, while each restart keeps its own random stream, acceptance walk
 and stall count, and its own row of the group's kernel stack, which it
 keeps after it stalls and stops sweeping.
 
-A restart's only state is its kernel tensor. Each sweep packs the group's
-marginals P(x,u) and P(y_S,u) once and scores every candidate from a few
-sums of marginals, which are linear in the kernel: sum m ln m per marginal,
-column u = 0, and P(u) (the row sums are fixed at p(x) and p(y_S)). A step
-toward a vertex direction changes at most |X||Y| cells of each marginal,
-and the jump only those of its moved columns, so only the accepted
-candidate's kernel is formed. Infeasible candidates are repaired by mixing
-toward the constant kernel, which scales every column u >= 1 by (1 - t);
-so every MI and its slope in t are read in closed form from column u = 0,
-and each mixing weight is found by safeguarded Newton steps that also
-return the repaired scores (``leakage_project`` repairs one kernel the
-same way). Everything is driven by numpy generators seeded from (seed, restart index),
-so results are reproducible bit for bit and do not depend on how restarts
-are grouped.
+A restart's only state is its kernel tensor, with a mask of the u-columns
+that may hold mass (it may hold more, never fewer). The mask is set from
+the start (restart 0's relabelled Y, a warm start's first columns, all of
+a seeded kernel's) and from each accepted candidate, never from a pass
+over the kernel. Each sweep packs the live restarts' marginals P(x,u) and
+P(y_S,u) once, over the union of their masks only where that skips at
+least GROUP_ENTRIES kernel entries (every other column is zero), and
+scores every candidate from a few sums of marginals, which are
+linear in the kernel: sum m ln m per marginal, column u = 0, and P(u) (the
+row sums are fixed at p(x) and p(y_S)). The vertex directions' argmax
+reads the masked columns and each restart's first empty one, which stands
+for all of them: empty columns score alike and argmax keeps the first. A
+step toward a vertex direction changes at most |X||Y| cells of each
+marginal, and the jump only those of its moved columns, so only the
+accepted candidate's kernel is formed, in place on its masked columns.
+Infeasible candidates are repaired by mixing toward the constant kernel,
+which scales every column u >= 1 by (1 - t); so every MI and its slope in
+t are read in closed form from column u = 0, and each mixing weight is
+found by safeguarded Newton steps that also return the repaired scores
+(``leakage_project`` repairs one kernel the same way). Everything is
+driven by numpy generators seeded from (seed, restart index), and the
+masks only skip columns that are zero, so results are reproducible bit
+for bit and do not depend on how restarts are grouped.
 
 The returned value is an achieved objective: a certified lower estimate of
 the true optimum, never the optimum itself.
@@ -91,6 +100,10 @@ class OracleResult:
     accepted: int = 0         # candidates that beat the running best
     sweeps: int = 0           # batched scoring passes, one per group sweep
     groups: int = 0           # restart groups run in lockstep
+    # rows x |X||Y| x u-columns formed by the sweeps' marginals and read by
+    # their vertex choices: the kept columns depend on how restarts are
+    # grouped (a sweep keeps the union of its rows' occupied columns)
+    swept_entries: int = 0
 
 
 @dataclass(frozen=True)
@@ -168,6 +181,18 @@ class _Evaluator:
     exactly zero; only the terms read them, and those take a cell at or
     below ``ZERO_FLOOR`` as zero, as ``_mi`` does. ``vertex_choices``, which
     reads ln of every cell, sees only the marginals of real kernels.
+
+    The search keeps, per kernel, a boolean mask of the u-columns that may
+    hold mass. Where that skips at least GROUP_ENTRIES kernel entries,
+    ``occupied_marginals`` forms the packed marginals over the union of the
+    masks only and scatters them into the full-width layout, so every
+    scorer sees the same arrays as from ``marginals``; ``vertex_choices``
+    then takes its argmax over the masked columns plus each row's first
+    unmasked one; and ``step_into``, ``jump_into`` and ``mix_into``
+    overwrite the accepted kernel on its masked columns. All three keep the
+    mask covering the kernel's mass. Every kept number is formed from the
+    same operands in the same order as at full width, so the search is the
+    same bit for bit.
     """
 
     def __init__(self, p: Problem, card_u: int):
@@ -187,6 +212,7 @@ class _Evaluator:
         self.accepted = 0
         self.sweeps = 0
         self.groups = 0
+        self.swept_entries = 0
         # per user: the axes of the components it does not demand, counted
         # from the end of a (..., *dims_y, |U|) array, and the shape of its
         # P(y_S, u) with those axes kept as 1. Demands are sorted
@@ -228,6 +254,7 @@ class _Evaluator:
         # cells above the floor that a step may take to it or below lie under this
         self.near_floor = 2.0 * probcore.ZERO_FLOOR / min(1.0 - e for e in STEP_SIZES if e < 1.0)
         self._owner = np.empty(0, dtype=np.intp)
+        self._x, self._y = np.indices((self.nx, self.ny))
 
     # -- marginals -------------------------------------------------------------
 
@@ -242,10 +269,37 @@ class _Evaluator:
 
     def marginals(self, tables: np.ndarray) -> np.ndarray:
         """Packed marginals of one kernel tensor, or of a stack of them over a
-        leading axis: shape (B, size)."""
-        xu = np.einsum("xy,...xyu->...xu", self.pxy, tables).reshape(-1, self.nx * self.card_u)
-        yu = np.einsum("xy,...xyu->...yu", self.pxy, tables).reshape(-1, self.ny, self.card_u)
+        leading axis: shape (B, size). Kernels over fewer u-columns than |U|
+        give family rows of that many columns."""
+        nu = tables.shape[-1]
+        xu = np.einsum("xy,...xyu->...xu", self.pxy, tables).reshape(-1, self.nx * nu)
+        yu = np.einsum("xy,...xyu->...yu", self.pxy, tables).reshape(-1, self.ny, nu)
         return np.concatenate([xu, *(m.reshape(len(yu), -1) for m in self.user_marginals(yu))], axis=1)
+
+    def occupied_marginals(self, tables: np.ndarray, live: np.ndarray,
+                           keep: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """``marginals(tables[live])`` for a stack whose rows ``live`` are zero
+        outside the u-columns of their masks ``keep`` (len(live), |U|), and
+        the columns formed (None: all). The marginals are formed over the
+        union of the masks only, and scattered into the full-width layout,
+        where that skips at least GROUP_ENTRIES kernel entries; below that,
+        gathering and scattering the columns costs more than it saves. At
+        least two columns are formed: over one, einsum and sum would add in
+        another order. No row outside ``live`` is formed."""
+        per_col = live.size * self.nx * self.ny
+        if per_col * (self.card_u - 2) >= GROUP_ENTRIES:
+            union = keep.any(axis=0)
+            n = int(np.count_nonzero(union))
+            if per_col * (self.card_u - max(2, n)) >= GROUP_ENTRIES:
+                if n == 1:
+                    union[np.argmin(union)] = True
+                cols = np.flatnonzero(union)
+                sub = np.take(tables, cols, axis=3)
+                narrow = self.marginals(sub if live.size == len(tables) else sub[live])
+                marg = np.zeros((live.size, self.row_starts[-1], self.card_u))
+                marg[:, :, cols] = narrow.reshape(live.size, -1, cols.size)
+                return marg.reshape(live.size, self.size), cols
+        return self.marginals(tables if live.size == len(tables) else tables[live]), None
 
     def unpack(self, marg: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Views of packed marginals: P(x,u) as (B, |X|, |U|) and one
@@ -452,17 +506,9 @@ class _Evaluator:
         t[bad] = tb
         return t, scores
 
-    def mix_table(self, table: np.ndarray, t: float) -> np.ndarray:
-        """(1 - t) table + t (constant kernel); ``table`` itself when t <= 0."""
-        if t <= 0.0:
-            return table
-        out = (1.0 - t) * table
-        out[:, :, 0] += t
-        return out
-
     # -- candidate generation -------------------------------------------------
 
-    def vertex_choices(self, marg: np.ndarray, ln: np.ndarray) -> np.ndarray:
+    def vertex_choices(self, marg: np.ndarray, ln: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
         """Per-column best vertex of a Lagrangian gradient for every row of
         packed marginals ``marg``, given ``ln``, their logs floored at
         ``_TINY``: (B, len(MULTIPLIERS), |X|, |Y|) indices, one plane per
@@ -472,47 +518,110 @@ class _Evaluator:
         depends on (y, u) only, while d leakage / d K[x,y,u] is
         P(x,y) * ln(P(u|x)/P(u)); a positive multiplier mixes the two so
         that directions can build or shed X-correlation deliberately.
+
+        With ``keep``, each row's mask of the u-columns that may hold mass
+        (B, |U|), the scores and their argmax read only the masked columns
+        plus each row's first unmasked one: every column whose marginals
+        are all zero scores alike for a given (x, y), and argmax keeps the
+        first, so no choice changes. A positive multiplier's argmax runs in
+        blocks of at most GROUP_ENTRIES entries (one |X| row at least) in
+        one buffer.
         """
         (xu, users), (ln_xu, ln_users) = self.unpack(marg), self.unpack(ln)
-        rows, nu = len(xu), self.card_u
+        rows, nx, ny = len(xu), self.nx, self.ny
+        # the sums over u and x stay full width: over fewer columns they
+        # would add in another order
         pu = np.log(np.maximum(xu.sum(axis=1), _TINY))
-        score = np.zeros((rows, *self.dims_y, nu))
+        px = xu.sum(axis=2, keepdims=True)
+        cols = None
+        if keep is not None:
+            kept = keep.any(axis=0)
+            kept[np.argmin(keep, axis=1)] = True
+            if not kept.all():
+                cols = np.flatnonzero(kept)
+                pu, ln_xu = pu[:, cols], ln_xu[:, :, cols]
+        nk = pu.shape[1]
+        score = np.zeros((rows, *self.dims_y, nk))
         for w, m, ln_m, shape in zip(self.weights, users, ln_users, self.user_shapes):
             if w == 0.0:
                 continue
             ps = m.sum(axis=2, keepdims=True)
-            lcond = ln_m - np.log(np.maximum(ps, _TINY))
+            lcond = (ln_m if cols is None else ln_m[:, :, cols]) - np.log(np.maximum(ps, _TINY))
             # broadcast over the components the user does not demand
-            score += w * lcond.reshape(rows, *shape)
-        score = score.reshape(rows, self.ny, nu) - pu[:, None, :]
-        px = xu.sum(axis=2, keepdims=True)
+            score += w * lcond.reshape(rows, *shape[:-1], nk)
+        score = score.reshape(rows, ny, nk) - pu[:, None, :]
         leak_score = ln_xu - np.log(np.maximum(px, _TINY)) - pu[:, None, :]
-        choices = np.empty((rows, len(MULTIPLIERS), self.nx, self.ny), dtype=np.intp)
+        self.swept_entries += rows * nx * ny * nk
+        bx = min(nx, max(1, GROUP_ENTRIES // (ny * nk)))
+        br = max(1, GROUP_ENTRIES // (bx * ny * nk))     # 1 unless bx is all of |X|
+        buf = np.empty((min(rows, br), bx, ny, nk)) if br < rows or bx < nx else None
+        choices = np.empty((rows, len(MULTIPLIERS), nx, ny), dtype=np.intp)
         for i, lam in enumerate(MULTIPLIERS):
             if lam == 0.0:
-                choices[:, i] = np.argmax(score, axis=2)[:, None, :]
-            else:
-                choices[:, i] = np.argmax(score[:, None] - lam * leak_score[:, :, None], axis=3)
+                best = np.argmax(score, axis=2)
+                choices[:, i] = (best if cols is None else cols[best])[:, None, :]
+                continue
+            lam_leak = lam * leak_score
+            if buf is None:
+                best = np.argmax(score[:, None] - lam_leak[:, :, None], axis=3)
+                choices[:, i] = best if cols is None else cols[best]
+                continue
+            for r0 in range(0, rows, br):
+                r1 = min(rows, r0 + br)
+                for x0 in range(0, nx, bx):
+                    x1 = min(nx, x0 + bx)
+                    block = buf[: r1 - r0, : x1 - x0]
+                    np.subtract(score[r0:r1, None], lam_leak[r0:r1, x0:x1, None], out=block)
+                    if cols is None:
+                        np.argmax(block, axis=3, out=choices[r0:r1, i, x0:x1])
+                    else:
+                        choices[r0:r1, i, x0:x1] = cols[np.argmax(block, axis=3)]
         return choices
 
-    def step_table(self, table: np.ndarray, k: int, choices: np.ndarray) -> np.ndarray:
-        """Kernel tensor of step candidate k of a sweep (see ``sweep_terms``),
-        for one row's ``table`` and vertex ``choices``."""
-        i, j = divmod(k, len(STEP_SIZES))
-        eta = STEP_SIZES[j]
-        cand = (1.0 - eta) * table
-        x, y = np.indices((self.nx, self.ny))
-        cand[x, y, choices[i]] += eta
-        return cand
+    # -- the accepted candidate, in place -------------------------------------
 
-    def jump_table(self, table: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """Kernel tensor of a sweep's jump candidate: ``table`` with flat
-        column cols[k] = (x, y) moved to the vertex vals[k], for each k."""
-        cand = table.copy()
-        flat = cand.reshape(self.nx * self.ny, self.card_u)
+    def step_into(self, table: np.ndarray, mask: np.ndarray, eta: float, choice: np.ndarray) -> None:
+        """Overwrite one kernel ``table`` with the step candidate (1 - eta) K +
+        eta D toward the vertex kernel D of ``choice`` (|X|, |Y|), scaling
+        only the u-columns of its ``mask``, and update the mask: a full step
+        leaves only D's columns, a partial one adds them."""
+        _scale(table, mask, 1.0 - eta)
+        table[self._x, self._y, choice] += eta
+        if eta == 1.0:
+            mask[:] = False
+        mask[choice.ravel()] = True
+
+    def jump_into(self, table: np.ndarray, mask: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
+        """Overwrite one kernel ``table`` with a sweep's jump candidate, flat
+        column cols[k] = (x, y) moved to the vertex vals[k], for each k, and
+        add the vertices to its ``mask``."""
+        flat = table.reshape(self.nx * self.ny, self.card_u)
         flat[cols] = 0.0
         flat[cols, vals] = 1.0
-        return cand
+        mask[vals] = True
+
+    def mix_into(self, table: np.ndarray, mask: np.ndarray, t: float) -> None:
+        """Overwrite one kernel ``table`` with (1 - t) table + t (constant
+        kernel), scaling only the u-columns of its ``mask``, and add column
+        u = 0 to the mask; nothing when t <= 0."""
+        if t <= 0.0:
+            return
+        _scale(table, mask, 1.0 - t)
+        table[:, :, 0] += t
+        mask[0] = True
+
+
+def _scale(table: np.ndarray, mask: np.ndarray, s: float) -> None:
+    """Multiply one kernel tensor by ``s``, in place. Only the u-columns of
+    ``mask`` are touched where that skips at least GROUP_ENTRIES entries (the
+    others are zero and would stay so), as in ``occupied_marginals``."""
+    nxy = table.shape[0] * table.shape[1]
+    if nxy * (len(mask) - 1) >= GROUP_ENTRIES:
+        cols = np.flatnonzero(mask)
+        if nxy * (len(mask) - cols.size) >= GROUP_ENTRIES:
+            table[:, :, cols] *= s
+            return
+    table *= s
 
 
 # the mechanisms the search starts restarts 1, 2, ... from; None: a seeded kernel
@@ -537,24 +646,41 @@ def canonical_starts(p: Problem, profile: RefinementProfile, allocs: dict[str, A
     )
 
 
-def _initial_tables(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts, restart: int) -> np.ndarray:
-    """Restart 0 relabels Y (truncated if |U| < |Y|); restart r >= 1 embeds
-    ``starts[r - 1]`` in the first columns of u, to be re-evaluated from
-    scratch by the search. Restarts with no start, or one wider than |U|,
-    take seeded random kernels."""
+def _warm_start(ev: _Evaluator, starts: Starts, restart: int) -> ComposedMechanism | None:
+    """The mechanism restart r >= 1 starts from: ``starts[r - 1]`` where that
+    is a mechanism no wider than |U|, else None."""
+    mech = starts[restart - 1] if 1 <= restart <= len(starts) else None
+    return mech if mech is not None and mech.cardinality <= ev.card_u else None
+
+
+def _initial_tables(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts, restart: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Restart 0 relabels Y (y folded to y mod |U|); restart r >= 1 embeds
+    its warm start (``_warm_start``) in the first columns of u, to be
+    re-evaluated from scratch by the search. Restarts with no warm start
+    take seeded random kernels. Written into ``out``, a zeroed
+    (|X|, |Y|, |U|) array, when given."""
     nx, ny, nu = ev.nx, ev.ny, ev.card_u
-    t = np.zeros((nx, ny, nu))
+    t = np.zeros((nx, ny, nu)) if out is None else out
     if restart == 0:
         t[:, np.arange(ny), np.arange(ny) % nu] = 1.0
         return t
-    mech = starts[restart - 1] if restart <= len(starts) else None
-    if mech is not None and mech.cardinality <= nu:
+    mech = _warm_start(ev, starts, restart)
+    if mech is not None:
         # no wider than the evaluator's size-checked kernel, so within the cap
         t[:, :, : mech.cardinality] = mechanisms.materialize_monolithic(p, mech).table
         return t
-    rng = np.random.default_rng([cfg.seed, restart])
-    t = rng.exponential(size=(nx, ny, nu))
-    return t / t.sum(axis=2, keepdims=True)
+    np.random.default_rng([cfg.seed, restart]).standard_exponential(out=t)
+    t /= t.sum(axis=2, keepdims=True)
+    return t
+
+
+def _start_columns(ev: _Evaluator, starts: Starts, restart: int) -> np.ndarray | slice:
+    """The u-columns ``_initial_tables`` may put mass in."""
+    if restart == 0:
+        return np.arange(ev.ny) % ev.card_u
+    mech = _warm_start(ev, starts, restart)
+    return slice(None) if mech is None else slice(mech.cardinality)
 
 
 def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
@@ -563,36 +689,46 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
     (objective, table, leak) per restart, in order, the objective and leak
     as scored for the restart's last accepted kernel.
 
-    Every restart keeps its row of the group's state (kernel stack, best,
-    leak, stall count, random stream) throughout. Each sweep scores BATCH
-    candidates per live restart together, from the marginals of the live
-    restarts' kernels; each restart walks its own candidates in order,
-    accepting every one that beats its running best (the last accepted
-    overwrites its kernel, the only candidate formed), and stops sweeping
-    after 6 sweeps without an acceptance.
+    Every restart keeps its row of the group's state (kernel stack, column
+    mask, best, leak, stall count, random stream) throughout. Each sweep
+    scores BATCH candidates per live restart together, from the marginals
+    of the live restarts' kernels over their masked columns; each restart
+    walks its own candidates in order, accepting every one that beats its
+    running best (the last accepted overwrites its kernel in place, the
+    only candidate formed), and stops sweeping after 6 sweeps without an
+    acceptance.
     """
     eps = p.epsilon
+    nxy, nu = ev.nx * ev.ny, ev.card_u
     rngs = [np.random.default_rng([cfg.seed, r, 1]) for r in restarts]
-    tables = np.stack([_initial_tables(ev, p, cfg, starts, r) for r in restarts])
-    t_mix, scores = ev.repair(ev.terms(ev.marginals(tables)), eps, slack=LEAKAGE_SLACK)
+    tables = np.zeros((len(rngs), ev.nx, ev.ny, nu))
+    masks = np.zeros((len(rngs), nu), dtype=bool)
+    for row, r in enumerate(restarts):
+        _initial_tables(ev, p, cfg, starts, r, out=tables[row])
+        masks[row, _start_columns(ev, starts, r)] = True
+    every = np.arange(len(rngs))
+    t_mix, scores = ev.repair(ev.terms(ev.occupied_marginals(tables, every, masks)[0]), eps, slack=LEAKAGE_SLACK)
     best, leak = ev.objective(scores).tolist(), scores[:, 0].tolist()
-    tables = np.stack([ev.mix_table(tab, t) for tab, t in zip(tables, t_mix)])
+    for table, mask, t in zip(tables, masks, t_mix.tolist()):
+        ev.mix_into(table, mask, t)
     stall = np.zeros(len(rngs), dtype=int)
     # large kernels get proportionally fewer sweeps to keep runtime flat
-    nxy, nu = ev.nx * ev.ny, ev.card_u
     iters = min(cfg.iters, max(6, int(cfg.iters * 12_000 / max(nxy * nu, 1))))
     ncols = min(8, nxy)
+    nj = len(STEP_SIZES)
     for _ in range(iters):
         live = np.flatnonzero(stall < 6)
         if live.size == 0:
             break
-        # marginals of the whole stack: indexing the stack by ``live`` would copy it
-        marg = ev.marginals(tables)[live]
+        keep = masks[live]
+        marg, kept = ev.occupied_marginals(tables, live, keep)
+        ev.swept_entries += live.size * nxy * (nu if kept is None else kept.size)
         # one log of the marginals serves both scorers; in place, to hold
         # only one array of its size
         ln = np.maximum(marg, _TINY)
         np.log(ln, out=ln)
-        choices = ev.vertex_choices(marg, ln)
+        # the vertex choices skip columns where the marginals did
+        choices = ev.vertex_choices(marg, ln, None if kept is None else keep)
         # single-column vertex jumps (coordinate moves), from each restart's stream
         cols = np.empty((live.size, ncols), dtype=np.intp)
         vals = np.empty((live.size, ncols), dtype=np.intp)
@@ -618,11 +754,11 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
             stall[r] = 0
             leak[r] = float(scores[row * BATCH + pick, 0])
             if pick == BATCH - 1:
-                cand = ev.jump_table(tables[r], cols[row], vals[row])
+                ev.jump_into(tables[r], masks[r], cols[row], vals[row])
             else:
-                cand = ev.step_table(tables[r], pick, choices[row])
-            tables[r] = ev.mix_table(cand, float(t[row * BATCH + pick]))
-    return [(best[r], tables[r].copy(), leak[r]) for r in range(len(rngs))]
+                ev.step_into(tables[r], masks[r], STEP_SIZES[pick % nj], choices[row, pick // nj])
+            ev.mix_into(tables[r], masks[r], float(t[row * BATCH + pick]))
+    return [(best[r], tables[r], leak[r]) for r in range(len(rngs))]
 
 
 def _flat_sizes(p: Problem) -> tuple[int, int]:
@@ -676,6 +812,7 @@ def search(p: Problem, cfg: OracleConfig | None = None, starts: Starts | None = 
         accepted=ev.accepted,
         sweeps=ev.sweeps,
         groups=ev.groups,
+        swept_entries=ev.swept_entries,
     )
 
 
@@ -696,7 +833,9 @@ def leakage_project(m: Kernel, p: Problem, eps: float) -> Kernel:
     t = float(ev.repair(ev.terms(ev.marginals(m.table)), eps)[0][0])
     if t == 0.0:
         return m
-    return Kernel(ev.mix_table(np.array(m.table), t))
+    table = np.array(m.table)
+    ev.mix_into(table, np.ones(m.alphabet_u, dtype=bool), t)
+    return Kernel(table)
 
 
 WARM_CARD_CAP = 1500

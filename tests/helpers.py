@@ -118,3 +118,38 @@ def toward_const(ev, marg: np.ndarray, t: np.ndarray) -> np.ndarray:
     comes back unchanged."""
     s = np.asarray(t, dtype=float)[:, None]
     return (1.0 - s) * marg + s * const_marginals(ev)
+
+
+def step_table(ev, table: np.ndarray, k: int, choices: np.ndarray) -> np.ndarray:
+    """Reference for the search's accepted step: a fresh kernel tensor of
+    step candidate k of a sweep, (1 - eta_j) K + eta_j D_i with
+    i, j = divmod(k, len(STEP_SIZES)), for one row's ``table`` and vertex
+    ``choices`` (an ``oracle._Evaluator`` ``ev``)."""
+    from privbound.oracle import STEP_SIZES
+
+    i, j = divmod(k, len(STEP_SIZES))
+    eta = STEP_SIZES[j]
+    cand = (1.0 - eta) * table
+    x, y = np.indices((ev.nx, ev.ny))
+    cand[x, y, choices[i]] += eta
+    return cand
+
+
+def jump_table(ev, table: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Reference for the search's accepted jump: a copy of ``table`` with flat
+    column cols[k] = (x, y) moved to the vertex vals[k], for each k."""
+    cand = table.copy()
+    flat = cand.reshape(ev.nx * ev.ny, ev.card_u)
+    flat[cols] = 0.0
+    flat[cols, vals] = 1.0
+    return cand
+
+
+def mix_table(table: np.ndarray, t: float) -> np.ndarray:
+    """Reference for the search's repair of a kernel: (1 - t) table + t
+    (constant kernel), as a fresh array; ``table`` itself when t <= 0."""
+    if t <= 0.0:
+        return table
+    out = (1.0 - t) * table
+    out[:, :, 0] += t
+    return out

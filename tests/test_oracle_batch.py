@@ -6,7 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import const_marginals, entropy_mi, random_problem, toward_const
+from helpers import (
+    const_marginals,
+    entropy_mi,
+    jump_table,
+    mix_table,
+    random_problem,
+    step_table,
+    toward_const,
+)
 from privbound import bounds as B
 from privbound import mechanisms as M
 from privbound import oracle as O
@@ -133,7 +141,7 @@ def _materialized(ev, marg, k, choices):
     out = []
     for row in range(len(marg)):
         for c in range(O.BATCH - 1):
-            out.append(ev.marginals(ev.step_table(k[row], c, choices[row]))[0])
+            out.append(ev.marginals(step_table(ev, k[row], c, choices[row]))[0])
         out.append(marg[row])
     return np.array(out)
 
@@ -223,7 +231,7 @@ class TestJumpMarginals:
         ev, tables, marg, cols, vals = _jump_case(seed)
         assert all(np.unique(c // ev.ny).size < c.size for c in cols)
         shifted = ev.jump_marginals(marg, _moved(tables, cols), cols, vals)
-        dense = ev.marginals(np.stack([ev.jump_table(t, c, v) for t, c, v in zip(tables, cols, vals)]))
+        dense = ev.marginals(np.stack([jump_table(ev, t, c, v) for t, c, v in zip(tables, cols, vals)]))
         assert np.allclose(shifted, dense, rtol=0, atol=1e-15)
         # the residue case: the materialised cells are exactly 0
         assert not dense[0, ev.col0_idx].any()
@@ -437,3 +445,200 @@ class TestSearchCounters:
             assert 0 < res.accepted <= res.candidates
             # the start of each restart is repaired too, but is no candidate
             assert res.projections <= res.candidates + QUICK.restarts
+
+
+# -- occupied columns: the search's masks skip only zero columns -------------
+
+
+def _masked_case(seed: int, case: str):
+    """An evaluator, a stack of kernel tensors and their column masks (True
+    where a kernel may hold mass). Every row has occupied columns in the
+    middle of u and empty ones before and after; rows differ in their masks.
+    ``case`` picks the twist: "col0_empty" (no row occupies column u = 0),
+    "all_occupied" (every mask full), "one_row" (one row, one column: a
+    vertex kernel), "zero_pxy" (P(x,y) has a zero cell, and the kernel puts
+    mass there in a column no other cell of its row uses, so that column's
+    marginals are all 0 though its mask is set). Where the weights sum
+    below 1, as in those three, an empty column outscores every occupied
+    one, and the argmax picks it."""
+    rng = np.random.default_rng(seed)
+    mass = rng.dirichlet(np.ones(15)).reshape(5, 3)
+    if case == "zero_pxy":
+        mass[2, 1] = 0.0
+        mass /= mass.sum()
+    # flattened |X| = 15, |Y| = 6: most block sizes leave a partial last block
+    comps = (Component("a", Joint2(mass)), Component("b", Joint2(rng.dirichlet(np.ones(6)).reshape(3, 2))))
+    w = (0.5, 0.3) if case in ("col0_empty", "one_row", "zero_pxy") else (1.0, 0.6)
+    users = (User((0, 1), w[0]), User((1,), w[1]), User((0,), 0.0))
+    ev = O._Evaluator(Problem(comps, users, 0.1), 24)
+    rows = 1 if case == "one_row" else 3
+    masks = np.zeros((rows, ev.card_u), dtype=bool)
+    for r in range(rows):
+        masks[r, rng.choice(np.arange(1, ev.card_u - 1), size=3 + 4 * r, replace=False)] = True
+    if case == "all_occupied":
+        masks[:] = True
+    elif case != "col0_empty":
+        masks[0, 0] = True
+    tables = rng.exponential(size=(rows, ev.nx, ev.ny, ev.card_u)) * masks[:, None, None, :]
+    if case == "one_row":
+        vertex = np.flatnonzero(masks[0])[-1]
+        masks[0] = np.arange(ev.card_u) == vertex
+        tables[0] = masks[0]
+    if case == "zero_pxy":
+        # flat x = 6 is (2, 0) and flat y = 2 is (1, 0): P(x,y) = 0
+        assert ev.pxy[6, 2] == 0.0
+        lone = np.flatnonzero(~masks.any(axis=0))[-1]
+        tables[0, 6, 2, :] = 0.0
+        tables[0, 6, 2, lone] = 1.0
+        masks[0, lone] = True
+    tables /= tables.sum(axis=3, keepdims=True)
+    return ev, tables, masks
+
+
+CASES = ["col0_empty", "all_occupied", "rows_differ", "one_row", "zero_pxy"]
+
+
+class TestOccupiedColumns:
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("entries", [1, 7 * 24, 500, 2 ** 14, 10 ** 12])
+    def test_vertex_choices_match_full_width(self, monkeypatch, case, entries):
+        ev, tables, masks = _masked_case(3, case)
+        marg = ev.marginals(tables)
+        if case == "zero_pxy":
+            # a masked column of row 0 whose marginals are all 0
+            assert (masks[0] & ~ev.unpack(marg)[0][0].any(axis=0)).any()
+        ref = ev.vertex_choices(marg, _ln(marg))      # one block, every column
+        monkeypatch.setattr(O, "GROUP_ENTRIES", entries)
+        got = ev.vertex_choices(marg, _ln(marg), masks)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(ev.vertex_choices(marg, _ln(marg)), ref)
+        # the argmax picks each row's first unoccupied column, which stands
+        # for all of them
+        if case != "all_occupied":
+            first = np.argmin(masks, axis=1)[:, None, None, None]
+            assert (ref == first).any() == (case != "rows_differ")
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("entries", [1, 2 ** 14])
+    def test_marginals_match_full_width(self, monkeypatch, case, entries):
+        ev, tables, masks = _masked_case(4, case)
+        monkeypatch.setattr(O, "GROUP_ENTRIES", entries)
+        for live in (np.arange(len(tables)), np.arange(len(tables))[-1:]):
+            marg, cols = ev.occupied_marginals(tables, live, masks[live])
+            assert np.array_equal(marg, ev.marginals(tables)[live])
+            if entries == 1 and case != "all_occupied":
+                # never a single column: einsum would add in another order
+                assert cols is not None and 2 <= cols.size < ev.card_u
+                assert cols.size == 2 or case != "one_row"
+            if entries == 2 ** 14:
+                assert cols is None
+
+    @pytest.mark.parametrize("entries", [1, 2 ** 14])
+    def test_in_place_updates_match_references(self, monkeypatch, entries):
+        monkeypatch.setattr(O, "GROUP_ENTRIES", entries)
+        ev, tables, masks = _masked_case(5, "col0_empty")
+        rng = np.random.default_rng(5)
+        table, mask = tables[1].copy(), masks[1].copy()
+        marg = ev.marginals(table)
+        choices = ev.vertex_choices(marg, _ln(marg), mask[None])[0]
+        nj = len(O.STEP_SIZES)
+        for k in [8, 1, 3, 6, 4, 2, 8, 5, 7, 0, 3]:     # every step size; k = 8 is a jump
+            t = float(rng.choice([0.0, 0.3, 1e-9]))
+            if k == O.BATCH - 1:
+                cols = rng.choice(ev.nx * ev.ny, size=8, replace=False)
+                vals = rng.integers(0, ev.card_u, size=8)
+                ref = mix_table(jump_table(ev, table, cols, vals), t)
+                ev.jump_into(table, mask, cols, vals)
+            else:
+                ref = mix_table(step_table(ev, table, k, choices), t)
+                ev.step_into(table, mask, O.STEP_SIZES[k % nj], choices[k // nj])
+            ev.mix_into(table, mask, t)
+            assert np.array_equal(table, ref)
+            # the mask still covers every column that holds mass
+            assert not table[:, :, ~mask].any()
+            if k % nj == nj - 1 and k < O.BATCH - 1 and t == 0.0:
+                # a full step leaves only its direction's columns
+                assert np.array_equal(mask, np.isin(np.arange(ev.card_u), choices[k // nj]))
+
+    def test_masks_cover_kernels_in_search(self, monkeypatch):
+        # columns are skipped wherever any can be (GROUP_ENTRIES = 1); at every
+        # sweep, each live kernel's mass lies inside its mask
+        monkeypatch.setattr(O, "GROUP_ENTRIES", 1)
+        seen = []
+        occupied = O._Evaluator.occupied_marginals
+
+        def checked(self, tables, live, keep):
+            assert not np.any(tables[live] * ~keep[:, None, None, :])
+            seen.append(keep.mean())
+            return occupied(self, tables, live, keep)
+
+        monkeypatch.setattr(O._Evaluator, "occupied_marginals", checked)
+        for seed in range(4):
+            O.sandwich_check(random_problem(seed, max_n=2), O.OracleConfig(restarts=4, iters=12))
+        assert len(seen) > 40 and min(seen) < 0.5
+
+    def test_start_masks_cover_starts(self):
+        # restart 0 folds y to y mod |U|; a warm start fills its first
+        # columns; a seeded start fills every column
+        p = random_problem(1, max_n=2)
+        starts = O.canonical_starts(p, M.refinement_profile(p), B.canonical_allocations(p, validate(p)))
+        cfg = O.OracleConfig(seed=3)
+        for card_u in (3, max(s.cardinality for s in starts if s is not None)):
+            ev = O._Evaluator(p, card_u)
+            for restart in range(len(starts) + 2):
+                table = O._initial_tables(ev, p, cfg, starts, restart)
+                out = np.zeros_like(table)
+                assert O._initial_tables(ev, p, cfg, starts, restart, out=out) is out
+                assert np.array_equal(out, table)
+                mask = np.zeros(card_u, dtype=bool)
+                mask[O._start_columns(ev, starts, restart)] = True
+                assert not table[:, :, ~mask].any()
+                assert np.allclose(table.sum(axis=2), 1.0, rtol=0, atol=1e-12)
+
+    def test_swept_entries_below_full_width_when_warm_started(self):
+        rng = np.random.default_rng(3)
+        comps = tuple(
+            Component(f"c{i}", Joint2(rng.dirichlet(np.ones(a * b)).reshape(a, b)))
+            for i, (a, b) in enumerate(((3, 3), (3, 4)))
+        )
+        report = O.sandwich_check(Problem(comps, (User((0, 1), 1.0), User((0,), 0.5)), 0.2))
+        res = report.search
+        nu = res.best_kernel.alphabet_u
+        full = 2 * 108 * nu * res.candidates // O.BATCH
+        assert report.ok and nu > 200
+        assert 0 < res.swept_entries < full / 2
+
+    def test_swept_entries_full_width_when_every_column_occupied(self, monkeypatch):
+        # one sweep from seeded starts and restart 0 with |U| <= |Y|: every
+        # mask is full, so no column is skipped, even where any could be
+        monkeypatch.setattr(O, "GROUP_ENTRIES", 1)
+        p = random_problem(2, max_n=2)
+        nxy = int(np.prod([c.card_x for c in p.components])) * int(np.prod([c.card_y for c in p.components]))
+        cfg = O.OracleConfig(card_u=2, restarts=3, iters=1)
+        res = O.search(p, cfg, starts=())
+        assert res.sweeps == 3
+        assert res.swept_entries == 2 * nxy * 2 * res.candidates // O.BATCH
+        # with more sweeps, full steps narrow the masks and columns are skipped
+        wide = O.OracleConfig(card_u=16, restarts=3, iters=24)
+        res = O.search(p, wide, starts=())
+        assert res.swept_entries < 2 * nxy * 16 * res.candidates // O.BATCH
+
+    def test_vertex_choices_memory_blocked(self):
+        # one wide row: 16 x 16 x 1200 = 307,200 entries (2.46 MB per
+        # float64 temporary); the argmax runs in blocks of GROUP_ENTRIES,
+        # and what is left are (|X| or |Y|, |U|) arrays
+        rng = np.random.default_rng(9)
+        comps = tuple(Component(f"c{i}", Joint2(rng.dirichlet(np.ones(16)).reshape(4, 4))) for i in range(2))
+        ev = O._Evaluator(Problem(comps, (User((0, 1), 1.0), User((1,), 0.5)), 0.1), 1200)
+        table = rng.exponential(size=(ev.nx, ev.ny, ev.card_u))
+        marg = ev.marginals(table / table.sum(axis=2, keepdims=True))
+        ln = _ln(marg)
+        full = ev.nx * ev.ny * ev.card_u * 8
+        assert full >= 3e5 * 8
+        tracemalloc.start()
+        try:
+            ev.vertex_choices(marg, ln)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full / 2, (peak, full)
