@@ -183,13 +183,14 @@ class _Evaluator:
     reads ln of every cell, sees only the marginals of real kernels.
 
     The search keeps, per kernel, a boolean mask of the u-columns that may
-    hold mass. Where that skips at least GROUP_ENTRIES kernel entries,
-    ``occupied_marginals`` forms the packed marginals over the union of the
-    masks only and scatters them into the full-width layout, so every
-    scorer sees the same arrays as from ``marginals``; ``vertex_choices``
-    then takes its argmax over the masked columns plus each row's first
-    unmasked one; and ``step_into``, ``jump_into`` and ``mix_into``
-    overwrite the accepted kernel on its masked columns. All three keep the
+    hold mass. Where that skips at least GROUP_ENTRIES kernel entries
+    (``_narrow``), ``occupied_marginals`` forms the packed marginals over
+    the union of the masks only and scatters them into the full-width
+    layout, so every scorer sees the same arrays as from ``marginals``;
+    ``vertex_choices`` then takes its argmax over the masked columns plus
+    each row's first unmasked one (``_choice_columns``); and
+    ``step_into``, ``jump_into`` and ``mix_into`` overwrite the accepted
+    kernel on its masked columns. All three keep the
     mask covering the kernel's mass. Every kept number is formed from the
     same operands in the same order as at full width, so the search is the
     same bit for bit.
@@ -280,26 +281,21 @@ class _Evaluator:
                            keep: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """``marginals(tables[live])`` for a stack whose rows ``live`` are zero
         outside the u-columns of their masks ``keep`` (len(live), |U|), and
-        the columns formed (None: all). The marginals are formed over the
-        union of the masks only, and scattered into the full-width layout,
-        where that skips at least GROUP_ENTRIES kernel entries; below that,
-        gathering and scattering the columns costs more than it saves. At
-        least two columns are formed: over one, einsum and sum would add in
-        another order. No row outside ``live`` is formed."""
-        per_col = live.size * self.nx * self.ny
-        if per_col * (self.card_u - 2) >= GROUP_ENTRIES:
-            union = keep.any(axis=0)
-            n = int(np.count_nonzero(union))
-            if per_col * (self.card_u - max(2, n)) >= GROUP_ENTRIES:
-                if n == 1:
-                    union[np.argmin(union)] = True
-                cols = np.flatnonzero(union)
-                sub = np.take(tables, cols, axis=3)
-                narrow = self.marginals(sub if live.size == len(tables) else sub[live])
-                marg = np.zeros((live.size, self.row_starts[-1], self.card_u))
-                marg[:, :, cols] = narrow.reshape(live.size, -1, cols.size)
-                return marg.reshape(live.size, self.size), cols
-        return self.marginals(tables if live.size == len(tables) else tables[live]), None
+        the columns formed (None: all). Where ``_narrow`` keeps columns, the
+        marginals are formed over those only and scattered into the
+        full-width layout. Only the live rows get an einsum. The column
+        gather reads every row of the stack and then keeps the live ones;
+        in a search only one-row stacks are narrowed, since a group of more
+        rows holds at most GROUP_ENTRIES entries."""
+        every = live.size == len(tables)
+        cols = _narrow(live.size * self.nx * self.ny, keep)
+        if cols is None:
+            return self.marginals(tables if every else tables[live]), None
+        sub = np.take(tables, cols, axis=3)
+        narrow = self.marginals(sub if every else sub[live])
+        marg = np.zeros((live.size, self.row_starts[-1], self.card_u))
+        marg[:, :, cols] = narrow.reshape(live.size, -1, cols.size)
+        return marg.reshape(live.size, self.size), cols
 
     def unpack(self, marg: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Views of packed marginals: P(x,u) as (B, |X|, |U|) and one
@@ -508,7 +504,7 @@ class _Evaluator:
 
     # -- candidate generation -------------------------------------------------
 
-    def vertex_choices(self, marg: np.ndarray, ln: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+    def vertex_choices(self, marg: np.ndarray, ln: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
         """Per-column best vertex of a Lagrangian gradient for every row of
         packed marginals ``marg``, given ``ln``, their logs floored at
         ``_TINY``: (B, len(MULTIPLIERS), |X|, |Y|) indices, one plane per
@@ -519,13 +515,12 @@ class _Evaluator:
         P(x,y) * ln(P(u|x)/P(u)); a positive multiplier mixes the two so
         that directions can build or shed X-correlation deliberately.
 
-        With ``keep``, each row's mask of the u-columns that may hold mass
-        (B, |U|), the scores and their argmax read only the masked columns
-        plus each row's first unmasked one: every column whose marginals
-        are all zero scores alike for a given (x, y), and argmax keeps the
-        first, so no choice changes. A positive multiplier's argmax runs in
-        blocks of at most GROUP_ENTRIES entries (one |X| row at least) in
-        one buffer.
+        With ``cols`` (from ``_choice_columns``), the scores and their
+        argmax read only those u-columns: every masked column and each
+        row's first unmasked one. Every column whose marginals are all zero
+        scores alike for a given (x, y), and argmax keeps the first, so no
+        choice changes. A positive multiplier's argmax runs in blocks of at
+        most GROUP_ENTRIES entries (one |X| row at least) in one buffer.
         """
         (xu, users), (ln_xu, ln_users) = self.unpack(marg), self.unpack(ln)
         rows, nx, ny = len(xu), self.nx, self.ny
@@ -533,13 +528,8 @@ class _Evaluator:
         # would add in another order
         pu = np.log(np.maximum(xu.sum(axis=1), _TINY))
         px = xu.sum(axis=2, keepdims=True)
-        cols = None
-        if keep is not None:
-            kept = keep.any(axis=0)
-            kept[np.argmin(keep, axis=1)] = True
-            if not kept.all():
-                cols = np.flatnonzero(kept)
-                pu, ln_xu = pu[:, cols], ln_xu[:, :, cols]
+        if cols is not None:
+            pu, ln_xu = pu[:, cols], ln_xu[:, :, cols]
         nk = pu.shape[1]
         score = np.zeros((rows, *self.dims_y, nk))
         for w, m, ln_m, shape in zip(self.weights, users, ln_users, self.user_shapes):
@@ -551,10 +541,9 @@ class _Evaluator:
             score += w * lcond.reshape(rows, *shape[:-1], nk)
         score = score.reshape(rows, ny, nk) - pu[:, None, :]
         leak_score = ln_xu - np.log(np.maximum(px, _TINY)) - pu[:, None, :]
-        self.swept_entries += rows * nx * ny * nk
         bx = min(nx, max(1, GROUP_ENTRIES // (ny * nk)))
         br = max(1, GROUP_ENTRIES // (bx * ny * nk))     # 1 unless bx is all of |X|
-        buf = np.empty((min(rows, br), bx, ny, nk)) if br < rows or bx < nx else None
+        buf = np.empty((min(rows, br), bx, ny, nk))
         choices = np.empty((rows, len(MULTIPLIERS), nx, ny), dtype=np.intp)
         for i, lam in enumerate(MULTIPLIERS):
             if lam == 0.0:
@@ -562,20 +551,14 @@ class _Evaluator:
                 choices[:, i] = (best if cols is None else cols[best])[:, None, :]
                 continue
             lam_leak = lam * leak_score
-            if buf is None:
-                best = np.argmax(score[:, None] - lam_leak[:, :, None], axis=3)
-                choices[:, i] = best if cols is None else cols[best]
-                continue
             for r0 in range(0, rows, br):
                 r1 = min(rows, r0 + br)
                 for x0 in range(0, nx, bx):
                     x1 = min(nx, x0 + bx)
                     block = buf[: r1 - r0, : x1 - x0]
                     np.subtract(score[r0:r1, None], lam_leak[r0:r1, x0:x1, None], out=block)
-                    if cols is None:
-                        np.argmax(block, axis=3, out=choices[r0:r1, i, x0:x1])
-                    else:
-                        choices[r0:r1, i, x0:x1] = cols[np.argmax(block, axis=3)]
+                    best = np.argmax(block, axis=3)
+                    choices[r0:r1, i, x0:x1] = best if cols is None else cols[best]
         return choices
 
     # -- the accepted candidate, in place -------------------------------------
@@ -611,17 +594,43 @@ class _Evaluator:
         mask[0] = True
 
 
+def _narrow(per_col: int, keep: np.ndarray) -> np.ndarray | None:
+    """The u-columns to read of arrays that hold ``per_col`` entries a column
+    and are zero outside the union of the masks ``keep`` (rows, |U|): that
+    union, widened to two columns if it has one (over one, einsum and sum
+    add in another order), or None (every column) where that would skip
+    fewer than GROUP_ENTRIES entries, since gathering or indexing the
+    columns then costs more than it saves."""
+    nu = keep.shape[1]
+    if per_col * (nu - 2) < GROUP_ENTRIES:
+        return None
+    union = keep.any(axis=0)
+    n = int(np.count_nonzero(union))
+    if per_col * (nu - max(2, n)) < GROUP_ENTRIES:
+        return None
+    if n == 1:
+        union[np.argmin(union)] = True
+    return np.flatnonzero(union)
+
+
+def _choice_columns(keep: np.ndarray) -> np.ndarray | None:
+    """The u-columns ``vertex_choices`` must read for rows whose masks are
+    ``keep`` (rows, |U|): every masked column and each row's first unmasked
+    one, which stands for all of them; None where that is every column."""
+    cols = keep.any(axis=0)
+    cols[np.argmin(keep, axis=1)] = True
+    return None if cols.all() else np.flatnonzero(cols)
+
+
 def _scale(table: np.ndarray, mask: np.ndarray, s: float) -> None:
-    """Multiply one kernel tensor by ``s``, in place. Only the u-columns of
-    ``mask`` are touched where that skips at least GROUP_ENTRIES entries (the
-    others are zero and would stay so), as in ``occupied_marginals``."""
-    nxy = table.shape[0] * table.shape[1]
-    if nxy * (len(mask) - 1) >= GROUP_ENTRIES:
-        cols = np.flatnonzero(mask)
-        if nxy * (len(mask) - cols.size) >= GROUP_ENTRIES:
-            table[:, :, cols] *= s
-            return
-    table *= s
+    """Multiply one kernel tensor by ``s``, in place, touching only the
+    u-columns ``_narrow`` keeps of its ``mask`` (the others are zero and
+    would stay so)."""
+    cols = _narrow(table.shape[0] * table.shape[1], mask[None])
+    if cols is None:
+        table *= s
+    else:
+        table[:, :, cols] *= s
 
 
 # the mechanisms the search starts restarts 1, 2, ... from; None: a seeded kernel
@@ -722,13 +731,14 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
             break
         keep = masks[live]
         marg, kept = ev.occupied_marginals(tables, live, keep)
-        ev.swept_entries += live.size * nxy * (nu if kept is None else kept.size)
         # one log of the marginals serves both scorers; in place, to hold
         # only one array of its size
         ln = np.maximum(marg, _TINY)
         np.log(ln, out=ln)
         # the vertex choices skip columns where the marginals did
-        choices = ev.vertex_choices(marg, ln, None if kept is None else keep)
+        read = None if kept is None else _choice_columns(keep)
+        choices = ev.vertex_choices(marg, ln, read)
+        ev.swept_entries += live.size * nxy * sum(nu if c is None else c.size for c in (kept, read))
         # single-column vertex jumps (coordinate moves), from each restart's stream
         cols = np.empty((live.size, ncols), dtype=np.intp)
         vals = np.empty((live.size, ncols), dtype=np.intp)

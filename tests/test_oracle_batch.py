@@ -498,6 +498,22 @@ def _masked_case(seed: int, case: str):
 CASES = ["col0_empty", "all_occupied", "rows_differ", "one_row", "zero_pxy"]
 
 
+def _dense_choices(ev, marg, ln):
+    """Reference for ``vertex_choices``: the same arithmetic over every
+    u-column, with one unblocked argmax per multiplier."""
+    (xu, users), (ln_xu, ln_users) = ev.unpack(marg), ev.unpack(ln)
+    rows = len(xu)
+    pu = np.log(np.maximum(xu.sum(axis=1), O._TINY))
+    score = np.zeros((rows, *ev.dims_y, ev.card_u))
+    for w, m, ln_m, shape in zip(ev.weights, users, ln_users, ev.user_shapes):
+        if w != 0.0:
+            lcond = ln_m - np.log(np.maximum(m.sum(axis=2, keepdims=True), O._TINY))
+            score += w * lcond.reshape(rows, *shape)
+    score = score.reshape(rows, ev.ny, ev.card_u) - pu[:, None, :]
+    leak = ln_xu - np.log(np.maximum(xu.sum(axis=2, keepdims=True), O._TINY)) - pu[:, None, :]
+    return np.stack([np.argmax(score[:, None] - lam * leak[:, :, None], axis=3) for lam in O.MULTIPLIERS], axis=1)
+
+
 class TestOccupiedColumns:
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("entries", [1, 7 * 24, 500, 2 ** 14, 10 ** 12])
@@ -507,9 +523,9 @@ class TestOccupiedColumns:
         if case == "zero_pxy":
             # a masked column of row 0 whose marginals are all 0
             assert (masks[0] & ~ev.unpack(marg)[0][0].any(axis=0)).any()
-        ref = ev.vertex_choices(marg, _ln(marg))      # one block, every column
+        ref = _dense_choices(ev, marg, _ln(marg))
         monkeypatch.setattr(O, "GROUP_ENTRIES", entries)
-        got = ev.vertex_choices(marg, _ln(marg), masks)
+        got = ev.vertex_choices(marg, _ln(marg), O._choice_columns(masks))
         assert np.array_equal(got, ref)
         assert np.array_equal(ev.vertex_choices(marg, _ln(marg)), ref)
         # the argmax picks each row's first unoccupied column, which stands
@@ -533,6 +549,21 @@ class TestOccupiedColumns:
             if entries == 2 ** 14:
                 assert cols is None
 
+    def test_narrow_keeps_columns_only_where_enough_are_skipped(self, monkeypatch):
+        monkeypatch.setattr(O, "GROUP_ENTRIES", 100)
+        keep = np.zeros((2, 12), dtype=bool)
+        keep[0, [3, 7]] = True
+        keep[1, 7] = True
+        # 10 x (12 - 2) skipped entries reach the threshold; 10 x 9 do not
+        assert np.array_equal(O._narrow(10, keep), [3, 7])
+        keep[1, 5] = True
+        assert O._narrow(10, keep) is None
+        assert O._narrow(9, keep[:1]) is None
+        # a lone column is widened by the first empty one
+        assert np.array_equal(O._narrow(50, keep[1:2, 6:]), [0, 1])
+        assert np.array_equal(O._choice_columns(keep), [0, 3, 5, 7])
+        assert O._choice_columns(np.ones((2, 4), dtype=bool)) is None
+
     @pytest.mark.parametrize("entries", [1, 2 ** 14])
     def test_in_place_updates_match_references(self, monkeypatch, entries):
         monkeypatch.setattr(O, "GROUP_ENTRIES", entries)
@@ -540,7 +571,7 @@ class TestOccupiedColumns:
         rng = np.random.default_rng(5)
         table, mask = tables[1].copy(), masks[1].copy()
         marg = ev.marginals(table)
-        choices = ev.vertex_choices(marg, _ln(marg), mask[None])[0]
+        choices = ev.vertex_choices(marg, _ln(marg), O._choice_columns(mask[None]))[0]
         nj = len(O.STEP_SIZES)
         for k in [8, 1, 3, 6, 4, 2, 8, 5, 7, 0, 3]:     # every step size; k = 8 is a jump
             t = float(rng.choice([0.0, 0.3, 1e-9]))
