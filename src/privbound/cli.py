@@ -158,34 +158,6 @@ def parse_problem(doc: Any) -> tuple[Problem, dict]:
     return problem, {"log_display": log_display, "sfrl_constant": float(sfrl_constant)}
 
 
-def problem_to_dict(p: Problem, options: dict | None = None) -> dict:
-    """Serialize a problem back to the file schema (round-trip stable)."""
-    options = dict(options or {})
-    doc: dict = {
-        "schema": PROBLEM_SCHEMA,
-        "components": [],
-        "users": [
-            {"demands": list(u.demands), "weight": u.weight} for u in p.users
-        ],
-        "epsilon": p.epsilon,
-        "options": {
-            "log_display": options.get("log_display", "nats"),
-            "sfrl_constant": p.sfrl_constant,
-        },
-    }
-    for c in p.components:
-        entry: dict = {
-            "name": c.name,
-            "matrix": [[float(v) for v in row] for row in c.joint.table],
-        }
-        if c.labels_x is not None:
-            entry["labels_x"] = list(c.labels_x)
-        if c.labels_y is not None:
-            entry["labels_y"] = list(c.labels_y)
-        doc["components"].append(entry)
-    return doc
-
-
 def _load_json(path: str, what: str) -> Any:
     """The JSON document in ``path``; SchemaError naming the ``what`` file
     and its path when it is missing or not valid JSON."""

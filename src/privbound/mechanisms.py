@@ -239,25 +239,6 @@ def identity_kernel(c: Component) -> Kernel:
     return Kernel(t)
 
 
-def constant_kernel(c: Component) -> Kernel:
-    """U constant: releases nothing."""
-    return Kernel(np.ones((c.card_x, c.card_y, 1)))
-
-
-def identity_mechanism(p: Problem) -> ComposedMechanism:
-    return ComposedMechanism(
-        kernels=tuple(identity_kernel(c) for c in p.components),
-        tags=tuple(ConstructionTag("identity") for _ in p.components),
-    )
-
-
-def constant_mechanism(p: Problem) -> ComposedMechanism:
-    return ComposedMechanism(
-        kernels=tuple(constant_kernel(c) for c in p.components),
-        tags=tuple(ConstructionTag("constant") for _ in p.components),
-    )
-
-
 def _compose(p: Problem, refinements: tuple[Kernel, ...], alloc: Allocation | None) -> ComposedMechanism:
     """Each component's refinement where its share is 0 (every share, when
     ``alloc`` is None), its randomized release where the share is positive."""

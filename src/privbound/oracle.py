@@ -5,11 +5,12 @@ full-joint kernels P(u | x, y) subject to I(X;U) <= eps. It is a seeded
 random-restart ascent over the kernel columns (each (x, y) column lives on
 the |U|-simplex): each sweep steps every column toward vertex directions
 picked by the objective's column gradient, plus one single-column vertex
-jump. Restarts run in lockstep, in groups of at most GROUP_ENTRIES kernel
-entries: one sweep scores the candidates of every restart of a group as
-one batch, while each restart keeps its own random stream, acceptance walk
-and stall count, and its own row of the group's kernel stack, which it
-keeps after it stalls and stops sweeping.
+jump. Restarts run in lockstep, in groups whose sweep allocates about
+GROUP_BUDGET float64s (``_Evaluator.row_floats`` estimates one row's share
+before any allocation): one sweep scores the candidates of every restart
+of a group as one batch, while each restart keeps its own random stream,
+acceptance walk and stall count, and its own row of the group's kernel
+stack, which it keeps after it stalls and stops sweeping.
 
 A restart's only state is its kernel tensor, with a mask of the u-columns
 that may hold mass (it may hold more, never fewer). The mask is set from
@@ -17,7 +18,7 @@ the start (restart 0's relabelled Y, a warm start's first columns, all of
 a seeded kernel's) and from each accepted candidate, never from a pass
 over the kernel. Each sweep packs the live restarts' marginals P(x,u) and
 P(y_S,u) once, over the union of their masks only where that skips at
-least GROUP_ENTRIES kernel entries (every other column is zero), and
+least BLOCK_ENTRIES kernel entries (every other column is zero), and
 scores every candidate from a few sums of marginals, which are
 linear in the kernel: sum m ln m per marginal, column u = 0, and P(u) (the
 row sums are fixed at p(x) and p(y_S)). The vertex directions' argmax
@@ -98,11 +99,13 @@ class OracleResult:
     leakage_evals: int = 0    # I(X;U) evaluations spent on those repairs
     candidates: int = 0       # candidates scored by the sweeps
     accepted: int = 0         # candidates that beat the running best
+    # sweeps, groups and swept_entries depend on how restarts are grouped
+    # (GROUP_BUDGET), unlike the search itself
     sweeps: int = 0           # batched scoring passes, one per group sweep
     groups: int = 0           # restart groups run in lockstep
     # rows x |X||Y| x u-columns formed by the sweeps' marginals and read by
-    # their vertex choices: the kept columns depend on how restarts are
-    # grouped (a sweep keeps the union of its rows' occupied columns)
+    # their vertex choices (a sweep keeps the union of its rows' occupied
+    # columns)
     swept_entries: int = 0
 
 
@@ -183,7 +186,7 @@ class _Evaluator:
     reads ln of every cell, sees only the marginals of real kernels.
 
     The search keeps, per kernel, a boolean mask of the u-columns that may
-    hold mass. Where that skips at least GROUP_ENTRIES kernel entries
+    hold mass. Where that skips at least BLOCK_ENTRIES kernel entries
     (``_narrow``), ``occupied_marginals`` forms the packed marginals over
     the union of the masks only and scatters them into the full-width
     layout, so every scorer sees the same arrays as from ``marginals``;
@@ -257,6 +260,17 @@ class _Evaluator:
         self._owner = np.empty(0, dtype=np.intp)
         self._x, self._y = np.indices((self.nx, self.ny))
 
+    def row_floats(self) -> int:
+        """Float64s one restart's row allocates in a sweep, estimated from
+        the shapes alone: its kernel, three packed marginals' worth of step
+        directions (``sweep_terms``), and the index and gather arrays of
+        ``sweep_terms`` and ``jump_marginals``, per family F over the |X||Y|
+        columns and over |U|. It reads 25-35 % under the growth of the
+        tracemalloc peak per row."""
+        fams = len(self.fam_offs)
+        return (self.nx * self.ny * self.card_u + 3 * self.size
+                + fams * (40 * self.nx * self.ny + 24 * self.card_u))
+
     # -- marginals -------------------------------------------------------------
 
     def user_marginals(self, yu: np.ndarray) -> list[np.ndarray]:
@@ -284,9 +298,10 @@ class _Evaluator:
         the columns formed (None: all). Where ``_narrow`` keeps columns, the
         marginals are formed over those only and scattered into the
         full-width layout. Only the live rows get an einsum. The column
-        gather reads every row of the stack and then keeps the live ones;
-        in a search only one-row stacks are narrowed, since a group of more
-        rows holds at most GROUP_ENTRIES entries."""
+        gather reads every row of the stack and then keeps the live ones:
+        gathering only the live rows, one at a time, measured 2-4 times
+        faster per call but narrowed stacks with stalled rows are too few
+        for it to save a measurable share of a search."""
         every = live.size == len(tables)
         cols = _narrow(live.size * self.nx * self.ny, keep)
         if cols is None:
@@ -520,7 +535,7 @@ class _Evaluator:
         row's first unmasked one. Every column whose marginals are all zero
         scores alike for a given (x, y), and argmax keeps the first, so no
         choice changes. A positive multiplier's argmax runs in blocks of at
-        most GROUP_ENTRIES entries (one |X| row at least) in one buffer.
+        most BLOCK_ENTRIES entries (one |X| row at least) in one buffer.
         """
         (xu, users), (ln_xu, ln_users) = self.unpack(marg), self.unpack(ln)
         rows, nx, ny = len(xu), self.nx, self.ny
@@ -541,8 +556,8 @@ class _Evaluator:
             score += w * lcond.reshape(rows, *shape[:-1], nk)
         score = score.reshape(rows, ny, nk) - pu[:, None, :]
         leak_score = ln_xu - np.log(np.maximum(px, _TINY)) - pu[:, None, :]
-        bx = min(nx, max(1, GROUP_ENTRIES // (ny * nk)))
-        br = max(1, GROUP_ENTRIES // (bx * ny * nk))     # 1 unless bx is all of |X|
+        bx = min(nx, max(1, BLOCK_ENTRIES // (ny * nk)))
+        br = max(1, BLOCK_ENTRIES // (bx * ny * nk))     # 1 unless bx is all of |X|
         buf = np.empty((min(rows, br), bx, ny, nk))
         choices = np.empty((rows, len(MULTIPLIERS), nx, ny), dtype=np.intp)
         for i, lam in enumerate(MULTIPLIERS):
@@ -599,14 +614,14 @@ def _narrow(per_col: int, keep: np.ndarray) -> np.ndarray | None:
     and are zero outside the union of the masks ``keep`` (rows, |U|): that
     union, widened to two columns if it has one (over one, einsum and sum
     add in another order), or None (every column) where that would skip
-    fewer than GROUP_ENTRIES entries, since gathering or indexing the
+    fewer than BLOCK_ENTRIES entries, since gathering or indexing the
     columns then costs more than it saves."""
     nu = keep.shape[1]
-    if per_col * (nu - 2) < GROUP_ENTRIES:
+    if per_col * (nu - 2) < BLOCK_ENTRIES:
         return None
     union = keep.any(axis=0)
     n = int(np.count_nonzero(union))
-    if per_col * (nu - max(2, n)) < GROUP_ENTRIES:
+    if per_col * (nu - max(2, n)) < BLOCK_ENTRIES:
         return None
     if n == 1:
         union[np.argmin(union)] = True
@@ -693,10 +708,11 @@ def _start_columns(ev: _Evaluator, starts: Starts, restart: int) -> np.ndarray |
 
 
 def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
-                  restarts: range) -> list[tuple[float, np.ndarray, float]]:
-    """Candidate-step ascent of a group of restarts in lockstep; returns
-    (objective, table, leak) per restart, in order, the objective and leak
-    as scored for the restart's last accepted kernel.
+                  restarts: range) -> tuple[list[float], tuple[float, np.ndarray, float]]:
+    """Candidate-step ascent of a group of restarts in lockstep; returns the
+    objective per restart, in order, as scored for the restart's last
+    accepted kernel, and (objective, table, leak) of the first restart with
+    the highest one, its table copied out of the group's stack.
 
     Every restart keeps its row of the group's state (kernel stack, column
     mask, best, leak, stall count, random stream) throughout. Each sweep
@@ -768,7 +784,9 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
             else:
                 ev.step_into(tables[r], masks[r], STEP_SIZES[pick % nj], choices[row, pick // nj])
             ev.mix_into(tables[r], masks[r], float(t[row * BATCH + pick]))
-    return [(best[r], tables[r], leak[r]) for r in range(len(rngs))]
+    top = max(range(len(rngs)), key=best.__getitem__)
+    # a copy, since a view would keep the whole stack alive through later groups
+    return best, (best[top], tables[top].copy(), leak[top])
 
 
 def _flat_sizes(p: Problem) -> tuple[int, int]:
@@ -801,15 +819,15 @@ def search(p: Problem, cfg: OracleConfig | None = None, starts: Starts | None = 
             starts = ()
         else:
             starts = canonical_starts(p, profile, bounds_mod.canonical_allocations(p, validate(p)))
-    group = max(1, GROUP_ENTRIES // (ev.nx * ev.ny * card_u))
-    trace = []
+    group = max(1, GROUP_BUDGET // ev.row_floats())
+    trace: list[float] = []
     best: tuple[float, np.ndarray, float] | None = None
     for first in range(0, cfg.restarts, group):
         ev.groups += 1
-        for obj, tab, leak in _ascend_group(ev, p, cfg, starts, range(first, min(first + group, cfg.restarts))):
-            trace.append(obj)
-            if best is None or obj > best[0]:
-                best = (obj, tab, leak)
+        objs, top = _ascend_group(ev, p, cfg, starts, range(first, min(first + group, cfg.restarts)))
+        trace += objs
+        if best is None or top[0] > best[0]:
+            best = top
     assert best is not None
     return OracleResult(
         best_objective=float(best[0]),
@@ -849,7 +867,11 @@ def leakage_project(m: Kernel, p: Problem, eps: float) -> Kernel:
 
 
 WARM_CARD_CAP = 1500
-GROUP_ENTRIES = 2 ** 14   # restarts share a sweep while group x |X||Y||U| stays within this
+# restarts share a sweep while group x row_floats() stays within this (8 MiB)
+GROUP_BUDGET = 2 ** 20
+# the kernel entries a sweep must skip to read fewer u-columns (_narrow), and
+# the most entries one argmax block of vertex_choices holds
+BLOCK_ENTRIES = 2 ** 14
 
 
 # the stages of a sandwich check, in order: its profile, allocations and

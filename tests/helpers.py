@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from privbound.cli import PROBLEM_SCHEMA
+from privbound.mechanisms import ComposedMechanism, ConstructionTag, Kernel, identity_kernel
 from privbound.model import Component, Problem, User, user_weight_mass
 from privbound.probcore import Joint2, entropy, joint_entropy
 
@@ -102,6 +104,51 @@ def bsc_component(theta: float = 0.1, name: str = "bsc") -> Component:
         name,
         Joint2(np.array([[(1 - theta) / 2, theta / 2], [theta / 2, (1 - theta) / 2]])),
     )
+
+
+def identity_mechanism(p: Problem) -> ComposedMechanism:
+    """U_i = Y_i for every component: releases all of Y."""
+    return ComposedMechanism(
+        kernels=tuple(identity_kernel(c) for c in p.components),
+        tags=tuple(ConstructionTag("identity") for _ in p.components),
+    )
+
+
+def constant_mechanism(p: Problem) -> ComposedMechanism:
+    """U_i constant for every component: releases nothing."""
+    return ComposedMechanism(
+        kernels=tuple(Kernel(np.ones((c.card_x, c.card_y, 1))) for c in p.components),
+        tags=tuple(ConstructionTag("constant") for _ in p.components),
+    )
+
+
+def problem_to_dict(p: Problem, options: dict | None = None) -> dict:
+    """Reference writer of the problem file schema, the inverse of
+    ``cli.parse_problem``."""
+    options = dict(options or {})
+    doc: dict = {
+        "schema": PROBLEM_SCHEMA,
+        "components": [],
+        "users": [
+            {"demands": list(u.demands), "weight": u.weight} for u in p.users
+        ],
+        "epsilon": p.epsilon,
+        "options": {
+            "log_display": options.get("log_display", "nats"),
+            "sfrl_constant": p.sfrl_constant,
+        },
+    }
+    for c in p.components:
+        entry: dict = {
+            "name": c.name,
+            "matrix": [[float(v) for v in row] for row in c.joint.table],
+        }
+        if c.labels_x is not None:
+            entry["labels_x"] = list(c.labels_x)
+        if c.labels_y is not None:
+            entry["labels_y"] = list(c.labels_y)
+        doc["components"].append(entry)
+    return doc
 
 
 def const_marginals(ev) -> np.ndarray:

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import problem_to_dict
 from privbound import bounds as B
 from privbound import cli
 
@@ -526,7 +527,7 @@ class TestRoundTrip:
         doc["components"][0]["labels_y"] = ["p", "q"]
         path = write_problem(tmp_path, doc)
         p1, opts1 = cli.load_problem(path)
-        doc2 = cli.problem_to_dict(p1, opts1)
+        doc2 = problem_to_dict(p1, opts1)
         p2, opts2 = cli.parse_problem(doc2)
         assert p1.epsilon == p2.epsilon
         assert p1.sfrl_constant == p2.sfrl_constant

@@ -11,6 +11,8 @@ import pytest
 
 from helpers import (
     bsc_component,
+    constant_mechanism,
+    identity_mechanism,
     random_component,
     random_problem,
     xy_copy_component,
@@ -304,7 +306,7 @@ class TestRefinementProfile:
 class TestEvaluate:
     def test_identity_release(self):
         p = random_problem(21)
-        mech = M.identity_mechanism(p)
+        mech = identity_mechanism(p)
         rep = M.evaluate(p, mech)
         stats = validate(p)
         assert rep.leakage == pytest.approx(stats.total_mi, abs=1e-9)
@@ -315,7 +317,7 @@ class TestEvaluate:
 
     def test_constant_release(self):
         p = random_problem(22)
-        rep = M.evaluate(p, M.constant_mechanism(p))
+        rep = M.evaluate(p, constant_mechanism(p))
         assert rep.leakage == 0.0
         assert rep.objective == 0.0
         assert all(u == 0.0 for u in rep.utilities)

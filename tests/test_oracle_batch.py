@@ -524,7 +524,7 @@ class TestOccupiedColumns:
             # a masked column of row 0 whose marginals are all 0
             assert (masks[0] & ~ev.unpack(marg)[0][0].any(axis=0)).any()
         ref = _dense_choices(ev, marg, _ln(marg))
-        monkeypatch.setattr(O, "GROUP_ENTRIES", entries)
+        monkeypatch.setattr(O, "BLOCK_ENTRIES", entries)
         got = ev.vertex_choices(marg, _ln(marg), O._choice_columns(masks))
         assert np.array_equal(got, ref)
         assert np.array_equal(ev.vertex_choices(marg, _ln(marg)), ref)
@@ -538,7 +538,7 @@ class TestOccupiedColumns:
     @pytest.mark.parametrize("entries", [1, 2 ** 14])
     def test_marginals_match_full_width(self, monkeypatch, case, entries):
         ev, tables, masks = _masked_case(4, case)
-        monkeypatch.setattr(O, "GROUP_ENTRIES", entries)
+        monkeypatch.setattr(O, "BLOCK_ENTRIES", entries)
         for live in (np.arange(len(tables)), np.arange(len(tables))[-1:]):
             marg, cols = ev.occupied_marginals(tables, live, masks[live])
             assert np.array_equal(marg, ev.marginals(tables)[live])
@@ -550,7 +550,7 @@ class TestOccupiedColumns:
                 assert cols is None
 
     def test_narrow_keeps_columns_only_where_enough_are_skipped(self, monkeypatch):
-        monkeypatch.setattr(O, "GROUP_ENTRIES", 100)
+        monkeypatch.setattr(O, "BLOCK_ENTRIES", 100)
         keep = np.zeros((2, 12), dtype=bool)
         keep[0, [3, 7]] = True
         keep[1, 7] = True
@@ -566,7 +566,7 @@ class TestOccupiedColumns:
 
     @pytest.mark.parametrize("entries", [1, 2 ** 14])
     def test_in_place_updates_match_references(self, monkeypatch, entries):
-        monkeypatch.setattr(O, "GROUP_ENTRIES", entries)
+        monkeypatch.setattr(O, "BLOCK_ENTRIES", entries)
         ev, tables, masks = _masked_case(5, "col0_empty")
         rng = np.random.default_rng(5)
         table, mask = tables[1].copy(), masks[1].copy()
@@ -591,16 +591,19 @@ class TestOccupiedColumns:
                 # a full step leaves only its direction's columns
                 assert np.array_equal(mask, np.isin(np.arange(ev.card_u), choices[k // nj]))
 
-    def test_masks_cover_kernels_in_search(self, monkeypatch):
-        # columns are skipped wherever any can be (GROUP_ENTRIES = 1); at every
-        # sweep, each live kernel's mass lies inside its mask
-        monkeypatch.setattr(O, "GROUP_ENTRIES", 1)
+    @pytest.mark.parametrize("budget", [1, O.GROUP_BUDGET])
+    def test_masks_cover_kernels_in_search(self, monkeypatch, budget):
+        # columns are skipped wherever any can be (BLOCK_ENTRIES = 1); at every
+        # sweep, each live kernel's mass lies inside its mask, in groups of
+        # one and in groups of every restart
+        monkeypatch.setattr(O, "BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(O, "GROUP_BUDGET", budget)
         seen = []
         occupied = O._Evaluator.occupied_marginals
 
         def checked(self, tables, live, keep):
             assert not np.any(tables[live] * ~keep[:, None, None, :])
-            seen.append(keep.mean())
+            seen.extend(keep.mean(axis=1))
             return occupied(self, tables, live, keep)
 
         monkeypatch.setattr(O._Evaluator, "occupied_marginals", checked)
@@ -626,28 +629,34 @@ class TestOccupiedColumns:
                 assert not table[:, :, ~mask].any()
                 assert np.allclose(table.sum(axis=2), 1.0, rtol=0, atol=1e-12)
 
-    def test_swept_entries_below_full_width_when_warm_started(self):
+    def test_swept_entries_below_full_width_when_warm_started(self, monkeypatch):
         rng = np.random.default_rng(3)
         comps = tuple(
             Component(f"c{i}", Joint2(rng.dirichlet(np.ones(a * b)).reshape(a, b)))
             for i, (a, b) in enumerate(((3, 3), (3, 4)))
         )
-        report = O.sandwich_check(Problem(comps, (User((0, 1), 1.0), User((0,), 0.5)), 0.2))
+        p = Problem(comps, (User((0, 1), 1.0), User((0,), 0.5)), 0.2)
+        report = O.sandwich_check(p)
         res = report.search
         nu = res.best_kernel.alphabet_u
         full = 2 * 108 * nu * res.candidates // O.BATCH
         assert report.ok and nu > 200
-        assert 0 < res.swept_entries < full / 2
+        # one group reads the union of its restarts' masks
+        assert res.groups == 1 and 0 < res.swept_entries < full
+        # a restart alone reads only its own
+        monkeypatch.setattr(O, "GROUP_BUDGET", 1)
+        alone = O.sandwich_check(p).search
+        assert alone.groups == 6 and 0 < alone.swept_entries < full / 2
 
     def test_swept_entries_full_width_when_every_column_occupied(self, monkeypatch):
         # one sweep from seeded starts and restart 0 with |U| <= |Y|: every
         # mask is full, so no column is skipped, even where any could be
-        monkeypatch.setattr(O, "GROUP_ENTRIES", 1)
+        monkeypatch.setattr(O, "BLOCK_ENTRIES", 1)
         p = random_problem(2, max_n=2)
         nxy = int(np.prod([c.card_x for c in p.components])) * int(np.prod([c.card_y for c in p.components]))
         cfg = O.OracleConfig(card_u=2, restarts=3, iters=1)
         res = O.search(p, cfg, starts=())
-        assert res.sweeps == 3
+        assert res.candidates == 3 * O.BATCH
         assert res.swept_entries == 2 * nxy * 2 * res.candidates // O.BATCH
         # with more sweeps, full steps narrow the masks and columns are skipped
         wide = O.OracleConfig(card_u=16, restarts=3, iters=24)
@@ -656,7 +665,7 @@ class TestOccupiedColumns:
 
     def test_vertex_choices_memory_blocked(self):
         # one wide row: 16 x 16 x 1200 = 307,200 entries (2.46 MB per
-        # float64 temporary); the argmax runs in blocks of GROUP_ENTRIES,
+        # float64 temporary); the argmax runs in blocks of BLOCK_ENTRIES,
         # and what is left are (|X| or |Y|, |U|) arrays
         rng = np.random.default_rng(9)
         comps = tuple(Component(f"c{i}", Joint2(rng.dirichlet(np.ones(16)).reshape(4, 4))) for i in range(2))

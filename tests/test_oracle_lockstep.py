@@ -18,9 +18,19 @@ from privbound.probcore import Joint2, _mi
 QUICK = O.OracleConfig(restarts=4, iters=24, seed=0)
 
 
-def _search_grouped(monkeypatch, p, cfg, entries):
-    monkeypatch.setattr(O, "GROUP_ENTRIES", entries)
+def _search_grouped(monkeypatch, p, cfg, budget):
+    monkeypatch.setattr(O, "GROUP_BUDGET", budget)
     return O.search(p, cfg)
+
+
+def _assert_same_search(alone, together):
+    """Bit for bit the same search; only sweeps, groups and swept_entries
+    may differ."""
+    assert alone.trace == together.trace
+    assert np.array_equal(alone.best_kernel.table, together.best_kernel.table)
+    assert alone.leakage_at_best == together.leakage_at_best
+    for name in ("projections", "leakage_evals", "candidates", "accepted"):
+        assert getattr(alone, name) == getattr(together, name), name
 
 
 class TestGroupsAgree:
@@ -32,28 +42,51 @@ class TestGroupsAgree:
         assert alone.groups == QUICK.restarts
         assert together.groups == 1
         assert np.allclose(alone.trace, together.trace, rtol=0, atol=1e-12)
-        # and bit for bit
-        assert alone.trace == together.trace
-        assert np.array_equal(alone.best_kernel.table, together.best_kernel.table)
-        assert alone.leakage_at_best == together.leakage_at_best
-        for name in ("projections", "leakage_evals", "candidates", "accepted"):
-            assert getattr(alone, name) == getattr(together, name), name
+        _assert_same_search(alone, together)
         # one group sweeps as often as its longest restart
         assert together.sweeps <= alone.sweeps <= QUICK.restarts * together.sweeps
         assert alone.candidates == O.BATCH * alone.sweeps
 
-    def test_group_memory_capped(self):
-        # a 4096-entry kernel: groups of 4 restarts. One group of all 64
-        # restarts would hold 64 kernels in every sweep temporary (about
-        # 28 MB peak against 2 MB)
+    @pytest.mark.parametrize("seed", [0, 1, 3, 9, 12])
+    def test_narrowed_groups_match_groups_of_one(self, monkeypatch, seed):
+        # warm-started checks that skip columns wherever any can be
+        # (BLOCK_ENTRIES = 1): under the default budget, sweeps of two or
+        # more rows read only the union of their masks
+        monkeypatch.setattr(O, "BLOCK_ENTRIES", 1)
+        narrowed = []
+        occupied = O._Evaluator.occupied_marginals
+
+        def spy(self, tables, live, keep):
+            marg, cols = occupied(self, tables, live, keep)
+            narrowed.append(cols is not None and live.size >= 2)
+            return marg, cols
+
+        monkeypatch.setattr(O._Evaluator, "occupied_marginals", spy)
+        p = random_problem(seed)
+        together = O.sandwich_check(p, QUICK).search
+        assert together.groups == 1 and any(narrowed)
+        monkeypatch.setattr(O, "GROUP_BUDGET", 1)
+        alone = O.sandwich_check(p, QUICK).search
+        assert alone.groups == QUICK.restarts
+        _assert_same_search(alone, together)
+
+    @pytest.mark.parametrize("shape, card_u, iters", [((2, 4), 64, 6), ((2, 2), None, 2)])
+    def test_group_memory_capped(self, shape, card_u, iters):
+        # restarts past one group's run in later groups, so four groups'
+        # worth peaks within 1 MB of one group's: for a 4096-entry kernel
+        # (groups of 49) and for a 16 x 14 one (groups of 293), whose sweep
+        # allocates about 20 times its kernel per row
         rng = np.random.default_rng(5)
         comps = tuple(
-            Component(f"c{i}", Joint2(rng.dirichlet(np.ones(8)).reshape(2, 4))) for i in range(2)
+            Component(f"c{i}", Joint2(rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)))
+            for i in range(2)
         )
         p = Problem(comps, (User((0, 1), 1.0), User((0,), 0.5)), 0.2)
+        card_u = card_u or O.default_card_u(p)
+        group = O.GROUP_BUDGET // O._Evaluator(p, card_u).row_floats()
         peaks = {}
-        for restarts in (6, 64):
-            cfg = O.OracleConfig(card_u=64, restarts=restarts, iters=6, seed=0)
+        for restarts in (group, 4 * group):
+            cfg = O.OracleConfig(card_u=card_u, restarts=restarts, iters=iters, seed=0)
             tracemalloc.start()
             try:
                 res = O.search(p, cfg)
@@ -61,7 +94,8 @@ class TestGroupsAgree:
             finally:
                 tracemalloc.stop()
             assert len(res.trace) == restarts
-        assert peaks[64] <= peaks[6] + 1e6, peaks
+            assert res.groups == restarts // group
+        assert peaks[4 * group] <= peaks[group] + 1e6, peaks
 
 
 class TestClosedFormLeakage:
