@@ -670,41 +670,26 @@ def canonical_starts(p: Problem, profile: RefinementProfile, allocs: dict[str, A
     )
 
 
-def _warm_start(ev: _Evaluator, starts: Starts, restart: int) -> ComposedMechanism | None:
-    """The mechanism restart r >= 1 starts from: ``starts[r - 1]`` where that
-    is a mechanism no wider than |U|, else None."""
-    mech = starts[restart - 1] if 1 <= restart <= len(starts) else None
-    return mech if mech is not None and mech.cardinality <= ev.card_u else None
-
-
 def _initial_tables(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts, restart: int,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Restart 0 relabels Y (y folded to y mod |U|); restart r >= 1 embeds
-    its warm start (``_warm_start``) in the first columns of u, to be
-    re-evaluated from scratch by the search. Restarts with no warm start
-    take seeded random kernels. Written into ``out``, a zeroed
-    (|X|, |Y|, |U|) array, when given."""
-    nx, ny, nu = ev.nx, ev.ny, ev.card_u
-    t = np.zeros((nx, ny, nu)) if out is None else out
+                    out: np.ndarray) -> np.ndarray | slice:
+    """Write restart r's starting kernel into ``out``, a zeroed (|X|, |Y|,
+    |U|) array, and return the u-columns it may have put mass in. Restart 0
+    relabels Y (y folded to y mod |U|); restart r >= 1 embeds its warm start
+    ``starts[r - 1]``, where that is a mechanism no wider than |U|, in the
+    first columns of u, to be re-evaluated from scratch by the search.
+    Restarts with no warm start take seeded random kernels."""
     if restart == 0:
-        t[:, np.arange(ny), np.arange(ny) % nu] = 1.0
-        return t
-    mech = _warm_start(ev, starts, restart)
-    if mech is not None:
+        cols = np.arange(ev.ny) % ev.card_u
+        out[:, np.arange(ev.ny), cols] = 1.0
+        return cols
+    mech = starts[restart - 1] if restart <= len(starts) else None
+    if mech is not None and mech.cardinality <= ev.card_u:
         # no wider than the evaluator's size-checked kernel, so within the cap
-        t[:, :, : mech.cardinality] = mechanisms.materialize_monolithic(p, mech).table
-        return t
-    np.random.default_rng([cfg.seed, restart]).standard_exponential(out=t)
-    t /= t.sum(axis=2, keepdims=True)
-    return t
-
-
-def _start_columns(ev: _Evaluator, starts: Starts, restart: int) -> np.ndarray | slice:
-    """The u-columns ``_initial_tables`` may put mass in."""
-    if restart == 0:
-        return np.arange(ev.ny) % ev.card_u
-    mech = _warm_start(ev, starts, restart)
-    return slice(None) if mech is None else slice(mech.cardinality)
+        out[:, :, : mech.cardinality] = mechanisms.materialize_monolithic(p, mech).table
+        return slice(mech.cardinality)
+    np.random.default_rng([cfg.seed, restart]).standard_exponential(out=out)
+    out /= out.sum(axis=2, keepdims=True)
+    return slice(None)
 
 
 def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
@@ -729,8 +714,7 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
     tables = np.zeros((len(rngs), ev.nx, ev.ny, nu))
     masks = np.zeros((len(rngs), nu), dtype=bool)
     for row, r in enumerate(restarts):
-        _initial_tables(ev, p, cfg, starts, r, out=tables[row])
-        masks[row, _start_columns(ev, starts, r)] = True
+        masks[row, _initial_tables(ev, p, cfg, starts, r, tables[row])] = True
     every = np.arange(len(rngs))
     t_mix, scores = ev.repair(ev.terms(ev.occupied_marginals(tables, every, masks)[0]), eps, slack=LEAKAGE_SLACK)
     best, leak = ev.objective(scores).tolist(), scores[:, 0].tolist()
