@@ -9,10 +9,12 @@ checkout's, and the runs alternate which side goes first:
 
 - ``import privbound`` time (IMPORTS runs per side), in a process that
   imports nothing else first;
-- peak RSS (``ru_maxrss``, RUNS runs per side) of one pass over each of
-  ``ab.WORKLOADS`` at ``ab.SEED``, the side loaded with ``ab.load_side``;
-- peak RSS of ``decompose_transform`` alone on the transform cases at
-  ``ab.SEED`` whose decomposition joint has more than DECOMPOSE_BIG entries.
+- peak RSS (``ru_maxrss``), minor page faults (``ru_minflt``) and system
+  CPU seconds (``ru_stime``), RUNS runs per side, of one pass over each of
+  ``ab.WORKLOADS`` at ``ab.SEED``, the side loaded with ``ab.load_side``,
+  and of ``decompose_transform`` alone on the transform cases at
+  ``ab.SEED`` whose decomposition joint has more than DECOMPOSE_BIG
+  entries. Each counts the whole process, start-up and imports included.
 
 A pass builds its inputs with this checkout's ``perfbench`` and ``tests``
 generators, which import this checkout's privbound on both sides alike.
@@ -40,6 +42,8 @@ BENCH = os.path.dirname(os.path.abspath(__file__))
 IMPORT = ("import sys, time; sys.path.insert(0, sys.argv[1]); t0 = time.perf_counter(); "
           "import privbound; print(time.perf_counter() - t0)")
 PASS = "import sys; sys.path.insert(0, sys.argv[1]); import fresh; fresh.child(*sys.argv[2:])"
+# what a pass reports, in the order ``child`` prints it
+PASS_KEYS = ("peak_rss_mb", "minflt", "stime_s")
 
 
 def decomposition_entries(spec: dict) -> int:
@@ -52,7 +56,7 @@ def decomposition_entries(spec: dict) -> int:
 
 def child(src: str, what: str) -> None:
     """In a fresh process: one pass of workload ``what``, or of the large
-    decompositions, on the side under ``src``; prints its peak RSS in MB."""
+    decompositions, on the side under ``src``; prints its PASS_KEYS."""
     side = ab.load_side("side", src)
     if what == "decompose":
         cases = (ab.transform_spec(ab.SEED, i) for i in range(inputs.TRANSFORM_CASES))
@@ -65,13 +69,14 @@ def child(src: str, what: str) -> None:
             if what != "decompose" or op.kind == "decompose_transform":
                 op.run()
         os.chdir(ab.ROOT)
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+    use = resource.getrusage(resource.RUSAGE_SELF)
+    print(use.ru_maxrss / 1024.0, use.ru_minflt, use.ru_stime)
 
 
-def measure(*args: str) -> float:
-    """The number a fresh ``python -c`` process prints last."""
+def measure(*args: str) -> list[float]:
+    """The numbers on the last line a fresh ``python -c`` process prints."""
     proc = subprocess.run([sys.executable, "-c", *args], check=True, capture_output=True, text=True)
-    return float(proc.stdout.split()[-1])
+    return [float(v) for v in proc.stdout.splitlines()[-1].split()]
 
 
 def main() -> None:
@@ -86,19 +91,21 @@ def main() -> None:
         srcs = {"before": os.path.join(tmp, "src"), "after": os.path.join(ab.ROOT, "src")}
         for k in range(IMPORTS):
             for name in ab.order(k):
-                runs[name].setdefault("import_s", []).append(measure(IMPORT, srcs[name]))
+                runs[name].setdefault("import_s", []).append(measure(IMPORT, srcs[name])[0])
         for k in range(RUNS):
             for name in ab.order(k):
                 print(f"run {k}: {name}", file=sys.stderr)
                 for what in ab.WORKLOADS + ("decompose",):
-                    runs[name].setdefault(f"peak_rss_mb {what}", []).append(measure(PASS, BENCH, srcs[name], what))
+                    for key, v in zip(PASS_KEYS, measure(PASS, BENCH, srcs[name], what), strict=True):
+                        runs[name].setdefault(f"{key} {what}", []).append(v)
     results = {key: {name: ab.summarize(runs[name][key]) for name in runs} for key in runs["after"]}
     for key, row in results.items():
         b, a = row["before"], row["after"]
-        print(f"{key:<26} before {b['median']:8.3f} (IQR {b['q1']:.3f}-{b['q3']:.3f})  "
-              f"after {a['median']:8.3f} (IQR {a['q1']:.3f}-{a['q3']:.3f})")
+        print(f"{key:<26} before {b['median']:9.3f} (IQR {b['q1']:.3f}-{b['q3']:.3f})  "
+              f"after {a['median']:9.3f} (IQR {a['q1']:.3f}-{a['q3']:.3f})")
     if args.out:
-        ab.write_json(args.out, "fresh-process numbers: import time and peak RSS", sha,
+        ab.write_json(args.out, "fresh-process numbers: import time, and peak RSS, minor faults and "
+                      "system CPU of a pass", sha,
                       {"runs": RUNS, "imports": IMPORTS, "seed": ab.SEED, "decompose_big_entries": DECOMPOSE_BIG},
                       results)
 

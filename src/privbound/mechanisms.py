@@ -497,8 +497,9 @@ def decompose_transform(p: Problem, m: Kernel) -> tuple[BarMechanism, Decomposit
     K_N(x_N, .) gives its mass, its sum of p ln p, and its slices of the
     two marginals every check reads, ``xyb`` (u summed out) and ``xyu``
     (the b's summed out). The largest arrays are ``xyb``, |X||Y| prod |B_i|
-    entries, and one block. The size cap still counts the whole joint, as
-    its cells are all computed.
+    entries, and two workspaces of one block's |Y||U| prod |B_i| entries,
+    the block and its logs, made once and freed before the checks. The
+    size cap still counts the whole joint, as its cells are all computed.
     """
     n = p.n_components
     j = monolithic_joint(p, m)
@@ -510,16 +511,21 @@ def decompose_transform(p: Problem, m: Kernel) -> tuple[BarMechanism, Decomposit
     # (with JointN's own message)
     xyb = np.empty(j.axes[:-1] + bar.alphabets)
     xyu = np.empty(j.axes)
+    blk = np.empty(j.axes[n:] + bar.alphabets)
+    logs = np.empty(blk.size)
     total = h_raw = 0.0
     for xs in np.ndindex(*j.axes[:n]):
-        blk = j.table[xs]
-        for mat, xi in zip(bar.kernels, xs):
-            blk = blk[..., None] * mat[xi]
+        head = j.table[xs]
+        for mat, xi in zip(bar.kernels[:-1], xs):
+            head = head[..., None] * mat[xi]
+        np.multiply(head[..., None], bar.kernels[-1][xs[-1]], out=blk)
+        del head  # 1/|B_N| of a block, not held through the block's entropy
         if blk.min() < probcore.ZERO_FLOOR:
             np.copyto(blk, 0.0, where=blk < probcore.ZERO_FLOOR)
-        h_raw += probcore._entropy_raw(blk)
+        h_raw += probcore._entropy_raw(blk, logs)
         blk.sum(axis=n, out=xyb[xs])
         total += float(blk.sum(axis=tuple(range(n + 1, 2 * n + 1)), out=xyu[xs]).sum())
+    del blk, logs
     probcore._check_total(total, "JointN.table")
     # H of the renormalized joint p / T: -sum (p/T) ln (p/T) = h_raw / T + ln T
     h_all = h_raw / total + math.log(total)

@@ -187,17 +187,42 @@ def _marginal_mass(j: JointN, axes: Sequence[int], name: str = "axes") -> np.nda
     return j.table.sum(axis=drop) if drop else j.table
 
 
-def _entropy_raw(mass: np.ndarray) -> float:
-    """-sum p ln p over an array of non-negative masses, 0 ln 0 := 0."""
+def _entropy_raw(mass: np.ndarray, scratch: np.ndarray | None = None) -> float:
+    """-sum p ln p over an array of non-negative masses, 0 ln 0 := 0.
+
+    ``scratch``, a 1-D float array of at least ``mass.size`` entries,
+    receives the logs and then the terms p ln p in its leading entries in
+    place of fresh arrays; the result is the same bits either way.
+    """
     p = np.asarray(mass, dtype=float).ravel()
     keep = p > ZERO_FLOOR
     if not keep.all():
+        if scratch is not None:
+            return _gathered_entropy(p, keep, scratch)
         p = p[keep]
     if p.size == 0:
         return 0.0
-    terms = np.log(p)
+    terms = np.log(p, out=None if scratch is None else scratch[:p.size])
     terms *= p
     return float(-terms.sum())
+
+
+GATHER_CHUNK = 2**14  # entries of ``p`` that ``_gathered_entropy`` reads at a time
+
+
+def _gathered_entropy(p: np.ndarray, keep: np.ndarray, scratch: np.ndarray) -> float:
+    """-sum p ln p over the entries of a flat ``p`` where ``keep``: the terms
+    of the kept entries, gathered in order into ``scratch`` a chunk at a
+    time, so no copy of all kept entries is made. Same bits as the sum over
+    ``p[keep]``."""
+    done = 0
+    for i in range(0, p.size, GATHER_CHUNK):
+        kept = p[i:i + GATHER_CHUNK][keep[i:i + GATHER_CHUNK]]
+        terms = scratch[done:done + kept.size]
+        np.log(kept, out=terms)
+        terms *= kept
+        done += kept.size
+    return float(-scratch[:done].sum()) if done else 0.0
 
 
 def entropy(d: Dist | np.ndarray) -> float:

@@ -446,27 +446,100 @@ def reference_decomposition_checks(p: Problem, k: M.Kernel) -> tuple[float, ...]
     return tuple(max(0.0, v) for v in (leak_u, leak_b, markov, indep))
 
 
-class TestDecomposeReference:
-    @pytest.mark.parametrize(
-        "shapes, card_u",
-        [
-            (((2, 2), (2, 2)), 2),
-            (((2, 2), (2, 2)), 3),
-            (((2, 2), (2, 2)), 4),
-            (((2, 3), (3, 2)), 6),
-            (((3, 3), (3, 3)), 8),
-            (((2, 3), (2, 3), (2, 3)), 4),  # 4.4e5-entry decomposition joint
-            (((3, 2), (2, 3), (2, 2)), 3),  # mixed |X|: bars of 3, 9 and 18 symbols
-        ],
+def decompose_loop(p: Problem, k: M.Kernel) -> tuple[M.BarMechanism, M.DecompositionChecks]:
+    """Reference: the decomposition one x-block at a time, each block and
+    its logs in fresh arrays."""
+    n = p.n_components
+    j = M.monolithic_joint(p, k)
+    bar = M._bar_kernels(p, j)
+    xyb = np.empty(j.axes[:-1] + bar.alphabets)
+    xyu = np.empty(j.axes)
+    total = h_raw = 0.0
+    for xs in np.ndindex(*j.axes[:n]):
+        blk = j.table[xs]
+        for mat, xi in zip(bar.kernels, xs):
+            blk = blk[..., None] * mat[xi]
+        if blk.min() < pc.ZERO_FLOOR:
+            np.copyto(blk, 0.0, where=blk < pc.ZERO_FLOOR)
+        h_raw += pc._entropy_raw(blk)
+        blk.sum(axis=n, out=xyb[xs])
+        total += float(blk.sum(axis=tuple(range(n + 1, 2 * n + 1)), out=xyu[xs]).sum())
+    h_all = h_raw / total + math.log(total)
+    xyb = pc.JointN(xyb.shape, xyb)
+    xyu = pc.JointN(xyu.shape, xyu)
+    x_axes, b_axes = list(range(n)), list(range(2 * n, 3 * n))
+    markov = (pc.marginal_entropy(xyb, x_axes + b_axes) + pc.joint_entropy(xyu)
+              - h_all - pc.marginal_entropy(xyu, x_axes))
+    h_parts = sum(pc.marginal_entropy(xyb, [i, n + i, 2 * n + i]) for i in range(n))
+    return bar, M.DecompositionChecks(
+        leakage_original=float(pc.mi_between(xyu, x_axes, [2 * n])),
+        leakage_bar=float(pc.mi_between(xyb, x_axes, b_axes)),
+        markov_residual=float(max(0.0, markov)),
+        independence_residual=float(max(0.0, h_parts - pc.joint_entropy(xyb))),
     )
+
+
+def assert_same_decomposition(monkeypatch, p: Problem, k: M.Kernel) -> None:
+    """decompose_transform equals decompose_loop bit for bit: its bar
+    kernels, its four checks and every entropy it sums on the way, each
+    block's included."""
+    raw = pc._entropy_raw
+    seen: list[float] = []
+
+    def recorded(mass, scratch=None):
+        seen.append(raw(mass, scratch))
+        return seen[-1]
+
+    monkeypatch.setattr(pc, "_entropy_raw", recorded)
+    bar, checks = M.decompose_transform(p, k)
+    got_entropies = seen.copy()
+    seen.clear()
+    want_bar, want = decompose_loop(p, k)
+    assert bar.alphabets == want_bar.alphabets
+    for got_k, want_k in zip(bar.kernels, want_bar.kernels, strict=True):
+        assert np.array_equal(got_k, want_k)
+    assert checks == want
+    assert got_entropies == seen
+
+
+def reference_case(shapes, card_u) -> tuple[Problem, M.Kernel]:
+    rng = np.random.default_rng(card_u + 10 * len(shapes))
+    comps = tuple(
+        Component(f"c{i}", Joint2(rng.dirichlet(np.ones(nx * ny)).reshape(nx, ny)))
+        for i, (nx, ny) in enumerate(shapes)
+    )
+    p = Problem(comps, (User((0,), 1.0), User(tuple(range(len(comps))), 0.5)), 0.05)
+    return p, random_monolithic_kernel(rng, p, card_u)
+
+
+def mechanized_case() -> tuple[Problem, M.Kernel]:
+    # a skewed copy pair (H(X) = 0.135) beside a dense 3x3 component, its
+    # budget overflowing the pair: the decomposition joint has exact zeros
+    # and cells below ZERO_FLOOR, zeroed before any sum, and its mass
+    # then falls short of 1 by 1e-12, so H(all) must be renormalized
+    rng = np.random.default_rng(3)
+    skew = Component("skew", Joint2(np.array([[0.03, 0.0], [0.0, 0.97]])))
+    dense = Component("dense", Joint2(rng.dirichlet(np.ones(9)).reshape(3, 3)))
+    p = Problem((skew, dense), (User((0,), 2.0), User((1,), 1.0)), 0.4)
+    alloc = B.allocate_epsilon(p, validate(p), "frl")
+    return p, M.materialize_monolithic(p, M.compose_multiuser(p, alloc))
+
+
+REFERENCE_SHAPES = [
+    (((2, 2), (2, 2)), 2),
+    (((2, 2), (2, 2)), 3),
+    (((2, 2), (2, 2)), 4),
+    (((2, 3), (3, 2)), 6),
+    (((3, 3), (3, 3)), 8),
+    (((2, 3), (2, 3), (2, 3)), 4),  # 4.4e5-entry decomposition joint
+    (((3, 2), (2, 3), (2, 2)), 3),  # mixed |X|: bars of 3, 9 and 18 symbols
+]
+
+
+class TestDecomposeReference:
+    @pytest.mark.parametrize("shapes, card_u", REFERENCE_SHAPES)
     def test_checks_match_full_marginals(self, shapes, card_u):
-        rng = np.random.default_rng(card_u + 10 * len(shapes))
-        comps = tuple(
-            Component(f"c{i}", Joint2(rng.dirichlet(np.ones(nx * ny)).reshape(nx, ny)))
-            for i, (nx, ny) in enumerate(shapes)
-        )
-        p = Problem(comps, (User((0,), 1.0), User(tuple(range(len(comps))), 0.5)), 0.05)
-        k = random_monolithic_kernel(rng, p, card_u)
+        p, k = reference_case(shapes, card_u)
         _, checks = M.decompose_transform(p, k)
         got = (checks.leakage_original, checks.leakage_bar, checks.markov_residual,
                checks.independence_residual)
@@ -477,16 +550,7 @@ class TestDecomposeReference:
 
 
     def test_checks_match_on_mechanized_kernel(self):
-        # a skewed copy pair (H(X) = 0.135) beside a dense 3x3 component, its
-        # budget overflowing the pair: the decomposition joint has exact zeros
-        # and cells below ZERO_FLOOR, zeroed before any sum, and its mass
-        # then falls short of 1 by 1e-12, so H(all) must be renormalized
-        rng = np.random.default_rng(3)
-        skew = Component("skew", Joint2(np.array([[0.03, 0.0], [0.0, 0.97]])))
-        dense = Component("dense", Joint2(rng.dirichlet(np.ones(9)).reshape(3, 3)))
-        p = Problem((skew, dense), (User((0,), 2.0), User((1,), 1.0)), 0.4)
-        alloc = B.allocate_epsilon(p, validate(p), "frl")
-        k = M.materialize_monolithic(p, M.compose_multiuser(p, alloc))
+        p, k = mechanized_case()
         j = M.monolithic_joint(p, k)
         cells = bar_products(j, M._bar_kernels(p, j))
         assert (cells == 0.0).any() and ((cells > 0.0) & (cells < pc.ZERO_FLOOR)).any()
@@ -495,6 +559,20 @@ class TestDecomposeReference:
                checks.independence_residual)
         for g, w in zip(got, reference_decomposition_checks(p, k)):
             assert g == pytest.approx(w, abs=1e-12)
+
+
+    @pytest.mark.parametrize("shapes, card_u", REFERENCE_SHAPES + [(((2, 3), (2, 3), (2, 3)), 8)])
+    def test_bitwise_equal_to_loop(self, monkeypatch, shapes, card_u):
+        assert_same_decomposition(monkeypatch, *reference_case(shapes, card_u))
+
+    def test_bitwise_equal_to_loop_on_mechanized_kernel(self, monkeypatch):
+        assert_same_decomposition(monkeypatch, *mechanized_case())
+
+    def test_bitwise_equal_to_loop_single_component(self, monkeypatch):
+        # no factor before the last bar's
+        rng = np.random.default_rng(55)
+        p = single_user(0.01, random_component(rng, "s"))
+        assert_same_decomposition(monkeypatch, p, random_monolithic_kernel(rng, p, 3))
 
 
 class TestDecomposeMemory:
@@ -515,6 +593,36 @@ class TestDecomposeMemory:
             tracemalloc.stop()
         assert bar.alphabets == bars
         assert peak < joint_bytes / 2
+
+    def test_peak_with_sub_floor_blocks(self):
+        # the same shape, its u = 0 column scaled by 1e-8: about a third of
+        # each block's cells fall below ZERO_FLOOR. Fresh arrays per block (a
+        # copy of its kept cells and their logs) peaked at xyb + three blocks;
+        # gathered into the workspaces, the peak is xyb, the block, its logs
+        # and a cell mask, plus 1 MiB for the rest.
+        rng = np.random.default_rng(77)
+        comps = tuple(Component(f"c{i}", Joint2(rng.dirichlet(np.ones(6)).reshape(2, 3)))
+                      for i in range(3))
+        p = Problem(comps, (User((0,), 1.0), User((0, 1, 2), 0.5)), 0.05)
+        t = rng.exponential(size=(8, 27, 8))
+        t[:, :, 0] *= 1e-8
+        k = M.Kernel(t / t.sum(axis=2, keepdims=True))
+        j = M.monolithic_joint(p, k)
+        bar = M._bar_kernels(p, j)
+        blk = j.table[0, 0, 0]
+        for mat in bar.kernels:
+            blk = blk[..., None] * mat[0]
+        assert ((blk > 0.0) & (blk < pc.ZERO_FLOOR)).mean() > 0.25
+        xyb_bytes = 8 * j.table.size // k.alphabet_u * math.prod(bar.alphabets)
+        block_bytes = blk.nbytes
+        del j, bar, blk
+        tracemalloc.start()
+        try:
+            M.decompose_transform(p, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= xyb_bytes + 2 * block_bytes + block_bytes // 8 + 2**20
 
     def test_decomposition_joint_obeys_cap(self, monkeypatch):
         rng = np.random.default_rng(62)

@@ -16,6 +16,7 @@ from privbound.probcore import (
     Joint2,
     JointN,
     _clean_mass,
+    _entropy_raw,
     conditional_entropy,
     entropy,
     joint_entropy,
@@ -53,6 +54,33 @@ class TestEntropy:
             h = entropy(Dist(p))
             assert 0.0 <= h <= math.log(p.size) + TOL
             assert entropy(Dist(rng.permutation(p))) == pytest.approx(h, abs=TOL)
+
+
+class TestEntropyScratch:
+    @pytest.mark.parametrize("case", ["kept", "zeros", "sub_floor", "dropped", "empty"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_bits_with_scratch(self, case, seed):
+        # 50000 cells: the dropped-cell path gathers them over several chunks
+        rng = np.random.default_rng(seed)
+        mass = rng.dirichlet(np.ones(50000)).reshape(10, 20, 250)
+        if case == "zeros":
+            mass[rng.random(mass.shape) < 0.3] = 0.0
+        elif case == "sub_floor":
+            mass[rng.random(mass.shape) < 0.3] = ZERO_FLOOR * rng.random()
+            mass.flat[0] = ZERO_FLOOR  # at the floor: dropped as well
+        elif case == "dropped":
+            mass[:] = ZERO_FLOOR / 2
+        elif case == "empty":
+            mass = np.empty((0, 3))
+        before = mass.copy()
+        scratch = np.full(mass.size + 7, np.nan)
+        want = _entropy_raw(mass)
+        got = _entropy_raw(mass, scratch)
+        assert got == want
+        assert np.array_equal(mass, before)  # the input is never written
+        kept = int((mass > ZERO_FLOOR).sum())
+        assert (want > 0.0) == (kept > 0)
+        assert np.isfinite(scratch[:kept]).all()  # it holds the kept cells' terms
 
 
 class TestConditionalEntropy:
