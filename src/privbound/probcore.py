@@ -192,14 +192,16 @@ def _entropy_raw(mass: np.ndarray, scratch: np.ndarray | None = None) -> float:
 
     ``scratch``, a 1-D float array of at least ``mass.size`` entries,
     receives the logs and then the terms p ln p in its leading entries in
-    place of fresh arrays; the result is the same bits either way.
+    place of fresh arrays; the result is the same bits either way. Where
+    cells are dropped, the kept cells' terms are gathered into it (or into
+    a fresh array of just the kept cells), never into a compressed copy.
     """
     p = np.asarray(mass, dtype=float).ravel()
     keep = p > ZERO_FLOOR
     if not keep.all():
-        if scratch is not None:
-            return _gathered_entropy(p, keep, scratch)
-        p = p[keep]
+        if scratch is None:
+            scratch = np.empty(np.count_nonzero(keep))
+        return _gathered_entropy(p, keep, scratch)
     if p.size == 0:
         return 0.0
     terms = np.log(p, out=None if scratch is None else scratch[:p.size])

@@ -479,10 +479,10 @@ def decompose_loop(p: Problem, k: M.Kernel) -> tuple[M.BarMechanism, M.Decomposi
     )
 
 
-def assert_same_decomposition(monkeypatch, p: Problem, k: M.Kernel) -> None:
+def assert_same_decomposition(monkeypatch, p: Problem, k: M.Kernel) -> M.DecompositionChecks:
     """decompose_transform equals decompose_loop bit for bit: its bar
     kernels, its four checks and every entropy it sums on the way, each
-    block's included."""
+    block's included. Returns the checks."""
     raw = pc._entropy_raw
     seen: list[float] = []
 
@@ -500,6 +500,7 @@ def assert_same_decomposition(monkeypatch, p: Problem, k: M.Kernel) -> None:
         assert np.array_equal(got_k, want_k)
     assert checks == want
     assert got_entropies == seen
+    return checks
 
 
 def reference_case(shapes, card_u) -> tuple[Problem, M.Kernel]:
@@ -533,14 +534,15 @@ REFERENCE_SHAPES = [
     (((3, 3), (3, 3)), 8),
     (((2, 3), (2, 3), (2, 3)), 4),  # 4.4e5-entry decomposition joint
     (((3, 2), (2, 3), (2, 2)), 3),  # mixed |X|: bars of 3, 9 and 18 symbols
+    (((2, 3), (2, 3), (2, 3)), 8),  # 7.1e6 entries: 885k-cell x-blocks
 ]
 
 
 class TestDecomposeReference:
     @pytest.mark.parametrize("shapes, card_u", REFERENCE_SHAPES)
-    def test_checks_match_full_marginals(self, shapes, card_u):
+    def test_checks_match_full_marginals(self, monkeypatch, shapes, card_u):
         p, k = reference_case(shapes, card_u)
-        _, checks = M.decompose_transform(p, k)
+        checks = assert_same_decomposition(monkeypatch, p, k)
         got = (checks.leakage_original, checks.leakage_bar, checks.markov_residual,
                checks.independence_residual)
         want = reference_decomposition_checks(p, k)
@@ -549,24 +551,17 @@ class TestDecomposeReference:
             assert g == pytest.approx(w, abs=1e-12)
 
 
-    def test_checks_match_on_mechanized_kernel(self):
+    def test_checks_match_on_mechanized_kernel(self, monkeypatch):
         p, k = mechanized_case()
         j = M.monolithic_joint(p, k)
         cells = bar_products(j, M._bar_kernels(p, j))
         assert (cells == 0.0).any() and ((cells > 0.0) & (cells < pc.ZERO_FLOOR)).any()
-        _, checks = M.decompose_transform(p, k)
+        checks = assert_same_decomposition(monkeypatch, p, k)
         got = (checks.leakage_original, checks.leakage_bar, checks.markov_residual,
                checks.independence_residual)
         for g, w in zip(got, reference_decomposition_checks(p, k)):
             assert g == pytest.approx(w, abs=1e-12)
 
-
-    @pytest.mark.parametrize("shapes, card_u", REFERENCE_SHAPES + [(((2, 3), (2, 3), (2, 3)), 8)])
-    def test_bitwise_equal_to_loop(self, monkeypatch, shapes, card_u):
-        assert_same_decomposition(monkeypatch, *reference_case(shapes, card_u))
-
-    def test_bitwise_equal_to_loop_on_mechanized_kernel(self, monkeypatch):
-        assert_same_decomposition(monkeypatch, *mechanized_case())
 
     def test_bitwise_equal_to_loop_single_component(self, monkeypatch):
         # no factor before the last bar's
