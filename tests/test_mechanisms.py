@@ -535,6 +535,7 @@ REFERENCE_SHAPES = [
     (((2, 3), (2, 3), (2, 3)), 4),  # 4.4e5-entry decomposition joint
     (((3, 2), (2, 3), (2, 2)), 3),  # mixed |X|: bars of 3, 9 and 18 symbols
     (((2, 3), (2, 3), (2, 3)), 8),  # 7.1e6 entries: 885k-cell x-blocks
+    (((3, 2),), 3),  # one component: no bar factor before the last
 ]
 
 
@@ -561,13 +562,6 @@ class TestDecomposeReference:
                checks.independence_residual)
         for g, w in zip(got, reference_decomposition_checks(p, k)):
             assert g == pytest.approx(w, abs=1e-12)
-
-
-    def test_bitwise_equal_to_loop_single_component(self, monkeypatch):
-        # no factor before the last bar's
-        rng = np.random.default_rng(55)
-        p = single_user(0.01, random_component(rng, "s"))
-        assert_same_decomposition(monkeypatch, p, random_monolithic_kernel(rng, p, 3))
 
 
 class TestDecomposeMemory:
