@@ -40,11 +40,12 @@ large, whose 9 checks give a per-pair ratio IQR of about 0.975-1.017.
 Both sides share one process and so one allocator: memory one side frees
 is reused by the other, so a large fresh array costs fewer page faults
 and less zeroing here than in a process of its own, and a change that
-removes allocations reads smaller here than end to end. Reusing the
-decomposition's block workspaces read -19 % CPU on
-``decompose_transform`` here, against -24 % (-10 to -35 % per pair) on
-perfbench ``closed_form``'s ``op_ms_tail``; ``bench/fresh.py`` counts
-the page faults.
+removes allocations can read smaller here than end to end. Reusing the
+decomposition's block workspaces read -19 and -21 % CPU on
+``decompose_transform`` here in two runs, against per-pair medians of
+-24 and -21 % (-2 to -35 % per pair) on perfbench ``closed_form``'s
+``op_ms_tail``; ``bench/fresh.py`` counts the page faults (88k -> 28k on
+a fresh decomposition pass).
 """
 
 from __future__ import annotations
