@@ -484,6 +484,38 @@ def _bar_kernels(p: Problem, joint_xyu: JointN) -> BarMechanism:
     return BarMechanism(kernels=tuple(kernels), alphabets=tuple(alphabets))
 
 
+def _decompose_block(head: np.ndarray, last: np.ndarray, xyb_x: np.ndarray, xyu_x: np.ndarray,
+                     ws: np.ndarray, terms: np.ndarray) -> float:
+    """One x-block of the decomposition joint, a run of flattened-y rows (a
+    chunk) at a time; returns its -sum p ln p.
+
+    ``head`` (|Y|, |U| prod_{i<N} |B_i|) holds the block's cells before the
+    last bar factor ``last`` (|B_N|). Each chunk of the block is formed in
+    ``ws``, cleaned (cells below ``ZERO_FLOOR`` zeroed), its kept cells'
+    terms written in order into ``terms`` after the chunks before it, and
+    summed over u into ``xyb_x`` (|Y|, prod |B_i|) and over the b's into
+    ``xyu_x`` (|Y|, |U|) while it is in cache. Each cell and each sum is
+    formed from the same operands in the same order as over the whole
+    block, so the results are the same bits.
+    """
+    ny, nb = xyb_x.shape
+    rows = ws.size // (head.shape[1] * last.size)  # y-rows per chunk
+    floor = probcore.ZERO_FLOOR
+    done = 0
+    for r in range(0, ny, rows):
+        h = head[r:r + rows]
+        chunk = ws[:h.size * last.size]
+        np.multiply(h[..., None], last, out=chunk.reshape(h.shape + last.shape))
+        lo = chunk.min()
+        if lo < floor:
+            np.copyto(chunk, 0.0, where=chunk < floor)
+        done = probcore._put_terms(chunk, None if lo > floor else chunk > floor, terms, done)
+        cells = chunk.reshape(h.shape[0], -1, nb)  # (rows, u, b's)
+        cells.sum(axis=1, out=xyb_x[r:r + rows])
+        cells.sum(axis=2, out=xyu_x[r:r + rows])
+    return float(-terms[:done].sum()) if done else 0.0
+
+
 def decompose_transform(p: Problem, m: Kernel) -> tuple[BarMechanism, DecompositionChecks]:
     """Replace a full-joint release by per-component surrogates.
 
@@ -492,13 +524,17 @@ def decompose_transform(p: Problem, m: Kernel) -> tuple[BarMechanism, Decomposit
     exactly as much as the original, B - X - (Y, U) is a Markov chain, and
     the triples (B_i, X_i, Y_i) are mutually independent across components.
 
-    The decomposition joint over (x's, y's, u, b's) is evaluated one x at a
-    time and never held whole: each block j(x, y's, u) K_1(x_1, .) ...
-    K_N(x_N, .) gives its mass, its sum of p ln p, and its slices of the
-    two marginals every check reads, ``xyb`` (u summed out) and ``xyu``
-    (the b's summed out). The largest arrays are ``xyb``, |X||Y| prod |B_i|
-    entries, and two workspaces of one block's |Y||U| prod |B_i| entries,
-    the block and its logs, made once and freed before the checks. The
+    The decomposition joint over (x's, y's, u, b's) is never held whole,
+    nor is one x-block of it: each block j(x, y's, u) K_1(x_1, .) ...
+    K_N(x_N, .) is formed a run of flattened-y rows at a time, about
+    ``GATHER_CHUNK`` cells, in one workspace (``_decompose_block``). Each
+    chunk gives the p ln p terms of its kept cells, written in order into
+    one terms array, and its slices of the two marginals every check
+    reads, ``xyb`` (u summed out) and ``xyu`` (the b's summed out); a
+    block's entropy is one sum over its terms. The largest arrays are
+    ``xyb``, |X||Y| prod |B_i| entries, and the terms array, one block's
+    |Y||U| prod |B_i| entries or ``xyb``'s if larger: after the loop the
+    two marginals become JointNs in place and H(xyb) is summed in it. The
     size cap still counts the whole joint, as its cells are all computed.
     """
     n = p.n_components
@@ -506,31 +542,29 @@ def decompose_transform(p: Problem, m: Kernel) -> tuple[BarMechanism, Decomposit
     bar = _bar_kernels(p, j)
     probcore.check_size("decomposition joint", j.table.size * math.prod(bar.alphabets))
 
-    # the cleaning JointN applies to a whole table, block by block: cells
+    # the cleaning JointN applies to a whole table, chunk by chunk: cells
     # below the floor are zeroed before any sum, and the total is checked
     # (with JointN's own message)
     xyb = np.empty(j.axes[:-1] + bar.alphabets)
     xyu = np.empty(j.axes)
-    blk = np.empty(j.axes[n:] + bar.alphabets)
-    logs = np.empty(blk.size)
+    ny, nu, nb = math.prod(j.axes[n:2 * n]), j.axes[-1], math.prod(bar.alphabets)
+    row = nu * nb  # cells of one y-row of a block
+    ws = np.empty(min(ny, max(1, probcore.GATHER_CHUNK // row)) * row)
+    terms = np.empty(max(ny * row, xyb.size))
     total = h_raw = 0.0
     for xs in np.ndindex(*j.axes[:n]):
         head = j.table[xs]
         for mat, xi in zip(bar.kernels[:-1], xs):
             head = head[..., None] * mat[xi]
-        np.multiply(head[..., None], bar.kernels[-1][xs[-1]], out=blk)
-        del head  # 1/|B_N| of a block, not held through the block's entropy
-        if blk.min() < probcore.ZERO_FLOOR:
-            np.copyto(blk, 0.0, where=blk < probcore.ZERO_FLOOR)
-        h_raw += probcore._entropy_raw(blk, logs)
-        blk.sum(axis=n, out=xyb[xs])
-        total += float(blk.sum(axis=tuple(range(n + 1, 2 * n + 1)), out=xyu[xs]).sum())
-    del blk, logs
+        h_raw += _decompose_block(head.reshape(ny, -1), bar.kernels[-1][xs[-1]],
+                                  xyb[xs].reshape(ny, nb), xyu[xs].reshape(ny, nu), ws, terms)
+        total += float(xyu[xs].sum())
+    del head, ws
     probcore._check_total(total, "JointN.table")
     # H of the renormalized joint p / T: -sum (p/T) ln (p/T) = h_raw / T + ln T
     h_all = h_raw / total + math.log(total)
-    xyb = JointN(xyb.shape, xyb)
-    xyu = JointN(xyu.shape, xyu)
+    xyb = JointN._adopt(xyb)
+    xyu = JointN._adopt(xyu)
 
     x_axes = list(range(n))
     u_axis = 2 * n
@@ -547,7 +581,7 @@ def decompose_transform(p: Problem, m: Kernel) -> tuple[BarMechanism, Decomposit
         leakage_original=float(leak_u),
         leakage_bar=float(leak_b),
         markov_residual=float(max(0.0, markov)),
-        independence_residual=float(max(0.0, h_parts - probcore.joint_entropy(xyb))),
+        independence_residual=float(max(0.0, h_parts - probcore._entropy_raw(xyb.table, terms))),
     )
     return bar, checks
 

@@ -63,9 +63,11 @@ def _check_total(total: float, what: str) -> None:
         raise ValidationError(f"{what} mass {total!r} deviates from 1 by more than {MASS_REJECT_TOL}")
 
 
-def _clean_mass(arr: np.ndarray, what: str) -> np.ndarray:
-    """Validate a non-negative mass array and renormalize it to total 1."""
-    a = np.array(arr, dtype=float)
+def _clean_mass(arr: np.ndarray, what: str, copy: bool = True) -> np.ndarray:
+    """Validate a non-negative mass array and renormalize it to total 1, in
+    a copy or (``copy=False``) in ``arr`` itself, a float array its caller
+    gives up."""
+    a = np.array(arr, dtype=float, copy=copy)
     if a.size == 0:
         raise ValidationError(f"{what} must be non-empty")
     lo, hi = a.min(), a.max()  # NaN propagates into both
@@ -151,6 +153,16 @@ class JointN:
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "table", t)
 
+    @classmethod
+    def _adopt(cls, table: np.ndarray) -> "JointN":
+        """A JointN on ``table`` itself, a float array its caller gives up:
+        cleaned and renormalized in place rather than in a copy, to the
+        same bits as ``JointN(table.shape, table)``."""
+        j = object.__new__(cls)
+        object.__setattr__(j, "axes", table.shape)
+        object.__setattr__(j, "table", _clean_mass(table, "JointN.table", copy=False))
+        return j
+
     @property
     def ndim(self) -> int:
         return len(self.axes)
@@ -219,12 +231,19 @@ def _gathered_entropy(p: np.ndarray, keep: np.ndarray, scratch: np.ndarray) -> f
     ``p[keep]``."""
     done = 0
     for i in range(0, p.size, GATHER_CHUNK):
-        kept = p[i:i + GATHER_CHUNK][keep[i:i + GATHER_CHUNK]]
-        terms = scratch[done:done + kept.size]
-        np.log(kept, out=terms)
-        terms *= kept
-        done += kept.size
+        done = _put_terms(p[i:i + GATHER_CHUNK], keep[i:i + GATHER_CHUNK], scratch, done)
     return float(-scratch[:done].sum()) if done else 0.0
+
+
+def _put_terms(p: np.ndarray, keep: np.ndarray | None, out: np.ndarray, at: int) -> int:
+    """Write the terms p ln p of a flat ``p``'s entries where ``keep`` (all
+    of them for None), in order, into ``out`` from offset ``at``; returns
+    the offset past them. The one gather of kept cells in this package."""
+    kept = p if keep is None else p[keep]
+    terms = out[at:at + kept.size]
+    np.log(kept, out=terms)
+    terms *= kept
+    return at + kept.size
 
 
 def entropy(d: Dist | np.ndarray) -> float:

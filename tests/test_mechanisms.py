@@ -481,16 +481,25 @@ def decompose_loop(p: Problem, k: M.Kernel) -> tuple[M.BarMechanism, M.Decomposi
 
 def assert_same_decomposition(monkeypatch, p: Problem, k: M.Kernel) -> M.DecompositionChecks:
     """decompose_transform equals decompose_loop bit for bit: its bar
-    kernels, its four checks and every entropy it sums on the way, each
-    block's included. Returns the checks."""
-    raw = pc._entropy_raw
+    kernels, its four checks and every entropy it sums on the way. The
+    loop takes each block's entropy with ``_entropy_raw``; the transform
+    sums each block's terms in ``_decompose_block``, so its block
+    entropies are recorded there, in block order, and its later ones from
+    ``_entropy_raw``. Returns the checks."""
+    raw, block = pc._entropy_raw, M._decompose_block
     seen: list[float] = []
+    blocks: list[float] = []
 
     def recorded(mass, scratch=None):
         seen.append(raw(mass, scratch))
         return seen[-1]
 
+    def recorded_block(*args):
+        blocks.append(block(*args))
+        return blocks[-1]
+
     monkeypatch.setattr(pc, "_entropy_raw", recorded)
+    monkeypatch.setattr(M, "_decompose_block", recorded_block)
     bar, checks = M.decompose_transform(p, k)
     got_entropies = seen.copy()
     seen.clear()
@@ -499,7 +508,9 @@ def assert_same_decomposition(monkeypatch, p: Problem, k: M.Kernel) -> M.Decompo
     for got_k, want_k in zip(bar.kernels, want_bar.kernels, strict=True):
         assert np.array_equal(got_k, want_k)
     assert checks == want
-    assert got_entropies == seen
+    assert len(blocks) == math.prod(c.card_x for c in p.components)
+    assert blocks == seen[:len(blocks)]  # one per x-block, in the loop's order
+    assert got_entropies == seen[len(blocks):]
     return checks
 
 
@@ -536,7 +547,14 @@ REFERENCE_SHAPES = [
     (((3, 2), (2, 3), (2, 2)), 3),  # mixed |X|: bars of 3, 9 and 18 symbols
     (((2, 3), (2, 3), (2, 3)), 8),  # 7.1e6 entries: 885k-cell x-blocks
     (((3, 2),), 3),  # one component: no bar factor before the last
+    SEVERAL_CHUNKS := (((2, 7), (2, 7)), 8),  # 49 y-rows of 1024 cells: chunks of 16, 16, 16, 1 rows
 ]
+
+
+def chunk_rows(p: Problem, card_u: int, bars) -> tuple[int, int]:
+    """(flattened |Y|, y-rows per chunk) of decompose_transform's blocks."""
+    row = card_u * math.prod(bars)
+    return math.prod(c.card_y for c in p.components), max(1, pc.GATHER_CHUNK // row)
 
 
 class TestDecomposeReference:
@@ -551,6 +569,48 @@ class TestDecomposeReference:
         for g, w in zip(got, want):
             assert g == pytest.approx(w, abs=1e-12)
 
+
+    def test_blocks_span_several_chunks(self):
+        p, k = reference_case(*SEVERAL_CHUNKS)
+        ny, rows = chunk_rows(p, k.alphabet_u, (8, 16))
+        assert ny > 2 * rows and ny % rows  # three whole chunks, then a short one
+
+    def test_sub_floor_chunks_and_a_cell_at_the_floor(self, monkeypatch):
+        # one component, 9 y-rows of 64 x 64 cells: chunks of 4, 4 and 1
+        # rows. Row 0 holds cells below ZERO_FLOOR (u = 0 nearly unused at
+        # y = 0), rows 4-7 none, and in row 8 of block x = 0 one bar factor
+        # is nudged so that one cell lands exactly on ZERO_FLOOR: kept in
+        # the sums, dropped from the entropy, with nothing to zero in its
+        # chunk. Both sides multiply the same nudged kernel.
+        rng = np.random.default_rng(19)
+        comp = Component("c", Joint2(rng.dirichlet(np.ones(18)).reshape(2, 9)))
+        p = Problem((comp,), (User((0,), 1.0),), 0.05)
+        t = rng.exponential(size=(2, 9, 64))
+        t[:, 0, 0] *= 1e-12
+        t[0, 8, 5] *= 1e-4  # the block's smallest cell in column b, so the nudge makes no other
+        k = M.Kernel(t / t.sum(axis=2, keepdims=True))
+        j = M.monolithic_joint(p, k)
+        bar = M._bar_kernels(p, j)
+        cell, b = j.table[0, 8, 5], 7
+        factor = pc.ZERO_FLOOR / cell
+        for _ in range(64):
+            if cell * factor == pc.ZERO_FLOOR:
+                break
+            factor = np.nextafter(factor, np.inf if cell * factor < pc.ZERO_FLOOR else 0.0)
+        assert cell * factor == pc.ZERO_FLOOR
+        nudged_kernel = bar.kernels[0].copy()
+        nudged_kernel[0, b + 1] += nudged_kernel[0, b] - factor  # the row keeps its mass
+        nudged_kernel[0, b] = factor
+        nudged = M.BarMechanism((nudged_kernel,), bar.alphabets)
+        monkeypatch.setattr(M, "_bar_kernels", lambda p, j: nudged)
+
+        ny, rows = chunk_rows(p, 64, bar.alphabets)
+        assert (ny, rows) == (9, 4)
+        cells = bar_products(j, nudged)[0]  # block x = 0: (y, u, b)
+        low = [(cells[r:r + rows] < pc.ZERO_FLOOR).any() for r in range(0, ny, rows)]
+        assert low == [True, False, False]
+        assert (cells[8] == pc.ZERO_FLOOR).sum() == 1 and (cells[8] >= pc.ZERO_FLOOR).all()
+        assert_same_decomposition(monkeypatch, p, k)
 
     def test_checks_match_on_mechanized_kernel(self, monkeypatch):
         p, k = mechanized_case()
@@ -612,6 +672,29 @@ class TestDecomposeMemory:
         finally:
             tracemalloc.stop()
         assert peak <= xyb_bytes + 2 * block_bytes + block_bytes // 8 + 2**20
+
+    def test_peak_is_xyb_one_block_and_one_chunk(self):
+        # the case of test_peak_below_half_the_joint: one block of terms and
+        # one chunk of cells beside xyb, plus 1 MiB for the rest; a
+        # whole-block cell workspace, a copy of xyb or an xyb-sized log
+        # after the loop would each add about 7 MB
+        rng = np.random.default_rng(77)
+        comps = tuple(Component(f"c{i}", Joint2(rng.dirichlet(np.ones(6)).reshape(2, 3)))
+                      for i in range(3))
+        p = Problem(comps, (User((0,), 1.0), User((0, 1, 2), 0.5)), 0.05)
+        k = random_monolithic_kernel(rng, p, 8)
+        bars = (8, 2 * 8, 4 * 8)
+        row = 8 * math.prod(bars)  # one y-row of a block: |U| prod |B_i| cells
+        xyb_bytes = 8 * 8 * 27 * math.prod(bars)
+        block_bytes = 8 * 27 * row
+        chunk_bytes = 8 * max(pc.GATHER_CHUNK, row)
+        tracemalloc.start()
+        try:
+            M.decompose_transform(p, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= xyb_bytes + block_bytes + chunk_bytes + 2**20
 
     def test_decomposition_joint_obeys_cap(self, monkeypatch):
         rng = np.random.default_rng(62)
