@@ -697,7 +697,8 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
     """Candidate-step ascent of a group of restarts in lockstep; returns the
     objective per restart, in order, as scored for the restart's last
     accepted kernel, and (objective, table, leak) of the first restart with
-    the highest one, its table copied out of the group's stack.
+    the highest one, its table copied out of the group's stack unless the
+    stack is that one row.
 
     Every restart keeps its row of the group's state (kernel stack, column
     mask, best, leak, stall count, random stream) throughout. Each sweep
@@ -769,8 +770,9 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
                 ev.step_into(tables[r], masks[r], STEP_SIZES[pick % nj], choices[row, pick // nj])
             ev.mix_into(tables[r], masks[r], float(t[row * BATCH + pick]))
     top = max(range(len(rngs)), key=best.__getitem__)
-    # a copy, since a view would keep the whole stack alive through later groups
-    return best, (best[top], tables[top].copy(), leak[top])
+    # a copy where the stack holds other rows, which a view would keep alive
+    # through later groups
+    return best, (best[top], tables[top] if len(rngs) == 1 else tables[top].copy(), leak[top])
 
 
 def _flat_sizes(p: Problem) -> tuple[int, int]:
