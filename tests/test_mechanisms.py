@@ -587,7 +587,9 @@ class TestDecomposeReference:
         p = Problem((comp,), (User((0,), 1.0),), 0.05)
         t = rng.exponential(size=(2, 9, 64))
         t[:, 0, 0] *= 1e-12
-        t[0, 8, 5] *= 1e-4  # the block's smallest cell in column b, so the nudge makes no other
+        # the block's smallest cell, so the nudge takes no other cell of its
+        # chunk to the floor
+        t[0, 8, 5] *= 1e-4
         k = M.Kernel(t / t.sum(axis=2, keepdims=True))
         j = M.monolithic_joint(p, k)
         bar = M._bar_kernels(p, j)
@@ -673,16 +675,20 @@ class TestDecomposeMemory:
             tracemalloc.stop()
         assert peak <= xyb_bytes + 2 * block_bytes + block_bytes // 8 + 2**20
 
-    def test_peak_is_xyb_one_block_and_one_chunk(self):
-        # the case of test_peak_below_half_the_joint: one block of terms and
-        # one chunk of cells beside xyb, plus 1 MiB for the rest; a
-        # whole-block cell workspace, a copy of xyb or an xyb-sized log
-        # after the loop would each add about 7 MB
+    @pytest.mark.parametrize("sub_floor", [False, True])
+    def test_peak_is_xyb_one_block_and_one_chunk(self, sub_floor):
+        # the cases of the two tests above: one block of terms and one chunk
+        # of cells beside xyb, plus 1 MiB for the rest; a whole-block cell
+        # workspace, a copy of xyb or an xyb-sized log after the loop would
+        # each add about 7 MB
         rng = np.random.default_rng(77)
         comps = tuple(Component(f"c{i}", Joint2(rng.dirichlet(np.ones(6)).reshape(2, 3)))
                       for i in range(3))
         p = Problem(comps, (User((0,), 1.0), User((0, 1, 2), 0.5)), 0.05)
-        k = random_monolithic_kernel(rng, p, 8)
+        t = rng.exponential(size=(8, 27, 8))
+        if sub_floor:
+            t[:, :, 0] *= 1e-8
+        k = M.Kernel(t / t.sum(axis=2, keepdims=True))
         bars = (8, 2 * 8, 4 * 8)
         row = 8 * math.prod(bars)  # one y-row of a block: |U| prod |B_i| cells
         xyb_bytes = 8 * 8 * 27 * math.prod(bars)
