@@ -75,8 +75,8 @@ class Allocation:
         e = tuple(float(v) for v in self.eps_per_component)
         if not all(map(math.isfinite, (*e, self.overflow))):
             raise ValidationError(f"allocation has a non-finite share or overflow: {e}, {self.overflow}")
-        if any(v < 0.0 for v in e):
-            raise ValidationError(f"allocation has a negative share: {e}")
+        if any(v < 0.0 for v in (*e, self.overflow)):
+            raise ValidationError(f"allocation has a negative share or overflow: {e}, {self.overflow}")
         object.__setattr__(self, "eps_per_component", e)
 
     @property

@@ -696,8 +696,8 @@ def mechanism_from_dict(doc: dict, p: Problem) -> ComposedMechanism:
                 f"{where}.construction: must be one of {list(CONSTRUCTION_KINDS)}, got {kind!r}"
             )
         eps = want(entry, "epsilon", float, where, 0.0)
-        if not math.isfinite(eps):
-            raise SchemaError(f"{where}.epsilon: expected a finite number")
+        if not math.isfinite(eps) or eps < 0.0:
+            raise SchemaError(f"{where}.epsilon: expected a finite number >= 0")
         if (nx, ny) != (c.card_x, c.card_y):
             raise AlphabetMismatchError(
                 f"component {c.name!r}: mechanism is {nx}x{ny}, problem is "

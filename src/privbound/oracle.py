@@ -16,23 +16,25 @@ A restart's only state is its kernel tensor, with a mask of the u-columns
 that may hold mass (it may hold more, never fewer). The mask is set from
 the start (restart 0's relabelled Y, a warm start's first columns, all of
 a seeded kernel's) and from each accepted candidate, never from a pass
-over the kernel. Each sweep packs the live restarts' marginals P(x,u) and
-P(y_S,u) once, over the union of their masks only where that skips at
-least BLOCK_ENTRIES kernel entries (every other column is zero), and
-scores every candidate from a few sums of marginals, which are
-linear in the kernel: sum m ln m per marginal, column u = 0, and P(u) (the
-row sums are fixed at p(x) and p(y_S)). The vertex directions' argmax
-reads the masked columns and each restart's first empty one, which stands
-for all of them: empty columns score alike and argmax keeps the first. A
-step toward a vertex direction changes at most |X||Y| cells of each
-marginal, and the jump only those of its moved columns, so only the
-accepted candidate's kernel is formed, in place on its masked columns.
-Infeasible candidates are repaired by mixing toward the constant kernel,
-which scales every column u >= 1 by (1 - t); so every MI and its slope in
-t are read in closed form from column u = 0, and each mixing weight is
-found by safeguarded Newton steps that also return the repaired scores
-(``leakage_project`` repairs one kernel the same way). Everything is
-driven by numpy generators seeded from (seed, restart index), and the
+over the kernel. One rule, ``_narrow``, picks the u-columns each sweep
+reads: the union of the live restarts' masks plus each restart's first
+empty column, which stands for all of its empty ones (they score alike in
+the vertex directions' argmax, which keeps the first), and only where
+that skips at least BLOCK_ENTRIES kernel entries. Each sweep packs the
+live restarts' marginals P(x,u) and P(y_S,u) once, over those columns
+(every other one is zero), takes the vertex directions' argmax over the
+same columns, and scores every candidate from a few sums of marginals,
+which are linear in the kernel: sum m ln m per marginal, column u = 0,
+and P(u) (the row sums are fixed at p(x) and p(y_S)). A step toward a
+vertex direction changes at most |X||Y| cells of each marginal, and the
+jump only those of its moved columns, so only the accepted candidate's
+kernel is formed, in place (scaled at full width: its zero columns stay
+zero). Infeasible candidates are repaired by mixing toward the constant
+kernel, which scales every column u >= 1 by (1 - t); so every MI and its
+slope in t are read in closed form from column u = 0, and each mixing
+weight is found by safeguarded Newton steps that also return the repaired
+scores (``leakage_project`` repairs one kernel the same way). Everything
+is driven by numpy generators seeded from (seed, restart index), and the
 masks only skip columns that are zero, so results are reproducible bit
 for bit and do not depend on how restarts are grouped.
 
@@ -103,9 +105,9 @@ class OracleResult:
     # (GROUP_BUDGET), unlike the search itself
     sweeps: int = 0           # batched scoring passes, one per group sweep
     groups: int = 0           # restart groups run in lockstep
-    # rows x |X||Y| x u-columns formed by the sweeps' marginals and read by
-    # their vertex choices (a sweep keeps the union of its rows' occupied
-    # columns)
+    # 2 x rows x |X||Y| x u-columns per sweep: its marginals and its vertex
+    # choices read the same columns (``_narrow``: the union of its rows'
+    # masks plus each row's first empty column)
     swept_entries: int = 0
 
 
@@ -186,17 +188,15 @@ class _Evaluator:
     reads ln of every cell, sees only the marginals of real kernels.
 
     The search keeps, per kernel, a boolean mask of the u-columns that may
-    hold mass. Where that skips at least BLOCK_ENTRIES kernel entries
-    (``_narrow``), ``occupied_marginals`` forms the packed marginals over
-    the union of the masks only and scatters them into the full-width
-    layout, so every scorer sees the same arrays as from ``marginals``;
-    ``vertex_choices`` then takes its argmax over the masked columns plus
-    each row's first unmasked one (``_choice_columns``); and
-    ``step_into``, ``jump_into`` and ``mix_into`` overwrite the accepted
-    kernel on its masked columns. All three keep the
-    mask covering the kernel's mass. Every kept number is formed from the
-    same operands in the same order as at full width, so the search is the
-    same bit for bit.
+    hold mass. ``_narrow`` turns a sweep's masks into the one set of
+    columns it reads (None: all of them): ``occupied_marginals`` forms the
+    packed marginals over that set only and scatters them into the
+    full-width layout, so every scorer sees the same arrays as from
+    ``marginals``, and ``vertex_choices`` takes its argmax over the same
+    set. ``step_into``, ``jump_into`` and ``mix_into`` overwrite the
+    accepted kernel in place and keep the mask covering its mass. Every
+    kept number is formed from the same operands in the same order as at
+    full width, so the search is the same bit for bit.
     """
 
     def __init__(self, p: Problem, card_u: int):
@@ -292,25 +292,23 @@ class _Evaluator:
         return np.concatenate([xu, *(m.reshape(len(yu), -1) for m in self.user_marginals(yu))], axis=1)
 
     def occupied_marginals(self, tables: np.ndarray, live: np.ndarray,
-                           keep: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+                           cols: np.ndarray | None) -> np.ndarray:
         """``marginals(tables[live])`` for a stack whose rows ``live`` are zero
-        outside the u-columns of their masks ``keep`` (len(live), |U|), and
-        the columns formed (None: all). Where ``_narrow`` keeps columns, the
-        marginals are formed over those only and scattered into the
-        full-width layout. Only the live rows get an einsum. The column
-        gather reads every row of the stack and then keeps the live ones:
-        gathering only the live rows, one at a time, measured 2-4 times
-        faster per call but narrowed stacks with stalled rows are too few
-        for it to save a measurable share of a search."""
+        outside the u-columns ``cols`` (``_narrow``; None: all), formed over
+        those columns only and scattered into the full-width layout. Only
+        the live rows get an einsum. The column gather reads every row of
+        the stack and then keeps the live ones: gathering only the live
+        rows, one at a time, measured 2-4 times faster per call but
+        narrowed stacks with stalled rows are too few for it to save a
+        measurable share of a search."""
         every = live.size == len(tables)
-        cols = _narrow(live.size * self.nx * self.ny, keep)
         if cols is None:
-            return self.marginals(tables if every else tables[live]), None
+            return self.marginals(tables if every else tables[live])
         sub = np.take(tables, cols, axis=3)
         narrow = self.marginals(sub if every else sub[live])
         marg = np.zeros((live.size, self.row_starts[-1], self.card_u))
         marg[:, :, cols] = narrow.reshape(live.size, -1, cols.size)
-        return marg.reshape(live.size, self.size), cols
+        return marg.reshape(live.size, self.size)
 
     def unpack(self, marg: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Views of packed marginals: P(x,u) as (B, |X|, |U|) and one
@@ -530,11 +528,11 @@ class _Evaluator:
         P(x,y) * ln(P(u|x)/P(u)); a positive multiplier mixes the two so
         that directions can build or shed X-correlation deliberately.
 
-        With ``cols`` (from ``_choice_columns``), the scores and their
-        argmax read only those u-columns: every masked column and each
-        row's first unmasked one. Every column whose marginals are all zero
-        scores alike for a given (x, y), and argmax keeps the first, so no
-        choice changes. A positive multiplier's argmax runs in blocks of at
+        With ``cols`` (from ``_narrow``), the scores and their argmax read
+        only those u-columns: every masked column and each row's first
+        unmasked one. Every column whose marginals are all zero scores alike
+        for a given (x, y), and argmax keeps the first, so no choice
+        changes. A positive multiplier's argmax runs in blocks of at
         most BLOCK_ENTRIES entries (one |X| row at least) in one buffer.
         """
         (xu, users), (ln_xu, ln_users) = self.unpack(marg), self.unpack(ln)
@@ -580,10 +578,10 @@ class _Evaluator:
 
     def step_into(self, table: np.ndarray, mask: np.ndarray, eta: float, choice: np.ndarray) -> None:
         """Overwrite one kernel ``table`` with the step candidate (1 - eta) K +
-        eta D toward the vertex kernel D of ``choice`` (|X|, |Y|), scaling
-        only the u-columns of its ``mask``, and update the mask: a full step
-        leaves only D's columns, a partial one adds them."""
-        _scale(table, mask, 1.0 - eta)
+        eta D toward the vertex kernel D of ``choice`` (|X|, |Y|), and update
+        its ``mask``: a full step leaves only D's columns, a partial one adds
+        them."""
+        table *= 1.0 - eta
         table[self._x, self._y, choice] += eta
         if eta == 1.0:
             mask[:] = False
@@ -600,52 +598,31 @@ class _Evaluator:
 
     def mix_into(self, table: np.ndarray, mask: np.ndarray, t: float) -> None:
         """Overwrite one kernel ``table`` with (1 - t) table + t (constant
-        kernel), scaling only the u-columns of its ``mask``, and add column
-        u = 0 to the mask; nothing when t <= 0."""
+        kernel), and add column u = 0 to its ``mask``; nothing when t <= 0."""
         if t <= 0.0:
             return
-        _scale(table, mask, 1.0 - t)
+        table *= 1.0 - t
         table[:, :, 0] += t
         mask[0] = True
 
 
 def _narrow(per_col: int, keep: np.ndarray) -> np.ndarray | None:
-    """The u-columns to read of arrays that hold ``per_col`` entries a column
-    and are zero outside the union of the masks ``keep`` (rows, |U|): that
-    union, widened to two columns if it has one (over one, einsum and sum
-    add in another order), or None (every column) where that would skip
-    fewer than BLOCK_ENTRIES entries, since gathering or indexing the
-    columns then costs more than it saves."""
+    """The u-columns a sweep reads of arrays that hold ``per_col`` entries a
+    column and are zero outside the union of the masks ``keep`` (rows, |U|):
+    that union plus each row's first unmasked column, which stands for all
+    of the row's empty ones in ``vertex_choices``; or None (every column)
+    where that skips fewer than BLOCK_ENTRIES entries, since gathering or
+    indexing the columns then costs more than it saves. A set that skips a
+    column holds at least two (each row's mass and its first empty column),
+    so einsum and sum add in the same order as at full width."""
     nu = keep.shape[1]
     if per_col * (nu - 2) < BLOCK_ENTRIES:
         return None
-    union = keep.any(axis=0)
-    n = int(np.count_nonzero(union))
-    if per_col * (nu - max(2, n)) < BLOCK_ENTRIES:
-        return None
-    if n == 1:
-        union[np.argmin(union)] = True
-    return np.flatnonzero(union)
-
-
-def _choice_columns(keep: np.ndarray) -> np.ndarray | None:
-    """The u-columns ``vertex_choices`` must read for rows whose masks are
-    ``keep`` (rows, |U|): every masked column and each row's first unmasked
-    one, which stands for all of them; None where that is every column."""
     cols = keep.any(axis=0)
     cols[np.argmin(keep, axis=1)] = True
-    return None if cols.all() else np.flatnonzero(cols)
-
-
-def _scale(table: np.ndarray, mask: np.ndarray, s: float) -> None:
-    """Multiply one kernel tensor by ``s``, in place, touching only the
-    u-columns ``_narrow`` keeps of its ``mask`` (the others are zero and
-    would stay so)."""
-    cols = _narrow(table.shape[0] * table.shape[1], mask[None])
-    if cols is None:
-        table *= s
-    else:
-        table[:, :, cols] *= s
+    if per_col * (nu - np.count_nonzero(cols)) < BLOCK_ENTRIES:
+        return None
+    return np.flatnonzero(cols)
 
 
 # the mechanisms the search starts restarts 1, 2, ... from; None: a seeded kernel
@@ -717,7 +694,8 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
     for row, r in enumerate(restarts):
         masks[row, _initial_tables(ev, p, cfg, starts, r, tables[row])] = True
     every = np.arange(len(rngs))
-    t_mix, scores = ev.repair(ev.terms(ev.occupied_marginals(tables, every, masks)[0]), eps, slack=LEAKAGE_SLACK)
+    marg = ev.occupied_marginals(tables, every, _narrow(every.size * nxy, masks))
+    t_mix, scores = ev.repair(ev.terms(marg), eps, slack=LEAKAGE_SLACK)
     best, leak = ev.objective(scores).tolist(), scores[:, 0].tolist()
     for table, mask, t in zip(tables, masks, t_mix.tolist()):
         ev.mix_into(table, mask, t)
@@ -730,16 +708,15 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
         live = np.flatnonzero(stall < 6)
         if live.size == 0:
             break
-        keep = masks[live]
-        marg, kept = ev.occupied_marginals(tables, live, keep)
+        # the marginals and the vertex choices read the same columns
+        read = _narrow(live.size * nxy, masks[live])
+        marg = ev.occupied_marginals(tables, live, read)
         # one log of the marginals serves both scorers; in place, to hold
         # only one array of its size
         ln = np.maximum(marg, _TINY)
         np.log(ln, out=ln)
-        # the vertex choices skip columns where the marginals did
-        read = None if kept is None else _choice_columns(keep)
         choices = ev.vertex_choices(marg, ln, read)
-        ev.swept_entries += live.size * nxy * sum(nu if c is None else c.size for c in (kept, read))
+        ev.swept_entries += 2 * live.size * nxy * (nu if read is None else read.size)
         # single-column vertex jumps (coordinate moves), from each restart's stream
         cols = np.empty((live.size, ncols), dtype=np.intp)
         vals = np.empty((live.size, ncols), dtype=np.intp)

@@ -202,37 +202,26 @@ def _marginal_mass(j: JointN, axes: Sequence[int], name: str = "axes") -> np.nda
 def _entropy_raw(mass: np.ndarray, scratch: np.ndarray | None = None) -> float:
     """-sum p ln p over an array of non-negative masses, 0 ln 0 := 0.
 
-    ``scratch``, a 1-D float array of at least ``mass.size`` entries,
-    receives the logs and then the terms p ln p in its leading entries in
-    place of fresh arrays; the result is the same bits either way. Where
-    cells are dropped, the kept cells' terms are gathered into it (or into
-    a fresh array of just the kept cells), never into a compressed copy.
+    The terms p ln p of the kept cells, those above ``ZERO_FLOOR``, are
+    written in order by ``_put_terms``, a chunk at a time, into the leading
+    entries of ``scratch`` (a 1-D float array of at least ``mass.size``
+    entries) or of one fresh array of the kept cells, and summed there; the
+    result is the same bits either way. A mask of the kept cells is built
+    only where ``p.min()`` says some cell is dropped.
     """
     p = np.asarray(mass, dtype=float).ravel()
-    keep = p > ZERO_FLOOR
-    if not keep.all():
-        if scratch is None:
-            scratch = np.empty(np.count_nonzero(keep))
-        return _gathered_entropy(p, keep, scratch)
     if p.size == 0:
         return 0.0
-    terms = np.log(p, out=None if scratch is None else scratch[:p.size])
-    terms *= p
-    return float(-terms.sum())
-
-
-GATHER_CHUNK = 2**14  # entries of ``p`` that ``_gathered_entropy`` reads at a time
-
-
-def _gathered_entropy(p: np.ndarray, keep: np.ndarray, scratch: np.ndarray) -> float:
-    """-sum p ln p over the entries of a flat ``p`` where ``keep``: the terms
-    of the kept entries, gathered in order into ``scratch`` a chunk at a
-    time, so no copy of all kept entries is made. Same bits as the sum over
-    ``p[keep]``."""
+    keep = None if p.min() > ZERO_FLOOR else p > ZERO_FLOOR
+    if scratch is None:
+        scratch = np.empty(p.size if keep is None else np.count_nonzero(keep))
     done = 0
     for i in range(0, p.size, GATHER_CHUNK):
-        done = _put_terms(p[i:i + GATHER_CHUNK], keep[i:i + GATHER_CHUNK], scratch, done)
+        done = _put_terms(p[i:i + GATHER_CHUNK], None if keep is None else keep[i:i + GATHER_CHUNK], scratch, done)
     return float(-scratch[:done].sum()) if done else 0.0
+
+
+GATHER_CHUNK = 2**14  # entries of ``p`` that ``_entropy_raw`` reads at a time
 
 
 def _put_terms(p: np.ndarray, keep: np.ndarray | None, out: np.ndarray, at: int) -> int:

@@ -200,9 +200,12 @@ class TestMechanizeVerify:
             (lambda d: d["components"][0].update(epsilon=math.nan), 2),
             (lambda d: d["components"][0].update(construction="bogus"), 2),
             (lambda d: d["allocation"].update(eps_per_component=[0.0, 0.04]), 3),
+            (lambda d: d["allocation"].update(overflow=-3), 3),
+            (lambda d: d["components"][0].update(epsilon=-7), 2),
         ],
         ids=["nan_share", "infinite_overflow", "target_out_of_range", "one_share", "unknown_variant",
-             "nan_component_epsilon", "unknown_construction", "share_off_measured_leakage"],
+             "nan_component_epsilon", "unknown_construction", "share_off_measured_leakage",
+             "negative_overflow", "negative_component_epsilon"],
     )
     def test_corrupt_allocation_block(self, tmp_path, capsys, mutate, code):
         # json writes and reads NaN and Infinity; verify must refuse them

@@ -530,8 +530,13 @@ class TestOccupiedColumns:
             # a masked column of row 0 whose marginals are all 0
             assert (masks[0] & ~ev.unpack(marg)[0][0].any(axis=0)).any()
         ref = _dense_choices(ev, marg, _ln(marg))
+        # the set a sweep reads where every skipped column counts, then the
+        # argmax in blocks of ``entries``
+        monkeypatch.setattr(O, "BLOCK_ENTRIES", 1)
+        cols = O._narrow(len(masks) * ev.nx * ev.ny, masks)
+        assert (cols is None) == (case == "all_occupied")
         monkeypatch.setattr(O, "BLOCK_ENTRIES", entries)
-        got = ev.vertex_choices(marg, _ln(marg), O._choice_columns(masks))
+        got = ev.vertex_choices(marg, _ln(marg), cols)
         assert np.array_equal(got, ref)
         assert np.array_equal(ev.vertex_choices(marg, _ln(marg)), ref)
         # the argmax picks each row's first unoccupied column, which stands
@@ -546,7 +551,8 @@ class TestOccupiedColumns:
         ev, tables, masks = _masked_case(4, case)
         monkeypatch.setattr(O, "BLOCK_ENTRIES", entries)
         for live in (np.arange(len(tables)), np.arange(len(tables))[-1:]):
-            marg, cols = ev.occupied_marginals(tables, live, masks[live])
+            cols = O._narrow(live.size * ev.nx * ev.ny, masks[live])
+            marg = ev.occupied_marginals(tables, live, cols)
             assert np.array_equal(marg, ev.marginals(tables)[live])
             if entries == 1 and case != "all_occupied":
                 # never a single column: einsum would add in another order
@@ -557,18 +563,27 @@ class TestOccupiedColumns:
 
     def test_narrow_keeps_columns_only_where_enough_are_skipped(self, monkeypatch):
         monkeypatch.setattr(O, "BLOCK_ENTRIES", 100)
-        keep = np.zeros((2, 12), dtype=bool)
-        keep[0, [3, 7]] = True
-        keep[1, 7] = True
-        # 10 x (12 - 2) skipped entries reach the threshold; 10 x 9 do not
-        assert np.array_equal(O._narrow(10, keep), [3, 7])
-        keep[1, 5] = True
-        assert O._narrow(10, keep) is None
-        assert O._narrow(9, keep[:1]) is None
-        # a lone column is widened by the first empty one
-        assert np.array_equal(O._narrow(50, keep[1:2, 6:]), [0, 1])
-        assert np.array_equal(O._choice_columns(keep), [0, 3, 5, 7])
-        assert O._choice_columns(np.ones((2, 4), dtype=bool)) is None
+        keep = np.zeros((2, 14), dtype=bool)
+        keep[0, [0, 3, 7]] = True
+        keep[1, [0, 7]] = True
+        # the union {0, 3, 7} plus each row's first empty column, 1 in both
+        # rows; 25 x (14 - 4) skipped entries reach the threshold
+        assert np.array_equal(O._narrow(25, keep), [0, 1, 3, 7])
+        # the threshold counts the set, not the union: 9 x (14 - 4) do not
+        assert O._narrow(9, keep) is None
+        keep[1, 1] = True
+        # row 1's first empty column is now 2
+        assert np.array_equal(O._narrow(25, keep), [0, 1, 2, 3, 7])
+        assert O._narrow(11, keep) is None
+        # a lone masked column, paired with its first empty one
+        lone = np.zeros((1, 12), dtype=bool)
+        lone[0, 5] = True
+        assert np.array_equal(O._narrow(20, lone), [0, 5])
+        lone[0, 0] = True
+        assert np.array_equal(O._narrow(20, lone), [0, 1, 5])
+        # every column occupied, or too few entries for any skip to count
+        assert O._narrow(10 ** 6, np.ones((2, 12), dtype=bool)) is None
+        assert O._narrow(9, lone) is None
 
     @pytest.mark.parametrize("entries", [1, 2 ** 14])
     def test_in_place_updates_match_references(self, monkeypatch, entries):
@@ -577,7 +592,7 @@ class TestOccupiedColumns:
         rng = np.random.default_rng(5)
         table, mask = tables[1].copy(), masks[1].copy()
         marg = ev.marginals(table)
-        choices = ev.vertex_choices(marg, _ln(marg), O._choice_columns(mask[None]))[0]
+        choices = ev.vertex_choices(marg, _ln(marg), O._narrow(ev.nx * ev.ny, mask[None]))[0]
         nj = len(O.STEP_SIZES)
         for k in [8, 1, 3, 6, 4, 2, 8, 5, 7, 0, 3]:     # every step size; k = 8 is a jump
             t = float(rng.choice([0.0, 0.3, 1e-9]))
@@ -600,22 +615,30 @@ class TestOccupiedColumns:
     @pytest.mark.parametrize("budget", [1, O.GROUP_BUDGET])
     def test_masks_cover_kernels_in_search(self, monkeypatch, budget):
         # columns are skipped wherever any can be (BLOCK_ENTRIES = 1); at every
-        # sweep, each live kernel's mass lies inside its mask, in groups of
-        # one and in groups of every restart
+        # sweep, each live kernel's mass lies inside its mask, and so inside
+        # the columns read, in groups of one and in groups of every restart
         monkeypatch.setattr(O, "BLOCK_ENTRIES", 1)
         monkeypatch.setattr(O, "GROUP_BUDGET", budget)
-        seen = []
-        occupied = O._Evaluator.occupied_marginals
+        seen, masks = [], []
+        narrow, occupied = O._narrow, O._Evaluator.occupied_marginals
 
-        def checked(self, tables, live, keep):
+        def noted(per_col, keep):
+            masks.append(keep)
+            return narrow(per_col, keep)
+
+        def checked(self, tables, live, cols):
+            keep = masks.pop()
             assert not np.any(tables[live] * ~keep[:, None, None, :])
+            if cols is not None:
+                assert not np.delete(tables[live], cols, axis=3).any()
             seen.extend(keep.mean(axis=1))
-            return occupied(self, tables, live, keep)
+            return occupied(self, tables, live, cols)
 
+        monkeypatch.setattr(O, "_narrow", noted)
         monkeypatch.setattr(O._Evaluator, "occupied_marginals", checked)
         for seed in range(4):
             O.sandwich_check(random_problem(seed, max_n=2), O.OracleConfig(restarts=4, iters=12))
-        assert len(seen) > 40 and min(seen) < 0.5
+        assert len(seen) > 40 and min(seen) < 0.5 and not masks
 
     def test_start_masks_cover_starts(self):
         # restart 0 folds y to y mod |U|; a warm start fills its first

@@ -1,6 +1,7 @@
 """Entropy/MI primitives against independent evaluations and invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,22 @@ class TestEntropyScratch:
         kept = int((mass > ZERO_FLOOR).sum())
         assert (want > 0.0) == (kept > 0)
         assert np.isfinite(scratch[:kept]).all()  # it holds the kept cells' terms
+
+    def test_no_mask_where_no_cell_is_dropped(self):
+        # 1e6 cells, none at or below the floor: a bool mask of them alone
+        # would take 1 MB; the terms go into the scratch and nothing else
+        # of the input's size is allocated
+        mass = np.random.default_rng(3).dirichlet(np.ones(10**6))
+        assert mass.min() > ZERO_FLOOR
+        scratch = np.empty(mass.size)
+        tracemalloc.start()
+        try:
+            h = _entropy_raw(mass, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+        assert h == compressed_entropy(mass)
 
 
 class TestConditionalEntropy:
