@@ -15,6 +15,10 @@ checkout's, and the runs alternate which side goes first:
   and of ``decompose_transform`` alone on the transform cases at
   ``ab.SEED`` whose decomposition joint has more than DECOMPOSE_BIG
   entries. Each counts the whole process, start-up and imports included.
+- the largest tracemalloc peak of one of those ``decompose_transform``
+  calls, each run once more under tracemalloc after the counts above are
+  read. It is the same from run to run and does not move with the
+  allocator's layout, as peak RSS does (below).
 
 A pass builds its inputs with this checkout's ``perfbench`` and ``tests``
 generators, which import this checkout's privbound on both sides alike.
@@ -41,6 +45,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import ab  # bench/ab.py
 import inputs  # perfbench/inputs.py
@@ -52,8 +57,10 @@ BENCH = os.path.dirname(os.path.abspath(__file__))
 IMPORT = ("import sys, time; sys.path.insert(0, sys.argv[1]); t0 = time.perf_counter(); "
           "import privbound; print(time.perf_counter() - t0)")
 PASS = "import sys; sys.path.insert(0, sys.argv[1]); import fresh; fresh.child(*sys.argv[2:])"
-# what a pass reports, in the order ``child`` prints it
+# what a pass reports, in the order ``child`` prints it; the decompose pass
+# adds DECOMPOSE_KEY
 PASS_KEYS = ("peak_rss_mb", "minflt", "stime_s")
+DECOMPOSE_KEY = "tracemalloc_mib"
 
 
 def decomposition_entries(spec: dict) -> int:
@@ -66,7 +73,8 @@ def decomposition_entries(spec: dict) -> int:
 
 def child(src: str, what: str) -> None:
     """In a fresh process: one pass of workload ``what``, or of the large
-    decompositions, on the side under ``src``; prints its PASS_KEYS."""
+    decompositions, on the side under ``src``; prints its PASS_KEYS, and
+    on the decompose pass DECOMPOSE_KEY."""
     side = ab.load_side("side", src)
     if what == "decompose":
         cases = (ab.transform_spec(ab.SEED, i) for i in range(inputs.TRANSFORM_CASES))
@@ -75,12 +83,22 @@ def child(src: str, what: str) -> None:
         specs = ab.workload_specs(what, ab.SEED)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for op in ab.side_ops(side, specs, tmp):
-            if what != "decompose" or op.kind == "decompose_transform":
-                op.run()
+        ops = [op for op in ab.side_ops(side, specs, tmp) if what != "decompose" or op.kind == "decompose_transform"]
+        for op in ops:
+            op.run()
         os.chdir(ab.ROOT)
     use = resource.getrusage(resource.RUSAGE_SELF)
-    print(use.ru_maxrss / 1024.0, use.ru_minflt, use.ru_stime)
+    values = [use.ru_maxrss / 1024.0, use.ru_minflt, use.ru_stime]
+    if what == "decompose":  # after getrusage, so tracing leaves the columns above alone
+        peak = 0
+        tracemalloc.start()
+        for op in ops:
+            tracemalloc.reset_peak()
+            op.run()
+            peak = max(peak, tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        values.append(peak / 2**20)
+    print(*values)
 
 
 def measure(*args: str) -> list[float]:
@@ -106,7 +124,8 @@ def main() -> None:
             for name in ab.order(k):
                 print(f"run {k}: {name}", file=sys.stderr)
                 for what in ab.WORKLOADS + ("decompose",):
-                    for key, v in zip(PASS_KEYS, measure(PASS, BENCH, srcs[name], what), strict=True):
+                    keys = PASS_KEYS + ((DECOMPOSE_KEY,) if what == "decompose" else ())
+                    for key, v in zip(keys, measure(PASS, BENCH, srcs[name], what), strict=True):
                         runs[name].setdefault(f"{key} {what}", []).append(v)
     results = {key: {name: ab.summarize(runs[name][key]) for name in runs} for key in runs["after"]}
     for key, row in results.items():
@@ -114,8 +133,8 @@ def main() -> None:
         print(f"{key:<26} before {b['median']:9.3f} (IQR {b['q1']:.3f}-{b['q3']:.3f})  "
               f"after {a['median']:9.3f} (IQR {a['q1']:.3f}-{a['q3']:.3f})")
     if args.out:
-        ab.write_json(args.out, "fresh-process numbers: import time, and peak RSS, minor faults and "
-                      "system CPU of a pass", sha,
+        ab.write_json(args.out, "fresh-process numbers: import time, peak RSS, minor faults and "
+                      "system CPU of a pass, and the decompose pass's tracemalloc peak", sha,
                       {"runs": RUNS, "imports": IMPORTS, "seed": ab.SEED, "decompose_big_entries": DECOMPOSE_BIG},
                       results)
 

@@ -24,13 +24,14 @@ Saved mechanism files stay in nats. Exit codes: 0 success, 2 schema error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
 import math
 import sys
 from dataclasses import fields, replace
-from typing import Any
+from typing import Any, Iterator, TextIO
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .errors import (
     SizeCapError,
     ValidationError,
     is_number,
+    kind_name,
     want,
 )
 from .model import Component, Problem, User, validate
@@ -117,7 +119,7 @@ def parse_problem(doc: Any) -> tuple[Problem, dict]:
                 )
             for v in row:
                 if not is_number(v):
-                    raise SchemaError(f"{where}.matrix: row {r} contains a non-number")
+                    raise SchemaError(f"{where}.matrix: row {r} contains {kind_name(v)}, not a number")
         labels_x = _labels(entry, "labels_x", len(matrix), where)
         labels_y = _labels(entry, "labels_y", width, where)
         try:
@@ -160,14 +162,30 @@ def parse_problem(doc: Any) -> tuple[Problem, dict]:
 
 def _load_json(path: str, what: str) -> Any:
     """The JSON document in ``path``; SchemaError naming the ``what`` file
-    and its path when it is missing or not valid JSON."""
+    and its path when it is missing, cannot be read (a directory, say), is
+    not UTF-8 text or is not valid JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"{what} file {path!r} not found")
+    except OSError as e:
+        raise SchemaError(f"{what} file {path!r}: cannot read: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{what} file {path!r}: not UTF-8 text (byte {e.start})")
     except json.JSONDecodeError as e:
         raise SchemaError(f"{what} file {path!r}: invalid JSON at line {e.lineno}: {e.msg}")
+
+
+@contextlib.contextmanager
+def _output(path: str, newline: str | None = None) -> Iterator[TextIO]:
+    """``path`` open for writing as UTF-8 text; SchemaError saying it
+    cannot be written when opening or writing it fails."""
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except OSError as e:
+        raise SchemaError(f"cannot write {path!r}: {e.strerror or e}")
 
 
 def load_problem(path: str) -> tuple[Problem, dict]:
@@ -292,7 +310,7 @@ def cmd_mechanize(args: argparse.Namespace) -> int:
         raise PrivboundError(
             f"constructed leakage {rep.leakage} deviates from allocated {alloc.total}"
         )
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _output(args.out) as fh:
         json.dump(mechanisms.mechanism_to_dict(p, mech), fh, indent=2)
         fh.write("\n")
     _emit(mechanism_report(rep, alloc, options))
@@ -385,7 +403,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         allocs = bounds_mod.canonical_allocations(pe, stats)
         mech_obj = mechanisms.canonical_objective(pe, stats, profile, allocs)
         rows.append((eps, rep.upper, rep.lower_frl, rep.lower_sfrl, rep.lower, mech_obj))
-    with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+    with _output(args.csv, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epsilon", "upper", "lower_frl", "lower_sfrl", "lower", "mech_objective"])
         for row in _in_units(rows, options):

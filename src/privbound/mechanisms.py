@@ -484,6 +484,9 @@ def _bar_kernels(p: Problem, joint_xyu: JointN) -> BarMechanism:
     return BarMechanism(kernels=tuple(kernels), alphabets=tuple(alphabets))
 
 
+RUN_CELLS = 2**17  # cells of ``xyb`` that ``decompose_transform`` holds at a time
+
+
 def _decompose_block(head: np.ndarray, last: np.ndarray, xyb_x: np.ndarray, xyu_x: np.ndarray,
                      ws: np.ndarray, terms: np.ndarray) -> float:
     """One x-block of the decomposition joint, a run of flattened-y rows (a
@@ -491,17 +494,17 @@ def _decompose_block(head: np.ndarray, last: np.ndarray, xyb_x: np.ndarray, xyu_
 
     ``head`` (|Y|, |U| prod_{i<N} |B_i|) holds the block's cells before the
     last bar factor ``last`` (|B_N|). Each chunk of the block is formed in
-    ``ws``, cleaned (cells below ``ZERO_FLOOR`` zeroed), its kept cells'
-    terms written in order into ``terms`` after the chunks before it, and
-    summed over u into ``xyb_x`` (|Y|, prod |B_i|) and over the b's into
-    ``xyu_x`` (|Y|, |U|) while it is in cache. Each cell and each sum is
-    formed from the same operands in the same order as over the whole
-    block, so the results are the same bits.
+    ``ws``, cleaned (cells below ``ZERO_FLOOR`` zeroed), the p ln p terms
+    of its kept cells written into ``terms`` and summed there, and the
+    chunk summed over u into ``xyb_x`` (|Y|, prod |B_i|) and over the b's
+    into ``xyu_x`` (|Y|, |U|), all while it is in cache. The block's
+    entropy is the ``math.fsum`` of its chunk sums, so a block of one chunk
+    gives the bits of one sum over its terms.
     """
     ny, nb = xyb_x.shape
     rows = ws.size // (head.shape[1] * last.size)  # y-rows per chunk
     floor = probcore.ZERO_FLOOR
-    done = 0
+    sums = []
     for r in range(0, ny, rows):
         h = head[r:r + rows]
         chunk = ws[:h.size * last.size]
@@ -509,11 +512,25 @@ def _decompose_block(head: np.ndarray, last: np.ndarray, xyb_x: np.ndarray, xyu_
         lo = chunk.min()
         if lo < floor:
             np.copyto(chunk, 0.0, where=chunk < floor)
-        done = probcore._put_terms(chunk, None if lo > floor else chunk > floor, terms, done)
+        done = probcore._put_terms(chunk, None if lo > floor else chunk > floor, terms, 0)
+        sums.append(float(terms[:done].sum()))
         cells = chunk.reshape(h.shape[0], -1, nb)  # (rows, u, b's)
         cells.sum(axis=1, out=xyb_x[r:r + rows])
         cells.sum(axis=2, out=xyu_x[r:r + rows])
-    return float(-terms[:done].sum()) if done else 0.0
+    return -math.fsum(sums)
+
+
+def _run_span(axes_x: tuple[int, ...], block: int) -> tuple[int, int]:
+    """(d, r) of ``decompose_transform``'s runs of ``xyb``: each run is the
+    sub-tensor xyb[x_1, .., x_{d-1}, s:s+r] (r values of x_d, or fewer in
+    the last run along it, and every value of the x-axes after it), in C
+    order a run of consecutive x-blocks of ``block`` cells each. d is the
+    first x-axis whose later axes' blocks fit in ``RUN_CELLS``, or the last
+    one, and r as many of its values as fit too, at least one."""
+    d = 0
+    while d < len(axes_x) - 1 and math.prod(axes_x[d + 1:]) * block > RUN_CELLS:
+        d += 1
+    return d, max(1, min(axes_x[d], RUN_CELLS // (math.prod(axes_x[d + 1:]) * block)))
 
 
 def decompose_transform(p: Problem, m: Kernel) -> tuple[BarMechanism, DecompositionChecks]:
@@ -528,13 +545,19 @@ def decompose_transform(p: Problem, m: Kernel) -> tuple[BarMechanism, Decomposit
     nor is one x-block of it: each block j(x, y's, u) K_1(x_1, .) ...
     K_N(x_N, .) is formed a run of flattened-y rows at a time, about
     ``GATHER_CHUNK`` cells, in one workspace (``_decompose_block``). Each
-    chunk gives the p ln p terms of its kept cells, written in order into
-    one terms array, and its slices of the two marginals every check
-    reads, ``xyb`` (u summed out) and ``xyu`` (the b's summed out); a
-    block's entropy is one sum over its terms. The largest arrays are
-    ``xyb``, |X||Y| prod |B_i| entries, and the terms array, one block's
-    |Y||U| prod |B_i| entries or ``xyb``'s if larger: after the loop the
-    two marginals become JointNs in place and H(xyb) is summed in it. The
+    chunk gives the sum of its kept cells' p ln p terms and its slices of
+    ``xyu`` (the b's summed out), held whole, and of ``xyb`` (u summed
+    out), held a run of consecutive x-blocks at a time (``_run_span``).
+    Each run gives the sum of its p ln p terms, a ``GATHER_CHUNK`` at a
+    time, its rows of the (x, b) marginal, read by I(X;B) and H(X,B), and
+    its share of each (x_i, y_i, b_i) marginal. The entropies of the joint
+    and of ``xyb`` are renormalized by the total mass at the end.
+
+    Memory, beside the monolithic joint and ``xyu`` (|X||Y||U| entries
+    each) and the bar kernels: the run, at most max(RUN_CELLS, |Y| prod
+    |B_i|) entries; the (x, b) marginal, |X| prod |B_i|; the workspace and
+    the terms array, at most max(GATHER_CHUNK, |U| prod |B_i|) each; and a
+    block's cells before its last bar factor, |Y||U| prod_{i<N} |B_i|. The
     size cap still counts the whole joint, as its cells are all computed.
     """
     n = p.n_components
@@ -542,46 +565,65 @@ def decompose_transform(p: Problem, m: Kernel) -> tuple[BarMechanism, Decomposit
     bar = _bar_kernels(p, j)
     probcore.check_size("decomposition joint", j.table.size * math.prod(bar.alphabets))
 
-    # the cleaning JointN applies to a whole table, chunk by chunk: cells
-    # below the floor are zeroed before any sum, and the total is checked
-    # (with JointN's own message)
-    xyb = np.empty(j.axes[:-1] + bar.alphabets)
-    xyu = np.empty(j.axes)
-    ny, nu, nb = math.prod(j.axes[n:2 * n]), j.axes[-1], math.prod(bar.alphabets)
+    axes_x, axes_y = j.axes[:n], j.axes[n:2 * n]
+    ny, nu, nb = math.prod(axes_y), j.axes[-1], math.prod(bar.alphabets)
     row = nu * nb  # cells of one y-row of a block
     ws = np.empty(min(ny, max(1, probcore.GATHER_CHUNK // row)) * row)
-    terms = np.empty(max(ny * row, xyb.size))
-    total = h_raw = 0.0
-    for xs in np.ndindex(*j.axes[:n]):
-        head = j.table[xs]
-        for mat, xi in zip(bar.kernels[:-1], xs):
-            head = head[..., None] * mat[xi]
-        h_raw += _decompose_block(head.reshape(ny, -1), bar.kernels[-1][xs[-1]],
-                                  xyb[xs].reshape(ny, nb), xyu[xs].reshape(ny, nu), ws, terms)
-        total += float(xyu[xs].sum())
-    del head, ws
-    probcore._check_total(total, "JointN.table")
+    d, r = _run_span(axes_x, ny * nb)
+    later = axes_x[d + 1:]
+    per_value = math.prod(later) * ny * nb  # cells of a run per value of x_d
+    buf = np.empty(r * per_value)
+    terms = np.empty(max(ws.size, min(probcore.GATHER_CHUNK, buf.size)))
+    xyu = np.empty(j.axes)
+    xb = np.empty((math.prod(axes_x), nb))
+    parts = [np.zeros((axes_x[i], axes_y[i], bar.alphabets[i])) for i in range(n)]
+    # the axes of a run that each part sums out: all but x_i (where i >= d), y_i and b_i
+    drop = [tuple(a for a in range(3 * n - d) if a not in (i - d, n - d + i, 2 * n - d + i))
+            for i in range(n)]
+    h_raw = h_xyb = 0.0
+    at = 0  # x-blocks before the run
+    for pre in np.ndindex(*axes_x[:d]):
+        for s in range(0, axes_x[d], r):
+            k = min(r, axes_x[d] - s)
+            run = buf[:k * per_value].reshape((k,) + later + axes_y + bar.alphabets)
+            blocks = run.reshape(-1, ny, nb)
+            for t, rest in enumerate(np.ndindex(k, *later)):
+                xs = pre + (s + rest[0],) + rest[1:]
+                head = j.table[xs]
+                for mat, xi in zip(bar.kernels[:-1], xs):
+                    head = head[..., None] * mat[xi]
+                h_raw += _decompose_block(head.reshape(ny, -1), bar.kernels[-1][xs[-1]],
+                                          blocks[t], xyu[xs].reshape(ny, nu), ws, terms)
+            cells = run.reshape(-1)
+            h_xyb += math.fsum([probcore._entropy_raw(cells[i:i + probcore.GATHER_CHUNK], terms)
+                                for i in range(0, cells.size, probcore.GATHER_CHUNK)])
+            blocks.sum(axis=1, out=xb[at:at + len(blocks)])
+            at += len(blocks)
+            for i, part in enumerate(parts):
+                part[pre[i] if i < d else slice(s, s + k) if i == d else ...] += run.sum(axis=drop[i])
+    del head, ws, buf, run, blocks, cells
+    # the cells were cleaned as JointN would clean the joint, so its total
+    # mass is xyu's, checked (with JointN's own message) as xyu becomes a
+    # JointN
+    total = float(xyu.sum())
+    xyu = JointN(j.axes, xyu)
     # H of the renormalized joint p / T: -sum (p/T) ln (p/T) = h_raw / T + ln T
     h_all = h_raw / total + math.log(total)
-    xyb = JointN._adopt(xyb)
-    xyu = JointN._adopt(xyu)
-
+    xb /= total
     x_axes = list(range(n))
-    u_axis = 2 * n
-    b_axes = list(range(2 * n, 3 * n))  # in ``xyb``
-
-    leak_u = probcore.mi_between(xyu, x_axes, [u_axis])
-    leak_b = probcore.mi_between(xyb, x_axes, b_axes)
     # I(B; Y,U | X) = H(X,B) + H(X,Y,U) - H(X,Y,U,B) - H(X)
-    markov = (probcore.marginal_entropy(xyb, x_axes + b_axes) + probcore.joint_entropy(xyu)
+    markov = (probcore._entropy_raw(xb) + probcore.joint_entropy(xyu)
               - h_all - probcore.marginal_entropy(xyu, x_axes))
     # total correlation across the N triples (x_i, y_i, b_i)
-    h_parts = sum(probcore.marginal_entropy(xyb, [i, n + i, 2 * n + i]) for i in range(n))
+    h_parts = 0.0
+    for part in parts:
+        part /= total
+        h_parts += probcore._entropy_raw(part)
     checks = DecompositionChecks(
-        leakage_original=float(leak_u),
-        leakage_bar=float(leak_b),
+        leakage_original=float(probcore.mi_between(xyu, x_axes, [2 * n])),
+        leakage_bar=float(probcore._mi(xb)[0]),
         markov_residual=float(max(0.0, markov)),
-        independence_residual=float(max(0.0, h_parts - probcore._entropy_raw(xyb.table, terms))),
+        independence_residual=float(max(0.0, h_parts - h_xyb / total - math.log(total))),
     )
     return bar, checks
 

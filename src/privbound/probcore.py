@@ -55,19 +55,10 @@ def check_size(what: str, total: int) -> None:
         raise SizeCapError(f"{what} would have {total} entries (cap {cap})")
 
 
-def _check_total(total: float, what: str) -> None:
-    """Reject a total mass that is non-finite or off 1 by more than ``MASS_REJECT_TOL``."""
-    if not math.isfinite(total):
-        raise ValidationError(f"{what} contains non-finite entries")
-    if abs(total - 1.0) > MASS_REJECT_TOL:
-        raise ValidationError(f"{what} mass {total!r} deviates from 1 by more than {MASS_REJECT_TOL}")
-
-
-def _clean_mass(arr: np.ndarray, what: str, copy: bool = True) -> np.ndarray:
+def _clean_mass(arr: np.ndarray, what: str) -> np.ndarray:
     """Validate a non-negative mass array and renormalize it to total 1, in
-    a copy or (``copy=False``) in ``arr`` itself, a float array its caller
-    gives up."""
-    a = np.array(arr, dtype=float, copy=copy)
+    a copy."""
+    a = np.array(arr, dtype=float)
     if a.size == 0:
         raise ValidationError(f"{what} must be non-empty")
     lo, hi = a.min(), a.max()  # NaN propagates into both
@@ -78,7 +69,10 @@ def _clean_mass(arr: np.ndarray, what: str, copy: bool = True) -> np.ndarray:
     if lo < ZERO_FLOOR:
         np.copyto(a, 0.0, where=a < ZERO_FLOOR)
     total = float(a.sum())
-    _check_total(total, what)
+    if not math.isfinite(total):
+        raise ValidationError(f"{what} contains non-finite entries")
+    if abs(total - 1.0) > MASS_REJECT_TOL:
+        raise ValidationError(f"{what} mass {total!r} deviates from 1 by more than {MASS_REJECT_TOL}")
     a /= total
     a.setflags(write=False)
     return a
@@ -152,16 +146,6 @@ class JointN:
             raise ValidationError(f"JointN.table shape {t.shape} does not match axes {axes}")
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "table", t)
-
-    @classmethod
-    def _adopt(cls, table: np.ndarray) -> "JointN":
-        """A JointN on ``table`` itself, a float array its caller gives up:
-        cleaned and renormalized in place rather than in a copy, to the
-        same bits as ``JointN(table.shape, table)``."""
-        j = object.__new__(cls)
-        object.__setattr__(j, "axes", table.shape)
-        object.__setattr__(j, "table", _clean_mass(table, "JointN.table", copy=False))
-        return j
 
     @property
     def ndim(self) -> int:

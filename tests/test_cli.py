@@ -266,6 +266,82 @@ class TestMechanizeVerify:
         assert ("not found" if content is None else "invalid JSON at line 1") in err
 
 
+HUGE = 10**400  # a JSON integer that no float holds
+
+
+class TestFileErrors:
+    """Files that cannot be read or written, and numbers beyond float range,
+    end in exit 2 with a message, not a traceback."""
+
+    def test_problem_path_is_a_directory(self, tmp_path, capsys):
+        code, out, err = run(capsys, ["bounds", str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert f"problem file {str(tmp_path)!r}: cannot read" in err
+
+    def test_problem_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(noisy_doc()).encode("utf-16-le"))
+        code, out, err = run(capsys, ["bounds", str(path)])
+        assert (code, out) == (2, "")
+        assert "not UTF-8 text" in err
+
+    def test_mechanism_path_is_a_directory(self, tmp_path, capsys):
+        code, out, err = run(capsys, ["verify", write_problem(tmp_path, noisy_doc()), str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert f"mechanism file {str(tmp_path)!r}: cannot read" in err
+
+    def test_mechanize_output_cannot_be_written(self, tmp_path, capsys):
+        out_path = str(tmp_path / "missing" / "m.json")
+        code, out, err = run(capsys, ["mechanize", write_problem(tmp_path, noisy_doc()), "--out", out_path])
+        assert (code, out) == (2, "")
+        assert f"cannot write {out_path!r}" in err
+
+    def test_sweep_csv_cannot_be_written(self, tmp_path, capsys):
+        csv_path = str(tmp_path / "missing" / "x.csv")
+        argv = ["sweep", write_problem(tmp_path, noisy_doc()), "--eps", "0:0.1:0.05", "--csv", csv_path]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert f"cannot write {csv_path!r}" in err
+
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda d: d.update(epsilon=HUGE), "epsilon"),
+            (lambda d: d["users"][0].update(weight=HUGE), "weight"),
+            (lambda d: d["options"].update(sfrl_constant=HUGE), "sfrl_constant"),
+            (lambda d: d["components"][1]["matrix"][0].__setitem__(1, HUGE), "matrix"),
+        ],
+        ids=["epsilon", "weight", "sfrl_constant", "matrix_entry"],
+    )
+    def test_problem_integer_beyond_float_range(self, tmp_path, capsys, mutate, field):
+        doc = noisy_doc()
+        mutate(doc)
+        code, out, err = run(capsys, ["bounds", write_problem(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert err.startswith("schema error:") and field in err
+
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda d: d["components"][0]["kernel"][0].__setitem__(0, HUGE), "kernel"),
+            (lambda d: d["components"][0].update(epsilon=HUGE), "epsilon"),
+            (lambda d: d["allocation"].update(eps_per_component=[HUGE, 0.0]), "eps_per_component"),
+            (lambda d: d["allocation"].update(overflow=HUGE), "overflow"),
+        ],
+        ids=["kernel_entry", "component_epsilon", "share", "overflow"],
+    )
+    def test_mechanism_integer_beyond_float_range(self, tmp_path, capsys, mutate, field):
+        path = write_problem(tmp_path, noisy_doc())
+        mech_path = tmp_path / "mech.json"
+        run(capsys, ["mechanize", path, "--out", str(mech_path)])
+        doc = json.loads(mech_path.read_text())
+        mutate(doc)
+        mech_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["verify", path, str(mech_path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("schema error:") and field in err
+
+
 class TestParser:
     def test_built_once_per_process(self, tmp_path, capsys, monkeypatch):
         path = write_problem(tmp_path, copy_pair_doc())

@@ -446,46 +446,85 @@ def reference_decomposition_checks(p: Problem, k: M.Kernel) -> tuple[float, ...]
     return tuple(max(0.0, v) for v in (leak_u, leak_b, markov, indep))
 
 
-def decompose_loop(p: Problem, k: M.Kernel) -> tuple[M.BarMechanism, M.DecompositionChecks]:
+ENTROPY_RAW = pc._entropy_raw  # unrecorded by ``assert_same_decomposition``
+
+
+def decompose_loop(p: Problem, k: M.Kernel) -> tuple[M.BarMechanism, M.DecompositionChecks, list[float]]:
     """Reference: the decomposition one x-block at a time, each block and
-    its logs in fresh arrays."""
+    its logs in fresh arrays and ``xyb`` held whole, its sums in the
+    transform's order. A block's entropy is the ``math.fsum`` of its
+    chunks' (``chunk_rows``), taken with ENTROPY_RAW; ``xyb``'s raw entropy
+    and its marginals are summed over the same runs (``M._run_span``), its
+    entropy a ``math.fsum`` of ``GATHER_CHUNK`` pieces per run. Returns the
+    bar kernels, the checks and the block entropies in x order."""
     n = p.n_components
     j = M.monolithic_joint(p, k)
     bar = M._bar_kernels(p, j)
-    xyb = np.empty(j.axes[:-1] + bar.alphabets)
+    axes_x, axes_y = j.axes[:n], j.axes[n:2 * n]
+    ny, rows = chunk_rows(p, k.alphabet_u, bar.alphabets)
+    nb = math.prod(bar.alphabets)
+    xyb = np.empty(axes_x + axes_y + bar.alphabets)
     xyu = np.empty(j.axes)
-    total = h_raw = 0.0
-    for xs in np.ndindex(*j.axes[:n]):
+    h_raw = 0.0
+    blocks = []
+    for xs in np.ndindex(*axes_x):
         blk = j.table[xs]
         for mat, xi in zip(bar.kernels, xs):
             blk = blk[..., None] * mat[xi]
         if blk.min() < pc.ZERO_FLOOR:
             np.copyto(blk, 0.0, where=blk < pc.ZERO_FLOOR)
-        h_raw += pc._entropy_raw(blk)
+        by_y = blk.reshape(ny, -1)
+        blocks.append(math.fsum([ENTROPY_RAW(by_y[r:r + rows]) for r in range(0, ny, rows)]))
+        h_raw += blocks[-1]
         blk.sum(axis=n, out=xyb[xs])
-        total += float(blk.sum(axis=tuple(range(n + 1, 2 * n + 1)), out=xyu[xs]).sum())
+        blk.sum(axis=tuple(range(n + 1, 2 * n + 1)), out=xyu[xs])
+    total = float(xyu.sum())
     h_all = h_raw / total + math.log(total)
-    xyb = pc.JointN(xyb.shape, xyb)
     xyu = pc.JointN(xyu.shape, xyu)
-    x_axes, b_axes = list(range(n)), list(range(2 * n, 3 * n))
-    markov = (pc.marginal_entropy(xyb, x_axes + b_axes) + pc.joint_entropy(xyu)
-              - h_all - pc.marginal_entropy(xyu, x_axes))
-    h_parts = sum(pc.marginal_entropy(xyb, [i, n + i, 2 * n + i]) for i in range(n))
+
+    d, r = M._run_span(axes_x, ny * nb)
+    xb = np.empty((math.prod(axes_x), nb))
+    parts = [np.zeros((axes_x[i], axes_y[i], bar.alphabets[i])) for i in range(n)]
+    h_xyb, at = 0.0, 0
+    for pre in np.ndindex(*axes_x[:d]):
+        for s in range(0, axes_x[d], r):
+            run = xyb[pre][s:s + r]
+            cells = run.reshape(-1)
+            h_xyb += math.fsum([pc._entropy_raw(cells[i:i + pc.GATHER_CHUNK])
+                                for i in range(0, cells.size, pc.GATHER_CHUNK)])
+            by_x = run.reshape(-1, ny, nb)
+            xb[at:at + len(by_x)] = by_x.sum(axis=1)
+            at += len(by_x)
+            for i, part in enumerate(parts):
+                # the run's axes: x_d.., then the y's, then the b's
+                kept = ([i - d] if i >= d else []) + [n - d + i, 2 * n - d + i]
+                share = run.sum(axis=tuple(a for a in range(run.ndim) if a not in kept))
+                if i < d:
+                    part[pre[i]] += share
+                elif i == d:
+                    part[s:s + len(run)] += share
+                else:
+                    part += share
+    xb /= total
+    x_axes = list(range(n))
+    markov = (pc._entropy_raw(xb) + pc.joint_entropy(xyu) - h_all - pc.marginal_entropy(xyu, x_axes))
+    h_parts = 0.0
+    for part in parts:
+        part /= total
+        h_parts += pc._entropy_raw(part)
     return bar, M.DecompositionChecks(
         leakage_original=float(pc.mi_between(xyu, x_axes, [2 * n])),
-        leakage_bar=float(pc.mi_between(xyb, x_axes, b_axes)),
+        leakage_bar=float(pc._mi(xb)[0]),
         markov_residual=float(max(0.0, markov)),
-        independence_residual=float(max(0.0, h_parts - pc.joint_entropy(xyb))),
-    )
+        independence_residual=float(max(0.0, h_parts - h_xyb / total - math.log(total))),
+    ), blocks
 
 
 def assert_same_decomposition(monkeypatch, p: Problem, k: M.Kernel) -> M.DecompositionChecks:
     """decompose_transform equals decompose_loop bit for bit: its bar
-    kernels, its four checks and every entropy it sums on the way. The
-    loop takes each block's entropy with ``_entropy_raw``; the transform
-    sums each block's terms in ``_decompose_block``, so its block
-    entropies are recorded there, in block order, and its later ones from
-    ``_entropy_raw``. Returns the checks."""
+    kernels, its four checks, its block entropies (recorded from
+    ``_decompose_block``, in x order) and every entropy it takes with
+    ``_entropy_raw``, in order. Returns the checks."""
     raw, block = pc._entropy_raw, M._decompose_block
     seen: list[float] = []
     blocks: list[float] = []
@@ -503,14 +542,14 @@ def assert_same_decomposition(monkeypatch, p: Problem, k: M.Kernel) -> M.Decompo
     bar, checks = M.decompose_transform(p, k)
     got_entropies = seen.copy()
     seen.clear()
-    want_bar, want = decompose_loop(p, k)
+    want_bar, want, want_blocks = decompose_loop(p, k)
     assert bar.alphabets == want_bar.alphabets
     for got_k, want_k in zip(bar.kernels, want_bar.kernels, strict=True):
         assert np.array_equal(got_k, want_k)
     assert checks == want
     assert len(blocks) == math.prod(c.card_x for c in p.components)
-    assert blocks == seen[:len(blocks)]  # one per x-block, in the loop's order
-    assert got_entropies == seen[len(blocks):]
+    assert blocks == want_blocks
+    assert got_entropies == seen
     return checks
 
 
@@ -625,6 +664,74 @@ class TestDecomposeReference:
         for g, w in zip(got, reference_decomposition_checks(p, k)):
             assert g == pytest.approx(w, abs=1e-12)
 
+    @pytest.mark.parametrize("case", [*REFERENCE_SHAPES, "mechanized"])
+    def test_block_entropies_near_exact(self, monkeypatch, case):
+        # each streamed block entropy, the fsum of its chunks' sums, within
+        # 1e-14 relative of one _entropy_raw over the whole block and of
+        # the exactly rounded sum of its terms
+        p, k = mechanized_case() if case == "mechanized" else reference_case(*case)
+        block, blocks = M._decompose_block, []
+        monkeypatch.setattr(M, "_decompose_block", lambda *a: blocks.append(block(*a)) or blocks[-1])
+        M.decompose_transform(p, k)
+        j = M.monolithic_joint(p, k)
+        bar = M._bar_kernels(p, j)
+        cells = bar_products(j, bar)
+        n = p.n_components
+        for xs, got in zip(np.ndindex(*j.axes[:n]), blocks, strict=True):
+            blk = cells[xs].copy()
+            np.copyto(blk, 0.0, where=blk < pc.ZERO_FLOOR)
+            kept = blk[blk > pc.ZERO_FLOOR]
+            exact = -math.fsum(kept * np.log(kept))
+            assert got == pytest.approx(exact, rel=1e-14, abs=0.0)
+            assert got == pytest.approx(pc._entropy_raw(blk), rel=1e-14, abs=0.0)
+
+
+# (shapes, |U|), RUN_CELLS in x-blocks of xyb, and the (d, r) it gives
+RUN_CASES = [
+    # x-axes (3, 2): runs of two values of x_1, then a short run of one
+    ((((3, 2), (2, 2)), 3), 4, (0, 2)),
+    # (2, 3, 2): under each x_1, runs of two values of x_2, then one
+    ((((2, 2), (3, 2), (2, 2)), 2), 4, (1, 2)),
+    # (2, 2, 3): runs along the last axis, two values and then one
+    ((((2, 2), (2, 2), (3, 2)), 2), 2, (2, 2)),
+    # (2, 2, 2): one x-block per run, each of several chunks
+    ((((2, 3), (2, 3), (2, 3)), 4), 1, (2, 1)),
+    # a run smaller than one block still holds that block
+    ((((3, 2), (2, 3), (2, 2)), 3), 0.5, (2, 1)),
+]
+
+
+def xyb_block(p: Problem, card_u: int) -> int:
+    """Cells of one x-block of ``xyb``: |Y| prod |B_i|, |B_i| = |X_1|..|X_{i-1}| |U|."""
+    xs = [c.card_x for c in p.components]
+    bars = [math.prod(xs[:i]) * card_u for i in range(len(xs))]
+    return math.prod(c.card_y for c in p.components) * math.prod(bars)
+
+
+class TestDecomposeRuns:
+    def test_default_runs(self):
+        # the 7.1e6-entry case: blocks of 110,592 cells, one per run; the
+        # 2x2 pairs: all of xyb in one run
+        assert M._run_span((2, 2, 2), 27 * 8 * 16 * 32) == (2, 1)
+        assert M._run_span((2, 2), 4 * 2 * 4) == (0, 2)
+        assert M._run_span((3, 3, 3), 8 * 4 * 12 * 36) == (0, 1)  # nine blocks a run
+
+    @pytest.mark.parametrize("case, blocks, span", RUN_CASES)
+    def test_several_runs(self, monkeypatch, case, blocks, span):
+        p, k = reference_case(*case)
+        axes_x = tuple(c.card_x for c in p.components)
+        block = xyb_block(p, k.alphabet_u)
+        monkeypatch.setattr(M, "RUN_CELLS", int(blocks * block))
+        d, r = M._run_span(axes_x, block)
+        assert (d, r) == span
+        assert math.prod(axes_x[:d]) * math.ceil(axes_x[d] / r) > 1  # several runs
+        assert r == 1 or axes_x[d] % r  # the last run along x_d is short
+        checks = assert_same_decomposition(monkeypatch, p, k)
+        got = (checks.leakage_original, checks.leakage_bar, checks.markov_residual,
+               checks.independence_residual)
+        for g, w in zip(got, reference_decomposition_checks(p, k)):
+            assert g == pytest.approx(w, abs=1e-12)
+
 
 class TestDecomposeMemory:
     def test_peak_below_half_the_joint(self):
@@ -701,6 +808,42 @@ class TestDecomposeMemory:
         finally:
             tracemalloc.stop()
         assert peak <= xyb_bytes + block_bytes + chunk_bytes + 2**20
+
+    @pytest.mark.parametrize("sub_floor", [False, True])
+    def test_peak_is_one_run_two_chunks_and_the_xb_marginal(self, monkeypatch, sub_floor):
+        # the 7.1e6-entry case (|X_3| = 2), and the same with |X_3| = 4: xyb
+        # grows from 6.75 to 13.5 MiB while the bar alphabets, the run and
+        # the chunks stay. The peak is at most one run, two chunks and the
+        # (x, b) marginal, |X| prod |B_i| entries, plus 1 MiB for the rest;
+        # beyond that marginal it grows by no more than 64 KiB (xyu and the
+        # monolithic joint, |X||Y||U| entries each, add 13.5 KiB each).
+        monkeypatch.setenv("PRIVBOUND_SIZE_CAP", str(2 * 10**7))
+        bars = (8, 2 * 8, 4 * 8)
+        block = 27 * math.prod(bars)  # one x-block of xyb
+        run_bytes = 8 * max(M.RUN_CELLS, block)
+        chunk_bytes = 8 * max(pc.GATHER_CHUNK, 8 * math.prod(bars))
+        rest = {}
+        for card_x3 in (2, 4):
+            rng = np.random.default_rng(77)
+            shapes = ((2, 3), (2, 3), (card_x3, 3))
+            comps = tuple(Component(f"c{i}", Joint2(rng.dirichlet(np.ones(a * b)).reshape(a, b)))
+                          for i, (a, b) in enumerate(shapes))
+            p = Problem(comps, (User((0,), 1.0), User((0, 1, 2), 0.5)), 0.05)
+            t = rng.exponential(size=(4 * card_x3, 27, 8))
+            if sub_floor:
+                t[:, :, 0] *= 1e-8
+            k = M.Kernel(t / t.sum(axis=2, keepdims=True))
+            xb_bytes = 8 * 4 * card_x3 * math.prod(bars)
+            tracemalloc.start()
+            try:
+                bar, _ = M.decompose_transform(p, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert bar.alphabets == bars
+            assert peak <= run_bytes + 2 * chunk_bytes + xb_bytes + 2**20
+            rest[card_x3] = peak - xb_bytes
+        assert rest[4] <= rest[2] + 2**16
 
     def test_decomposition_joint_obeys_cap(self, monkeypatch):
         rng = np.random.default_rng(62)
