@@ -30,7 +30,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from typing import Any, Iterator, TextIO
 
 import numpy as np
@@ -360,7 +360,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_grid(spec: str) -> list[float]:
+def _parse_grid(spec: str) -> tuple[float, float, int]:
+    """The ``--eps`` grid from:to:step as (start, step, n): its points are
+    start + k * step for k < n."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise SchemaError(f"--eps must look like from:to:step, got {spec!r}")
@@ -374,41 +376,39 @@ def _parse_grid(spec: str) -> list[float]:
         raise SchemaError(f"--eps requires from >= 0 and step > 0, got {spec!r}")
     if stop < start:
         raise SchemaError(f"--eps grid is empty: {spec!r}")
-    # the count is checked before the grid is built; an overflowing span
+    # the count is checked before any point is formed; an overflowing span
     # (huge range over a tiny step) is over the cap too
     span = (stop - start) / step + 1e-9
     cap = probcore.size_cap()
     if not span < cap:
         raise SchemaError(f"--eps grid has more than {cap} points: {spec!r}")
-    n = int(math.floor(span)) + 1
-    return [start + k * step for k in range(n)]
+    return start, step, int(math.floor(span)) + 1
+
+
+# grid points a sweep evaluates and writes at a time, so its memory does not
+# grow with the grid
+SWEEP_CHUNK = 4096
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     p, options = load_problem(args.file)
-    grid = _parse_grid(args.eps)
-    # the component statistics and the refinement profile do not depend on
-    # eps; only the trivial flag does, and the profile, which the canonical
-    # objective reads only below the trivial boundary, is built at the first
-    # non-trivial point
-    base = validate(p)
-    profile = None
-    rows = []
-    for eps in grid:
-        pe = Problem(p.components, p.users, eps, p.sfrl_constant)
-        stats = replace(base, trivial=pe.epsilon >= base.total_mi)
-        if profile is None and not stats.trivial:
-            profile = mechanisms.refinement_profile(p)
-        rep = bounds_mod.compute_bounds(pe, stats)
-        allocs = bounds_mod.canonical_allocations(pe, stats)
-        mech_obj = mechanisms.canonical_objective(pe, stats, profile, allocs)
-        rows.append((eps, rep.upper, rep.lower_frl, rep.lower_sfrl, rep.lower, mech_obj))
+    start, step, n = _parse_grid(args.eps)
+    # the component statistics do not depend on eps; the refinement profile,
+    # which the canonical objective reads only below the trivial boundary,
+    # is built iff the grid starts below it
+    stats = validate(p)
+    profile = mechanisms.refinement_profile(p) if start < stats.total_mi else None
     with _output(args.csv, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epsilon", "upper", "lower_frl", "lower_sfrl", "lower", "mech_objective"])
-        for row in _in_units(rows, options):
-            writer.writerow([f"{v:.12g}" for v in row])
-    sys.stdout.write(f"wrote {len(rows)} rows to {args.csv}\n")
+        for lo in range(0, n, SWEEP_CHUNK):
+            eps = start + np.arange(lo, min(lo + SWEEP_CHUNK, n)) * step
+            b = bounds_mod.bound_values(p, stats, eps)
+            columns = (eps, b["upper"], b["lower_frl"], b["lower_sfrl"], b["lower"],
+                       mechanisms.canonical_objective(p, stats, profile, eps))
+            for row in _in_units(list(zip(*(c.tolist() for c in columns))), options):
+                writer.writerow([f"{v:.12g}" for v in row])
+    sys.stdout.write(f"wrote {n} rows to {args.csv}\n")
     return EXIT_OK
 
 

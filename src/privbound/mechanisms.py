@@ -49,7 +49,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import probcore
-from .bounds import VARIANTS, Allocation
+from .bounds import VARIANTS, Allocation, target
 from .errors import (
     AlphabetMismatchError,
     SchemaError,
@@ -57,7 +57,7 @@ from .errors import (
     is_number,
     want,
 )
-from .model import Component, Problem, ProblemStats, trivial_optimum, validate
+from .model import Component, Problem, ProblemStats, release_objective, validate
 from .probcore import JointN
 
 ENDPOINT_MERGE_TOL = 1e-12
@@ -297,10 +297,11 @@ def evaluate_composed(p: Problem, m: ComposedMechanism) -> MechanismReport:
     )
 
 
-def _user_objective(p: Problem, utils: list[float]) -> tuple[tuple[float, ...], float]:
-    """Per-user utilities sum_{i in demands} utils[i], and their weighted sum."""
-    utilities = tuple(float(sum(utils[i] for i in u.demands)) for u in p.users)
-    return utilities, float(sum(u.weight * util for u, util in zip(p.users, utilities)))
+def _user_objective(p: Problem, utils: list) -> tuple[tuple, float]:
+    """Per-user utilities sum_{i in demands} utils[i] (floats or arrays),
+    and their weighted sum."""
+    utilities = tuple(sum(utils[i] for i in u.demands) for u in p.users)
+    return utilities, sum(u.weight * util for u, util in zip(p.users, utilities))
 
 
 @dataclass(frozen=True)
@@ -323,12 +324,6 @@ class RefinementProfile:
         """``compose_multiuser(p, alloc)`` on the stored refinements (themselves if ``alloc`` is None)."""
         return _compose(p, self.refinements, alloc)
 
-    def objective(self, p: Problem, stats: ProblemStats, alloc: Allocation) -> float:
-        """The objective of ``compose(p, alloc)``, with no kernel built."""
-        utils = [i + (e / s.hX) * (s.hY - i) if e > 0.0 else i
-                 for i, e, s in zip(self.i_yt, alloc.eps_per_component, stats)]
-        return _user_objective(p, utils)[1]
-
 
 def refinement_profile(p: Problem) -> RefinementProfile:
     """Build each component's refinement once and measure it."""
@@ -340,16 +335,29 @@ def refinement_profile(p: Problem) -> RefinementProfile:
     )
 
 
-def canonical_objective(p: Problem, stats: ProblemStats, profile: RefinementProfile | None,
-                        allocs: dict[str, Allocation]) -> float:
-    """Objective of the best canonical mechanism. In the trivial regime that
-    is U = Y (``trivial_optimum``; no profile is read); elsewhere the best
-    composition of ``allocs`` (the caller's ``canonical_allocations(p,
-    stats)``, where frl always allocates), read from the profile with no
-    kernel built."""
-    if stats.trivial:
-        return trivial_optimum(p, stats)
-    return max(profile.objective(p, stats, a) for a in allocs.values())
+def canonical_objective(p: Problem, stats: ProblemStats, profile: RefinementProfile | None, eps):
+    """Objective of the best canonical mechanism at ``eps``, a float or an
+    array. Where eps >= sum_i I(X_i;Y_i) that is U = Y; elsewhere, read
+    from the profile (None if every eps is trivial) with no kernel built,
+    the best over ``VARIANTS`` of the composition whose ``target`` takes
+    the share min(eps, cap). (A variant of slope -inf, which cannot
+    allocate, has every H(X_i) = 0: its share and frl's are 0, and its
+    objective is frl's, so it needs no skipping.)"""
+    eps = np.asarray(eps, dtype=float)
+    trivial = eps >= stats.total_mi
+    best = np.full(eps.shape, -math.inf)
+    for variant in () if trivial.all() else VARIANTS:
+        t, _, cap = target(stats, variant)
+        utils = list(profile.i_yt)
+        if cap > 0.0:
+            i, s, share = utils[t], stats[t], np.minimum(eps, cap)
+            utils[t] = np.where(share > 0.0, i + (share / s.hX) * (s.hY - i), i)
+        objective = _user_objective(p, utils)[1]
+        # the first of equal objectives is kept, as Python's max does
+        best = np.where(objective > best, objective, best)
+    if trivial.any():
+        best = np.where(trivial, release_objective(p, stats), best)
+    return best if best.ndim else float(best)
 
 
 def flat_joint_xy(p: Problem) -> np.ndarray:

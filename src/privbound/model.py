@@ -244,8 +244,7 @@ def validate(p: Problem) -> ProblemStats:
 def trivial_optimum(p: Problem, stats: ProblemStats | None = None) -> float:
     """Optimal objective when the budget covers the total correlation.
 
-    Releasing Y itself is then feasible and optimal, achieving
-    sum_j lambda_j H(C_j) = sum_j lambda_j sum_{i in demands_j} H(Y_i).
+    Releasing Y itself is then feasible and optimal (``release_objective``).
     """
     if stats is None:
         stats = validate(p)
@@ -254,4 +253,10 @@ def trivial_optimum(p: Problem, stats: ProblemStats | None = None) -> float:
             f"trivial_optimum requires epsilon >= total mutual information "
             f"({p.epsilon} < {stats.total_mi})"
         )
+    return release_objective(p, stats)
+
+
+def release_objective(p: Problem, stats: ProblemStats) -> float:
+    """The objective of releasing Y itself, whatever the budget:
+    sum_j lambda_j H(C_j) = sum_j lambda_j sum_{i in demands_j} H(Y_i)."""
     return float(sum(u.weight * sum(stats[i].hY for i in u.demands) for u in p.users))

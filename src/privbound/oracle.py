@@ -850,11 +850,10 @@ def sandwich_check(p: Problem, cfg: OracleConfig | None = None) -> SandwichRepor
     ticks = [perf_counter()]
     stats = validate(p)
     ticks.append(perf_counter())
-    # one profile and one set of allocations serve the warm-start |U|, the
-    # search's starts and the constructed objective
+    # one profile serves the warm-start |U|, the search's starts and the
+    # constructed objective
     profile = mechanisms.refinement_profile(p)
-    allocs = bounds_mod.canonical_allocations(p, stats)
-    starts = canonical_starts(p, profile, allocs)
+    starts = canonical_starts(p, profile, bounds_mod.canonical_allocations(p, stats))
     # widen |U| (within reason) so the canonical mechanisms embed as warm
     # starts: the compositions, and in the trivial regime U = Y itself
     # (restart 0); the size-aware iteration budget keeps runtime flat
@@ -867,7 +866,7 @@ def sandwich_check(p: Problem, cfg: OracleConfig | None = None) -> SandwichRepor
     ticks.append(perf_counter())
     rep = bounds_mod.compute_bounds(p, stats)
     ticks.append(perf_counter())
-    mech_obj = mechanisms.canonical_objective(p, stats, profile, allocs)
+    mech_obj = mechanisms.canonical_objective(p, stats, profile, p.epsilon)
     ticks.append(perf_counter())
     return SandwichReport(
         lower=rep.lower,

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
+from privbound import bounds as bounds_mod
+from privbound import mechanisms
 from privbound.cli import PROBLEM_SCHEMA
 from privbound.mechanisms import ComposedMechanism, ConstructionTag, Kernel, identity_kernel
-from privbound.model import Component, Problem, User, user_weight_mass
+from privbound.model import Component, Problem, User, trivial_optimum, user_weight_mass, validate
 from privbound.probcore import Joint2, entropy, joint_entropy
 
 
@@ -200,3 +204,37 @@ def mix_table(table: np.ndarray, t: float) -> np.ndarray:
     out = (1.0 - t) * table
     out[:, :, 0] += t
     return out
+
+
+def profile_objective(p: Problem, stats, profile, alloc) -> float:
+    """The objective of ``profile.compose(p, alloc)``, read from the profile
+    one allocation at a time: I(Y_i;U_i) = I(Y_i;T_i) + (eps_i/H(X_i))
+    H(Y_i|T_i) where eps_i > 0."""
+    utils = [i + (e / s.hX) * (s.hY - i) if e > 0.0 else i
+             for i, e, s in zip(profile.i_yt, alloc.eps_per_component, stats)]
+    utilities = tuple(float(sum(utils[i] for i in u.demands)) for u in p.users)
+    return float(sum(u.weight * util for u, util in zip(p.users, utilities)))
+
+
+def sweep_reference(p: Problem, grid) -> list[tuple[float, ...]]:
+    """The sweep's rows in nats, one grid point at a time: a ``Problem`` at
+    each eps, the base statistics with that point's trivial flag, its
+    ``compute_bounds`` report, and the best ``profile_objective`` of its
+    ``canonical_allocations`` (the profile built at the first non-trivial
+    point; U = Y in the trivial regime)."""
+    base = validate(p)
+    profile = None
+    rows = []
+    for eps in grid:
+        pe = Problem(p.components, p.users, eps, p.sfrl_constant)
+        stats = replace(base, trivial=pe.epsilon >= base.total_mi)
+        if profile is None and not stats.trivial:
+            profile = mechanisms.refinement_profile(p)
+        rep = bounds_mod.compute_bounds(pe, stats)
+        allocs = bounds_mod.canonical_allocations(pe, stats)
+        if stats.trivial:
+            mech_obj = trivial_optimum(pe, stats)
+        else:
+            mech_obj = max(profile_objective(pe, stats, profile, a) for a in allocs.values())
+        rows.append((eps, rep.upper, rep.lower_frl, rep.lower_sfrl, rep.lower, mech_obj))
+    return rows

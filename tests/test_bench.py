@@ -11,6 +11,9 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
 import ab  # noqa: E402
 import inputs  # noqa: E402  perfbench/inputs.py
+import sweep_scale  # noqa: E402
+
+from privbound import cli  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -50,3 +53,9 @@ def test_moved_number_is_a_difference(pair, index, path):
         found = ab.differences(a, b, "r", within)
         assert [d.split(":")[0] for d in found] == (["r." + ".".join(path)] if differs else [])
         assert len(within) == (0 if differs else 1)
+
+
+@pytest.mark.parametrize("points", sweep_scale.POINTS)
+def test_sweep_scale_grid_has_its_points(points):
+    start, step, n = cli._parse_grid(sweep_scale.grid_spec(points))
+    assert (start, n) == (0.0, points)

@@ -4,13 +4,24 @@ import argparse
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import problem_to_dict
+from helpers import (
+    deterministic_problem,
+    problem_to_dict,
+    random_component,
+    random_problem,
+    sweep_reference,
+    xy_copy_component,
+)
 from privbound import bounds as B
 from privbound import cli
+from privbound import mechanisms as M
+from privbound.model import Component, Problem, User, trivial_optimum, validate
+from privbound.probcore import Joint2
 
 LN2 = math.log(2.0)
 
@@ -420,13 +431,17 @@ class TestSweepCommand:
         assert code == 2
 
     def test_oversized_grid_exits_2_before_building(self, tmp_path, capsys, monkeypatch):
-        # a 10^18-point spec must be refused from its count alone; the guard
-        # keeps a regression from trying to build the grid
-        def guarded_range(n, *rest):
-            assert n <= 10**6, f"grid of {n} points would be built"
-            return range(n, *rest)
+        # a 10^18-point spec must be refused from its count alone; the guards
+        # keep a regression from looping over the grid's chunks or forming
+        # its points before the check
+        def guarded(real):
+            def call(*args, **kwargs):
+                assert all(abs(a) <= 10**6 for a in args), f"grid of {args} points would be built"
+                return real(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(cli, "range", guarded_range, raising=False)
+        monkeypatch.setattr(cli, "range", guarded(range), raising=False)
+        monkeypatch.setattr(np, "arange", guarded(np.arange))
         path = write_problem(tmp_path, copy_pair_doc())
         out_csv = tmp_path / "x.csv"
         code, _, err = run(capsys, ["sweep", path, "--eps", "0:1e18:1", "--csv", str(out_csv)])
@@ -454,8 +469,9 @@ class TestSweepCommand:
         )
 
     def test_trivial_rows_allocate_nothing(self, tmp_path, capsys, monkeypatch):
-        # the rows from 0.5 on are trivial (sum_i I(X_i;Y_i) = 0.454): they
-        # try no allocation, and their bytes are those above
+        # the rows from 0.5 on are trivial (sum_i I(X_i;Y_i) = 0.454); no row
+        # builds an allocation (the canonical objective reads the targets),
+        # and the bytes are those above
         calls = []
         real = B.allocate_epsilon
 
@@ -468,7 +484,7 @@ class TestSweepCommand:
         out_csv = tmp_path / "sweep.csv"
         code, _, _ = run(capsys, ["sweep", path, "--eps", "0.45:0.6:0.05", "--csv", str(out_csv)])
         assert code == 0
-        assert calls == [0.45] * len(B.VARIANTS)
+        assert calls == []
         assert out_csv.read_bytes() == (
             b"epsilon,upper,lower_frl,lower_sfrl,lower,mech_objective\r\n"
             b"0.45,2.84227234384,0.685067756775,-3.16154388543,0.685067756775,0.954306980488\r\n"
@@ -501,6 +517,137 @@ class TestSweepCommand:
         code, _, _ = run(capsys, ["sweep", path, "--eps", "0:0.6:0.05", "--csv", str(tmp_path / "s.csv")])
         assert code == 0
         assert len(calls) == 1
+
+
+def flat_component(name):
+    """|X| = 1: H(X) = 0, so the component never takes a share."""
+    return Component(name, Joint2(np.array([[0.3, 0.7]])))
+
+
+def overflow_probe():
+    """A high-weight copy pair with H(X) = 0.135 below eps: the frl target's cap binds."""
+    skew = (xy_copy_component("skew", 0.03), xy_copy_component("fair"))
+    return Problem(skew, (User((0,), 2.0), User((1,), 1.0)), 0.4)
+
+
+def grid_problems():
+    """Problems for the grid tests: random, deterministic, the small-H(X)
+    overflow probe, all-flat components (esfrl impossible, sum_i I = 0), a
+    flat frl target and zero-weight users."""
+    rng = np.random.default_rng(7)
+    mixed = (flat_component("f"), random_component(rng, "a"), random_component(rng, "b"))
+    return (
+        [random_problem(seed) for seed in range(12)]
+        + [deterministic_problem(seed) for seed in range(6)]
+        + [
+            overflow_probe(),
+            Problem((flat_component("f0"), flat_component("f1")), (User((0, 1), 1.0),), 0.1),
+            Problem(mixed, (User((0,), 3.0), User((1, 2), 1.0), User((0, 2), 0.5)), 0.1),
+            Problem(mixed, (User((0, 1), 0.0), User((2,), 1.0)), 0.1),
+            Problem(mixed, (User((0, 1, 2), 0.0),), 0.1, sfrl_constant=-3.0),
+        ]
+    )
+
+
+def breakpoints(p):
+    """eps = 0, each variant's cap and sum_i I(X_i;Y_i), one ulp either side
+    of each of those, and points between them and past sum_i I."""
+    stats = validate(p)
+    marks = [stats.total_mi] + [B.target(stats, v)[2] for v in B.VARIANTS]
+    near = [np.nextafter(m, d) for m in marks for d in (0.0, np.inf)]
+    spread = np.linspace(0.0, 1.3 * max(marks), 15)
+    return sorted({0.0, *marks, *(float(v) for v in near if v >= 0.0), *spread.tolist()})
+
+
+def array_rows(p, grid):
+    """The sweep's columns evaluated as arrays over the whole grid."""
+    stats = validate(p)
+    eps = np.array(grid)
+    profile = M.refinement_profile(p) if eps.min() < stats.total_mi else None
+    b = B.bound_values(p, stats, eps)
+    columns = (eps, b["upper"], b["lower_frl"], b["lower_sfrl"], b["lower"],
+               M.canonical_objective(p, stats, profile, eps))
+    return list(zip(*(c.tolist() for c in columns)))
+
+
+class TestSweepGrid:
+    """The array path against ``helpers.sweep_reference``, bit for bit."""
+
+    @pytest.mark.parametrize("p", grid_problems())
+    def test_breakpoints_bit_for_bit(self, p):
+        grid = breakpoints(p)
+        stats = validate(p)
+        assert 0.0 in grid and stats.total_mi in grid
+        assert all(B.target(stats, v)[2] in grid for v in B.VARIANTS)
+        rows = array_rows(p, grid)
+        assert rows == sweep_reference(p, grid)
+        assert all(type(v) is float for row in rows for v in row)
+        # each row's bounds are those of the public formulas in its regime
+        for eps, upper, l1, l2, lower, _ in rows:
+            pe = Problem(p.components, p.users, eps, p.sfrl_constant)
+            st = validate(pe)
+            if st.trivial:
+                assert (upper, l1, l2, lower) == (trivial_optimum(pe, st),) * 4
+                continue
+            assert (l1, l2) == (B.lower_bound_frl(pe, st), B.lower_bound_sfrl(pe, st))
+            assert lower == max(0.0, l1, l2)
+            assert upper == (B.zero_budget_ceiling(pe, st)[0] if eps == 0.0 else B.upper_bound(pe, st))
+
+    def test_reversed_grid(self):
+        # the regimes are read per point, not from the grid's order
+        p = overflow_probe()
+        grid = breakpoints(p)[::-1]
+        assert array_rows(p, grid) == sweep_reference(p, grid)
+
+    @pytest.mark.parametrize("units", ["nats", "bits"])
+    def test_csv_text_across_chunks(self, tmp_path, capsys, monkeypatch, units):
+        # in chunks of 7 points, the first points past the probe's cap (point
+        # 10) and past sum_i I (point 61) fall in different chunks; the CSV
+        # is the reference's rows, converted and written
+        monkeypatch.setattr(cli, "SWEEP_CHUNK", 7)
+        p = overflow_probe()
+        spec = f"0:{1.3 * validate(p).total_mi!r}:0.0137"
+        path = write_problem(tmp_path, problem_to_dict(p, {"log_display": units}))
+        out_csv = tmp_path / "sweep.csv"
+        code, out, _ = run(capsys, ["sweep", path, "--eps", spec, "--csv", str(out_csv)])
+        assert code == 0
+        start, step, n = cli._parse_grid(spec)
+        assert n > 3 * cli.SWEEP_CHUNK
+        rows = cli._in_units(sweep_reference(p, [start + k * step for k in range(n)]), {"log_display": units})
+        want = "epsilon,upper,lower_frl,lower_sfrl,lower,mech_objective\r\n" + "".join(
+            ",".join(f"{v:.12g}" for v in row) + "\r\n" for row in rows
+        )
+        assert out_csv.read_bytes() == want.encode()
+        assert out == f"wrote {n} rows to {out_csv}\n"
+
+    def test_profile_built_iff_grid_starts_below_boundary(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = M.refinement_profile
+        monkeypatch.setattr(M, "refinement_profile", lambda p: calls.append(p) or real(p))
+        path = write_problem(tmp_path, noisy_doc())  # sum_i I(X_i;Y_i) = 0.454
+        for spec, built in (("0.3:0.6:0.05", 1), ("0.5:0.6:0.05", 0)):
+            calls.clear()
+            code, _, _ = run(capsys, ["sweep", path, "--eps", spec, "--csv", str(tmp_path / "s.csv")])
+            assert code == 0
+            assert len(calls) == built, spec
+
+    def test_memory_flat_in_grid_size(self, tmp_path, capsys, monkeypatch):
+        # rows are written a chunk at a time: 4x the points, the same peak
+        monkeypatch.setattr(cli, "SWEEP_CHUNK", 256)
+        path = write_problem(tmp_path, noisy_doc())
+        peaks = []
+        # the first run pays for one-off caches (the parser, say): it is not measured
+        for points in (2**11, 2**11, 2**13):
+            spec = f"0:{(points - 1) * 2.0**-12!r}:{2.0**-12!r}"
+            tracemalloc.start()
+            try:
+                code, _, _ = run(capsys, ["sweep", path, "--eps", spec, "--csv", str(tmp_path / "s.csv")])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert len((tmp_path / "s.csv").read_text().splitlines()) == points + 1
+        assert peaks[2] <= peaks[1] + 16 * 1024, peaks
 
 
 # report fields that keep their value whatever the display units

@@ -234,7 +234,7 @@ def flat_component(name="flat"):
 
 class TestRefinementProfile:
     def assert_matches_reference(self, p, stats, profile):
-        got = M.canonical_objective(p, stats, profile, B.canonical_allocations(p, stats))
+        got = M.canonical_objective(p, stats, profile, p.epsilon)
         assert abs(got - canonical_reference(p, stats)) <= 1e-12
         for variant in ("frl", "esfrl"):
             try:
@@ -284,9 +284,10 @@ class TestRefinementProfile:
 
     def test_esfrl_impossible(self):
         # every H(X) = 0: esfrl cannot allocate a positive budget and is skipped
+        # (the stats are forced below the trivial boundary, sum_i I = 0 here)
         comps = (flat_component("f0"), flat_component("f1"))
         p = Problem(comps, (User((0, 1), 1.0),), 0.1)
-        stats = dataclasses.replace(validate(p), trivial=False)
+        stats = dataclasses.replace(validate(p), trivial=False, total_mi=math.inf)
         with pytest.raises(PrivboundError):
             B.allocate_epsilon(p, stats, "esfrl")
         self.assert_matches_reference(p, stats, M.refinement_profile(p))
@@ -299,7 +300,7 @@ class TestRefinementProfile:
         assert stats.trivial
         allocs = B.canonical_allocations(pt, stats)
         assert allocs == {}
-        got = M.canonical_objective(pt, stats, M.refinement_profile(pt), allocs)
+        got = M.canonical_objective(pt, stats, M.refinement_profile(pt), pt.epsilon)
         assert got == trivial_optimum(pt, stats)
 
 
