@@ -32,7 +32,10 @@ sandwich check or a command that exits non-zero, on either side, ends the
 run with exit 1 before anything is timed. ``--pairs`` timed pairs follow.
 Per workload it reports each side's process CPU seconds (median,
 quartiles), the per-pair CPU ratio after / before, the pairs the after side
-won, and CPU seconds per op kind and per sandwich-check stage.
+won, CPU seconds per op kind and per sandwich-check stage, and the per-pair
+CPU ratio after / before of each op kind (median, quartiles), which
+resolves a change in one small kind that the sides' per-kind medians,
+each spread by the pairs' drift, do not.
 
 What it resolves: A/A runs (10 pairs) read median ratios within about 1 %
 of 1.00 on small, criterion and closed_form, and within about 2 % on
@@ -404,6 +407,10 @@ def ab(sides: dict, workload: str, pairs: int, seed: int, tmp: str) -> dict:
         "after_wins": sum(a < b for a, b in zip(cpu["after"], cpu["before"])),
         "pairs": pairs,
         "kind_s": medians("kind_s"),
+        # per pair and op kind, after / before CPU time
+        "kind_ratio": {kind: summarize([a["kind_s"][kind] / b["kind_s"][kind]
+                                        for a, b in zip(runs["after"], runs["before"])])
+                       for kind in runs["after"][0]["kind_s"]},
         "stage_s": medians("stage_s"),
         "search_counts": counts,
         "ops": len(ops["after"]),
@@ -441,6 +448,8 @@ def main() -> None:
               f"{r['largest_moved']:.3g}); failed: none")
         for line in r["differences"]:
             print(f"{'':<11}   {line}")
+        print(f"{'':<11} per-pair CPU ratio per kind: " + ", ".join(
+            f"{k} {q['median']:.3f} (IQR {q['q1']:.3f}-{q['q3']:.3f})" for k, q in r["kind_ratio"].items()))
         for name in ("before", "after"):
             print(f"{'':<11} {name} CPU s per kind: {_line(r['kind_s'][name])}")
             if r["stage_s"][name]:

@@ -15,10 +15,12 @@ checkout's, and the runs alternate which side goes first:
   and of ``decompose_transform`` alone on the transform cases at
   ``ab.SEED`` whose decomposition joint has more than DECOMPOSE_BIG
   entries. Each counts the whole process, start-up and imports included.
-- the largest tracemalloc peak of one of those ``decompose_transform``
-  calls, each run once more under tracemalloc after the counts above are
-  read. It is the same from run to run and does not move with the
-  allocator's layout, as peak RSS does (below).
+- the largest tracemalloc peak of one op of the TRACED passes: one
+  ``sandwich_check`` of the ``small``, ``large`` and ``criterion`` passes,
+  and one of those ``decompose_transform`` calls, each op run once more
+  under tracemalloc after the counts above are read. It is the same from
+  run to run and does not move with the allocator's layout, as peak RSS
+  does (below).
 
 A pass builds its inputs with this checkout's ``perfbench`` and ``tests``
 generators, which import this checkout's privbound on both sides alike.
@@ -57,10 +59,11 @@ BENCH = os.path.dirname(os.path.abspath(__file__))
 IMPORT = ("import sys, time; sys.path.insert(0, sys.argv[1]); t0 = time.perf_counter(); "
           "import privbound; print(time.perf_counter() - t0)")
 PASS = "import sys; sys.path.insert(0, sys.argv[1]); import fresh; fresh.child(*sys.argv[2:])"
-# what a pass reports, in the order ``child`` prints it; the decompose pass
-# adds DECOMPOSE_KEY
+# what a pass reports, in the order ``child`` prints it; the TRACED passes
+# add TRACED_KEY
 PASS_KEYS = ("peak_rss_mb", "minflt", "stime_s")
-DECOMPOSE_KEY = "tracemalloc_mib"
+TRACED = ("small", "large", "criterion", "decompose")
+TRACED_KEY = "tracemalloc_mib"
 
 
 def decomposition_entries(spec: dict) -> int:
@@ -74,7 +77,7 @@ def decomposition_entries(spec: dict) -> int:
 def child(src: str, what: str) -> None:
     """In a fresh process: one pass of workload ``what``, or of the large
     decompositions, on the side under ``src``; prints its PASS_KEYS, and
-    on the decompose pass DECOMPOSE_KEY."""
+    on the TRACED passes TRACED_KEY."""
     side = ab.load_side("side", src)
     if what == "decompose":
         cases = (ab.transform_spec(ab.SEED, i) for i in range(inputs.TRANSFORM_CASES))
@@ -89,7 +92,7 @@ def child(src: str, what: str) -> None:
         os.chdir(ab.ROOT)
     use = resource.getrusage(resource.RUSAGE_SELF)
     values = [use.ru_maxrss / 1024.0, use.ru_minflt, use.ru_stime]
-    if what == "decompose":  # after getrusage, so tracing leaves the columns above alone
+    if what in TRACED:  # after getrusage, so tracing leaves the columns above alone
         peak = 0
         tracemalloc.start()
         for op in ops:
@@ -124,7 +127,7 @@ def main() -> None:
             for name in ab.order(k):
                 print(f"run {k}: {name}", file=sys.stderr)
                 for what in ab.WORKLOADS + ("decompose",):
-                    keys = PASS_KEYS + ((DECOMPOSE_KEY,) if what == "decompose" else ())
+                    keys = PASS_KEYS + ((TRACED_KEY,) if what in TRACED else ())
                     for key, v in zip(keys, measure(PASS, BENCH, srcs[name], what), strict=True):
                         runs[name].setdefault(f"{key} {what}", []).append(v)
     results = {key: {name: ab.summarize(runs[name][key]) for name in runs} for key in runs["after"]}
@@ -134,7 +137,7 @@ def main() -> None:
               f"after {a['median']:9.3f} (IQR {a['q1']:.3f}-{a['q3']:.3f})")
     if args.out:
         ab.write_json(args.out, "fresh-process numbers: import time, peak RSS, minor faults and "
-                      "system CPU of a pass, and the decompose pass's tracemalloc peak", sha,
+                      "system CPU of a pass, and the largest tracemalloc peak of one op", sha,
                       {"runs": RUNS, "imports": IMPORTS, "seed": ab.SEED, "decompose_big_entries": DECOMPOSE_BIG},
                       results)
 

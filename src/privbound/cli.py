@@ -331,9 +331,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 )
     doc = mechanism_report(rep, mech.allocation, options)
     if args.decompose:
-        mono = mechanisms.materialize_monolithic(p, mech)
-        _, dchecks = mechanisms.decompose_transform(p, mono)
-        _, tchecks = mechanisms.refine_transform(p, mono)
+        dchecks, tchecks = mechanisms._transform_checks(p, mechanisms.materialize_monolithic(p, mech))
         doc.update(_in_units({"decompose": _fields(dchecks), "refine": _fields(tchecks)}, options))
     _emit(doc)
     return EXIT_OK

@@ -79,16 +79,7 @@ class Kernel:
         if np.any(t < -1e-12):
             raise ValidationError(f"Kernel.table contains negative entries (min={t.min()!r})")
         t = np.clip(t, 0.0, None)
-        sums = t.sum(axis=2)
-        if np.any(np.abs(sums - 1.0) > KERNEL_SLICE_TOL):
-            worst = float(np.abs(sums - 1.0).max())
-            raise ValidationError(f"Kernel slices must sum to 1 (worst deviation {worst})")
-        # renormalize only material deviations, so serialization round-trips
-        # reproduce the stored values bit for bit
-        off = np.abs(sums - 1.0) > 1e-12
-        if off.any():
-            t = t.copy()
-            t[off] = t[off] / sums[off][:, None]
+        _normalize_slices(t)
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
 
@@ -103,6 +94,18 @@ class Kernel:
     @property
     def alphabet_u(self) -> int:
         return self.table.shape[2]
+
+
+def _normalize_slices(t: np.ndarray) -> None:
+    """Check that each (x, y) slice of a kernel table sums to 1 and, in place,
+    renormalize only those off by more than 1e-12, so round-trips keep bits."""
+    sums = t.sum(axis=2)
+    dev = np.abs(sums - 1.0)
+    if np.any(dev > KERNEL_SLICE_TOL):
+        raise ValidationError(f"Kernel slices must sum to 1 (worst deviation {float(dev.max())})")
+    off = dev > 1e-12
+    if off.any():
+        np.divide(t, sums[:, :, None], out=t, where=off[:, :, None])
 
 
 CONSTRUCTION_KINDS = ("frl", "efrl", "identity", "constant", "refined")
@@ -130,7 +133,7 @@ class ComposedMechanism:
 
     @property
     def cardinality(self) -> int:
-        return int(np.prod([k.alphabet_u for k in self.kernels]))
+        return math.prod(k.alphabet_u for k in self.kernels)
 
 
 @dataclass(frozen=True)
@@ -372,7 +375,7 @@ def monolithic_joint(p: Problem, k: Kernel) -> JointN:
     """Joint law over (x_1..x_N, y_1..y_N, u) for a full-joint kernel."""
     dims_x = tuple(c.card_x for c in p.components)
     dims_y = tuple(c.card_y for c in p.components)
-    nx, ny = int(np.prod(dims_x)), int(np.prod(dims_y))
+    nx, ny = math.prod(dims_x), math.prod(dims_y)
     if (k.card_x, k.card_y) != (nx, ny):
         raise AlphabetMismatchError(
             f"kernel is {k.card_x}x{k.card_y}, flattened problem is {nx}x{ny}"
@@ -422,15 +425,29 @@ def materialize_monolithic(p: Problem, m: ComposedMechanism) -> Kernel:
     """Flatten a composed mechanism to a single kernel over product alphabets."""
     nx = math.prod(c.card_x for c in p.components)
     ny = math.prod(c.card_y for c in p.components)
-    nu = math.prod(k.alphabet_u for k in m.kernels)
-    probcore.check_size("materialized kernel", nx * ny * nu)
-    t = m.kernels[0].table
-    for k in m.kernels[1:]:
-        t = np.multiply.outer(t, k.table)
-    # axes currently (x1,y1,u1,...,xN,yN,uN); regroup to (x..., y..., u...)
-    n = p.n_components
-    perm = [3 * i for i in range(n)] + [3 * i + 1 for i in range(n)] + [3 * i + 2 for i in range(n)]
-    return Kernel(np.transpose(t, perm).reshape(nx, ny, nu))
+    probcore.check_size("materialized kernel", nx * ny * m.cardinality)
+    out = np.empty((nx, ny, m.cardinality))
+    _compose_into(m, out)
+    return Kernel(out)
+
+
+def _compose_into(m: ComposedMechanism, out: np.ndarray) -> None:
+    """Write the flattened kernel of ``m``, ((k_1 (x) k_2) (x) ...) (x) k_N
+    checked and renormalized in place as ``Kernel`` does, into ``out[:, :,
+    :|U|]`` of a C-ordered (|X|, |Y|, >= |U|) array, through a view in the
+    product's (x_1, y_1, u_1, ..., x_N, y_N, u_N) axis order. Beside ``out``
+    it allocates only the product of k_1..k_{N-1}, |X||Y| slice sums and
+    numpy's iterator buffers (``np.getbufsize()`` entries per operand)."""
+    tables = [k.table for k in m.kernels]
+    flat = out[:, :, :m.cardinality]
+    # only axes are split, so this is a view
+    view = flat.reshape([t.shape[a] for a in range(3) for t in tables]).transpose(
+        [a * len(tables) + i for i in range(len(tables)) for a in range(3)])
+    t = 1.0  # the empty product: 1.0 * k_1 is k_1 bit for bit
+    for k in tables[:-1]:
+        t = np.multiply.outer(t, k)
+    np.multiply.outer(t, tables[-1], out=view)
+    _normalize_slices(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +585,19 @@ def decompose_transform(p: Problem, m: Kernel) -> tuple[BarMechanism, Decomposit
     block's cells before its last bar factor, |Y||U| prod_{i<N} |B_i|. The
     size cap still counts the whole joint, as its cells are all computed.
     """
-    n = p.n_components
+    return _decompose(p, *_joint_and_bar(p, m))
+
+
+def _joint_and_bar(p: Problem, m: Kernel) -> tuple[JointN, BarMechanism]:
+    """The monolithic joint of a full-joint kernel and its bar kernels,
+    which both transforms read."""
     j = monolithic_joint(p, m)
-    bar = _bar_kernels(p, j)
+    return j, _bar_kernels(p, j)
+
+
+def _decompose(p: Problem, j: JointN, bar: BarMechanism) -> tuple[BarMechanism, DecompositionChecks]:
+    """``decompose_transform`` of the kernel with joint ``j`` and bar kernels ``bar``."""
+    n = p.n_components
     probcore.check_size("decomposition joint", j.table.size * math.prod(bar.alphabets))
 
     axes_x, axes_y = j.axes[:n], j.axes[n:2 * n]
@@ -649,9 +676,12 @@ def refine_transform(
     """
     if stats is None:
         stats = validate(p)
-    j = monolithic_joint(p, m)
-    bar = _bar_kernels(p, j)
+    return _refine(p, *_joint_and_bar(p, m), stats)
 
+
+def _refine(p: Problem, j: JointN, bar: BarMechanism,
+            stats: ProblemStats) -> tuple[ComposedMechanism, RefinementChecks]:
+    """``refine_transform`` of the kernel with joint ``j`` and bar kernels ``bar``."""
     kernels = []
     for i, c in enumerate(p.components):
         b_mat = bar.kernels[i]  # (nx, mb)
@@ -682,6 +712,13 @@ def refine_transform(
         user_slack=slack,
     )
     return mech, checks
+
+
+def _transform_checks(p: Problem, m: Kernel) -> tuple[DecompositionChecks, RefinementChecks]:
+    """The checks of ``decompose_transform`` and ``refine_transform`` on one
+    kernel, both read from one monolithic joint and one set of bar kernels."""
+    j, bar = _joint_and_bar(p, m)
+    return _decompose(p, j, bar)[1], _refine(p, j, bar, validate(p))[1]
 
 
 # ---------------------------------------------------------------------------

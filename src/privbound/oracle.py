@@ -203,8 +203,8 @@ class _Evaluator:
         self.card_u = card_u
         self.dims_x = tuple(c.card_x for c in p.components)
         self.dims_y = tuple(c.card_y for c in p.components)
-        self.nx = int(np.prod(self.dims_x))
-        self.ny = int(np.prod(self.dims_y))
+        self.nx = math.prod(self.dims_x)
+        self.ny = math.prod(self.dims_y)
         probcore.check_size("oracle kernel", self.nx * self.ny * card_u)
         self.pxy = mechanisms.flat_joint_xy(p)
         self.px = self.pxy.sum(axis=1)
@@ -653,8 +653,10 @@ def _initial_tables(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Start
     |U|) array, and return the u-columns it may have put mass in. Restart 0
     relabels Y (y folded to y mod |U|); restart r >= 1 embeds its warm start
     ``starts[r - 1]``, where that is a mechanism no wider than |U|, in the
-    first columns of u, to be re-evaluated from scratch by the search.
-    Restarts with no warm start take seeded random kernels."""
+    first columns of u (``mechanisms._compose_into``), to be re-evaluated
+    from scratch by the search; beside ``out`` it allocates only the product
+    of its first N - 1 kernels, |X||Y| slice sums and numpy's iterator
+    buffers. Restarts with no warm start take seeded random kernels."""
     if restart == 0:
         cols = np.arange(ev.ny) % ev.card_u
         out[:, np.arange(ev.ny), cols] = 1.0
@@ -662,7 +664,7 @@ def _initial_tables(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Start
     mech = starts[restart - 1] if restart <= len(starts) else None
     if mech is not None and mech.cardinality <= ev.card_u:
         # no wider than the evaluator's size-checked kernel, so within the cap
-        out[:, :, : mech.cardinality] = mechanisms.materialize_monolithic(p, mech).table
+        mechanisms._compose_into(mech, out)
         return slice(mech.cardinality)
     np.random.default_rng([cfg.seed, restart]).standard_exponential(out=out)
     out /= out.sum(axis=2, keepdims=True)
@@ -754,8 +756,8 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
 
 def _flat_sizes(p: Problem) -> tuple[int, int]:
     """|X| and |Y| of the flattened product alphabets."""
-    return (int(np.prod([c.card_x for c in p.components])),
-            int(np.prod([c.card_y for c in p.components])))
+    return (math.prod(c.card_x for c in p.components),
+            math.prod(c.card_y for c in p.components))
 
 
 def default_card_u(p: Problem) -> int:

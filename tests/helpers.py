@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
 
 from privbound import bounds as bounds_mod
-from privbound import mechanisms
+from privbound import mechanisms, probcore
 from privbound.cli import PROBLEM_SCHEMA
 from privbound.mechanisms import ComposedMechanism, ConstructionTag, Kernel, identity_kernel
 from privbound.model import Component, Problem, User, trivial_optimum, user_weight_mass, validate
@@ -124,6 +125,23 @@ def constant_mechanism(p: Problem) -> ComposedMechanism:
         kernels=tuple(Kernel(np.ones((c.card_x, c.card_y, 1))) for c in p.components),
         tags=tuple(ConstructionTag("constant") for _ in p.components),
     )
+
+
+def materialize_reference(p: Problem, m: ComposedMechanism) -> Kernel:
+    """Reference flattening of a composed mechanism: the outer products
+    and regrouping transpose that ``mechanisms.materialize_monolithic`` ran
+    before it wrote through ``mechanisms._compose_into``, kept verbatim."""
+    nx = math.prod(c.card_x for c in p.components)
+    ny = math.prod(c.card_y for c in p.components)
+    nu = math.prod(k.alphabet_u for k in m.kernels)
+    probcore.check_size("materialized kernel", nx * ny * nu)
+    t = m.kernels[0].table
+    for k in m.kernels[1:]:
+        t = np.multiply.outer(t, k.table)
+    # axes currently (x1,y1,u1,...,xN,yN,uN); regroup to (x..., y..., u...)
+    n = p.n_components
+    perm = [3 * i for i in range(n)] + [3 * i + 1 for i in range(n)] + [3 * i + 2 for i in range(n)]
+    return Kernel(np.transpose(t, perm).reshape(nx, ny, nu))
 
 
 def problem_to_dict(p: Problem, options: dict | None = None) -> dict:

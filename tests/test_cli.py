@@ -173,6 +173,31 @@ class TestMechanizeVerify:
         ):
             assert orig <= star + slack + 1e-9
 
+    @pytest.mark.parametrize("doc", [noisy_doc(), problem_to_dict(random_problem(1, max_card=2)),
+                                     problem_to_dict(random_problem(11))])
+    @pytest.mark.parametrize("variant", B.VARIANTS)
+    def test_verify_decompose_builds_the_joint_once(self, tmp_path, capsys, monkeypatch, doc, variant):
+        # the two transforms share one monolithic joint and one set of bar
+        # kernels, and the command prints the bytes it printed when each
+        # transform built its own
+        path = write_problem(tmp_path, doc)
+        mech_path = str(tmp_path / "mech.json")
+        assert run(capsys, ["mechanize", path, "--out", mech_path, "--variant", variant])[0] == 0
+        argv = ["verify", path, mech_path, "--decompose"]
+        calls = dict.fromkeys(["monolithic_joint", "_bar_kernels"], 0)
+        for name in calls:
+            def counted(*args, _f=getattr(M, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(M, name, counted)
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert calls == {"monolithic_joint": 1, "_bar_kernels": 1}
+        monkeypatch.undo()
+        monkeypatch.setattr(M, "_transform_checks", lambda p, m: (M.decompose_transform(p, m)[1],
+                                                                  M.refine_transform(p, m)[1]))
+        assert run(capsys, argv) == (0, out, "")
+
     def test_alphabet_mismatch_exits_4(self, tmp_path, capsys):
         path = write_problem(tmp_path, noisy_doc())
         mech_path = str(tmp_path / "mech.json")
@@ -389,6 +414,20 @@ class TestOracleCommand:
         # the report's stage wall clocks are not printed: reruns print the same
         assert "stage" not in out
         assert run(capsys, ["oracle", path, "--seed", "0", "--restarts", "4"])[1] == out
+
+    def test_overflowing_alphabets_exit_3(self, tmp_path, capsys, monkeypatch):
+        # 64 binary components: |X| = |Y| = 2^64, which an int64 product
+        # wraps to 0; the size cap must refuse the search before any
+        # flattened array is formed
+        def unguarded(p):
+            raise AssertionError("flattened joint formed past the size cap")
+
+        monkeypatch.setattr(M, "flat_joint_xy", unguarded)
+        doc = copy_pair_doc(0.01)
+        doc["components"] = [{"name": f"c{i}", "matrix": [[0.4, 0.1], [0.1, 0.4]]} for i in range(64)]
+        code, out, err = run(capsys, ["oracle", write_problem(tmp_path, doc)])
+        assert (code, out) == (3, "")
+        assert "oracle kernel would have" in err
 
     def test_negative_seed_exits_3(self, tmp_path, capsys):
         path = write_problem(tmp_path, copy_pair_doc(0.1))

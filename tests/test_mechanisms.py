@@ -13,14 +13,17 @@ from helpers import (
     bsc_component,
     constant_mechanism,
     identity_mechanism,
+    materialize_reference,
     random_component,
     random_problem,
+    random_users,
     xy_copy_component,
 )
 from privbound import bounds as B
 from privbound import mechanisms as M
+from privbound import oracle as O
 from privbound import probcore as pc
-from privbound.errors import PrivboundError, SizeCapError, ValidationError
+from privbound.errors import AlphabetMismatchError, PrivboundError, SizeCapError, ValidationError
 from privbound.model import Component, Problem, User, trivial_optimum, validate
 from privbound.probcore import Joint2
 
@@ -338,6 +341,121 @@ class TestEvaluate:
             for a, b in zip(composed.utilities, mono.utilities):
                 assert a == pytest.approx(b, abs=1e-9)
             assert composed.h_y_given_xu == pytest.approx(mono.h_y_given_xu, abs=1e-9)
+
+
+def random_composed(rng, p: Problem, max_u: int = 5, scale: float = 1.0) -> M.ComposedMechanism:
+    """Random per-component kernels, each slice scaled by ``scale``."""
+    kernels = tuple(M.Kernel(rng.dirichlet(np.ones(int(rng.integers(1, max_u + 1))), size=(c.card_x, c.card_y))
+                             * scale) for c in p.components)
+    return M.ComposedMechanism(kernels, tuple(M.ConstructionTag("refined") for _ in kernels))
+
+
+def n_component_problem(rng, n: int) -> Problem:
+    comps = tuple(random_component(rng, f"c{i}") for i in range(n))
+    return Problem(comps, random_users(rng, n), 0.0)
+
+
+def embedded(p: Problem, m: M.ComposedMechanism, extra: int) -> np.ndarray:
+    """The warm-start row ``oracle._initial_tables`` writes for ``m`` with
+    ``extra`` u-columns to spare."""
+    ev = O._Evaluator(p, m.cardinality + extra)
+    row = np.zeros((ev.nx, ev.ny, ev.card_u))
+    assert O._initial_tables(ev, p, O.OracleConfig(seed=0), (m,), 1, row) == slice(m.cardinality)
+    return row
+
+
+class TestComposeInto:
+    """The one product path: ``materialize_monolithic`` and the search's warm
+    starts against the outer-products-and-transpose reference, as raw bytes."""
+
+    def assert_matches(self, p, m, extra=0):
+        ref = materialize_reference(p, m).table
+        assert M.materialize_monolithic(p, m).table.tobytes() == ref.tobytes()
+        row = embedded(p, m, extra)
+        nu = m.cardinality
+        assert np.ascontiguousarray(row[:, :, :nu]).tobytes() == ref.tobytes()
+        # the later columns stay exactly +0.0
+        assert np.ascontiguousarray(row[:, :, nu:]).tobytes() == bytes(8 * row[:, :, nu:].size)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_kernels_bit_for_bit(self, n):
+        for seed in range(8):
+            rng = np.random.default_rng([n, seed])
+            p = n_component_problem(rng, n)
+            self.assert_matches(p, random_composed(rng, p))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_constructions_bit_for_bit(self, n):
+        for seed in range(12):
+            rng = np.random.default_rng([n, seed, 1])
+            p = n_component_problem(rng, n)
+            stats = validate(p)
+            p = Problem(p.components, p.users, 0.6 * stats.total_mi)
+            stats = validate(p)
+            for v in B.VARIANTS:
+                self.assert_matches(p, M.compose_multiuser(p, B.allocate_epsilon(p, stats, v)))
+            self.assert_matches(p, M.refinement_profile(p).compose(p, None))
+
+    def test_narrower_than_card_u(self):
+        rng = np.random.default_rng(5)
+        p = n_component_problem(rng, 3)
+        self.assert_matches(p, random_composed(rng, p), extra=7)
+
+    def test_product_of_slices_just_off_is_renormalized(self):
+        # each factor's slices sum to 1 + 0.9e-12, which Kernel keeps as
+        # stored; their product is off by about 2.7e-12 and is renormalized
+        rng = np.random.default_rng(17)
+        p = n_component_problem(rng, 3)
+        m = random_composed(rng, p, scale=1.0 + 0.9e-12)
+        for k in m.kernels:
+            dev = np.abs(k.table.sum(axis=2) - 1.0)
+            assert 0.8e-12 < dev.min() and dev.max() < 1e-12
+        raw = m.kernels[0].table
+        for k in m.kernels[1:]:
+            raw = np.multiply.outer(raw, k.table)
+        assert np.abs(raw.sum(axis=(2, 5, 8)) - 1.0).min() > 1e-12
+        self.assert_matches(p, m, extra=3)
+        row = embedded(p, m, 3)
+        assert np.abs(row.sum(axis=2) - 1.0).max() < 1e-15
+
+    def test_warm_start_allocates_no_kernel_sized_array(self):
+        # 3 x (3 x 3 x 8): a 27 x 27 x 512 warm start, 373,248 entries (2.9
+        # MiB); the search's stack row is allocated before tracing. Beside
+        # the partial product and the slice sums, only the last outer
+        # product's iterator buffers are allowed: np.getbufsize() entries for
+        # each of its three operands, whatever the kernel's size
+        rng = np.random.default_rng(23)
+        comps = tuple(Component(f"c{i}", Joint2(rng.dirichlet(np.ones(9)).reshape(3, 3))) for i in range(3))
+        p = Problem(comps, (User((0, 1, 2), 1.0),), 0.0)
+        kernels = tuple(M.Kernel(rng.dirichlet(np.ones(8), size=(3, 3))) for _ in comps)
+        m = M.ComposedMechanism(kernels, tuple(M.ConstructionTag("refined") for _ in kernels))
+        ev = O._Evaluator(p, m.cardinality)
+        row = np.zeros((ev.nx, ev.ny, ev.card_u))
+        assert row.size >= 3e5
+        partial = 8 * kernels[0].table.size * kernels[1].table.size
+        sums = 8 * ev.nx * ev.ny
+        tracemalloc.start()
+        try:
+            O._initial_tables(ev, p, O.OracleConfig(seed=0), (m,), 1, row)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffers = 3 * 8 * np.getbufsize()
+        assert peak <= partial + sums + buffers, (peak, partial, sums, buffers)
+        assert np.ascontiguousarray(row).tobytes() == materialize_reference(p, m).table.tobytes()
+
+
+class TestOverflowingAlphabets:
+    """Alphabet sizes are exact integers: 64 binary components have 2^64
+    flattened symbols, which an int64 product wraps to 0."""
+
+    def test_cardinality_and_monolithic_sizes(self):
+        k = M.Kernel(np.full((2, 2, 2), 0.5))
+        m = M.ComposedMechanism((k,) * 64, (M.ConstructionTag("refined"),) * 64)
+        assert m.cardinality == 2**64
+        comps = tuple(Component(f"c{i}", Joint2(np.full((2, 2), 0.25))) for i in range(64))
+        with pytest.raises(AlphabetMismatchError, match=f"flattened problem is {2**64}x{2**64}"):
+            M.monolithic_joint(Problem(comps, (User((0,), 1.0),), 0.0), M.Kernel(np.ones((2, 2, 1))))
 
 
 class TestSerialization:

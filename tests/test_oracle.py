@@ -10,7 +10,7 @@ from privbound import bounds as B
 from privbound import mechanisms as M
 from privbound import model
 from privbound import oracle as O
-from privbound.errors import PrivboundError, ValidationError
+from privbound.errors import PrivboundError, SizeCapError, ValidationError
 from privbound.model import Component, Problem, User, trivial_optimum, validate
 from privbound.probcore import Joint2, _mi
 
@@ -120,6 +120,19 @@ class TestSizeCap:
         res = O.search(p, cfg)
         assert len(res.trace) == 4
         assert res.leakage_at_best <= p.epsilon + 1e-9
+
+    def test_overflowing_alphabets_are_over_cap(self, monkeypatch):
+        # 64 binary components: |X| = |Y| = 2^64, which an int64 product
+        # wraps to 0; the evaluator must refuse before forming P(x, y)
+        def unguarded(p):
+            raise AssertionError("flattened joint formed past the size cap")
+
+        monkeypatch.setattr(M, "flat_joint_xy", unguarded)
+        comps = tuple(Component(f"c{i}", Joint2(np.array([[0.4, 0.1], [0.1, 0.4]]))) for i in range(64))
+        p = single_user(0.01, *comps)
+        assert O._flat_sizes(p) == (2**64, 2**64)
+        with pytest.raises(SizeCapError, match="oracle kernel"):
+            O._Evaluator(p, 16)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed"):
