@@ -87,7 +87,8 @@ import inputs  # noqa: E402  perfbench/inputs.py
 WORKLOADS = ("small", "large", "criterion", "closed_form")
 SEED = 301  # default bank relabeling seed
 CRITERION_SEEDS = 200
-COUNTERS = ("projections", "leakage_evals", "candidates", "accepted", "sweeps", "groups")
+# read with a default of 0 (``counter``), so a revision without one still loads
+COUNTERS = ("projections", "leakage_evals", "candidates", "jump_only", "accepted", "sweeps", "groups")
 VARIANTS = ("frl", "esfrl")
 TRANSFORMS = ("evaluate_monolithic", "decompose_transform", "refine_transform")
 NUMBER_TOL = 1e-12
@@ -260,7 +261,7 @@ def search_record(report) -> dict:
     search = {"trace": list(res.trace), "best_objective": res.best_objective,
               "leakage_at_best": res.leakage_at_best, "kernel_shape": list(table.shape),
               "kernel_fingerprint": None if tied else float(table.ravel() @ weights),
-              **{name: getattr(res, name) for name in COUNTERS}}
+              **{name: counter(res, name) for name in COUNTERS}}
     return {"search": search, "lower": report.lower, "mech_objective": report.mech_objective,
             "upper": report.upper, "ok": report.ok}
 
@@ -350,17 +351,30 @@ def first_pair(ops: dict, dirs: dict) -> tuple[dict, dict]:
                      for name in ops}
 
 
+def counter(res, name: str) -> int:
+    """A search counter, 0 where the revision does not count it: one
+    without ``jump_only`` scored BATCH candidates per live restart-sweep."""
+    return getattr(res, name, 0)
+
+
 def search_counts(reports: list, batch: int) -> dict:
-    """Search counters summed over the checks, with ``swept_entries``
-    against ``full_width_entries`` (what the sweeps' marginals and vertex
-    choices form when every u-column is read: 2 x |X||Y||U| per sweep row),
-    and ratios of the totals."""
+    """Search counters summed over the checks, with ``formed_rows``, the
+    restart-sweeps that formed their marginals ((candidates - jump_only) /
+    BATCH: BATCH candidates each, against 1 per jump-only restart-sweep),
+    ``swept_entries`` against ``full_width_entries`` (what those rows'
+    marginals and vertex choices form when every u-column is read:
+    2 x |X||Y||U| per formed row), and ratios of the totals."""
     res = [r.search for r in reports]
-    out = {name: sum(getattr(s, name) for s in res) for name in COUNTERS + ("swept_entries",)}
-    out["full_width_entries"] = sum(2 * s.best_kernel.table.size * s.candidates // batch for s in res)
+    out = {name: sum(counter(s, name) for s in res) for name in COUNTERS + ("swept_entries",)}
+    formed = [(s.candidates - counter(s, "jump_only")) // batch for s in res]
+    out["formed_rows"] = sum(formed)
+    out["full_width_entries"] = sum(2 * s.best_kernel.table.size * f for s, f in zip(res, formed))
+    out["restart_sweeps"] = out["formed_rows"] + out["jump_only"]
     for ratio, (num, den) in {"leakage_evals_per_repair": ("leakage_evals", "projections"),
                               "accepted_per_candidate": ("accepted", "candidates"),
                               "candidates_per_sweep": ("candidates", "sweeps"),
+                              "formed_rows_per_sweep": ("formed_rows", "sweeps"),
+                              "jump_only_frac": ("jump_only", "restart_sweeps"),
                               "swept_frac": ("swept_entries", "full_width_entries")}.items():
         out[ratio] = out[num] / out[den] if out[den] else None
     return out

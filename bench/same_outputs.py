@@ -28,12 +28,16 @@ exceeds 1), so a change that only reorders floating-point sums passes.
   as numbers, with the largest difference per column.
 
 Prints, per part, the outputs compared and those that differ, with the
-first differences; exits 1 on any difference.
+first differences; exits 1 on any difference. ``--by-design COUNTER ...``
+names search counters (``ab.COUNTERS``) that the change moves on purpose:
+they are left out of the comparison, and their totals are printed per
+bank and side instead.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import os
 import sys
@@ -105,10 +109,13 @@ def sweep_outputs(sides: dict, dirs: dict, largest: dict):
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--before", required=True)
+    ap.add_argument("--by-design", nargs="+", default=[], choices=ab.COUNTERS, metavar="COUNTER",
+                    help="search counters left out of the comparison; their totals are printed")
     args = ap.parse_args()
 
     failed = False
     largest: dict = {}
+    totals: dict = collections.defaultdict(collections.Counter)
     with tempfile.TemporaryDirectory() as tmp:
         sha, sides = ab.load_sides(args.before, tmp)
         dirs = {name: os.path.join(tmp, name) for name in sides}
@@ -121,6 +128,10 @@ def main() -> None:
             compared, found, moved = 0, [], []
             for item, recs in items:
                 compared += 1
+                for side, rec in recs.items():
+                    if "search" in rec:
+                        for name in args.by_design:
+                            totals[f"{item.split()[0]} {side}"][name] += rec["search"].pop(name)
                 found += ab.differences(recs["before"], recs["after"], item, moved)[:1]
             largest_moved = f", largest {max(moved):.3g}" if moved else ""
             print(f"{part}: {compared} outputs compared, {len(found)} differ; "
@@ -130,6 +141,8 @@ def main() -> None:
             failed = failed or bool(found)
     for col, gap in largest.items():
         print(f"  sweep column {col}: largest difference {gap:.3g}")
+    for key, counts in totals.items():
+        print(f"  {key}: " + ", ".join(f"{name} {n}" for name, n in counts.items()))
     sys.exit(1 if failed else 0)
 
 

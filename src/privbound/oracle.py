@@ -16,25 +16,32 @@ A restart's only state is its kernel tensor, with a mask of the u-columns
 that may hold mass (it may hold more, never fewer). The mask is set from
 the start (restart 0's relabelled Y, a warm start's first columns, all of
 a seeded kernel's) and from each accepted candidate, never from a pass
-over the kernel. One rule, ``_narrow``, picks the u-columns each sweep
-reads: the union of the live restarts' masks plus each restart's first
-empty column, which stands for all of its empty ones (they score alike in
-the vertex directions' argmax, which keeps the first), and only where
-that skips at least BLOCK_ENTRIES kernel entries. Each sweep packs the
-live restarts' marginals P(x,u) and P(y_S,u) once, over those columns
-(every other one is zero), takes the vertex directions' argmax over the
-same columns, and scores every candidate from a few sums of marginals,
-which are linear in the kernel: sum m ln m per marginal, column u = 0,
-and P(u) (the row sums are fixed at p(x) and p(y_S)). A step toward a
-vertex direction changes at most |X||Y| cells of each marginal, and the
-jump only those of its moved columns, so only the accepted candidate's
-kernel is formed, in place (scaled at full width: its zero columns stay
-zero). Infeasible candidates are repaired by mixing toward the constant
-kernel, which scales every column u >= 1 by (1 - t); so every MI and its
-slope in t are read in closed form from column u = 0, and each mixing
-weight is found by safeguarded Newton steps that also return the repaired
-scores (``leakage_project`` repairs one kernel the same way). Everything
-is driven by numpy generators seeded from (seed, restart index), and the
+over the kernel. Each sweep packs the marginals P(x,u) and P(y_S,u) of
+the live restarts whose kernel changed since their last sweep (all of
+them on a group's first), in place in the group's one buffer of packed
+marginals, takes their vertex directions' argmax and scores their BATCH
+candidates. A restart whose last sweep accepted nothing keeps its
+marginals there and scores only its jump, the one candidate drawn fresh:
+its step candidates would score the same bits against the same running
+best, so none could be accepted. One rule, ``_narrow``, picks the
+u-columns a sweep reads: the union of the masks of the restarts whose
+marginals it forms plus each one's first empty column, which stands for
+all of its empty ones (they score alike in the vertex directions'
+argmax, which keeps the first), and only where that skips at least
+BLOCK_ENTRIES kernel entries. The marginals are formed over those columns
+(every other one is zero), the argmax reads the same columns, and every
+candidate is scored from a few sums of marginals, which are linear in the
+kernel: sum m ln m per marginal, column u = 0, and P(u) (the row sums are
+fixed at p(x) and p(y_S)). A step toward a vertex direction changes at
+most |X||Y| cells of each marginal, and the jump only those of its moved
+columns, so only the accepted candidate's kernel is formed, in place
+(scaled at full width: its zero columns stay zero). Infeasible candidates
+are repaired by mixing toward the constant kernel, which scales every
+column u >= 1 by (1 - t); so every MI and its slope in t are read in
+closed form from column u = 0, and each mixing weight is found by
+safeguarded Newton steps that also return the repaired scores
+(``leakage_project`` repairs one kernel the same way). Everything is
+driven by numpy generators seeded from (seed, restart index), and the
 masks only skip columns that are zero, so results are reproducible bit
 for bit and do not depend on how restarts are grouped.
 
@@ -99,15 +106,21 @@ class OracleResult:
     trace: tuple[float, ...]
     projections: int = 0      # infeasible candidates repaired
     leakage_evals: int = 0    # I(X;U) evaluations spent on those repairs
-    candidates: int = 0       # candidates scored by the sweeps
+    # candidates scored by the sweeps: BATCH per restart-sweep that formed
+    # its marginals, 1 (the jump) per restart-sweep counted in jump_only
+    candidates: int = 0
     accepted: int = 0         # candidates that beat the running best
+    # live restart-sweeps that scored only their jump: the restart's last
+    # sweep accepted nothing, so its kernel and step candidates are unchanged
+    jump_only: int = 0
     # sweeps, groups and swept_entries depend on how restarts are grouped
     # (GROUP_BUDGET), unlike the search itself
     sweeps: int = 0           # batched scoring passes, one per group sweep
     groups: int = 0           # restart groups run in lockstep
-    # 2 x rows x |X||Y| x u-columns per sweep: its marginals and its vertex
-    # choices read the same columns (``_narrow``: the union of its rows'
-    # masks plus each row's first empty column)
+    # 2 x rows x |X||Y| x u-columns per sweep, over the rows that formed
+    # their marginals: those and their vertex choices read the same columns
+    # (``_narrow``: the union of those rows' masks plus each one's first
+    # empty column)
     swept_entries: int = 0
 
 
@@ -191,12 +204,14 @@ class _Evaluator:
     hold mass. ``_narrow`` turns a sweep's masks into the one set of
     columns it reads (None: all of them): ``occupied_marginals`` forms the
     packed marginals over that set only and scatters them into the
-    full-width layout, so every scorer sees the same arrays as from
-    ``marginals``, and ``vertex_choices`` takes its argmax over the same
-    set. ``step_into``, ``jump_into`` and ``mix_into`` overwrite the
-    accepted kernel in place and keep the mask covering its mass. Every
-    kept number is formed from the same operands in the same order as at
-    full width, so the search is the same bit for bit.
+    full-width layout of the rows it is handed (slots of the group's
+    buffer), so every scorer sees the same arrays as from ``marginals``,
+    and ``vertex_choices`` takes its argmax over the same set.
+    ``step_into``, ``jump_into`` and ``mix_into`` overwrite the accepted
+    kernel in place and keep the mask covering its mass. Every kept number
+    is formed from the same operands in the same order as at full width,
+    and each row's numbers do not depend on the other rows of its batch,
+    so the search is the same bit for bit.
     """
 
     def __init__(self, p: Problem, card_u: int):
@@ -213,6 +228,7 @@ class _Evaluator:
         self.projections = 0
         self.leakage_evals = 0
         self.candidates = 0
+        self.jump_only = 0
         self.accepted = 0
         self.sweeps = 0
         self.groups = 0
@@ -237,6 +253,8 @@ class _Evaluator:
         self.row_starts = np.cumsum([0] + rows)
         self.fam_offs = self.row_starts[:-1] * card_u
         self.size = int(self.row_starts[-1]) * card_u
+        ends = [int(o) for o in self.fam_offs] + [self.size]
+        self.fam_bounds = list(zip(ends, ends[1:]))
         self.col0_idx = np.concatenate([off + np.arange(r) * card_u for off, r in zip(self.fam_offs, rows)])
         self.p_rows = np.concatenate([self.px, *p_user])
         self.rowconst = np.add.reduceat(_xlogx(self.p_rows), self.row_starts[:-1])
@@ -282,38 +300,41 @@ class _Evaluator:
             for drop in self.user_drops
         ]
 
-    def marginals(self, tables: np.ndarray) -> np.ndarray:
+    def marginals(self, tables: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Packed marginals of one kernel tensor, or of a stack of them over a
-        leading axis: shape (B, size). Kernels over fewer u-columns than |U|
-        give family rows of that many columns."""
+        leading axis: shape (B, size), written into ``out`` where given.
+        Kernels over fewer u-columns than |U| give family rows of that many
+        columns."""
         nu = tables.shape[-1]
         xu = np.einsum("xy,...xyu->...xu", self.pxy, tables).reshape(-1, self.nx * nu)
         yu = np.einsum("xy,...xyu->...yu", self.pxy, tables).reshape(-1, self.ny, nu)
-        return np.concatenate([xu, *(m.reshape(len(yu), -1) for m in self.user_marginals(yu))], axis=1)
+        return np.concatenate([xu, *(m.reshape(len(yu), -1) for m in self.user_marginals(yu))], axis=1, out=out)
 
-    def occupied_marginals(self, tables: np.ndarray, live: np.ndarray,
-                           cols: np.ndarray | None) -> np.ndarray:
-        """``marginals(tables[live])`` for a stack whose rows ``live`` are zero
-        outside the u-columns ``cols`` (``_narrow``; None: all), formed over
-        those columns only and scattered into the full-width layout. Only
-        the live rows get an einsum. The column gather reads every row of
-        the stack and then keeps the live ones: gathering only the live
-        rows, one at a time, measured 2-4 times faster per call but
-        narrowed stacks with stalled rows are too few for it to save a
-        measurable share of a search."""
-        every = live.size == len(tables)
+    def occupied_marginals(self, tables: np.ndarray, rows: np.ndarray,
+                           cols: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+        """``marginals(tables[rows])``, written into ``out`` (rows.size,
+        size) and returned, for a stack whose rows ``rows`` are zero outside
+        the u-columns ``cols`` (``_narrow``; None: all), formed over those
+        columns only and scattered into the full-width layout. Only those
+        rows get an einsum. The column gather reads every row of the stack
+        and then keeps the wanted ones: gathering only those, one at a
+        time, measured 2-4 times faster per call but narrowed stacks with
+        other rows are too few for it to save a measurable share of a
+        search."""
+        every = rows.size == len(tables)
         if cols is None:
-            return self.marginals(tables if every else tables[live])
+            return self.marginals(tables if every else tables[rows], out)
         sub = np.take(tables, cols, axis=3)
-        narrow = self.marginals(sub if every else sub[live])
-        marg = np.zeros((live.size, self.row_starts[-1], self.card_u))
-        marg[:, :, cols] = narrow.reshape(live.size, -1, cols.size)
-        return marg.reshape(live.size, self.size)
+        narrow = self.marginals(sub if every else sub[rows])
+        full = out.reshape(rows.size, self.row_starts[-1], self.card_u)
+        full.fill(0.0)
+        full[:, :, cols] = narrow.reshape(rows.size, -1, cols.size)
+        return out
 
     def unpack(self, marg: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Views of packed marginals: P(x,u) as (B, |X|, |U|) and one
-        (B, |S_j|, |U|) array per user."""
-        fams = [f.reshape(len(marg), -1, self.card_u) for f in np.split(marg, self.fam_offs[1:], axis=1)]
+        (B, |S_j|, |U|) array per user, sliced at the family offsets."""
+        fams = [marg[:, a:b].reshape(len(marg), -1, self.card_u) for a, b in self.fam_bounds]
         return fams[0], fams[1:]
 
     def jump_marginals(self, marg: np.ndarray, k: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -671,6 +692,29 @@ def _initial_tables(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Start
     return slice(None)
 
 
+def _lay_out(kept: np.ndarray, slot: np.ndarray, fresh: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """Give the rows ``fresh`` the first slots of ``kept``, in order, and the
+    rows ``held`` the next ones, keeping each held row's marginals: a held
+    row whose slot lies outside those moves, one row at a time, into a slot
+    that a fresh or stalled row leaves free. ``slot`` maps each row to its
+    slot; the live rows' slots are distinct, and stay so. Returns the rows
+    in slot order, the order of the sweep's batch."""
+    nf, nl = fresh.size, fresh.size + held.size
+    at = slot[held]
+    out = (at < nf) | (at >= nl)
+    free = np.ones(nl - nf, dtype=bool)
+    free[at[~out] - nf] = False
+    into = nf + np.flatnonzero(free)
+    for src, dst in zip(at[out].tolist(), into.tolist()):
+        kept[dst] = kept[src]
+    slot[held[out]] = into
+    slot[fresh] = np.arange(nf)
+    order = np.empty(nl, dtype=np.intp)
+    order[:nf] = fresh
+    order[slot[held]] = held
+    return order
+
+
 def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
                   restarts: range) -> tuple[list[float], tuple[float, np.ndarray, float]]:
     """Candidate-step ascent of a group of restarts in lockstep; returns the
@@ -680,13 +724,19 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
     stack is that one row.
 
     Every restart keeps its row of the group's state (kernel stack, column
-    mask, best, leak, stall count, random stream) throughout. Each sweep
-    scores BATCH candidates per live restart together, from the marginals
-    of the live restarts' kernels over their masked columns; each restart
-    walks its own candidates in order, accepting every one that beats its
-    running best (the last accepted overwrites its kernel in place, the
-    only candidate formed), and stops sweeping after 6 sweeps without an
-    acceptance.
+    mask, best, leak, stall count, random stream) throughout, and a slot of
+    the group's buffer of packed marginals. Each sweep scores the live
+    restarts' candidates together. A restart whose kernel changed since its
+    last sweep (every one, on the first) is fresh: the sweep forms its
+    marginals, in its slot, over the fresh rows' masked columns, and scores
+    its BATCH candidates. A restart whose last sweep accepted nothing is
+    held: its kernel, marginals and step candidates are what that sweep
+    scored, bit for bit, against the same running best, so none could be
+    accepted, and it scores only its jump, from the marginals in its slot.
+    Each restart walks its own candidates in order, accepting every one that
+    beats its running best (the last accepted overwrites its kernel in
+    place, the only candidate formed), and stops sweeping after 6 sweeps
+    without an acceptance.
     """
     eps = p.epsilon
     nxy, nu = ev.nx * ev.ny, ev.card_u
@@ -696,11 +746,15 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
     for row, r in enumerate(restarts):
         masks[row, _initial_tables(ev, p, cfg, starts, r, tables[row])] = True
     every = np.arange(len(rngs))
-    marg = ev.occupied_marginals(tables, every, _narrow(every.size * nxy, masks))
-    t_mix, scores = ev.repair(ev.terms(marg), eps, slack=LEAKAGE_SLACK)
+    # the group's one buffer of marginals; each sweep lays its live rows out
+    # in batch order, fresh ones first, and forms theirs in place
+    kept = ev.occupied_marginals(tables, every, _narrow(every.size * nxy, masks), np.empty((every.size, ev.size)))
+    t_mix, scores = ev.repair(ev.terms(kept), eps, slack=LEAKAGE_SLACK)
     best, leak = ev.objective(scores).tolist(), scores[:, 0].tolist()
     for table, mask, t in zip(tables, masks, t_mix.tolist()):
         ev.mix_into(table, mask, t)
+    slot = every.copy()
+    held_row = np.zeros(len(rngs), dtype=bool)   # no acceptance in the row's last sweep
     stall = np.zeros(len(rngs), dtype=int)
     # large kernels get proportionally fewer sweeps to keep runtime flat
     iters = min(cfg.iters, max(6, int(cfg.iters * 12_000 / max(nxy * nu, 1))))
@@ -710,44 +764,61 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
         live = np.flatnonzero(stall < 6)
         if live.size == 0:
             break
-        # the marginals and the vertex choices read the same columns
-        read = _narrow(live.size * nxy, masks[live])
-        marg = ev.occupied_marginals(tables, live, read)
-        # one log of the marginals serves both scorers; in place, to hold
-        # only one array of its size
-        ln = np.maximum(marg, _TINY)
-        np.log(ln, out=ln)
-        choices = ev.vertex_choices(marg, ln, read)
-        ev.swept_entries += 2 * live.size * nxy * (nu if read is None else read.size)
+        fresh, held = live[~held_row[live]], live[held_row[live]]
+        nf = fresh.size
+        order = _lay_out(kept, slot, fresh, held)
+        rows = order.tolist()
+        if nf:
+            # the marginals and the vertex choices read the same columns
+            read = _narrow(nf * nxy, masks[fresh])
+            marg = ev.occupied_marginals(tables, fresh, read, kept[:nf])
+            # one log of the marginals serves both scorers; in place, to
+            # hold only one array of its size
+            ln = np.maximum(marg, _TINY)
+            np.log(ln, out=ln)
+            choices = ev.vertex_choices(marg, ln, read)
+            ev.swept_entries += 2 * nf * nxy * (nu if read is None else read.size)
         # single-column vertex jumps (coordinate moves), from each restart's stream
         cols = np.empty((live.size, ncols), dtype=np.intp)
         vals = np.empty((live.size, ncols), dtype=np.intp)
-        for row, r in enumerate(live):
+        for row, r in enumerate(rows):
             cols[row] = rngs[r].choice(nxy, size=ncols, replace=False)
             vals[row] = rngs[r].integers(0, nu, size=ncols)
-        moved = tables.reshape(len(rngs), nxy, nu)[live[:, None], cols]
-        cands = ev.sweep_terms(marg, ln, choices, ev.terms(ev.jump_marginals(marg, moved, cols, vals)))
+        moved = tables.reshape(len(rngs), nxy, nu)[order[:, None], cols]
+        cands = ev.terms(ev.jump_marginals(kept[:live.size], moved, cols, vals))
+        if nf:
+            # the fresh rows' BATCH candidates each, then the held rows' jumps
+            steps = ev.sweep_terms(marg, ln, choices, cands.take(slice(nf)))
+            cands = _Terms(*(np.concatenate((s, j[nf:])) for s, j in zip(steps, cands)))
         t, scores = ev.repair(cands, eps, slack=LEAKAGE_SLACK)
-        objs = ev.objective(scores).reshape(live.size, BATCH).tolist()
-        ev.candidates += live.size * BATCH
+        objs = ev.objective(scores).tolist()
+        ev.candidates += len(objs)
+        ev.jump_only += held.size
         ev.sweeps += 1
         stall[live] += 1
-        for row, r in enumerate(live):
+        for row, r in enumerate(rows):
+            # candidate k of the row sits at first + k; a held row has only
+            # its jump, k = BATCH - 1
+            if row < nf:
+                first, kinds = row * BATCH, range(BATCH)
+            else:
+                first, kinds = nf * (BATCH - 1) + row - (BATCH - 1), (BATCH - 1,)
             pick = -1
-            for k, obj in enumerate(objs[row]):
-                if obj > best[r] + ACCEPT_TOL:
-                    best[r] = obj
+            for k in kinds:
+                if objs[first + k] > best[r] + ACCEPT_TOL:
+                    best[r] = objs[first + k]
                     pick = k
                     ev.accepted += 1
+            held_row[r] = pick < 0
             if pick < 0:
                 continue
             stall[r] = 0
-            leak[r] = float(scores[row * BATCH + pick, 0])
+            leak[r] = float(scores[first + pick, 0])
             if pick == BATCH - 1:
                 ev.jump_into(tables[r], masks[r], cols[row], vals[row])
             else:
                 ev.step_into(tables[r], masks[r], STEP_SIZES[pick % nj], choices[row, pick // nj])
-            ev.mix_into(tables[r], masks[r], float(t[row * BATCH + pick]))
+            ev.mix_into(tables[r], masks[r], float(t[first + pick]))
     top = max(range(len(rngs)), key=best.__getitem__)
     # a copy where the stack holds other rows, which a view would keep alive
     # through later groups
@@ -803,6 +874,7 @@ def search(p: Problem, cfg: OracleConfig | None = None, starts: Starts | None = 
         leakage_evals=ev.leakage_evals,
         candidates=ev.candidates,
         accepted=ev.accepted,
+        jump_only=ev.jump_only,
         sweeps=ev.sweeps,
         groups=ev.groups,
         swept_entries=ev.swept_entries,

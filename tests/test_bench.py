@@ -1,10 +1,13 @@
 """The in-process bench harness (``bench/ab.py``): two loads of one source
-tree give the same records op by op, and the shared comparer reports a
-number moved past its tolerance."""
+tree give the same records op by op, the shared comparer reports a
+number moved past its tolerance, and the search counts derive the
+restart-sweeps that formed their marginals."""
 
 import copy
+import dataclasses
 import os
 import sys
+import types
 
 import pytest
 
@@ -13,7 +16,8 @@ import ab  # noqa: E402
 import inputs  # noqa: E402  perfbench/inputs.py
 import sweep_scale  # noqa: E402
 
-from privbound import cli  # noqa: E402
+from helpers import random_problem  # noqa: E402
+from privbound import cli, oracle  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +57,19 @@ def test_moved_number_is_a_difference(pair, index, path):
         found = ab.differences(a, b, "r", within)
         assert [d.split(":")[0] for d in found] == (["r." + ".".join(path)] if differs else [])
         assert len(within) == (0 if differs else 1)
+
+
+def test_search_counts_rows_that_formed_marginals():
+    # BATCH candidates per restart-sweep that formed its marginals, one per
+    # jump-only restart-sweep; a revision without jump_only counts it as 0
+    res = oracle.sandwich_check(random_problem(1), oracle.OracleConfig(restarts=3, iters=12)).search
+    older = types.SimpleNamespace(**{f.name: getattr(res, f.name) for f in dataclasses.fields(res)
+                                     if f.name != "jump_only"})
+    new, old = (ab.search_counts([types.SimpleNamespace(search=s)], oracle.BATCH) for s in (res, older))
+    assert new["jump_only"] > 0 and old["jump_only"] == 0
+    assert new["formed_rows"] * oracle.BATCH + new["jump_only"] == new["candidates"]
+    assert new["full_width_entries"] == 2 * res.best_kernel.table.size * new["formed_rows"]
+    assert old["formed_rows"] == res.candidates // oracle.BATCH
 
 
 @pytest.mark.parametrize("points", sweep_scale.POINTS)

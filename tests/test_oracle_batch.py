@@ -440,6 +440,9 @@ class TestSearchAgainstReference:
         ref = _ref_search(p, QUICK)
         assert res.best_objective == pytest.approx(max(ref), rel=0, abs=1e-12)
         assert np.allclose(res.trace, ref, rtol=0, atol=1e-12)
+        # the reference rescans every candidate, so this covers the sweeps
+        # that score only a restart's jump
+        assert res.jump_only > 0
 
 
 class TestSearchCounters:
@@ -447,7 +450,8 @@ class TestSearchCounters:
         for seed in (1, 4):
             res = O.search(random_problem(seed), QUICK)
             assert res.candidates > 0
-            assert res.candidates % O.BATCH == 0
+            # BATCH per restart-sweep that formed its marginals, 1 per jump-only one
+            assert (res.candidates - res.jump_only) % O.BATCH == 0
             assert 0 < res.accepted <= res.candidates
             # the start of each restart is repaired too, but is no candidate
             assert res.projections <= res.candidates + QUICK.restarts
@@ -552,8 +556,9 @@ class TestOccupiedColumns:
         monkeypatch.setattr(O, "BLOCK_ENTRIES", entries)
         for live in (np.arange(len(tables)), np.arange(len(tables))[-1:]):
             cols = O._narrow(live.size * ev.nx * ev.ny, masks[live])
-            marg = ev.occupied_marginals(tables, live, cols)
-            assert np.array_equal(marg, ev.marginals(tables)[live])
+            out = np.full((live.size, ev.size), np.nan)
+            marg = ev.occupied_marginals(tables, live, cols, out)
+            assert marg is out and np.array_equal(marg, ev.marginals(tables)[live])
             if entries == 1 and case != "all_occupied":
                 # never a single column: einsum would add in another order
                 assert cols is not None and 2 <= cols.size < ev.card_u
@@ -626,13 +631,13 @@ class TestOccupiedColumns:
             masks.append(keep)
             return narrow(per_col, keep)
 
-        def checked(self, tables, live, cols):
+        def checked(self, tables, rows, cols, out):
             keep = masks.pop()
-            assert not np.any(tables[live] * ~keep[:, None, None, :])
+            assert not np.any(tables[rows] * ~keep[:, None, None, :])
             if cols is not None:
-                assert not np.delete(tables[live], cols, axis=3).any()
+                assert not np.delete(tables[rows], cols, axis=3).any()
             seen.extend(keep.mean(axis=1))
-            return occupied(self, tables, live, cols)
+            return occupied(self, tables, rows, cols, out)
 
         monkeypatch.setattr(O, "_narrow", noted)
         monkeypatch.setattr(O._Evaluator, "occupied_marginals", checked)
@@ -665,7 +670,7 @@ class TestOccupiedColumns:
         report = O.sandwich_check(p)
         res = report.search
         nu = res.best_kernel.alphabet_u
-        full = 2 * 108 * nu * res.candidates // O.BATCH
+        full = 2 * 108 * nu * (res.candidates - res.jump_only) // O.BATCH
         assert report.ok and nu > 200
         # one group reads the union of its restarts' masks
         assert res.groups == 1 and 0 < res.swept_entries < full
@@ -687,7 +692,7 @@ class TestOccupiedColumns:
         # with more sweeps, full steps narrow the masks and columns are skipped
         wide = O.OracleConfig(card_u=16, restarts=3, iters=24)
         res = O.search(p, wide, starts=())
-        assert res.swept_entries < 2 * nxy * 16 * res.candidates // O.BATCH
+        assert res.swept_entries < 2 * nxy * 16 * (res.candidates - res.jump_only) // O.BATCH
 
     def test_vertex_choices_memory_blocked(self):
         # one wide row: 16 x 16 x 1200 = 307,200 entries (2.46 MB per

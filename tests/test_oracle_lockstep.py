@@ -29,7 +29,7 @@ def _assert_same_search(alone, together):
     assert alone.trace == together.trace
     assert np.array_equal(alone.best_kernel.table, together.best_kernel.table)
     assert alone.leakage_at_best == together.leakage_at_best
-    for name in ("projections", "leakage_evals", "candidates", "accepted"):
+    for name in ("projections", "leakage_evals", "candidates", "accepted", "jump_only"):
         assert getattr(alone, name) == getattr(together, name), name
 
 
@@ -45,7 +45,8 @@ class TestGroupsAgree:
         _assert_same_search(alone, together)
         # one group sweeps as often as its longest restart
         assert together.sweeps <= alone.sweeps <= QUICK.restarts * together.sweeps
-        assert alone.candidates == O.BATCH * alone.sweeps
+        # a sweep of one row scores BATCH candidates, or only its jump
+        assert alone.candidates == O.BATCH * alone.sweeps - (O.BATCH - 1) * alone.jump_only
 
     @pytest.mark.parametrize("seed", [0, 1, 3, 9, 12])
     def test_narrowed_groups_match_groups_of_one(self, monkeypatch, seed):
@@ -56,9 +57,9 @@ class TestGroupsAgree:
         narrowed = []
         occupied = O._Evaluator.occupied_marginals
 
-        def spy(self, tables, live, cols):
-            narrowed.append(cols is not None and live.size >= 2)
-            return occupied(self, tables, live, cols)
+        def spy(self, tables, rows, cols, out):
+            narrowed.append(cols is not None and rows.size >= 2)
+            return occupied(self, tables, rows, cols, out)
 
         monkeypatch.setattr(O._Evaluator, "occupied_marginals", spy)
         p = random_problem(seed)
@@ -95,6 +96,30 @@ class TestGroupsAgree:
             assert len(res.trace) == restarts
             assert res.groups == restarts // group
         assert peaks[4 * group] <= peaks[group] + 1e6, peaks
+
+
+class TestBufferLayout:
+    def test_held_rows_keep_their_marginals(self):
+        # random runs of fresh, held and stalled rows: each sweep writes its
+        # fresh rows' marginals into the first slots, in row order, and every
+        # held row finds the ones its last fresh sweep wrote
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            kept, slot = np.empty((n, 2)), np.arange(n)
+            live, last = np.arange(n), np.zeros(n)
+            for sweep in range(8):
+                is_held = rng.random(live.size) < 0.5 if sweep else np.zeros(live.size, dtype=bool)
+                fresh, held = live[~is_held], live[is_held]
+                order = O._lay_out(kept, slot, fresh, held)
+                assert np.array_equal(order[: fresh.size], fresh)
+                assert sorted(order.tolist()) == live.tolist()
+                assert np.array_equal(slot[order], np.arange(live.size))
+                for r in held:
+                    assert kept[slot[r]].tolist() == [r, last[r]]
+                for i, r in enumerate(fresh):
+                    kept[i], last[r] = (r, sweep), sweep
+                live = live[rng.random(live.size) < 0.85]
 
 
 class TestClosedFormLeakage:
