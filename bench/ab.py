@@ -1,7 +1,7 @@
 """In-process A/B bench: a git revision against the working tree.
 
     python3 bench/ab.py --before REV --workload {small,large,criterion,closed_form} [...]
-                        [--pairs N] [--seed S] [--out PATH]
+                        [--pairs N] [--seed S] [--out PATH] [--by-design COUNTER ...]
 
 This module is also the harness of ``bench/same_outputs.py`` and
 ``bench/fresh.py``: the one revision loader (``load_side``), the inputs as
@@ -27,7 +27,9 @@ with this checkout's generators:
 A pair is one pass of each side, op by op: each op runs on both sides back
 to back, and the side that goes first alternates from op to op and from
 pair to pair. An untimed pair comes first: its records are compared with
-``differences`` and its searches give each side's counter totals; a failed
+``differences``, less the search counters named by ``--by-design COUNTER
+...`` (``set_aside``; each side's totals of every counter are still
+printed), and its searches give each side's counter totals; a failed
 sandwich check or a command that exits non-zero, on either side, ends the
 run with exit 1 before anything is timed. ``--pairs`` timed pairs follow.
 Per workload it reports each side's process CPU seconds (median,
@@ -288,6 +290,21 @@ def record(op: Op, result, workdir: str) -> dict:
     return {"exit": code, "stderr": err, "report": report, "file": text}
 
 
+def add_by_design(ap: argparse.ArgumentParser) -> None:
+    """The ``--by-design COUNTER ...`` option of this bench and
+    ``bench/same_outputs.py``: search counters that the change moves on
+    purpose, left out of the comparison (``set_aside``)."""
+    ap.add_argument("--by-design", nargs="+", default=[], choices=COUNTERS, metavar="COUNTER",
+                    help="search counters left out of the comparison; traces and kernels are still compared")
+
+
+def set_aside(rec: dict, names) -> dict:
+    """Pop the search counters ``names`` out of a record, before
+    ``differences`` compares it; returns them ({} for a record without a
+    search). Its trace, kernel and other counters stay."""
+    return {name: rec["search"].pop(name) for name in names} if "search" in rec else {}
+
+
 def differences(a, b, where: str = "", moved: list | None = None) -> list[str]:
     """Where two records differ: keys and their order, lengths, text and
     integers exactly, floats to NUMBER_TOL (relative to their size where
@@ -380,7 +397,7 @@ def search_counts(reports: list, batch: int) -> dict:
     return out
 
 
-def ab(sides: dict, workload: str, pairs: int, seed: int, tmp: str) -> dict:
+def ab(sides: dict, workload: str, pairs: int, seed: int, tmp: str, by_design: tuple[str, ...] = ()) -> dict:
     specs = workload_specs(workload, seed)
     dirs = {name: os.path.join(tmp, workload, name) for name in sides}
     for d in dirs.values():
@@ -395,6 +412,8 @@ def ab(sides: dict, workload: str, pairs: int, seed: int, tmp: str) -> dict:
         raise SystemExit("failed ops, nothing timed:\n  " + "\n  ".join(failed))
     found, moved = [], []
     for op, a, b in zip(ops["after"], recs["before"], recs["after"]):
+        set_aside(a, by_design)
+        set_aside(b, by_design)
         found += differences(a, b, op.label, moved)[:1]
     counts = {}
     if workload != "closed_form":
@@ -428,6 +447,7 @@ def ab(sides: dict, workload: str, pairs: int, seed: int, tmp: str) -> dict:
         "stage_s": medians("stage_s"),
         "search_counts": counts,
         "ops": len(ops["after"]),
+        "by_design": list(by_design),
         "ops_differing": len(found),
         "differences": found[:SHOW],
         "largest_moved": max(moved, default=0.0),
@@ -445,13 +465,14 @@ def main() -> None:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=SEED, help="bank relabeling seed (small, large, closed_form)")
     ap.add_argument("--out", help="write the results as JSON here")
+    add_by_design(ap)
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
 
     with tempfile.TemporaryDirectory() as tmp:
         sha, sides = load_sides(args.before, tmp)
-        results = {w: ab(sides, w, args.pairs, args.seed, tmp) for w in args.workload}
+        results = {w: ab(sides, w, args.pairs, args.seed, tmp, tuple(args.by_design)) for w in args.workload}
 
     for w, r in results.items():
         b, a, q = r["cpu_s"]["before"], r["cpu_s"]["after"], r["cpu_ratio"]
@@ -459,7 +480,7 @@ def main() -> None:
               f"after {a['median']:.3f} s (IQR {a['q1']:.3f}-{a['q3']:.3f}); ratio {q['median']:.3f} "
               f"(IQR {q['q1']:.3f}-{q['q3']:.3f}), after faster in {r['after_wins']} of {r['pairs']}")
         print(f"{'':<11} {r['ops']} ops: {r['ops_differing']} differ (largest moved within tolerance "
-              f"{r['largest_moved']:.3g}); failed: none")
+              f"{r['largest_moved']:.3g}; by design: {', '.join(r['by_design']) or 'none'}); failed: none")
         for line in r["differences"]:
             print(f"{'':<11}   {line}")
         print(f"{'':<11} per-pair CPU ratio per kind: " + ", ".join(

@@ -29,9 +29,10 @@ exceeds 1), so a change that only reorders floating-point sums passes.
 
 Prints, per part, the outputs compared and those that differ, with the
 first differences; exits 1 on any difference. ``--by-design COUNTER ...``
-names search counters (``ab.COUNTERS``) that the change moves on purpose:
-they are left out of the comparison, and their totals are printed per
-bank and side instead.
+(``ab.add_by_design``, shared with ``bench/ab.py``) names search counters
+(``ab.COUNTERS``) that the change moves on purpose: they are left out of
+the comparison (``ab.set_aside``), and their totals are printed per bank
+and side instead.
 """
 
 from __future__ import annotations
@@ -109,8 +110,7 @@ def sweep_outputs(sides: dict, dirs: dict, largest: dict):
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--before", required=True)
-    ap.add_argument("--by-design", nargs="+", default=[], choices=ab.COUNTERS, metavar="COUNTER",
-                    help="search counters left out of the comparison; their totals are printed")
+    ab.add_by_design(ap)
     args = ap.parse_args()
 
     failed = False
@@ -129,9 +129,7 @@ def main() -> None:
             for item, recs in items:
                 compared += 1
                 for side, rec in recs.items():
-                    if "search" in rec:
-                        for name in args.by_design:
-                            totals[f"{item.split()[0]} {side}"][name] += rec["search"].pop(name)
+                    totals[f"{item.split()[0]} {side}"].update(ab.set_aside(rec, args.by_design))
                 found += ab.differences(recs["before"], recs["after"], item, moved)[:1]
             largest_moved = f", largest {max(moved):.3g}" if moved else ""
             print(f"{part}: {compared} outputs compared, {len(found)} differ; "
@@ -142,7 +140,8 @@ def main() -> None:
     for col, gap in largest.items():
         print(f"  sweep column {col}: largest difference {gap:.3g}")
     for key, counts in totals.items():
-        print(f"  {key}: " + ", ".join(f"{name} {n}" for name, n in counts.items()))
+        if counts:
+            print(f"  {key}: " + ", ".join(f"{name} {n}" for name, n in counts.items()))
     sys.exit(1 if failed else 0)
 
 

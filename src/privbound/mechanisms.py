@@ -30,8 +30,9 @@ fresh constant symbol otherwise. U = (refinement, W) then satisfies
     |U| <= (|X|(|Y|-1)+1) (|X|+1).
 
 Composition. A budget split gives each component its refinement where its
-share is 0 and the randomized release where it is positive. A
-``RefinementProfile`` builds the refinements once and composes any split.
+share is 0 and the randomized release where it is positive. Its objective
+needs only each I(Y_i;T_i), read off the partition (``refinement_profile``);
+kernels are built only where a mechanism is released.
 
 Index conventions
 -----------------
@@ -154,6 +155,23 @@ class MechanismReport:
 # ---------------------------------------------------------------------------
 
 
+def _intervals(cond: np.ndarray, active_rows: np.ndarray | slice) -> tuple[np.ndarray, ...]:
+    """(lo, hi, lows, highs) of a row-stochastic cond[a, y] = P(y | a): row a's
+    interval y is [lo[a, y], hi[a, y]), and cell t of the common refinement
+    of the rows ``active_rows`` is [lows[t], highs[t]), each endpoint kept
+    only more than ENDPOINT_MERGE_TOL above the last. The one endpoint merge."""
+    hi = np.cumsum(cond, axis=1)
+    lo = np.concatenate([np.zeros((hi.shape[0], 1)), hi[:, :-1]], axis=1)
+    pts = [0.0, 1.0, *hi[active_rows, :-1].ravel().tolist()]
+    pts.sort()
+    merged = [0.0]
+    for v in pts[1:]:
+        if v - merged[-1] > ENDPOINT_MERGE_TOL:
+            merged.append(v)
+    merged[-1] = 1.0  # snap: the final endpoint is 1 by construction
+    return lo, hi, np.array(merged[:-1]), np.array(merged[1:])
+
+
 def _interval_refinement(cond: np.ndarray, active_rows: np.ndarray | None = None) -> np.ndarray:
     """Common-refinement kernel for a row-stochastic conditional table.
 
@@ -165,29 +183,12 @@ def _interval_refinement(cond: np.ndarray, active_rows: np.ndarray | None = None
     na, ny = cond.shape
     if active_rows is None:
         active_rows = np.ones(na, dtype=bool)
-    cums = np.cumsum(cond, axis=1)
-
-    pts = [0.0, 1.0]
-    for a in range(na):
-        if active_rows[a]:
-            pts.extend(float(v) for v in cums[a, :-1])
-    pts.sort()
-    merged = [0.0]
-    for v in pts[1:]:
-        if v - merged[-1] > ENDPOINT_MERGE_TOL:
-            merged.append(v)
-    merged[-1] = 1.0  # snap: the final endpoint is 1 by construction
-    cells = np.array(merged)
-    lows, highs = cells[:-1], cells[1:]
-    nu = lows.size
-    probcore.check_size("refinement kernel", na * ny * nu)
-
-    # interval y of row a is [lo_rows[a, y], cums[a, y]); one (y, u) overlap
-    # broadcast per row keeps temporaries to one row of the table
-    lo_rows = np.concatenate([np.zeros((na, 1)), cums[:, :-1]], axis=1)
+    lo_rows, cums, lows, highs = _intervals(cond, active_rows)
+    probcore.check_size("refinement kernel", na * ny * lows.size)
+    # one (y, u) overlap broadcast per row keeps temporaries to one row
     lengths = cums - lo_rows
     live = active_rows[:, None] & (lengths > 0.0)
-    table = np.zeros((na, ny, nu))
+    table = np.zeros((na, ny, lows.size))
     for a in np.flatnonzero(live.any(axis=1)):
         ys = live[a]
         overlap = np.minimum(cums[a, ys, None], highs) - np.maximum(lo_rows[a, ys, None], lows)
@@ -307,41 +308,36 @@ def _user_objective(p: Problem, utils: list) -> tuple[tuple, float]:
     return utilities, sum(u.weight * util for u, util in zip(p.users, utilities))
 
 
-@dataclass(frozen=True)
-class RefinementProfile:
-    """Each component's refinement T_i = ``frl_construct(c_i)``, with
-    I(Y_i;T_i) measured on its joint; H(Y_i|T_i) = H(Y_i) - I(Y_i;T_i).
+def refinement_profile(p: Problem) -> tuple[float, ...]:
+    """I(Y_i;T_i) of each component's refinement T_i = ``frl_construct(c_i)``,
+    read off its partition with no kernel built: P(y, t) = sum_x p(x)
+    |cell_t intersect interval_{x,y}|, one y at a time over the cells its
+    intervals meet, in O(|X||T|) memory checked against the size cap first.
 
-    The randomized release U_i = (T_i, W_i) at share eps_i > 0 has |U_i| =
-    |T_i| (|X_i|+1), and W_i reveals X_i (and with it Y_i given T_i, as
-    H(Y_i|X_i,T_i) = 0) with probability eps_i/H(X_i), independently of
-    (X_i, Y_i, T_i), else nothing. So I(Y_i;U_i) = I(Y_i;T_i) +
-    (eps_i/H(X_i)) H(Y_i|T_i), and a composition's objective is affine in
-    the shares.
+    At share eps_i > 0, U_i = (T_i, W_i) reveals X_i, and with it Y_i given
+    T_i, with probability eps_i/H(X_i), independently of (X_i, Y_i, T_i),
+    else nothing. So I(Y_i;U_i) = I(Y_i;T_i) + (eps_i/H(X_i)) H(Y_i|T_i),
+    H(Y_i|T_i) = H(Y_i) - I(Y_i;T_i): affine in the share.
     """
-
-    refinements: tuple[Kernel, ...]
-    i_yt: tuple[float, ...]
-
-    def compose(self, p: Problem, alloc: Allocation | None) -> ComposedMechanism:
-        """``compose_multiuser(p, alloc)`` on the stored refinements (themselves if ``alloc`` is None)."""
-        return _compose(p, self.refinements, alloc)
-
-
-def refinement_profile(p: Problem) -> RefinementProfile:
-    """Build each component's refinement once and measure it."""
-    refinements = tuple(frl_construct(c) for c in p.components)
-    joints = [_component_joint(c, k) for c, k in zip(p.components, refinements)]
-    return RefinementProfile(
-        refinements=refinements,
-        i_yt=tuple(probcore.mi_between(j, [1], [2]) for j in joints),
-    )
+    profile = []
+    for c in p.components:
+        lo, hi, lows, highs = _intervals(c.cond_y_given_x(), slice(None))
+        probcore.check_size("refinement profile", (c.card_x + c.card_y) * lows.size)
+        px = c.joint.table.sum(axis=1)
+        pyt = np.zeros((c.card_y, lows.size))
+        spans = zip(np.searchsorted(highs, lo.min(axis=0), "right").tolist(),
+                    np.searchsorted(lows, hi.max(axis=0)).tolist())
+        for y, (a, b) in enumerate(spans):
+            overlap = np.minimum(hi[:, y, None], highs[a:b]) - np.maximum(lo[:, y, None], lows[a:b])
+            np.dot(px, np.clip(overlap, 0.0, None, out=overlap), out=pyt[y, a:b])
+        profile.append(float(probcore._mi(pyt)[0]))
+    return tuple(profile)
 
 
-def canonical_objective(p: Problem, stats: ProblemStats, profile: RefinementProfile | None, eps):
+def canonical_objective(p: Problem, stats: ProblemStats, profile: tuple[float, ...] | None, eps):
     """Objective of the best canonical mechanism at ``eps``, a float or an
     array. Where eps >= sum_i I(X_i;Y_i) that is U = Y; elsewhere, read
-    from the profile (None if every eps is trivial) with no kernel built,
+    from ``refinement_profile`` (None if every eps is trivial),
     the best over ``VARIANTS`` of the composition whose ``target`` takes
     the share min(eps, cap). (A variant of slope -inf, which cannot
     allocate, has every H(X_i) = 0: its share and frl's are 0, and its
@@ -351,7 +347,7 @@ def canonical_objective(p: Problem, stats: ProblemStats, profile: RefinementProf
     best = np.full(eps.shape, -math.inf)
     for variant in () if trivial.all() else VARIANTS:
         t, _, cap = target(stats, variant)
-        utils = list(profile.i_yt)
+        utils = list(profile)
         if cap > 0.0:
             i, s, share = utils[t], stats[t], np.minimum(eps, cap)
             utils[t] = np.where(share > 0.0, i + (share / s.hX) * (s.hY - i), i)

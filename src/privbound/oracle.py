@@ -62,7 +62,7 @@ from . import bounds as bounds_mod
 from . import mechanisms, probcore
 from .bounds import Allocation
 from .errors import AlphabetMismatchError, SizeCapError, ValidationError
-from .mechanisms import ComposedMechanism, Kernel, RefinementProfile
+from .mechanisms import ComposedMechanism, Kernel
 from .model import Problem, validate
 
 LEAKAGE_SLACK = 1e-9      # feasibility tolerance on I(X;U) <= eps
@@ -486,12 +486,17 @@ class _Evaluator:
         at t = 1, so it is non-increasing. Newton steps aim at the middle of
         the band, one kernel per row, each with its own [lo, hi] bracket;
         a step that leaves the bracket, or a slope that is not negative,
-        falls back to the bracket midpoint. A kernel leaves the batch with
-        the scores of the iterate that lands its leakage in the band; one
-        still outside after 80 steps is scored at hi, and with
-        eps <= PROJECT_BAND every infeasible kernel at t = 1. The first
-        scores come from ``terms``; every later score and slope is read in
-        closed form from column u = 0 of every family (``mixed``).
+        falls back to the bracket midpoint. That is structural, not float
+        noise: where column 0 of P(x,u) has a cell at or below
+        ``ZERO_FLOOR``, the true slope at t = 0 is -inf, but ``mixed``
+        takes ln a := 0 there, so the slope it reads can be >= 0 or too
+        shallow; the midpoint can then land below the band, and later steps
+        leave the bracket too. A kernel leaves the batch with the scores of
+        the iterate that lands its leakage in the band; one still outside
+        after 80 steps is scored at hi, and with eps <= PROJECT_BAND every
+        infeasible kernel at t = 1. The first scores come from ``terms``;
+        every later score and slope is read in closed form from column
+        u = 0 of every family (``mixed``).
         """
         scores = self.mi(terms)
         g = scores[:, 0]
@@ -650,16 +655,21 @@ def _narrow(per_col: int, keep: np.ndarray) -> np.ndarray | None:
 Starts = tuple[ComposedMechanism | None, ...]
 
 
-def canonical_starts(p: Problem, profile: RefinementProfile, allocs: dict[str, Allocation]) -> Starts:
+def canonical_starts(p: Problem, allocs: dict[str, Allocation]) -> Starts:
     """The search's structured starts for restarts 1, 2, ...: every
     component's refinement (zero leakage), then the composition of each
-    ``bounds.VARIANTS`` allocation in ``allocs``, in that order. An entry is
-    None when its variant has no allocation or its release is over the size
-    cap."""
+    ``bounds.VARIANTS`` allocation in ``allocs``, all from one
+    ``frl_construct`` per component. None where a variant has no
+    allocation or its kernel is over the size cap; none at all where a
+    refinement is."""
+    try:
+        refinements = tuple(mechanisms.frl_construct(c) for c in p.components)
+    except SizeCapError:
+        return ()
 
     def compose(alloc: Allocation | None) -> ComposedMechanism | None:
         try:
-            return profile.compose(p, alloc)
+            return mechanisms._compose(p, refinements, alloc)
         except SizeCapError:
             return None
 
@@ -840,8 +850,7 @@ def search(p: Problem, cfg: OracleConfig | None = None, starts: Starts | None = 
     """Randomized-restart ascent; deterministic for a fixed (problem, cfg,
     starts). Restart r >= 1 starts from ``starts[r - 1]`` where that is a
     mechanism no wider than |U|, else from a seeded kernel. With ``starts``
-    None they are ``canonical_starts`` on a profile and allocations built
-    here (none when the refinements are over the size cap)."""
+    None they are ``canonical_starts`` on allocations built here."""
     if cfg is None:
         cfg = OracleConfig()
     if p.epsilon < 0.0:
@@ -849,12 +858,7 @@ def search(p: Problem, cfg: OracleConfig | None = None, starts: Starts | None = 
     card_u = cfg.card_u if cfg.card_u is not None else default_card_u(p)
     ev = _Evaluator(p, card_u)
     if starts is None:
-        try:
-            profile = mechanisms.refinement_profile(p)
-        except SizeCapError:
-            starts = ()
-        else:
-            starts = canonical_starts(p, profile, bounds_mod.canonical_allocations(p, validate(p)))
+        starts = canonical_starts(p, bounds_mod.canonical_allocations(p, validate(p)))
     group = max(1, GROUP_BUDGET // ev.row_floats())
     trace: list[float] = []
     best: tuple[float, np.ndarray, float] | None = None
@@ -864,6 +868,7 @@ def search(p: Problem, cfg: OracleConfig | None = None, starts: Starts | None = 
         trace += objs
         if best is None or top[0] > best[0]:
             best = top
+        del top  # a table that is not the best must not live through later groups
     assert best is not None
     return OracleResult(
         best_objective=float(best[0]),
@@ -911,8 +916,8 @@ GROUP_BUDGET = 2 ** 20
 BLOCK_ENTRIES = 2 ** 14
 
 
-# the stages of a sandwich check, in order: its profile, allocations and
-# the search's starts are its "constructions"
+# the stages of a sandwich check, in order: its allocations and the
+# search's starts are its "constructions"
 SANDWICH_STAGES = ("validate", "constructions", "search", "compute_bounds", "canonical_objective")
 
 
@@ -924,23 +929,21 @@ def sandwich_check(p: Problem, cfg: OracleConfig | None = None) -> SandwichRepor
     ticks = [perf_counter()]
     stats = validate(p)
     ticks.append(perf_counter())
-    # one profile serves the warm-start |U|, the search's starts and the
-    # constructed objective
-    profile = mechanisms.refinement_profile(p)
-    starts = canonical_starts(p, profile, bounds_mod.canonical_allocations(p, stats))
+    # the starts set the warm-start |U|; one over the size cap is dropped
+    starts = canonical_starts(p, bounds_mod.canonical_allocations(p, stats))
     # widen |U| (within reason) so the canonical mechanisms embed as warm
     # starts: the compositions, and in the trivial regime U = Y itself
     # (restart 0); the size-aware iteration budget keeps runtime flat
     cards = [s.cardinality for s in starts[1:] if s is not None]
     if stats.trivial:
         cards.append(_flat_sizes(p)[1])
-    cfg = replace(cfg, card_u=max(cfg.card_u or default_card_u(p), *(min(c, WARM_CARD_CAP) for c in cards)))
+    cfg = replace(cfg, card_u=max([cfg.card_u or default_card_u(p), *(min(c, WARM_CARD_CAP) for c in cards)]))
     ticks.append(perf_counter())
     result = search(p, cfg, starts)
     ticks.append(perf_counter())
     rep = bounds_mod.compute_bounds(p, stats)
     ticks.append(perf_counter())
-    mech_obj = mechanisms.canonical_objective(p, stats, profile, p.epsilon)
+    mech_obj = mechanisms.canonical_objective(p, stats, mechanisms.refinement_profile(p), p.epsilon)
     ticks.append(perf_counter())
     return SandwichReport(
         lower=rep.lower,

@@ -91,6 +91,43 @@ def deterministic_problem(seed: int, eps_frac: float = 0.9) -> Problem:
     return Problem(comps, users, eps)
 
 
+def wide_component(rng: np.random.Generator, name: str = "wide", card: int = 64) -> Component:
+    """A near-independent card x card component: near-uniform marginals,
+    each cell scaled by 1 + 0.1 u with u uniform on [-1, 1], so I(X;Y) is
+    about 1e-3 nats and H(X|Y) about ln card. Its refinement has about
+    card (card - 1) + 1 cells, and at card = 64 its kernel (about 1.65e7
+    entries) is over the default size cap."""
+    px = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, card)
+    py = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, card)
+    table = np.outer(px, py) * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, (card, card)))
+    return Component(name, Joint2(table / table.sum()))
+
+
+def wide_problem(seed: int, beside: bool = False, card: int = 64) -> Problem:
+    """A ``wide_component``, alone or beside two small random components
+    (``beside``; |X|, |Y| <= 2 each), with 1-3 users and eps drawn in [0,
+    0.9 min(cap, sum_i I)), cap the least of the ``bounds.VARIANTS``
+    targets' share caps, just below H(X_t): so the problem is non-trivial
+    and eps <= H(X_t) of each allocation's target, where the paper's lower
+    bounds hold."""
+    rng = np.random.default_rng(seed)
+    comps = (wide_component(rng, card=card),)
+    if beside:
+        comps += tuple(random_component(rng, f"c{i}", 2) for i in (1, 2))
+    users = random_users(rng, len(comps))
+    base = Problem(comps, users, 0.0)
+    stats = validate(base)
+    cap = min(bounds_mod.target(stats, v)[2] for v in bounds_mod.VARIANTS)
+    return Problem(comps, users, float(rng.uniform(0.0, 0.9 * min(cap, stats.total_mi))))
+
+
+def refinement_mi_reference(c: Component) -> float:
+    """Reference I(Y;T) of a component's refinement on its kernel:
+    ``frl_construct``, the joint of (X, Y, T) and ``mi_between``, the path
+    ``refinement_profile`` reads off the partition instead."""
+    return probcore.mi_between(mechanisms._component_joint(c, mechanisms.frl_construct(c)), [1], [2])
+
+
 def binary_y_component(seed: int) -> Component:
     """A random dense component with |Y| = 2."""
     rng = np.random.default_rng(seed)
@@ -225,11 +262,11 @@ def mix_table(table: np.ndarray, t: float) -> np.ndarray:
 
 
 def profile_objective(p: Problem, stats, profile, alloc) -> float:
-    """The objective of ``profile.compose(p, alloc)``, read from the profile
-    one allocation at a time: I(Y_i;U_i) = I(Y_i;T_i) + (eps_i/H(X_i))
-    H(Y_i|T_i) where eps_i > 0."""
+    """The objective of ``compose_multiuser(p, alloc)``, read from
+    ``refinement_profile``'s I(Y_i;T_i) one allocation at a time:
+    I(Y_i;U_i) = I(Y_i;T_i) + (eps_i/H(X_i)) H(Y_i|T_i) where eps_i > 0."""
     utils = [i + (e / s.hX) * (s.hY - i) if e > 0.0 else i
-             for i, e, s in zip(profile.i_yt, alloc.eps_per_component, stats)]
+             for i, e, s in zip(profile, alloc.eps_per_component, stats)]
     utilities = tuple(float(sum(utils[i] for i in u.demands)) for u in p.users)
     return float(sum(u.weight * util for u, util in zip(p.users, utilities)))
 

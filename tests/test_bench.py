@@ -1,8 +1,10 @@
 """The in-process bench harness (``bench/ab.py``): two loads of one source
 tree give the same records op by op, the shared comparer reports a
-number moved past its tolerance, and the search counts derive the
+number moved past its tolerance, counters moved by design are set aside
+while traces are still compared, and the search counts derive the
 restart-sweeps that formed their marginals."""
 
+import argparse
 import copy
 import dataclasses
 import os
@@ -70,6 +72,30 @@ def test_search_counts_rows_that_formed_marginals():
     assert new["formed_rows"] * oracle.BATCH + new["jump_only"] == new["candidates"]
     assert new["full_width_entries"] == 2 * res.best_kernel.table.size * new["formed_rows"]
     assert old["formed_rows"] == res.candidates // oracle.BATCH
+
+
+def test_by_design_counters_set_aside(pair):
+    # a counter moved on purpose: named with --by-design it is left out of
+    # both tools' comparison, while a moved trace behind it still differs
+    ap = argparse.ArgumentParser()
+    ab.add_by_design(ap)
+    names = ap.parse_args(["--by-design", "candidates", "jump_only"]).by_design
+    with pytest.raises(SystemExit):
+        ap.parse_args(["--by-design", "best_objective"])
+    a = pair[1]["before"][0]
+    b = copy.deepcopy(a)
+    b["search"]["candidates"] += 7
+    b["search"]["jump_only"] -= 7
+    assert [d.split(":")[0] for d in ab.differences(a, b, "r")] == ["r.search.candidates", "r.search.jump_only"]
+    a, b = copy.deepcopy(a), copy.deepcopy(b)
+    want = {"candidates": a["search"]["candidates"] + 7, "jump_only": a["search"]["jump_only"] - 7}
+    assert ab.set_aside(b, names) == want
+    assert ab.set_aside(a, names).keys() == want.keys()
+    assert ab.differences(a, b, "r") == []
+    b["search"]["trace"][0] += 1e-6
+    assert [d.split(":")[0] for d in ab.differences(a, b, "r")] == ["r.search.trace[0]"]
+    # a command's record has no search and nothing to set aside
+    assert ab.set_aside(pair[1]["before"][2], names) == {}
 
 
 @pytest.mark.parametrize("points", sweep_scale.POINTS)

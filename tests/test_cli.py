@@ -15,11 +15,13 @@ from helpers import (
     random_component,
     random_problem,
     sweep_reference,
+    wide_problem,
     xy_copy_component,
 )
 from privbound import bounds as B
 from privbound import cli
 from privbound import mechanisms as M
+from privbound.errors import SizeCapError
 from privbound.model import Component, Problem, User, trivial_optimum, validate
 from privbound.probcore import Joint2
 
@@ -435,6 +437,35 @@ class TestOracleCommand:
         assert code == 3
         assert out == ""
         assert "seed must be >= 0" in err
+
+
+class TestWideAlphabets:
+    """A 64 x 64 near-independent component, whose refinement kernel is over
+    the size cap: the profile reads its numbers off the partition, and the
+    search runs without warm starts."""
+
+    def test_sweep_and_oracle_exit_0(self, tmp_path, capsys):
+        p = wide_problem(0)
+        with pytest.raises(SizeCapError, match="refinement kernel"):
+            M.frl_construct(p.components[0])
+        path = write_problem(tmp_path, problem_to_dict(p))
+        out_csv = tmp_path / "sweep.csv"
+        # across the trivial boundary
+        spec = f"0:{1.5 * validate(p).total_mi!r}:{0.1 * validate(p).total_mi!r}"
+        code, _, err = run(capsys, ["sweep", path, "--eps", spec, "--csv", str(out_csv)])
+        assert (code, err) == (0, "")
+        with open(out_csv) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 16
+        assert all(math.isfinite(float(v)) for row in rows for v in row.values())
+        assert float(rows[0]["mech_objective"]) == pytest.approx(
+            M.canonical_objective(p, validate(p), M.refinement_profile(p), 0.0), abs=1e-9)
+        code, out, err = run(capsys, ["oracle", path])
+        assert (code, err) == (0, "")
+        values = dict(line.split() for line in out.strip().splitlines())
+        assert all(math.isfinite(float(values[k])) for k in ("lower", "mech_objective", "oracle_best", "upper"))
+        # a |U| = 16 search is capped at ln 16 per unit of user weight
+        assert float(values["oracle_best"]) <= math.log(16) * sum(u.weight for u in p.users) + 1e-9
 
 
 class TestSweepCommand:

@@ -4,6 +4,8 @@ evaluation paths, and the decomposition transforms."""
 import dataclasses
 import json
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,6 +19,8 @@ from helpers import (
     random_component,
     random_problem,
     random_users,
+    refinement_mi_reference,
+    wide_component,
     xy_copy_component,
 )
 from privbound import bounds as B
@@ -26,6 +30,9 @@ from privbound import probcore as pc
 from privbound.errors import AlphabetMismatchError, PrivboundError, SizeCapError, ValidationError
 from privbound.model import Component, Problem, User, trivial_optimum, validate
 from privbound.probcore import Joint2
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+import inputs  # noqa: E402  perfbench/inputs.py
 
 LN2 = math.log(2.0)
 
@@ -239,13 +246,16 @@ class TestRefinementProfile:
     def assert_matches_reference(self, p, stats, profile):
         got = M.canonical_objective(p, stats, profile, p.epsilon)
         assert abs(got - canonical_reference(p, stats)) <= 1e-12
-        for variant in ("frl", "esfrl"):
+        for c, i_yt in zip(p.components, profile, strict=True):
+            assert abs(i_yt - refinement_mi_reference(c)) <= 1e-12
+        # the search's starts compose the mechanisms that are released
+        for k, variant in enumerate(B.VARIANTS):
             try:
                 alloc = B.allocate_epsilon(p, stats, variant)
             except (PrivboundError, ValueError):
                 continue
             built = M.compose_multiuser(p, alloc)
-            composed = profile.compose(p, alloc)
+            composed = O.canonical_starts(p, {variant: alloc})[1 + k]
             assert composed.tags == built.tags
             assert composed.allocation == built.allocation == alloc
             for a, b in zip(composed.kernels, built.kernels, strict=True):
@@ -305,6 +315,67 @@ class TestRefinementProfile:
         assert allocs == {}
         got = M.canonical_objective(pt, stats, M.refinement_profile(pt), pt.epsilon)
         assert got == trivial_optimum(pt, stats)
+
+    def test_partition_matches_kernel_path(self):
+        # every criterion-1 component, both benchmark banks at two seeds,
+        # and wide components small enough for their kernel
+        problems = [random_problem(seed) for seed in range(200)]
+        problems += [p for seed in (301, 411) for large in (False, True)
+                     for p in inputs.sandwich_problems(seed, large)]
+        rng = np.random.default_rng(7)
+        problems.append(Problem(tuple(wide_component(rng, f"w{n}", n) for n in (12, 24)), (User((0, 1), 1.0),), 0.0))
+        for p in problems:
+            for c, i_yt in zip(p.components, M.refinement_profile(p), strict=True):
+                assert abs(i_yt - refinement_mi_reference(c)) <= 1e-12, c.joint.shape
+
+    def test_merged_endpoints(self):
+        # rows 1 and 2 move row 0's endpoints by less than the merge
+        # tolerance, both ways: their cells straddle the merged endpoints
+        rng = np.random.default_rng(3)
+        cond = rng.dirichlet(np.ones(5), size=4)
+        d = 0.4 * M.ENDPOINT_MERGE_TOL
+        cond[1] = cond[0] + d * np.array([1.0, -1.0, 1.0, -1.0, 0.0])
+        cond[2] = cond[0] - d * np.array([1.0, 0.0, -1.0, 1.0, -1.0])
+        c = Component("near", Joint2(cond * rng.dirichlet(np.ones(4))[:, None]))
+        cums = np.cumsum(c.cond_y_given_x(), axis=1)[:, :-1]
+        assert len(set(cums.ravel().tolist())) > 8 == M.frl_construct(c).alphabet_u - 1
+        got = M.refinement_profile(Problem((c,), (User((0,), 1.0),), 0.0))[0]
+        assert abs(got - refinement_mi_reference(c)) <= 1e-12
+
+    def test_profile_size_checked_first(self, monkeypatch):
+        # a 64 x 64 profile holds (|X| + |Y|) |T| floats, about 4 MiB: one
+        # entry over the cap it is refused before any of them is allocated
+        c = wide_component(np.random.default_rng(1))
+        p = Problem((c,), (User((0,), 1.0),), 0.0)
+        cells = M._intervals(c.cond_y_given_x(), np.ones(64, dtype=bool))[2].size
+        assert cells == 64 * 63 + 1
+        need = 128 * cells
+        monkeypatch.setenv("PRIVBOUND_SIZE_CAP", str(need - 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError, match=f"refinement profile would have {need} entries"):
+                M.refinement_profile(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        monkeypatch.setenv("PRIVBOUND_SIZE_CAP", str(need))
+        assert len(M.refinement_profile(p)) == 1
+
+    def test_wide_profile_without_kernel(self, monkeypatch):
+        # 64 x 64: no refinement kernel is built, and the profile's traced
+        # peak stays within a few arrays of |Y||T| floats (about 2 MiB each)
+        c = wide_component(np.random.default_rng(2))
+        p = Problem((c,), (User((0,), 1.0),), 0.0)
+        monkeypatch.setattr(M, "_interval_refinement", lambda *a, **k: pytest.fail("kernel built"))
+        tracemalloc.start()
+        try:
+            (i_yt,) = M.refinement_profile(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < i_yt < validate(p)[0].hY
+        assert peak < 12 * 2**20
 
 
 class TestEvaluate:
@@ -394,7 +465,7 @@ class TestComposeInto:
             stats = validate(p)
             for v in B.VARIANTS:
                 self.assert_matches(p, M.compose_multiuser(p, B.allocate_epsilon(p, stats, v)))
-            self.assert_matches(p, M.refinement_profile(p).compose(p, None))
+            self.assert_matches(p, O.canonical_starts(p, {})[0])
 
     def test_narrower_than_card_u(self):
         rng = np.random.default_rng(5)

@@ -1,11 +1,12 @@
 """Search determinism, feasibility, projection, and sandwich behavior."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from helpers import binary_y_component, entropy_mi, random_problem, xy_copy_component
+from helpers import binary_y_component, entropy_mi, random_problem, wide_problem, xy_copy_component
 from privbound import bounds as B
 from privbound import mechanisms as M
 from privbound import model
@@ -85,6 +86,28 @@ class TestSearch:
         res = O.search(random_problem(1), O.OracleConfig(restarts=1, iters=iters, seed=0))
         assert res.sweeps == iters
 
+    def test_no_stale_group_table(self, monkeypatch):
+        # groups of one restart: once a later group starts, a table an
+        # earlier group returned is alive only if it is the best so far
+        monkeypatch.setattr(O, "GROUP_BUDGET", 1)
+        real = O._ascend_group
+        seen = []  # (objective, weakref to the returned table) per group
+
+        def tracked(*a, **k):
+            if seen:
+                best = max(range(len(seen)), key=lambda i: seen[i][0])
+                assert all(ref() is None for i, (_, ref) in enumerate(seen) if i != best)
+            objs, top = real(*a, **k)
+            seen.append((top[0], weakref.ref(top[1])))
+            return objs, top
+
+        monkeypatch.setattr(O, "_ascend_group", tracked)
+        for seed in range(6):
+            seen.clear()
+            res = O.search(random_problem(seed), O.OracleConfig(restarts=5, iters=4, seed=seed))
+            assert res.groups == 5 and len(seen) == 5
+        assert sum(ref() is not None for _, ref in seen) <= 1
+
 
 class TestSizeCap:
     def test_refinement_start_falls_back_under_cap(self, monkeypatch):
@@ -110,7 +133,7 @@ class TestSizeCap:
         ev = O._Evaluator(p, cfg.card_u)
         allocs = B.canonical_allocations(p, validate(p))
         assert set(allocs) == {"frl", "esfrl"}
-        starts = O.canonical_starts(p, M.refinement_profile(p), allocs)
+        starts = O.canonical_starts(p, allocs)
         assert starts[0] is not None and starts[1:] == (None, None)
         for restart in (2, 3):
             seeded = np.random.default_rng([cfg.seed, restart]).exponential(size=(2, 40, 4))
@@ -120,6 +143,18 @@ class TestSizeCap:
         res = O.search(p, cfg)
         assert len(res.trace) == 4
         assert res.leakage_at_best <= p.epsilon + 1e-9
+
+    def test_sandwich_without_release_starts(self, monkeypatch):
+        # the refinement fits a 10,000-entry cap, neither randomized release
+        # does: the check has no start to widen |U| for and searches at the
+        # default |U|
+        rng = np.random.default_rng(61)
+        c = Component("wide", Joint2(rng.dirichlet(np.ones(2 * 40)).reshape(2, 40)))
+        p = single_user(0.1, c)
+        monkeypatch.setenv("PRIVBOUND_SIZE_CAP", "10000")
+        sw = O.sandwich_check(p, QUICK)
+        assert sw.search.best_kernel.alphabet_u == O.default_card_u(p) == 16
+        assert sw.lower_ok and sw.upper_ok
 
     def test_overflowing_alphabets_are_over_cap(self, monkeypatch):
         # 64 binary components: |X| = |Y| = 2^64, which an int64 product
@@ -239,12 +274,15 @@ class TestSandwich:
         assert abs(sw.oracle_best - sw.exact) <= 2e-3
 
     def test_gamma_dominant_scan(self):
-        # a second lower bound above the first requires a budget beyond the
-        # argmax component's own entropy, where the formula leaves its
-        # constructive range; flag the absence rather than assert one.
+        # in the valid regime (eps <= H(X_t)) the second lower bound beats
+        # the first only where some H(X_i|Y_i) > ln(I_i + 1) + c, which
+        # takes |X_i| >= 55: the criterion-1 problems have none, the wide
+        # problems (a 64 x 64 near-independent component, alone or beside
+        # two small ones) do
         found = False
-        for seed in range(200):
-            p = random_problem(seed)
+        problems = [random_problem(seed) for seed in range(200)]
+        problems += [wide_problem(seed, beside) for seed in range(4) for beside in (False, True)]
+        for p in problems:
             stats = validate(p)
             if stats.trivial:
                 continue
@@ -254,9 +292,7 @@ class TestSandwich:
                 found = True
                 sw = O.sandwich_check(p, O.OracleConfig(seed=0))
                 assert l2 <= sw.oracle_best + 1e-6
-        if not found:
-            pytest.skip("no gamma-dominant instance in the seeded suite (expected; "
-                        "dominance requires a budget beyond the target's entropy)")
+        assert found
 
 
 def compose_config(p, stats, cfg):
@@ -277,6 +313,31 @@ def compose_config(p, stats, cfg):
     return O.OracleConfig(card_u=card, restarts=cfg.restarts, iters=cfg.iters, seed=cfg.seed)
 
 
+class TestWideAlphabets:
+    @pytest.mark.parametrize("beside", [False, True])
+    def test_sandwich_drops_starts_over_cap(self, monkeypatch, beside):
+        # the 64 x 64 component's refinement kernel is over the size cap:
+        # the check, called alone, drops every warm start instead of
+        # exiting, searches at the default |U| and keeps both bounds
+        refused = []
+        real = M.frl_construct
+
+        def spy(c):
+            try:
+                return real(c)
+            except SizeCapError:
+                refused.append(c.name)
+                raise
+
+        monkeypatch.setattr(M, "frl_construct", spy)
+        p = wide_problem(0, beside)
+        sw = O.sandwich_check(p, QUICK)
+        assert refused == ["wide"]
+        assert sw.lower_ok and sw.upper_ok
+        assert sw.search.best_kernel.alphabet_u == O.default_card_u(p) == 16
+        assert all(math.isfinite(v) for v in (sw.lower, sw.mech_objective, sw.oracle_best, sw.upper))
+
+
 class TestSandwichConfig:
     def test_matches_composed_cardinality(self):
         # the criterion-1 problems; |U| does not depend on the search budget
@@ -289,9 +350,13 @@ class TestSandwichConfig:
 
     def test_constructions_derived_once(self, monkeypatch):
         # one check validates, allocates and profiles once, and hands the
-        # results to the warm-start |U|, the search's starts and the objective
+        # results to the warm-start |U|, the search's starts and the
+        # objective; it builds each component's refinement once, for the
+        # starts alone
         counts = {}
-        for home, name in ((model, "validate"), (B, "canonical_allocations"), (M, "refinement_profile")):
+        names = ((model, "validate"), (B, "canonical_allocations"), (M, "refinement_profile"),
+                 (M, "frl_construct"))
+        for home, name in names:
             real = getattr(home, name)
 
             def wrapped(*a, _name=name, _real=real, **k):
@@ -308,9 +373,10 @@ class TestSandwichConfig:
         problems.append(Problem(p3.components, p3.users, 10.0))
         assert sum(validate(p).trivial for p in problems) == 1
         for i, p in enumerate(problems):
-            counts.update(validate=0, canonical_allocations=0, refinement_profile=0)
+            counts.update(validate=0, canonical_allocations=0, refinement_profile=0, frl_construct=0)
             O.sandwich_check(p, QUICK)
-            assert counts == {"validate": 1, "canonical_allocations": 1, "refinement_profile": 1}, i
+            assert counts == {"validate": 1, "canonical_allocations": 1, "refinement_profile": 1,
+                              "frl_construct": p.n_components}, i
 
     def test_composes_at_most_twice(self, monkeypatch):
         # only the structured starts of restarts 2 and 3 compose a mechanism
@@ -338,6 +404,6 @@ class TestSandwichConfig:
             p = random_problem(seed)
             a = O.search(p, QUICK)
             allocs = B.canonical_allocations(p, validate(p))
-            b = O.search(p, QUICK, O.canonical_starts(p, M.refinement_profile(p), allocs))
+            b = O.search(p, QUICK, O.canonical_starts(p, allocs))
             assert a.trace == b.trace, seed
             assert np.array_equal(a.best_kernel.table, b.best_kernel.table), seed

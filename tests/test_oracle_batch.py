@@ -16,7 +16,6 @@ from helpers import (
     toward_const,
 )
 from privbound import bounds as B
-from privbound import mechanisms as M
 from privbound import oracle as O
 from privbound.model import Component, Problem, User, validate
 from privbound.probcore import ZERO_FLOOR, Joint2, _mi
@@ -427,7 +426,7 @@ def _start_table(ev, p, cfg, starts, restart):
 
 def _ref_search(p, cfg):
     ev = O._Evaluator(p, O.default_card_u(p))
-    starts = O.canonical_starts(p, M.refinement_profile(p), B.canonical_allocations(p, validate(p)))
+    starts = O.canonical_starts(p, B.canonical_allocations(p, validate(p)))
     return [_ref_ascend(ev, p, _start_table(ev, p, cfg, starts, r), cfg, r)
             for r in range(cfg.restarts)]
 
@@ -649,7 +648,7 @@ class TestOccupiedColumns:
         # restart 0 folds y to y mod |U|; a warm start fills its first
         # columns; a seeded start fills every column
         p = random_problem(1, max_n=2)
-        starts = O.canonical_starts(p, M.refinement_profile(p), B.canonical_allocations(p, validate(p)))
+        starts = O.canonical_starts(p, B.canonical_allocations(p, validate(p)))
         cfg = O.OracleConfig(seed=3)
         for card_u in (3, max(s.cardinality for s in starts if s is not None)):
             ev = O._Evaluator(p, card_u)

@@ -96,6 +96,12 @@ class TestProjectionEdges:
     def test_copy_pair(self, p0, edge, frac):
         c = xy_copy_component(p0=p0)
         p = single_user(0.0, c)
+        # P(x = 1, u = 0) = 0: every repair here starts on an empty column-0
+        # cell at t = 0, where ``mixed`` reads ln a := 0 (true slope -inf)
+        ev = O._Evaluator(p, 2)
+        terms = ev.terms(ev.marginals(M.identity_kernel(c).table))
+        assert terms.col0[0, 1] == 0.0
+        assert ev.mixed(terms.col0, ev._rest(terms), np.zeros(1))[1][0, 0] >= 0.0
         _assert_projection_in_band(p, M.identity_kernel(c), edge, frac)
 
     def test_band_edges_named(self):
