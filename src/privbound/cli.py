@@ -42,7 +42,6 @@ from .errors import (
     PrivboundError,
     RegimeError,
     SchemaError,
-    SizeCapError,
     ValidationError,
     is_number,
     kind_name,
@@ -279,9 +278,15 @@ def mechanism_report(
     return _in_units(doc, options)
 
 
-def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+def _report_text(doc: dict) -> str:
+    """A report as strict JSON. Weights or an sfrl_constant near the float
+    range can overflow its numbers to inf or NaN, which JSON cannot hold:
+    PrivboundError (exit 3)."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise PrivboundError("a report number overflows the float range: "
+                             "the weights or sfrl_constant are too large") from None
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +296,7 @@ def _emit(doc: dict) -> None:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     p, options = load_problem(args.file)
-    _emit(bounds_report(p, options))
+    sys.stdout.write(_report_text(bounds_report(p, options)))
     return EXIT_OK
 
 
@@ -310,10 +315,11 @@ def cmd_mechanize(args: argparse.Namespace) -> int:
         raise PrivboundError(
             f"constructed leakage {rep.leakage} deviates from allocated {alloc.total}"
         )
+    report = _report_text(mechanism_report(rep, alloc, options))
     with _output(args.out) as fh:
         json.dump(mechanisms.mechanism_to_dict(p, mech), fh, indent=2)
         fh.write("\n")
-    _emit(mechanism_report(rep, alloc, options))
+    sys.stdout.write(report)
     return EXIT_OK
 
 
@@ -333,7 +339,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.decompose:
         dchecks, tchecks = mechanisms._transform_checks(p, mechanisms.materialize_monolithic(p, mech))
         doc.update(_in_units({"decompose": _fields(dchecks), "refine": _fields(tchecks)}, options))
-    _emit(doc)
+    sys.stdout.write(_report_text(doc))
     return EXIT_OK
 
 
@@ -462,9 +468,6 @@ def main(argv: list[str] | None = None) -> int:
     except AlphabetMismatchError as e:
         sys.stderr.write(f"alphabet mismatch: {e}\n")
         return EXIT_ALPHABET
-    except (ValidationError, RegimeError, SizeCapError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_INVARIANT
     except PrivboundError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_INVARIANT

@@ -359,6 +359,12 @@ def canonical_objective(p: Problem, stats: ProblemStats, profile: tuple[float, .
     return best if best.ndim else float(best)
 
 
+def flat_axes(p: Problem) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The component alphabets that flatten into X and into Y, in component
+    order: their products are |X| and |Y| of the flattened alphabets."""
+    return tuple(c.card_x for c in p.components), tuple(c.card_y for c in p.components)
+
+
 def flat_joint_xy(p: Problem) -> np.ndarray:
     """P(x, y) over the flattened product alphabets (C order)."""
     t = p.components[0].joint.table
@@ -369,8 +375,7 @@ def flat_joint_xy(p: Problem) -> np.ndarray:
 
 def monolithic_joint(p: Problem, k: Kernel) -> JointN:
     """Joint law over (x_1..x_N, y_1..y_N, u) for a full-joint kernel."""
-    dims_x = tuple(c.card_x for c in p.components)
-    dims_y = tuple(c.card_y for c in p.components)
+    dims_x, dims_y = flat_axes(p)
     nx, ny = math.prod(dims_x), math.prod(dims_y)
     if (k.card_x, k.card_y) != (nx, ny):
         raise AlphabetMismatchError(
@@ -419,8 +424,7 @@ def evaluate(p: Problem, m: ComposedMechanism | Kernel) -> MechanismReport:
 
 def materialize_monolithic(p: Problem, m: ComposedMechanism) -> Kernel:
     """Flatten a composed mechanism to a single kernel over product alphabets."""
-    nx = math.prod(c.card_x for c in p.components)
-    ny = math.prod(c.card_y for c in p.components)
+    nx, ny = map(math.prod, flat_axes(p))
     probcore.check_size("materialized kernel", nx * ny * m.cardinality)
     out = np.empty((nx, ny, m.cardinality))
     _compose_into(m, out)

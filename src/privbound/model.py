@@ -133,6 +133,9 @@ class Problem:
             for i in u.demands:
                 if i >= n:
                     raise ValidationError(f"user {k} demands component {i}, but N={n}")
+        # every weight mass mu_i is at most their sum
+        if not math.isfinite(sum(u.weight for u in users)):
+            raise ValidationError("the users' weights sum past the float range")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "users", users)
         object.__setattr__(self, "epsilon", eps)

@@ -18,12 +18,12 @@ the start (restart 0's relabelled Y, a warm start's first columns, all of
 a seeded kernel's) and from each accepted candidate, never from a pass
 over the kernel. Each sweep packs the marginals P(x,u) and P(y_S,u) of
 the live restarts whose kernel changed since their last sweep (all of
-them on a group's first), in place in the group's one buffer of packed
-marginals, takes their vertex directions' argmax and scores their BATCH
-candidates. A restart whose last sweep accepted nothing keeps its
-marginals there and scores only its jump, the one candidate drawn fresh:
-its step candidates would score the same bits against the same running
-best, so none could be accepted. One rule, ``_narrow``, picks the
+them on a group's first) into a new array, takes their vertex
+directions' argmax and scores their BATCH candidates. A restart whose
+last sweep accepted nothing keeps a copy of the marginals that sweep
+formed and scores only its jump, the one candidate drawn fresh: its step
+candidates would score the same bits against the same running best, so
+none could be accepted. One rule, ``_narrow``, picks the
 u-columns a sweep reads: the union of the masks of the restarts whose
 marginals it forms plus each one's first empty column, which stands for
 all of its empty ones (they score alike in the vertex directions'
@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -203,10 +203,10 @@ class _Evaluator:
     The search keeps, per kernel, a boolean mask of the u-columns that may
     hold mass. ``_narrow`` turns a sweep's masks into the one set of
     columns it reads (None: all of them): ``occupied_marginals`` forms the
-    packed marginals over that set only and scatters them into the
-    full-width layout of the rows it is handed (slots of the group's
-    buffer), so every scorer sees the same arrays as from ``marginals``,
-    and ``vertex_choices`` takes its argmax over the same set.
+    packed marginals over that set only and scatters them into a new
+    full-width array, so every scorer sees the same arrays as from
+    ``marginals``, and ``vertex_choices`` takes its argmax over the same
+    set.
     ``step_into``, ``jump_into`` and ``mix_into`` overwrite the accepted
     kernel in place and keep the mask covering its mass. Every kept number
     is formed from the same operands in the same order as at full width,
@@ -216,8 +216,7 @@ class _Evaluator:
 
     def __init__(self, p: Problem, card_u: int):
         self.card_u = card_u
-        self.dims_x = tuple(c.card_x for c in p.components)
-        self.dims_y = tuple(c.card_y for c in p.components)
+        self.dims_x, self.dims_y = mechanisms.flat_axes(p)
         self.nx = math.prod(self.dims_x)
         self.ny = math.prod(self.dims_y)
         probcore.check_size("oracle kernel", self.nx * self.ny * card_u)
@@ -300,22 +299,20 @@ class _Evaluator:
             for drop in self.user_drops
         ]
 
-    def marginals(self, tables: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def marginals(self, tables: np.ndarray) -> np.ndarray:
         """Packed marginals of one kernel tensor, or of a stack of them over a
-        leading axis: shape (B, size), written into ``out`` where given.
-        Kernels over fewer u-columns than |U| give family rows of that many
-        columns."""
+        leading axis: shape (B, size). Kernels over fewer u-columns than |U|
+        give family rows of that many columns."""
         nu = tables.shape[-1]
         xu = np.einsum("xy,...xyu->...xu", self.pxy, tables).reshape(-1, self.nx * nu)
         yu = np.einsum("xy,...xyu->...yu", self.pxy, tables).reshape(-1, self.ny, nu)
-        return np.concatenate([xu, *(m.reshape(len(yu), -1) for m in self.user_marginals(yu))], axis=1, out=out)
+        return np.concatenate([xu, *(m.reshape(len(yu), -1) for m in self.user_marginals(yu))], axis=1)
 
-    def occupied_marginals(self, tables: np.ndarray, rows: np.ndarray,
-                           cols: np.ndarray | None, out: np.ndarray) -> np.ndarray:
-        """``marginals(tables[rows])``, written into ``out`` (rows.size,
-        size) and returned, for a stack whose rows ``rows`` are zero outside
-        the u-columns ``cols`` (``_narrow``; None: all), formed over those
-        columns only and scattered into the full-width layout. Only those
+    def occupied_marginals(self, tables: np.ndarray, rows: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
+        """``marginals(tables[rows])`` for a stack whose rows ``rows`` are
+        zero outside the u-columns ``cols`` (``_narrow``; None: all), formed
+        over those columns only and scattered into the full-width layout.
+        Only those
         rows get an einsum. The column gather reads every row of the stack
         and then keeps the wanted ones: gathering only those, one at a
         time, measured 2-4 times faster per call but narrowed stacks with
@@ -323,13 +320,12 @@ class _Evaluator:
         search."""
         every = rows.size == len(tables)
         if cols is None:
-            return self.marginals(tables if every else tables[rows], out)
+            return self.marginals(tables if every else tables[rows])
         sub = np.take(tables, cols, axis=3)
         narrow = self.marginals(sub if every else sub[rows])
-        full = out.reshape(rows.size, self.row_starts[-1], self.card_u)
-        full.fill(0.0)
+        full = np.zeros((rows.size, self.row_starts[-1], self.card_u))
         full[:, :, cols] = narrow.reshape(rows.size, -1, cols.size)
-        return out
+        return full.reshape(rows.size, self.size)
 
     def unpack(self, marg: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Views of packed marginals: P(x,u) as (B, |X|, |U|) and one
@@ -337,17 +333,23 @@ class _Evaluator:
         fams = [marg[:, a:b].reshape(len(marg), -1, self.card_u) for a, b in self.fam_bounds]
         return fams[0], fams[1:]
 
-    def jump_marginals(self, marg: np.ndarray, k: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """Packed marginals of each row's ``jump_table``: its current ones
-        ``marg`` plus P(x,y) (e_v - K[x,y,.]) on every family's cells of each
-        moved column (x, y), in one ``bincount``. ``k`` holds the moved
-        columns' current entries K[x,y,.], (rows, ncols, |U|)."""
+    def jump_marginals(self, margs: Sequence[np.ndarray], k: np.ndarray, cols: np.ndarray,
+                       vals: np.ndarray) -> np.ndarray:
+        """Packed marginals of each row's ``jump_table``, (rows, size): its
+        current ones ``margs[row]`` plus P(x,y) (e_v - K[x,y,.]) on every
+        family's cells of each moved column (x, y). The shifts come from one
+        ``bincount``, into which each row's marginals are added in place.
+        ``k`` holds the moved columns' current entries K[x,y,.], (rows,
+        ncols, |U|)."""
         rows, nu = len(cols), self.card_u
         delta = self.pxy_flat[cols][..., None] * ((np.arange(nu) == vals[..., None]) - k)
         base = self.col_base[:, cols] + (np.arange(rows) * self.size)[:, None]   # (F, rows, ncols)
         idx = base[..., None] + np.arange(nu)
-        shift = np.bincount(idx.ravel(), weights=np.broadcast_to(delta, idx.shape).ravel(), minlength=marg.size)
-        return marg + shift.reshape(marg.shape)
+        out = np.bincount(idx.ravel(), weights=np.broadcast_to(delta, idx.shape).ravel(), minlength=rows * self.size)
+        out = out.reshape(rows, self.size)
+        for row, marg in zip(out, margs):
+            row += marg
+        return out
 
     # -- terms and scores ------------------------------------------------------
 
@@ -359,14 +361,13 @@ class _Evaluator:
         return _Terms(np.add.reduceat(_xlogx(marg), self.fam_offs, axis=1),
                       marg[:, self.col0_idx], lpu.sum(axis=1), lpu[:, 0])
 
-    def sweep_terms(self, marg: np.ndarray, ln: np.ndarray, choices: np.ndarray, jump: _Terms) -> _Terms:
-        """Terms of one sweep's BATCH candidates per row of ``marg``,
-        row-major. Candidate i * len(STEP_SIZES) + j of a row is
+    def sweep_terms(self, marg: np.ndarray, ln: np.ndarray, choices: np.ndarray) -> _Terms:
+        """Terms of one sweep's BATCH - 1 step candidates per row of
+        ``marg``, row-major. Candidate i * len(STEP_SIZES) + j of a row is
         (1 - eta_j) K + eta_j D_i, for the row's current kernel K and the
         vertex kernel D_i of choices[:, i], scored from K's marginals (and
         ``ln``, their logs floored at ``_TINY``, which this overwrites) and
-        D_i's touched cells; the last one is the row's jump (terms
-        ``jump``)."""
+        D_i's touched cells."""
         rows, size, nu = len(marg), self.size, self.card_u
         ndir = choices.shape[1]
         u = choices.reshape(rows * ndir, 1, -1)
@@ -407,13 +408,8 @@ class _Evaluator:
             plogp -= self._dropped(marg, xl, d, near)
         col0 = self.scale * marg[:, None, None, self.col0_idx] + self.eta * d[:, :, None, self.col0_idx]
         lpu = _xlogx(self.scale * pu_k[:, None, None] + self.eta * pu_d.reshape(rows, ndir, 1, nu))
-        steps = _Terms(plogp, col0, lpu.sum(axis=-1), lpu[..., 0])
-
-        def joined(s: np.ndarray, j: np.ndarray) -> np.ndarray:
-            out = np.concatenate((s.reshape(rows, BATCH - 1, *s.shape[3:]), j[:, None]), axis=1)
-            return out.reshape(rows * BATCH, *s.shape[3:])
-
-        return _Terms(*(joined(s, j) for s, j in zip(steps, jump)))
+        steps = (plogp, col0, lpu.sum(axis=-1), lpu[..., 0])
+        return _Terms(*(s.reshape(rows * (BATCH - 1), *s.shape[3:]) for s in steps))
 
     def _dropped(self, marg: np.ndarray, xl: np.ndarray, d: np.ndarray, near: np.ndarray) -> np.ndarray:
         """The part of (1 - eta) S + (1 - eta) ln(1 - eta) M, per step
@@ -702,29 +698,6 @@ def _initial_tables(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Start
     return slice(None)
 
 
-def _lay_out(kept: np.ndarray, slot: np.ndarray, fresh: np.ndarray, held: np.ndarray) -> np.ndarray:
-    """Give the rows ``fresh`` the first slots of ``kept``, in order, and the
-    rows ``held`` the next ones, keeping each held row's marginals: a held
-    row whose slot lies outside those moves, one row at a time, into a slot
-    that a fresh or stalled row leaves free. ``slot`` maps each row to its
-    slot; the live rows' slots are distinct, and stay so. Returns the rows
-    in slot order, the order of the sweep's batch."""
-    nf, nl = fresh.size, fresh.size + held.size
-    at = slot[held]
-    out = (at < nf) | (at >= nl)
-    free = np.ones(nl - nf, dtype=bool)
-    free[at[~out] - nf] = False
-    into = nf + np.flatnonzero(free)
-    for src, dst in zip(at[out].tolist(), into.tolist()):
-        kept[dst] = kept[src]
-    slot[held[out]] = into
-    slot[fresh] = np.arange(nf)
-    order = np.empty(nl, dtype=np.intp)
-    order[:nf] = fresh
-    order[slot[held]] = held
-    return order
-
-
 def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
                   restarts: range) -> tuple[list[float], tuple[float, np.ndarray, float]]:
     """Candidate-step ascent of a group of restarts in lockstep; returns the
@@ -734,19 +707,20 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
     stack is that one row.
 
     Every restart keeps its row of the group's state (kernel stack, column
-    mask, best, leak, stall count, random stream) throughout, and a slot of
-    the group's buffer of packed marginals. Each sweep scores the live
-    restarts' candidates together. A restart whose kernel changed since its
-    last sweep (every one, on the first) is fresh: the sweep forms its
-    marginals, in its slot, over the fresh rows' masked columns, and scores
-    its BATCH candidates. A restart whose last sweep accepted nothing is
-    held: its kernel, marginals and step candidates are what that sweep
-    scored, bit for bit, against the same running best, so none could be
-    accepted, and it scores only its jump, from the marginals in its slot.
-    Each restart walks its own candidates in order, accepting every one that
-    beats its running best (the last accepted overwrites its kernel in
-    place, the only candidate formed), and stops sweeping after 6 sweeps
-    without an acceptance.
+    mask, best, leak, stall count, random stream) throughout. Each sweep
+    scores the live restarts' candidates together. A restart whose kernel
+    changed since its last sweep (every one, on the first) is fresh: the
+    sweep forms its marginals, in a new array over the fresh rows' masked
+    columns, and scores its BATCH candidates. A restart whose last sweep
+    accepted nothing is held: its kernel, marginals and step candidates are
+    what that sweep scored, bit for bit, against the same running best, so
+    none could be accepted, and it scores only its jump, from the copy of
+    its marginals that it kept (``kept``). The batch holds every live
+    row's jump, fresh rows first, then the fresh rows' steps. Each restart
+    walks its own candidates, its steps and then its jump, accepting every
+    one that beats its running best (the last accepted overwrites its
+    kernel in place, the only candidate formed), and stops sweeping after 6
+    sweeps without an acceptance.
     """
     eps = p.epsilon
     nxy, nu = ev.nx * ev.ny, ev.card_u
@@ -756,15 +730,13 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
     for row, r in enumerate(restarts):
         masks[row, _initial_tables(ev, p, cfg, starts, r, tables[row])] = True
     every = np.arange(len(rngs))
-    # the group's one buffer of marginals; each sweep lays its live rows out
-    # in batch order, fresh ones first, and forms theirs in place
-    kept = ev.occupied_marginals(tables, every, _narrow(every.size * nxy, masks), np.empty((every.size, ev.size)))
-    t_mix, scores = ev.repair(ev.terms(kept), eps, slack=LEAKAGE_SLACK)
+    start = ev.terms(ev.occupied_marginals(tables, every, _narrow(every.size * nxy, masks)))
+    t_mix, scores = ev.repair(start, eps, slack=LEAKAGE_SLACK)
     best, leak = ev.objective(scores).tolist(), scores[:, 0].tolist()
     for table, mask, t in zip(tables, masks, t_mix.tolist()):
         ev.mix_into(table, mask, t)
-    slot = every.copy()
-    held_row = np.zeros(len(rngs), dtype=bool)   # no acceptance in the row's last sweep
+    # a copy of each restart's marginals while its last sweep accepted nothing
+    kept: list[np.ndarray | None] = [None] * len(rngs)
     stall = np.zeros(len(rngs), dtype=int)
     # large kernels get proportionally fewer sweeps to keep runtime flat
     iters = min(cfg.iters, max(6, int(cfg.iters * 12_000 / max(nxy * nu, 1))))
@@ -774,14 +746,14 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
         live = np.flatnonzero(stall < 6)
         if live.size == 0:
             break
-        fresh, held = live[~held_row[live]], live[held_row[live]]
+        held = np.array([kept[r] is not None for r in live.tolist()])
+        fresh = live[~held]
         nf = fresh.size
-        order = _lay_out(kept, slot, fresh, held)
-        rows = order.tolist()
+        rows = fresh.tolist() + live[held].tolist()
         if nf:
             # the marginals and the vertex choices read the same columns
             read = _narrow(nf * nxy, masks[fresh])
-            marg = ev.occupied_marginals(tables, fresh, read, kept[:nf])
+            marg = ev.occupied_marginals(tables, fresh, read)
             # one log of the marginals serves both scorers; in place, to
             # hold only one array of its size
             ln = np.maximum(marg, _TINY)
@@ -794,55 +766,48 @@ def _ascend_group(ev: _Evaluator, p: Problem, cfg: OracleConfig, starts: Starts,
         for row, r in enumerate(rows):
             cols[row] = rngs[r].choice(nxy, size=ncols, replace=False)
             vals[row] = rngs[r].integers(0, nu, size=ncols)
-        moved = tables.reshape(len(rngs), nxy, nu)[order[:, None], cols]
-        cands = ev.terms(ev.jump_marginals(kept[:live.size], moved, cols, vals))
+        moved = tables.reshape(len(rngs), nxy, nu)[np.array(rows)[:, None], cols]
+        own = [marg[row] if row < nf else kept[r] for row, r in enumerate(rows)]
+        cands = ev.terms(ev.jump_marginals(own, moved, cols, vals))
         if nf:
-            # the fresh rows' BATCH candidates each, then the held rows' jumps
-            steps = ev.sweep_terms(marg, ln, choices, cands.take(slice(nf)))
-            cands = _Terms(*(np.concatenate((s, j[nf:])) for s, j in zip(steps, cands)))
+            # every live row's jump, then the fresh rows' BATCH - 1 steps each
+            cands = _Terms(*map(np.concatenate, zip(cands, ev.sweep_terms(marg, ln, choices))))
         t, scores = ev.repair(cands, eps, slack=LEAKAGE_SLACK)
         objs = ev.objective(scores).tolist()
         ev.candidates += len(objs)
-        ev.jump_only += held.size
+        ev.jump_only += live.size - nf
         ev.sweeps += 1
         stall[live] += 1
         for row, r in enumerate(rows):
-            # candidate k of the row sits at first + k; a held row has only
-            # its jump, k = BATCH - 1
-            if row < nf:
-                first, kinds = row * BATCH, range(BATCH)
-            else:
-                first, kinds = nf * (BATCH - 1) + row - (BATCH - 1), (BATCH - 1,)
+            # (kind, candidate) pairs: a fresh row's steps, then its jump
+            walk = [(k, live.size + row * (BATCH - 1) + k) for k in range(BATCH - 1)] if row < nf else []
+            walk.append((BATCH - 1, row))
             pick = -1
-            for k in kinds:
-                if objs[first + k] > best[r] + ACCEPT_TOL:
-                    best[r] = objs[first + k]
-                    pick = k
+            for k, i in walk:
+                if objs[i] > best[r] + ACCEPT_TOL:
+                    best[r] = objs[i]
+                    pick, at = k, i
                     ev.accepted += 1
-            held_row[r] = pick < 0
             if pick < 0:
+                if row < nf:
+                    kept[r] = marg[row].copy()
                 continue
+            kept[r] = None
             stall[r] = 0
-            leak[r] = float(scores[first + pick, 0])
+            leak[r] = float(scores[at, 0])
             if pick == BATCH - 1:
                 ev.jump_into(tables[r], masks[r], cols[row], vals[row])
             else:
                 ev.step_into(tables[r], masks[r], STEP_SIZES[pick % nj], choices[row, pick // nj])
-            ev.mix_into(tables[r], masks[r], float(t[first + pick]))
+            ev.mix_into(tables[r], masks[r], float(t[at]))
     top = max(range(len(rngs)), key=best.__getitem__)
     # a copy where the stack holds other rows, which a view would keep alive
     # through later groups
     return best, (best[top], tables[top] if len(rngs) == 1 else tables[top].copy(), leak[top])
 
 
-def _flat_sizes(p: Problem) -> tuple[int, int]:
-    """|X| and |Y| of the flattened product alphabets."""
-    return (math.prod(c.card_x for c in p.components),
-            math.prod(c.card_y for c in p.components))
-
-
 def default_card_u(p: Problem) -> int:
-    nx, ny = _flat_sizes(p)
+    nx, ny = map(math.prod, mechanisms.flat_axes(p))
     return min(nx * (ny - 1) + 2, 16)
 
 
@@ -896,7 +861,7 @@ def leakage_project(m: Kernel, p: Problem, eps: float) -> Kernel:
     """
     if not math.isfinite(eps) or eps < 0.0:
         raise ValidationError(f"eps must be finite and >= 0, got {eps}")
-    nx, ny = _flat_sizes(p)
+    nx, ny = map(math.prod, mechanisms.flat_axes(p))
     if (m.card_x, m.card_y) != (nx, ny):
         raise AlphabetMismatchError(f"kernel is {m.card_x}x{m.card_y}, flattened problem is {nx}x{ny}")
     ev = _Evaluator(p, m.alphabet_u)
@@ -936,7 +901,7 @@ def sandwich_check(p: Problem, cfg: OracleConfig | None = None) -> SandwichRepor
     # (restart 0); the size-aware iteration budget keeps runtime flat
     cards = [s.cardinality for s in starts[1:] if s is not None]
     if stats.trivial:
-        cards.append(_flat_sizes(p)[1])
+        cards.append(math.prod(mechanisms.flat_axes(p)[1]))
     cfg = replace(cfg, card_u=max([cfg.card_u or default_card_u(p), *(min(c, WARM_CARD_CAP) for c in cards)]))
     ticks.append(perf_counter())
     result = search(p, cfg, starts)

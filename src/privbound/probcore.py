@@ -68,9 +68,9 @@ def _clean_mass(arr: np.ndarray, what: str) -> np.ndarray:
         raise ValidationError(f"{what} contains negative entries (min={lo!r})")
     if lo < ZERO_FLOOR:
         np.copyto(a, 0.0, where=a < ZERO_FLOOR)
-    total = float(a.sum())
-    if not math.isfinite(total):
-        raise ValidationError(f"{what} contains non-finite entries")
+    # finite entries can still sum past the float range; inf then fails below
+    with np.errstate(over="ignore"):
+        total = float(a.sum())
     if abs(total - 1.0) > MASS_REJECT_TOL:
         raise ValidationError(f"{what} mass {total!r} deviates from 1 by more than {MASS_REJECT_TOL}")
     a /= total
@@ -256,7 +256,8 @@ def _mi(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (shape (..., a, b)), in nats, clamped at 0, with the logarithms it used:
     ln m and ln of the column sums. Entries at or below ``ZERO_FLOOR`` take
     ln := 0, so they drop out of every sum. The one MI kernel: behind
-    ``mutual_information``, ``mi_between`` and the oracle's batched scoring."""
+    ``mutual_information``, ``mi_between``, ``mechanisms.refinement_profile``
+    and the decomposition's ``leakage_bar``."""
     row = m.sum(axis=-1)
     col = m.sum(axis=-2)
     ln_m = np.where(m > ZERO_FLOOR, m, 1.0)

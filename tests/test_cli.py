@@ -130,6 +130,23 @@ class TestBoundsCommand:
         assert "sfrl_constant" in err
         assert "Infinity" not in out and "NaN" not in out
 
+    def test_report_overflow_exits_3(self, tmp_path, capsys):
+        # a finite weight times utilities or slopes over 1.8 overflows: the
+        # bounds and the mechanism's objective hold inf or NaN, so no report
+        # is printed and no mechanism is written
+        m = np.full((4, 4), 1 / 16)
+        m[0, :2] += (0.01, -0.01)
+        doc = {"schema": "privbound/1",
+               "components": [{"name": n, "matrix": m.tolist()} for n in "ab"],
+               "users": [{"demands": [0, 1], "weight": 1e308}], "epsilon": 0.0}
+        path = write_problem(tmp_path, doc)
+        mech = tmp_path / "mech.json"
+        for argv in (["bounds", path], ["mechanize", path, "--out", str(mech)]):
+            code, out, err = run(capsys, argv)
+            assert code == 3 and out == ""
+            assert "overflows the float range" in err
+        assert not mech.exists()
+
 
 class TestMechanizeVerify:
     def test_round_trip_evaluation(self, tmp_path, capsys):

@@ -118,6 +118,17 @@ class TestStructuralErrors:
         with pytest.raises(ValidationError):
             Component("bad", Joint2(np.array([[0.7, 0.7]])))
 
+    def test_finite_entries_whose_mass_overflows(self):
+        # the sum is inf: rejected as a mass off 1, with no overflow warning
+        with np.errstate(over="raise"), pytest.raises(ValidationError, match="mass inf deviates"):
+            Joint2(np.array([[1e308, 1e308]]))
+
+    def test_weights_that_sum_past_float_range(self):
+        # each weight is finite, but mu_0 would be inf
+        users = (User((0,), 1e308), User((0,), 1e308))
+        with pytest.raises(ValidationError, match="weights sum past the float range"):
+            Problem((xy_copy_component(),), users, 0.1)
+
 
 class TestInvariants:
     def test_mu_reorder_invariant_and_total(self):

@@ -165,7 +165,7 @@ class TestSizeCap:
         monkeypatch.setattr(M, "flat_joint_xy", unguarded)
         comps = tuple(Component(f"c{i}", Joint2(np.array([[0.4, 0.1], [0.1, 0.4]]))) for i in range(64))
         p = single_user(0.01, *comps)
-        assert O._flat_sizes(p) == (2**64, 2**64)
+        assert tuple(map(math.prod, M.flat_axes(p))) == (2**64, 2**64)
         with pytest.raises(SizeCapError, match="oracle kernel"):
             O._Evaluator(p, 16)
 

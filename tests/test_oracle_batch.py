@@ -135,13 +135,11 @@ def _step_case(seed: int, rows: int = 3):
 
 def _materialized(ev, marg, k, choices):
     """Packed marginals of every candidate of ``sweep_terms``, formed
-    densely: each step from its own kernel tensor, the jump (here the
-    current kernel) as given."""
+    densely, each step from its own kernel tensor."""
     out = []
     for row in range(len(marg)):
         for c in range(O.BATCH - 1):
             out.append(ev.marginals(step_table(ev, k[row], c, choices[row]))[0])
-        out.append(marg[row])
     return np.array(out)
 
 
@@ -158,7 +156,7 @@ class TestStepTerms:
         eta_min = 1.0 - max(e for e in O.STEP_SIZES if e < 1.0)
         near = (marg > ZERO_FLOOR) & (marg <= ZERO_FLOOR / eta_min)
         assert near[-1].sum() >= 30 and not near[:-1].any()
-        cands = ev.sweep_terms(marg, _ln(marg), choices, ev.terms(marg))
+        cands = ev.sweep_terms(marg, _ln(marg), choices)
         dense = _materialized(ev, marg, k, choices)
         assert np.allclose(ev.mi(cands), _dense_mi(ev, dense), rtol=0, atol=1e-12)
         # the columns u = 0 the repair reads
@@ -167,7 +165,7 @@ class TestStepTerms:
     @pytest.mark.parametrize("seed", range(6))
     def test_repaired_utility_is_mix_then_mi(self, seed):
         ev, marg, k, choices = _step_case(seed)
-        cands = ev.sweep_terms(marg, _ln(marg), choices, ev.terms(marg))
+        cands = ev.sweep_terms(marg, _ln(marg), choices)
         dense = _materialized(ev, marg, k, choices)
         eps = float(np.median(ev.mi(cands)[:, 0]))
         t, scores = ev.repair(cands, eps, slack=O.LEAKAGE_SLACK)
@@ -181,7 +179,7 @@ class TestStepTerms:
         # without the cells the steps take to the floor, the sums would be
         # off by about 1e-14 per cell; with 30 of them, by more than 1e-13
         ev, marg, k, choices = _step_case(0, rows=1)
-        cands = ev.sweep_terms(marg, _ln(marg), choices, ev.terms(marg))
+        cands = ev.sweep_terms(marg, _ln(marg), choices)
         ref = _dense_mi(ev, _materialized(ev, marg, k, choices))
         assert np.abs(ev.mi(cands) - ref).max() < 1e-13
 
@@ -555,9 +553,8 @@ class TestOccupiedColumns:
         monkeypatch.setattr(O, "BLOCK_ENTRIES", entries)
         for live in (np.arange(len(tables)), np.arange(len(tables))[-1:]):
             cols = O._narrow(live.size * ev.nx * ev.ny, masks[live])
-            out = np.full((live.size, ev.size), np.nan)
-            marg = ev.occupied_marginals(tables, live, cols, out)
-            assert marg is out and np.array_equal(marg, ev.marginals(tables)[live])
+            marg = ev.occupied_marginals(tables, live, cols)
+            assert np.array_equal(marg, ev.marginals(tables)[live])
             if entries == 1 and case != "all_occupied":
                 # never a single column: einsum would add in another order
                 assert cols is not None and 2 <= cols.size < ev.card_u
@@ -630,13 +627,13 @@ class TestOccupiedColumns:
             masks.append(keep)
             return narrow(per_col, keep)
 
-        def checked(self, tables, rows, cols, out):
+        def checked(self, tables, rows, cols):
             keep = masks.pop()
             assert not np.any(tables[rows] * ~keep[:, None, None, :])
             if cols is not None:
                 assert not np.delete(tables[rows], cols, axis=3).any()
             seen.extend(keep.mean(axis=1))
-            return occupied(self, tables, rows, cols, out)
+            return occupied(self, tables, rows, cols)
 
         monkeypatch.setattr(O, "_narrow", noted)
         monkeypatch.setattr(O._Evaluator, "occupied_marginals", checked)

@@ -57,9 +57,9 @@ class TestGroupsAgree:
         narrowed = []
         occupied = O._Evaluator.occupied_marginals
 
-        def spy(self, tables, rows, cols, out):
+        def spy(self, tables, rows, cols):
             narrowed.append(cols is not None and rows.size >= 2)
-            return occupied(self, tables, rows, cols, out)
+            return occupied(self, tables, rows, cols)
 
         monkeypatch.setattr(O._Evaluator, "occupied_marginals", spy)
         p = random_problem(seed)
@@ -98,28 +98,51 @@ class TestGroupsAgree:
         assert peaks[4 * group] <= peaks[group] + 1e6, peaks
 
 
-class TestBufferLayout:
-    def test_held_rows_keep_their_marginals(self):
-        # random runs of fresh, held and stalled rows: each sweep writes its
-        # fresh rows' marginals into the first slots, in row order, and every
-        # held row finds the ones its last fresh sweep wrote
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            n = int(rng.integers(1, 9))
-            kept, slot = np.empty((n, 2)), np.arange(n)
-            live, last = np.arange(n), np.zeros(n)
-            for sweep in range(8):
-                is_held = rng.random(live.size) < 0.5 if sweep else np.zeros(live.size, dtype=bool)
-                fresh, held = live[~is_held], live[is_held]
-                order = O._lay_out(kept, slot, fresh, held)
-                assert np.array_equal(order[: fresh.size], fresh)
-                assert sorted(order.tolist()) == live.tolist()
-                assert np.array_equal(slot[order], np.arange(live.size))
-                for r in held:
-                    assert kept[slot[r]].tolist() == [r, last[r]]
-                for i, r in enumerate(fresh):
-                    kept[i], last[r] = (r, sweep), sweep
-                live = live[rng.random(live.size) < 0.85]
+class TestHeldMarginals:
+    @pytest.mark.parametrize("budget", [1, O.GROUP_BUDGET])
+    @pytest.mark.parametrize("entries", [1, O.BLOCK_ENTRIES])
+    def test_held_jumps_read_their_kernels_marginals(self, monkeypatch, budget, entries):
+        # every held row's jump is shifted from marginals equal, bit for bit,
+        # to those of its current kernel, which is the one its last sweep
+        # scored: a restart that accepted a candidate keeps no marginals. A
+        # held row is found by the moved columns' entries it was handed; one
+        # held in a sweep and fresh in the next accepted its jump, which
+        # seeds 13 and 29 reach.
+        monkeypatch.setattr(O, "GROUP_BUDGET", budget)
+        monkeypatch.setattr(O, "BLOCK_ENTRIES", entries)
+        occupied, jump = O._Evaluator.occupied_marginals, O._Evaluator.jump_marginals
+        state = {"held": 0, "accepted": 0}
+
+        def fresh_spy(self, tables, rows, cols):
+            if tables is not state.get("tables"):
+                state.update(tables=tables, swept={}, held_rows=set())
+            state["fresh"] = rows
+            return occupied(self, tables, rows, cols)
+
+        def jump_spy(self, margs, k, cols, vals):
+            tables, swept = state["tables"], state["swept"]
+            fresh = state.pop("fresh", np.empty(0, dtype=int)).tolist()
+            state["accepted"] += len(state["held_rows"].intersection(fresh))
+            flat = tables.reshape(len(tables), -1, tables.shape[-1])
+            held_rows = set()
+            for m, k_row, c in zip(margs[len(fresh):], k[len(fresh):], cols[len(fresh):]):
+                rows = [r for r in range(len(tables))
+                        if r not in fresh and swept.get(r) == tables[r].tobytes()
+                        and np.array_equal(flat[r, c], k_row) and np.array_equal(m, self.marginals(tables[r])[0])]
+                assert rows
+                held_rows.add(rows[0])
+            state["held"] += len(margs) - len(fresh)
+            state["held_rows"] = held_rows
+            swept.update((r, tables[r].tobytes()) for r in fresh)
+            return jump(self, margs, k, cols, vals)
+
+        monkeypatch.setattr(O._Evaluator, "occupied_marginals", fresh_spy)
+        monkeypatch.setattr(O._Evaluator, "jump_marginals", jump_spy)
+        for seed in (1, 2, 13, 29):
+            state["held"] = 0
+            res = O.sandwich_check(random_problem(seed, max_n=2), QUICK).search
+            assert state["held"] == res.jump_only > 0
+        assert state["accepted"] >= 3
 
 
 class TestClosedFormLeakage:
