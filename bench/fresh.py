@@ -12,15 +12,18 @@ checkout's, and the runs alternate which side goes first:
 - peak RSS (``ru_maxrss``), minor page faults (``ru_minflt``) and system
   CPU seconds (``ru_stime``), RUNS runs per side, of one pass over each of
   ``ab.WORKLOADS`` at ``ab.SEED``, the side loaded with ``ab.load_side``,
-  and of ``decompose_transform`` alone on the transform cases at
-  ``ab.SEED`` whose decomposition joint has more than DECOMPOSE_BIG
-  entries. Each counts the whole process, start-up and imports included.
-- the largest tracemalloc peak of one op of the TRACED passes: one
-  ``sandwich_check`` of the ``small``, ``large`` and ``criterion`` passes,
-  and one of those ``decompose_transform`` calls, each op run once more
-  under tracemalloc after the counts above are read. It is the same from
-  run to run and does not move with the allocator's layout, as peak RSS
-  does (below).
+  of ``decompose_transform`` alone on the transform cases at ``ab.SEED``
+  whose decomposition joint has more than DECOMPOSE_BIG entries
+  (``decompose``), and of the same on those cases with their kernel's
+  u = 0 column scaled by SUB_FLOOR (``decompose_floor``), which puts about a
+  third of the joint's cells below ``ZERO_FLOOR``. Each counts the whole
+  process, start-up and imports included.
+- the largest process CPU time and the largest tracemalloc peak of one op
+  of the TRACED passes: one ``sandwich_check`` of the ``small``, ``large``
+  and ``criterion`` passes, and one of those ``decompose_transform`` calls,
+  each op run once more for its time and once more under tracemalloc after
+  the counts above are read. The peak is the same from run to run and does
+  not move with the allocator's layout, as peak RSS does (below).
 
 A pass builds its inputs with this checkout's ``perfbench`` and ``tests``
 generators, which import this checkout's privbound on both sides alike.
@@ -47,6 +50,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 
 import ab  # bench/ab.py
@@ -55,15 +59,17 @@ import inputs  # perfbench/inputs.py
 RUNS = 3      # passes per side and workload
 IMPORTS = 15  # imports per side
 DECOMPOSE_BIG = 5_000_000
+SUB_FLOOR = 1e-8  # the u = 0 column's scale in the decompose_floor pass
 BENCH = os.path.dirname(os.path.abspath(__file__))
 IMPORT = ("import sys, time; sys.path.insert(0, sys.argv[1]); t0 = time.perf_counter(); "
           "import privbound; print(time.perf_counter() - t0)")
 PASS = "import sys; sys.path.insert(0, sys.argv[1]); import fresh; fresh.child(*sys.argv[2:])"
 # what a pass reports, in the order ``child`` prints it; the TRACED passes
-# add TRACED_KEY
+# add TRACED_KEYS
 PASS_KEYS = ("peak_rss_mb", "minflt", "stime_s")
-TRACED = ("small", "large", "criterion", "decompose")
-TRACED_KEY = "tracemalloc_mib"
+DECOMPOSE = ("decompose", "decompose_floor")
+TRACED = ("small", "large", "criterion") + DECOMPOSE
+TRACED_KEYS = ("op_cpu_ms", "tracemalloc_mib")
 
 
 def decomposition_entries(spec: dict) -> int:
@@ -74,33 +80,45 @@ def decomposition_entries(spec: dict) -> int:
     return spec["kernel"].size * math.prod(math.prod(dims_x[:i]) * card_u for i in range(len(dims_x)))
 
 
+def sub_floor(spec: dict) -> dict:
+    """A transform spec with its kernel's u = 0 column scaled by SUB_FLOOR,
+    each (x, y) slice renormalized."""
+    t = spec["kernel"].copy()
+    t[:, :, 0] *= SUB_FLOOR
+    return {**spec, "kernel": t / t.sum(axis=2, keepdims=True)}
+
+
 def child(src: str, what: str) -> None:
     """In a fresh process: one pass of workload ``what``, or of the large
     decompositions, on the side under ``src``; prints its PASS_KEYS, and
-    on the TRACED passes TRACED_KEY."""
+    on the TRACED passes TRACED_KEYS."""
     side = ab.load_side("side", src)
-    if what == "decompose":
+    if what in DECOMPOSE:
         cases = (ab.transform_spec(ab.SEED, i) for i in range(inputs.TRANSFORM_CASES))
-        specs = [s for s in cases if decomposition_entries(s) > DECOMPOSE_BIG]
+        specs = [s if what == "decompose" else sub_floor(s) for s in cases if decomposition_entries(s) > DECOMPOSE_BIG]
     else:
         specs = ab.workload_specs(what, ab.SEED)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        ops = [op for op in ab.side_ops(side, specs, tmp) if what != "decompose" or op.kind == "decompose_transform"]
+        ops = [op for op in ab.side_ops(side, specs, tmp) if what not in DECOMPOSE or op.kind == "decompose_transform"]
         for op in ops:
             op.run()
         os.chdir(ab.ROOT)
     use = resource.getrusage(resource.RUSAGE_SELF)
     values = [use.ru_maxrss / 1024.0, use.ru_minflt, use.ru_stime]
-    if what in TRACED:  # after getrusage, so tracing leaves the columns above alone
-        peak = 0
+    if what in TRACED:  # after getrusage, so the runs below leave the columns above alone
+        cpu, peak = 0.0, 0
+        for op in ops:
+            t0 = time.process_time()
+            op.run()
+            cpu = max(cpu, time.process_time() - t0)
         tracemalloc.start()
         for op in ops:
             tracemalloc.reset_peak()
             op.run()
             peak = max(peak, tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
-        values.append(peak / 2**20)
+        values += [cpu * 1e3, peak / 2**20]
     print(*values)
 
 
@@ -126,8 +144,8 @@ def main() -> None:
         for k in range(RUNS):
             for name in ab.order(k):
                 print(f"run {k}: {name}", file=sys.stderr)
-                for what in ab.WORKLOADS + ("decompose",):
-                    keys = PASS_KEYS + ((TRACED_KEY,) if what in TRACED else ())
+                for what in ab.WORKLOADS + DECOMPOSE:
+                    keys = PASS_KEYS + (TRACED_KEYS if what in TRACED else ())
                     for key, v in zip(keys, measure(PASS, BENCH, srcs[name], what), strict=True):
                         runs[name].setdefault(f"{key} {what}", []).append(v)
     results = {key: {name: ab.summarize(runs[name][key]) for name in runs} for key in runs["after"]}
@@ -137,9 +155,9 @@ def main() -> None:
               f"after {a['median']:9.3f} (IQR {a['q1']:.3f}-{a['q3']:.3f})")
     if args.out:
         ab.write_json(args.out, "fresh-process numbers: import time, peak RSS, minor faults and "
-                      "system CPU of a pass, and the largest tracemalloc peak of one op", sha,
-                      {"runs": RUNS, "imports": IMPORTS, "seed": ab.SEED, "decompose_big_entries": DECOMPOSE_BIG},
-                      results)
+                      "system CPU of a pass, and the largest CPU time and tracemalloc peak of one op", sha,
+                      {"runs": RUNS, "imports": IMPORTS, "seed": ab.SEED, "decompose_big_entries": DECOMPOSE_BIG,
+                       "sub_floor": SUB_FLOOR}, results)
 
 
 if __name__ == "__main__":

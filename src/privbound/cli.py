@@ -29,6 +29,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 from typing import Any, Iterator, TextIO
@@ -179,12 +180,16 @@ def _load_json(path: str, what: str) -> Any:
 @contextlib.contextmanager
 def _output(path: str, newline: str | None = None) -> Iterator[TextIO]:
     """``path`` open for writing as UTF-8 text; SchemaError saying it
-    cannot be written when opening or writing it fails."""
+    cannot be written when opening or writing it fails. A PrivboundError
+    raised while it is written removes the partial file."""
     try:
         with open(path, "w", encoding="utf-8", newline=newline) as fh:
             yield fh
     except OSError as e:
         raise SchemaError(f"cannot write {path!r}: {e.strerror or e}")
+    except PrivboundError:
+        os.remove(path)
+        raise
 
 
 def load_problem(path: str) -> tuple[Problem, dict]:
@@ -278,6 +283,9 @@ def mechanism_report(
     return _in_units(doc, options)
 
 
+OVERFLOW = "a report number overflows the float range: the weights or sfrl_constant are too large"
+
+
 def _report_text(doc: dict) -> str:
     """A report as strict JSON. Weights or an sfrl_constant near the float
     range can overflow its numbers to inf or NaN, which JSON cannot hold:
@@ -285,8 +293,14 @@ def _report_text(doc: dict) -> str:
     try:
         return json.dumps(doc, indent=2, allow_nan=False) + "\n"
     except ValueError:
-        raise PrivboundError("a report number overflows the float range: "
-                             "the weights or sfrl_constant are too large") from None
+        raise PrivboundError(OVERFLOW) from None
+
+
+def _check_finite(values: Any) -> None:
+    """PrivboundError (exit 3), as ``_report_text`` raises, unless every
+    number of ``values`` (an array or a sequence of them) is finite."""
+    if not np.isfinite(values).all():
+        raise PrivboundError(OVERFLOW)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +371,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     }
     if report.exact is not None:
         rows["exact"] = report.exact
-    for name, value in _in_units(rows, options).items():
+    rows = _in_units(rows, options)
+    _check_finite(list(rows.values()))
+    for name, value in rows.items():
         sys.stdout.write(f"{name:<16}{value:.12g}\n")
     sys.stdout.write(f"{'trivial':<16}{str(report.trivial).lower()}\n")
     sys.stdout.write(f"{'ok':<16}{str(report.ok).lower()}\n")
@@ -410,7 +426,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             b = bounds_mod.bound_values(p, stats, eps)
             columns = (eps, b["upper"], b["lower_frl"], b["lower_sfrl"], b["lower"],
                        mechanisms.canonical_objective(p, stats, profile, eps))
-            for row in _in_units(list(zip(*(c.tolist() for c in columns))), options):
+            rows = _in_units(list(zip(*(c.tolist() for c in columns))), options)
+            _check_finite(rows)
+            for row in rows:
                 writer.writerow([f"{v:.12g}" for v in row])
     sys.stdout.write(f"wrote {n} rows to {args.csv}\n")
     return EXIT_OK

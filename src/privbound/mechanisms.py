@@ -431,6 +431,15 @@ def materialize_monolithic(p: Problem, m: ComposedMechanism) -> Kernel:
     return Kernel(out)
 
 
+def _outer(factors: list, out: np.ndarray | None = None) -> np.ndarray:
+    """The outer product f_1 (x) ... (x) f_N, into ``out`` when given. With
+    one vector v_i(x_i) per component, prod_i v_i(x_i) over the x-axes."""
+    t = 1.0  # the empty product: 1.0 * f_1 is f_1 bit for bit
+    for f in factors[:-1]:
+        t = np.multiply.outer(t, f)
+    return np.multiply.outer(t, factors[-1], out=out)
+
+
 def _compose_into(m: ComposedMechanism, out: np.ndarray) -> None:
     """Write the flattened kernel of ``m``, ((k_1 (x) k_2) (x) ...) (x) k_N
     checked and renormalized in place as ``Kernel`` does, into ``out[:, :,
@@ -443,10 +452,7 @@ def _compose_into(m: ComposedMechanism, out: np.ndarray) -> None:
     # only axes are split, so this is a view
     view = flat.reshape([t.shape[a] for a in range(3) for t in tables]).transpose(
         [a * len(tables) + i for i in range(len(tables)) for a in range(3)])
-    t = 1.0  # the empty product: 1.0 * k_1 is k_1 bit for bit
-    for k in tables[:-1]:
-        t = np.multiply.outer(t, k)
-    np.multiply.outer(t, tables[-1], out=view)
+    _outer(tables, out=view)
     _normalize_slices(flat)
 
 
@@ -509,53 +515,10 @@ def _bar_kernels(p: Problem, joint_xyu: JointN) -> BarMechanism:
     return BarMechanism(kernels=tuple(kernels), alphabets=tuple(alphabets))
 
 
-RUN_CELLS = 2**17  # cells of ``xyb`` that ``decompose_transform`` holds at a time
-
-
-def _decompose_block(head: np.ndarray, last: np.ndarray, xyb_x: np.ndarray, xyu_x: np.ndarray,
-                     ws: np.ndarray, terms: np.ndarray) -> float:
-    """One x-block of the decomposition joint, a run of flattened-y rows (a
-    chunk) at a time; returns its -sum p ln p.
-
-    ``head`` (|Y|, |U| prod_{i<N} |B_i|) holds the block's cells before the
-    last bar factor ``last`` (|B_N|). Each chunk of the block is formed in
-    ``ws``, cleaned (cells below ``ZERO_FLOOR`` zeroed), the p ln p terms
-    of its kept cells written into ``terms`` and summed there, and the
-    chunk summed over u into ``xyb_x`` (|Y|, prod |B_i|) and over the b's
-    into ``xyu_x`` (|Y|, |U|), all while it is in cache. The block's
-    entropy is the ``math.fsum`` of its chunk sums, so a block of one chunk
-    gives the bits of one sum over its terms.
-    """
-    ny, nb = xyb_x.shape
-    rows = ws.size // (head.shape[1] * last.size)  # y-rows per chunk
-    floor = probcore.ZERO_FLOOR
-    sums = []
-    for r in range(0, ny, rows):
-        h = head[r:r + rows]
-        chunk = ws[:h.size * last.size]
-        np.multiply(h[..., None], last, out=chunk.reshape(h.shape + last.shape))
-        lo = chunk.min()
-        if lo < floor:
-            np.copyto(chunk, 0.0, where=chunk < floor)
-        done = probcore._put_terms(chunk, None if lo > floor else chunk > floor, terms, 0)
-        sums.append(float(terms[:done].sum()))
-        cells = chunk.reshape(h.shape[0], -1, nb)  # (rows, u, b's)
-        cells.sum(axis=1, out=xyb_x[r:r + rows])
-        cells.sum(axis=2, out=xyu_x[r:r + rows])
-    return -math.fsum(sums)
-
-
-def _run_span(axes_x: tuple[int, ...], block: int) -> tuple[int, int]:
-    """(d, r) of ``decompose_transform``'s runs of ``xyb``: each run is the
-    sub-tensor xyb[x_1, .., x_{d-1}, s:s+r] (r values of x_d, or fewer in
-    the last run along it, and every value of the x-axes after it), in C
-    order a run of consecutive x-blocks of ``block`` cells each. d is the
-    first x-axis whose later axes' blocks fit in ``RUN_CELLS``, or the last
-    one, and r as many of its values as fit too, at least one."""
-    d = 0
-    while d < len(axes_x) - 1 and math.prod(axes_x[d + 1:]) * block > RUN_CELLS:
-        d += 1
-    return d, max(1, min(axes_x[d], RUN_CELLS // (math.prod(axes_x[d + 1:]) * block)))
+def _xlogx(a: np.ndarray) -> np.ndarray:
+    """a ln a of each entry of ``a``, 0 ln 0 := 0, in one new array."""
+    t = np.where(a > 0.0, a, 1.0)
+    return np.multiply(a, np.log(t, out=t), out=t)
 
 
 def decompose_transform(p: Problem, m: Kernel) -> tuple[BarMechanism, DecompositionChecks]:
@@ -566,24 +529,16 @@ def decompose_transform(p: Problem, m: Kernel) -> tuple[BarMechanism, Decomposit
     exactly as much as the original, B - X - (Y, U) is a Markov chain, and
     the triples (B_i, X_i, Y_i) are mutually independent across components.
 
-    The decomposition joint over (x's, y's, u, b's) is never held whole,
-    nor is one x-block of it: each block j(x, y's, u) K_1(x_1, .) ...
-    K_N(x_N, .) is formed a run of flattened-y rows at a time, about
-    ``GATHER_CHUNK`` cells, in one workspace (``_decompose_block``). Each
-    chunk gives the sum of its kept cells' p ln p terms and its slices of
-    ``xyu`` (the b's summed out), held whole, and of ``xyb`` (u summed
-    out), held a run of consecutive x-blocks at a time (``_run_span``).
-    Each run gives the sum of its p ln p terms, a ``GATHER_CHUNK`` at a
-    time, its rows of the (x, b) marginal, read by I(X;B) and H(X,B), and
-    its share of each (x_i, y_i, b_i) marginal. The entropies of the joint
-    and of ``xyb`` are renormalized by the total mass at the end.
-
-    Memory, beside the monolithic joint and ``xyu`` (|X||Y||U| entries
-    each) and the bar kernels: the run, at most max(RUN_CELLS, |Y| prod
-    |B_i|) entries; the (x, b) marginal, |X| prod |B_i|; the workspace and
-    the terms array, at most max(GATHER_CHUNK, |U| prod |B_i|) each; and a
-    block's cells before its last bar factor, |Y||U| prod_{i<N} |B_i|. The
-    size cap still counts the whole joint, as its cells are all computed.
+    The checks read the decomposition joint over (x's, y's, u, b's), its
+    cells below ``ZERO_FLOOR`` zeroed, but never form its cells: in one
+    x-block they are j(x, y, u) K_x(b), K_x = K_1(x_1, .) (x) ... (x)
+    K_N(x_N, .), so every sum the checks read comes from sums over j and
+    K_x (``_decomposition_sums``), less the share of the cells below the
+    floor, read off the sorted K_x (``_take_out_floor``). Memory, beside the
+    monolithic joint and the bar kernels: a few arrays of |X||Y||U| entries,
+    the b marginal, prod |B_i|, and in a block with cells below the floor a
+    few of at most max(GATHER_CHUNK, prod |B_i|). The size cap still counts
+    every cell of the joint: it bounds the problem, not the memory.
     """
     return _decompose(p, *_joint_and_bar(p, m))
 
@@ -595,70 +550,109 @@ def _joint_and_bar(p: Problem, m: Kernel) -> tuple[JointN, BarMechanism]:
     return j, _bar_kernels(p, j)
 
 
+def _decomposition_sums(j: JointN, bar: BarMechanism) -> tuple:
+    """sum c ln c over the cleaned decomposition joint's cells c and over its
+    xyb = (x, y's, b's) and xb = (x, b) marginals; its xyu = (x, y's, u), b
+    and (x_i, y_i, b_i) marginals; none renormalized. Per x-block, with q(y)
+    = sum_u j(y, u) and Q = sum_y q: sum c ln c = sum j ln j . sum K_x + Q .
+    sum K_x ln K_x, and the same with q or Q for j over xyb = q (x) K_x or
+    xb = Q K_x; xyu = j . sum K_x; b's is sum_x Q K_x; and part i is q summed
+    over the other y's, times prod_{k != i} sum K_k(x_k, .), (x) K_i(x_i, .)."""
+    n = len(bar.kernels)
+    axes_x, axes_y = j.axes[:n], j.axes[n:2 * n]
+    jt = j.table.reshape(math.prod(axes_x), -1, j.axes[-1])
+    q = jt.sum(axis=2)
+    sq = q.sum(axis=1)
+    k_sums = [k.sum(axis=1) for k in bar.kernels]
+    s_k = _outer(k_sums).ravel()  # sum_b K_x(b)
+    xlx_k = sum(_outer(k_sums[:i] + [_xlogx(k).sum(axis=1)] + k_sums[i + 1:])
+                for i, k in enumerate(bar.kernels)).ravel()  # sum_b K_x ln K_x
+    s = [float(a @ s_k + sq @ xlx_k) for a in (_xlogx(jt).sum(axis=(1, 2)), _xlogx(q).sum(axis=1), _xlogx(sq))]
+    xyu = jt * s_k[:, None, None]
+    col = sq.reshape(axes_x)
+    for k in bar.kernels:  # summed over x_i against K_i(x_i, b_i), b_i last
+        col = np.tensordot(col, k, (0, 0))
+    col = col.ravel()
+    parts = []
+    q_xy = q.reshape(axes_x + axes_y)
+    for i, k in enumerate(bar.kernels):
+        w = _outer(k_sums[:i] + [np.ones(axes_x[i])] + k_sums[i + 1:])
+        q_i = q_xy.sum(axis=tuple(n + a for a in range(n) if a != i)) * w[..., None]
+        parts.append(q_i.sum(axis=tuple(a for a in range(n) if a != i))[:, :, None] * k[:, None, :])
+    # a block can hold cells below the floor only where its least positive j . K_x is
+    least = [np.where(k > 0.0, k, np.inf).min(axis=1) for k in bar.kernels]
+    low = np.where(jt > 0.0, jt, np.inf).min(axis=(1, 2)) * _outer(least).ravel() < probcore.ZERO_FLOOR
+    for x in np.flatnonzero(low):
+        xs = np.unravel_index(x, axes_x)
+        k_x = _outer([k[xi] for k, xi in zip(bar.kernels, xs)]).ravel()
+        d = _take_out_floor(k_x, jt[x], q[x], sq[x], xyu[x], col, [part[xi] for part, xi in zip(parts, xs)])
+        s = [a + b for a, b in zip(s, d)]
+    for mass in (col, *parts):  # a mass all of whose cells were dropped is 0
+        np.maximum(mass, 0.0, out=mass)
+    return (*s, xyu, col, parts)
+
+
+def _take_out_floor(k_x: np.ndarray, j_x: np.ndarray, q_x: np.ndarray, sq: float, xyu_x: np.ndarray,
+                    col: np.ndarray, parts_x: list) -> tuple[float, float, float]:
+    """Take the cells j_x(y, u) k_x(b) of one x-block below ``ZERO_FLOOR``
+    out of its sums, without listing them: with ks = k_x[order] sorted, row
+    (y, u)'s cells below the floor are r < m(y, u), so prefix sums of ks and
+    ks ln ks give each row's dropped mass and c ln c, and xyb(y, order[r])
+    loses ks[r] times the j(y, u) with m(y, u) > r (j bucketed by m, summed
+    from the top, a run of y-rows of at most GATHER_CHUNK (y, r) cells at a
+    time; y_of and b_of give y_i and b_i of each y and rank). Writes the
+    block's xyu rows over ``xyu_x``, takes the dropped mass out of ``col``
+    and of each part's slice at x_i in ``parts_x``, and returns what to add
+    to sum c ln c over the joint, xyb and xb."""
+    order = np.argsort(k_x, kind="stable")
+    ks = k_x[order]
+    ck, cl = (np.concatenate(([0.0], np.cumsum(v))) for v in (ks, _xlogx(ks)))  # prefix sums
+    m = np.searchsorted(ks, np.divide(probcore.ZERO_FLOOR, j_x, out=np.zeros_like(j_x), where=j_x > 0.0))
+    d_all = -float((_xlogx(j_x) * ck[m] + j_x * cl[m]).sum())
+    np.multiply(j_x, ck[-1] - ck[m], out=xyu_x)
+    top, d_xyb = int(m.max()), 0.0
+    drop = np.zeros(top)
+    y_of = np.unravel_index(np.arange(len(m)), [part.shape[0] for part in parts_x])
+    b_of = np.unravel_index(order[:top], [part.shape[1] for part in parts_x])
+    rows = max(1, probcore.GATHER_CHUNK // max(top, 1))
+    for r in range(0, len(m) if top else 0, rows):
+        mr, qr = m[r:r + rows], q_x[r:r + rows]
+        h = len(mr)
+        a = np.bincount((np.arange(h)[:, None] * (top + 1) + mr).ravel(), j_x[r:r + rows].ravel(), h * (top + 1))
+        d = np.cumsum(a.reshape(h, top + 1)[:, :0:-1], axis=1)[:, ::-1] * ks[:top]
+        # the kept masses' terms, less the cells' before the drop: sum_{y, r < top} q ks ln (q ks)
+        d_xyb -= (probcore._entropy_raw(qr[:, None] * ks[:top] - d)
+                  + float(_xlogx(qr).sum() * ck[top] + qr.sum() * cl[top]))
+        drop += d.sum(axis=0)
+        for part, y_i, b_i in zip(parts_x, y_of, b_of):
+            at = (y_i[r:r + rows, None] * part.shape[1] + b_i).ravel()
+            part -= np.bincount(at, d.ravel(), part.size).reshape(part.shape)
+    col[order[:top]] -= drop
+    xb_x = ks * sq
+    xb_x[:top] -= drop
+    return d_all, d_xyb, -probcore._entropy_raw(xb_x) - float(sq * math.log(sq) * ck[-1] + sq * cl[-1])
+
+
 def _decompose(p: Problem, j: JointN, bar: BarMechanism) -> tuple[BarMechanism, DecompositionChecks]:
     """``decompose_transform`` of the kernel with joint ``j`` and bar kernels ``bar``."""
     n = p.n_components
     probcore.check_size("decomposition joint", j.table.size * math.prod(bar.alphabets))
-
-    axes_x, axes_y = j.axes[:n], j.axes[n:2 * n]
-    ny, nu, nb = math.prod(axes_y), j.axes[-1], math.prod(bar.alphabets)
-    row = nu * nb  # cells of one y-row of a block
-    ws = np.empty(min(ny, max(1, probcore.GATHER_CHUNK // row)) * row)
-    d, r = _run_span(axes_x, ny * nb)
-    later = axes_x[d + 1:]
-    per_value = math.prod(later) * ny * nb  # cells of a run per value of x_d
-    buf = np.empty(r * per_value)
-    terms = np.empty(max(ws.size, min(probcore.GATHER_CHUNK, buf.size)))
-    xyu = np.empty(j.axes)
-    xb = np.empty((math.prod(axes_x), nb))
-    parts = [np.zeros((axes_x[i], axes_y[i], bar.alphabets[i])) for i in range(n)]
-    # the axes of a run that each part sums out: all but x_i (where i >= d), y_i and b_i
-    drop = [tuple(a for a in range(3 * n - d) if a not in (i - d, n - d + i, 2 * n - d + i))
-            for i in range(n)]
-    h_raw = h_xyb = 0.0
-    at = 0  # x-blocks before the run
-    for pre in np.ndindex(*axes_x[:d]):
-        for s in range(0, axes_x[d], r):
-            k = min(r, axes_x[d] - s)
-            run = buf[:k * per_value].reshape((k,) + later + axes_y + bar.alphabets)
-            blocks = run.reshape(-1, ny, nb)
-            for t, rest in enumerate(np.ndindex(k, *later)):
-                xs = pre + (s + rest[0],) + rest[1:]
-                head = j.table[xs]
-                for mat, xi in zip(bar.kernels[:-1], xs):
-                    head = head[..., None] * mat[xi]
-                h_raw += _decompose_block(head.reshape(ny, -1), bar.kernels[-1][xs[-1]],
-                                          blocks[t], xyu[xs].reshape(ny, nu), ws, terms)
-            cells = run.reshape(-1)
-            h_xyb += math.fsum([probcore._entropy_raw(cells[i:i + probcore.GATHER_CHUNK], terms)
-                                for i in range(0, cells.size, probcore.GATHER_CHUNK)])
-            blocks.sum(axis=1, out=xb[at:at + len(blocks)])
-            at += len(blocks)
-            for i, part in enumerate(parts):
-                part[pre[i] if i < d else slice(s, s + k) if i == d else ...] += run.sum(axis=drop[i])
-    del head, ws, buf, run, blocks, cells
-    # the cells were cleaned as JointN would clean the joint, so its total
-    # mass is xyu's, checked (with JointN's own message) as xyu becomes a
-    # JointN
+    s_all, s_xyb, s_xb, xyu, col, parts = _decomposition_sums(j, bar)
+    # the cleaned joint's mass, checked (with JointN's message) as xyu becomes a JointN
     total = float(xyu.sum())
-    xyu = JointN(j.axes, xyu)
-    # H of the renormalized joint p / T: -sum (p/T) ln (p/T) = h_raw / T + ln T
-    h_all = h_raw / total + math.log(total)
-    xb /= total
-    x_axes = list(range(n))
+    xyu = JointN(j.axes, xyu.reshape(j.axes))
+    # H of a renormalized p / T from s = sum p ln p: -sum (p/T) ln (p/T) = ln T - s / T
+    h_all, h_xyb, h_xb = (math.log(total) - v / total for v in (s_all, s_xyb, s_xb))
+    h_x = probcore.marginal_entropy(xyu, range(n))
     # I(B; Y,U | X) = H(X,B) + H(X,Y,U) - H(X,Y,U,B) - H(X)
-    markov = (probcore._entropy_raw(xb) + probcore.joint_entropy(xyu)
-              - h_all - probcore.marginal_entropy(xyu, x_axes))
+    markov = h_xb + probcore.joint_entropy(xyu) - h_all - h_x
     # total correlation across the N triples (x_i, y_i, b_i)
-    h_parts = 0.0
-    for part in parts:
-        part /= total
-        h_parts += probcore._entropy_raw(part)
+    h_parts = sum(probcore._entropy_raw(part / total) for part in parts)
     checks = DecompositionChecks(
-        leakage_original=float(probcore.mi_between(xyu, x_axes, [2 * n])),
-        leakage_bar=float(probcore._mi(xb)[0]),
+        leakage_original=float(probcore.mi_between(xyu, range(n), [2 * n])),
+        leakage_bar=float(max(0.0, h_x + probcore._entropy_raw(col / total) - h_xb)),
         markov_residual=float(max(0.0, markov)),
-        independence_residual=float(max(0.0, h_parts - h_xyb / total - math.log(total))),
+        independence_residual=float(max(0.0, h_parts - h_xyb)),
     )
     return bar, checks
 

@@ -256,8 +256,8 @@ def _mi(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (shape (..., a, b)), in nats, clamped at 0, with the logarithms it used:
     ln m and ln of the column sums. Entries at or below ``ZERO_FLOOR`` take
     ln := 0, so they drop out of every sum. The one MI kernel: behind
-    ``mutual_information``, ``mi_between``, ``mechanisms.refinement_profile``
-    and the decomposition's ``leakage_bar``."""
+    ``mutual_information``, ``mi_between`` and
+    ``mechanisms.refinement_profile``."""
     row = m.sum(axis=-1)
     col = m.sum(axis=-2)
     ln_m = np.where(m > ZERO_FLOOR, m, 1.0)

@@ -147,6 +147,25 @@ class TestBoundsCommand:
             assert "overflows the float range" in err
         assert not mech.exists()
 
+    @pytest.mark.parametrize("units", ["nats", "bits"])
+    def test_sweep_and_oracle_overflow_exit_3(self, tmp_path, capsys, units):
+        # the same problem: its bounds and objectives overflow to inf or NaN,
+        # so sweep writes no CSV and oracle prints no table
+        m = np.full((4, 4), 1 / 16)
+        m[0, :2] += (0.01, -0.01)
+        doc = {"schema": "privbound/1",
+               "components": [{"name": n, "matrix": m.tolist()} for n in "ab"],
+               "users": [{"demands": [0, 1], "weight": 1e308}], "epsilon": 0.0,
+               "options": {"log_display": units}}
+        path = write_problem(tmp_path, doc)
+        out_csv = tmp_path / "sweep.csv"
+        for argv in (["sweep", path, "--eps", "0:0.2:0.1", "--csv", str(out_csv)],
+                     ["oracle", path, "--restarts", "1", "--iters", "2"]):
+            code, out, err = run(capsys, argv)
+            assert code == 3 and out == ""
+            assert "overflows the float range" in err
+        assert not out_csv.exists()
+
 
 class TestMechanizeVerify:
     def test_round_trip_evaluation(self, tmp_path, capsys):

@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     bsc_component,
@@ -636,110 +638,18 @@ def reference_decomposition_checks(p: Problem, k: M.Kernel) -> tuple[float, ...]
     return tuple(max(0.0, v) for v in (leak_u, leak_b, markov, indep))
 
 
-ENTROPY_RAW = pc._entropy_raw  # unrecorded by ``assert_same_decomposition``
-
-
-def decompose_loop(p: Problem, k: M.Kernel) -> tuple[M.BarMechanism, M.DecompositionChecks, list[float]]:
-    """Reference: the decomposition one x-block at a time, each block and
-    its logs in fresh arrays and ``xyb`` held whole, its sums in the
-    transform's order. A block's entropy is the ``math.fsum`` of its
-    chunks' (``chunk_rows``), taken with ENTROPY_RAW; ``xyb``'s raw entropy
-    and its marginals are summed over the same runs (``M._run_span``), its
-    entropy a ``math.fsum`` of ``GATHER_CHUNK`` pieces per run. Returns the
-    bar kernels, the checks and the block entropies in x order."""
-    n = p.n_components
-    j = M.monolithic_joint(p, k)
-    bar = M._bar_kernels(p, j)
-    axes_x, axes_y = j.axes[:n], j.axes[n:2 * n]
-    ny, rows = chunk_rows(p, k.alphabet_u, bar.alphabets)
-    nb = math.prod(bar.alphabets)
-    xyb = np.empty(axes_x + axes_y + bar.alphabets)
-    xyu = np.empty(j.axes)
-    h_raw = 0.0
-    blocks = []
-    for xs in np.ndindex(*axes_x):
-        blk = j.table[xs]
-        for mat, xi in zip(bar.kernels, xs):
-            blk = blk[..., None] * mat[xi]
-        if blk.min() < pc.ZERO_FLOOR:
-            np.copyto(blk, 0.0, where=blk < pc.ZERO_FLOOR)
-        by_y = blk.reshape(ny, -1)
-        blocks.append(math.fsum([ENTROPY_RAW(by_y[r:r + rows]) for r in range(0, ny, rows)]))
-        h_raw += blocks[-1]
-        blk.sum(axis=n, out=xyb[xs])
-        blk.sum(axis=tuple(range(n + 1, 2 * n + 1)), out=xyu[xs])
-    total = float(xyu.sum())
-    h_all = h_raw / total + math.log(total)
-    xyu = pc.JointN(xyu.shape, xyu)
-
-    d, r = M._run_span(axes_x, ny * nb)
-    xb = np.empty((math.prod(axes_x), nb))
-    parts = [np.zeros((axes_x[i], axes_y[i], bar.alphabets[i])) for i in range(n)]
-    h_xyb, at = 0.0, 0
-    for pre in np.ndindex(*axes_x[:d]):
-        for s in range(0, axes_x[d], r):
-            run = xyb[pre][s:s + r]
-            cells = run.reshape(-1)
-            h_xyb += math.fsum([pc._entropy_raw(cells[i:i + pc.GATHER_CHUNK])
-                                for i in range(0, cells.size, pc.GATHER_CHUNK)])
-            by_x = run.reshape(-1, ny, nb)
-            xb[at:at + len(by_x)] = by_x.sum(axis=1)
-            at += len(by_x)
-            for i, part in enumerate(parts):
-                # the run's axes: x_d.., then the y's, then the b's
-                kept = ([i - d] if i >= d else []) + [n - d + i, 2 * n - d + i]
-                share = run.sum(axis=tuple(a for a in range(run.ndim) if a not in kept))
-                if i < d:
-                    part[pre[i]] += share
-                elif i == d:
-                    part[s:s + len(run)] += share
-                else:
-                    part += share
-    xb /= total
-    x_axes = list(range(n))
-    markov = (pc._entropy_raw(xb) + pc.joint_entropy(xyu) - h_all - pc.marginal_entropy(xyu, x_axes))
-    h_parts = 0.0
-    for part in parts:
-        part /= total
-        h_parts += pc._entropy_raw(part)
-    return bar, M.DecompositionChecks(
-        leakage_original=float(pc.mi_between(xyu, x_axes, [2 * n])),
-        leakage_bar=float(pc._mi(xb)[0]),
-        markov_residual=float(max(0.0, markov)),
-        independence_residual=float(max(0.0, h_parts - h_xyb / total - math.log(total))),
-    ), blocks
-
-
-def assert_same_decomposition(monkeypatch, p: Problem, k: M.Kernel) -> M.DecompositionChecks:
-    """decompose_transform equals decompose_loop bit for bit: its bar
-    kernels, its four checks, its block entropies (recorded from
-    ``_decompose_block``, in x order) and every entropy it takes with
-    ``_entropy_raw``, in order. Returns the checks."""
-    raw, block = pc._entropy_raw, M._decompose_block
-    seen: list[float] = []
-    blocks: list[float] = []
-
-    def recorded(mass, scratch=None):
-        seen.append(raw(mass, scratch))
-        return seen[-1]
-
-    def recorded_block(*args):
-        blocks.append(block(*args))
-        return blocks[-1]
-
-    monkeypatch.setattr(pc, "_entropy_raw", recorded)
-    monkeypatch.setattr(M, "_decompose_block", recorded_block)
+def assert_same_decomposition(p: Problem, k: M.Kernel) -> M.DecompositionChecks:
+    """decompose_transform's bar kernels equal ``_bar_kernels`` of the
+    monolithic joint bit for bit, and its four checks are within 1e-12 of
+    ``reference_decomposition_checks``. Returns the checks."""
     bar, checks = M.decompose_transform(p, k)
-    got_entropies = seen.copy()
-    seen.clear()
-    want_bar, want, want_blocks = decompose_loop(p, k)
+    want_bar = M._bar_kernels(p, M.monolithic_joint(p, k))
     assert bar.alphabets == want_bar.alphabets
     for got_k, want_k in zip(bar.kernels, want_bar.kernels, strict=True):
         assert np.array_equal(got_k, want_k)
-    assert checks == want
-    assert len(blocks) == math.prod(c.card_x for c in p.components)
-    assert blocks == want_blocks
-    assert got_entropies == seen
+    # the fields in the reference's order: leakages of U and of B, Markov, independence
+    for got, want in zip(dataclasses.astuple(checks), reference_decomposition_checks(p, k), strict=True):
+        assert got == pytest.approx(want, abs=1e-12)
     return checks
 
 
@@ -766,6 +676,20 @@ def mechanized_case() -> tuple[Problem, M.Kernel]:
     return p, M.materialize_monolithic(p, M.compose_multiuser(p, alloc))
 
 
+def floor_case(card_x3: int = 2, scale: float = 1.0) -> tuple[Problem, M.Kernel]:
+    """Components (2, 3), (2, 3), (card_x3, 3) at |U| = 8, a 7.1e6-entry
+    decomposition joint at card_x3 = 2, the kernel's u = 0 column scaled by
+    ``scale`` before each slice is renormalized."""
+    rng = np.random.default_rng(77)
+    shapes = ((2, 3), (2, 3), (card_x3, 3))
+    comps = tuple(Component(f"c{i}", Joint2(rng.dirichlet(np.ones(a * b)).reshape(a, b)))
+                  for i, (a, b) in enumerate(shapes))
+    p = Problem(comps, (User((0,), 1.0), User((0, 1, 2), 0.5)), 0.05)
+    t = rng.exponential(size=(4 * card_x3, 27, 8))
+    t[:, :, 0] *= scale
+    return p, M.Kernel(t / t.sum(axis=2, keepdims=True))
+
+
 REFERENCE_SHAPES = [
     (((2, 2), (2, 2)), 2),
     (((2, 2), (2, 2)), 3),
@@ -775,49 +699,74 @@ REFERENCE_SHAPES = [
     (((2, 3), (2, 3), (2, 3)), 4),  # 4.4e5-entry decomposition joint
     (((3, 2), (2, 3), (2, 2)), 3),  # mixed |X|: bars of 3, 9 and 18 symbols
     (((2, 3), (2, 3), (2, 3)), 8),  # 7.1e6 entries: 885k-cell x-blocks
-    (((3, 2),), 3),  # one component: no bar factor before the last
-    SEVERAL_CHUNKS := (((2, 7), (2, 7)), 8),  # 49 y-rows of 1024 cells: chunks of 16, 16, 16, 1 rows
+    (((3, 2),), 3),  # one component: a single bar factor
+    (((2, 7), (2, 7)), 8),  # |Y| = 49
+]
+
+# |X_i| = 3 first, in the middle and last: the (x, b) marginal written
+# through its (x_1, b_1, ..., x_N, b_N) view, and each part's x_i
+MIXED_X_SHAPES = [
+    (((3, 2), (2, 2)), 3),
+    (((2, 2), (3, 2), (2, 2)), 2),
+    (((2, 2), (2, 2), (3, 2)), 2),
 ]
 
 
-def chunk_rows(p: Problem, card_u: int, bars) -> tuple[int, int]:
-    """(flattened |Y|, y-rows per chunk) of decompose_transform's blocks."""
-    row = card_u * math.prod(bars)
-    return math.prod(c.card_y for c in p.components), max(1, pc.GATHER_CHUNK // row)
+def floor_runs(p: Problem, k: M.Kernel) -> tuple[int, int]:
+    """(flattened |Y|, y-rows per run) where block x = 0 takes out its cells
+    below the floor: GATHER_CHUNK // top, top the most cells of one (y, u)
+    row of the block below the floor."""
+    j = M.monolithic_joint(p, k)
+    bar = M._bar_kernels(p, j)
+    blk = j.table[(0,) * p.n_components]
+    for mat in bar.kernels:
+        blk = blk[..., None] * mat[0]
+    ny = math.prod(c.card_y for c in p.components)
+    top = (blk < pc.ZERO_FLOOR).reshape(ny * k.alphabet_u, -1).sum(axis=1).max()
+    return ny, max(1, pc.GATHER_CHUNK // top)
+
+
+def cleaned_cells(p: Problem, k: M.Kernel) -> np.ndarray:
+    """The decomposition joint's cells, those below ZERO_FLOOR zeroed."""
+    j = M.monolithic_joint(p, k)
+    cells = bar_products(j, M._bar_kernels(p, j))
+    np.copyto(cells, 0.0, where=cells < pc.ZERO_FLOOR)
+    return cells
 
 
 class TestDecomposeReference:
-    @pytest.mark.parametrize("shapes, card_u", REFERENCE_SHAPES)
-    def test_checks_match_full_marginals(self, monkeypatch, shapes, card_u):
+    @pytest.mark.parametrize("shapes, card_u", REFERENCE_SHAPES + MIXED_X_SHAPES)
+    def test_checks_match_full_marginals(self, shapes, card_u):
         p, k = reference_case(shapes, card_u)
-        checks = assert_same_decomposition(monkeypatch, p, k)
-        got = (checks.leakage_original, checks.leakage_bar, checks.markov_residual,
-               checks.independence_residual)
-        want = reference_decomposition_checks(p, k)
-        assert want[0] > 1e-3  # a kernel that leaks, so the checks are not all zero
-        for g, w in zip(got, want):
-            assert g == pytest.approx(w, abs=1e-12)
-
+        checks = assert_same_decomposition(p, k)
+        assert checks.leakage_original > 1e-3  # a kernel that leaks, so the checks are not all zero
 
     def test_blocks_span_several_chunks(self):
-        p, k = reference_case(*SEVERAL_CHUNKS)
-        ny, rows = chunk_rows(p, k.alphabet_u, (8, 16))
-        assert ny > 2 * rows and ny % rows  # three whole chunks, then a short one
+        # the case of test_checks_match_with_cells_below_the_floor takes out
+        # the cells below the floor in runs of 4 of its 27 y-rows: six whole
+        # runs, then a short one
+        ny, rows = floor_runs(*floor_case(scale=1e-8))
+        assert ny > 2 * rows and ny % rows
+
+    def test_checks_match_with_cells_below_the_floor(self):
+        # the 7.1e6-entry case, its u = 0 column x 1e-8: every block holds
+        # cells below the floor, about a third of block x = 0's
+        p, k = floor_case(scale=1e-8)
+        assert assert_same_decomposition(p, k).markov_residual > 1e-10  # the dropped mass shows
 
     def test_sub_floor_chunks_and_a_cell_at_the_floor(self, monkeypatch):
-        # one component, 9 y-rows of 64 x 64 cells: chunks of 4, 4 and 1
-        # rows. Row 0 holds cells below ZERO_FLOOR (u = 0 nearly unused at
-        # y = 0), rows 4-7 none, and in row 8 of block x = 0 one bar factor
-        # is nudged so that one cell lands exactly on ZERO_FLOOR: kept in
-        # the sums, dropped from the entropy, with nothing to zero in its
-        # chunk. Both sides multiply the same nudged kernel.
+        # one component, 9 y-rows of 64 x 64 cells. Row 0 holds cells below
+        # ZERO_FLOOR (u = 0 nearly unused at y = 0), rows 4-7 none, and in
+        # row 8 of block x = 0 one bar factor is nudged so that one cell
+        # lands exactly on ZERO_FLOOR: kept, where a cell below it is not.
+        # Both sides multiply the same nudged kernel.
         rng = np.random.default_rng(19)
         comp = Component("c", Joint2(rng.dirichlet(np.ones(18)).reshape(2, 9)))
         p = Problem((comp,), (User((0,), 1.0),), 0.05)
         t = rng.exponential(size=(2, 9, 64))
         t[:, 0, 0] *= 1e-12
         # the block's smallest cell, so the nudge takes no other cell of its
-        # chunk to the floor
+        # row to the floor
         t[0, 8, 5] *= 1e-4
         k = M.Kernel(t / t.sum(axis=2, keepdims=True))
         j = M.monolithic_joint(p, k)
@@ -835,102 +784,94 @@ class TestDecomposeReference:
         nudged = M.BarMechanism((nudged_kernel,), bar.alphabets)
         monkeypatch.setattr(M, "_bar_kernels", lambda p, j: nudged)
 
-        ny, rows = chunk_rows(p, 64, bar.alphabets)
-        assert (ny, rows) == (9, 4)
         cells = bar_products(j, nudged)[0]  # block x = 0: (y, u, b)
-        low = [(cells[r:r + rows] < pc.ZERO_FLOOR).any() for r in range(0, ny, rows)]
+        low = [(cells[r:r + 4] < pc.ZERO_FLOOR).any() for r in range(0, 9, 4)]
         assert low == [True, False, False]
         assert (cells[8] == pc.ZERO_FLOOR).sum() == 1 and (cells[8] >= pc.ZERO_FLOOR).all()
-        assert_same_decomposition(monkeypatch, p, k)
+        assert_same_decomposition(p, k)
 
-    def test_checks_match_on_mechanized_kernel(self, monkeypatch):
+    def test_checks_match_on_mechanized_kernel(self):
         p, k = mechanized_case()
         j = M.monolithic_joint(p, k)
         cells = bar_products(j, M._bar_kernels(p, j))
         assert (cells == 0.0).any() and ((cells > 0.0) & (cells < pc.ZERO_FLOOR)).any()
-        checks = assert_same_decomposition(monkeypatch, p, k)
-        got = (checks.leakage_original, checks.leakage_bar, checks.markov_residual,
-               checks.independence_residual)
-        for g, w in zip(got, reference_decomposition_checks(p, k)):
-            assert g == pytest.approx(w, abs=1e-12)
+        assert_same_decomposition(p, k)
 
-    @pytest.mark.parametrize("case", [*REFERENCE_SHAPES, "mechanized"])
-    def test_block_entropies_near_exact(self, monkeypatch, case):
-        # each streamed block entropy, the fsum of its chunks' sums, within
-        # 1e-14 relative of one _entropy_raw over the whole block and of
-        # the exactly rounded sum of its terms
-        p, k = mechanized_case() if case == "mechanized" else reference_case(*case)
-        block, blocks = M._decompose_block, []
-        monkeypatch.setattr(M, "_decompose_block", lambda *a: blocks.append(block(*a)) or blocks[-1])
-        M.decompose_transform(p, k)
+    @pytest.mark.parametrize("case", [*REFERENCE_SHAPES, "mechanized", "below_floor"])
+    def test_block_entropies_near_exact(self, case):
+        # sum c ln c over the whole joint, read off its factors, within
+        # 1e-14 relative of the exactly rounded sum over its cleaned cells
+        p, k = (mechanized_case() if case == "mechanized" else
+                floor_case(scale=1e-8) if case == "below_floor" else reference_case(*case))
         j = M.monolithic_joint(p, k)
-        bar = M._bar_kernels(p, j)
-        cells = bar_products(j, bar)
+        got = M._decomposition_sums(j, M._bar_kernels(p, j))[0]
+        kept = cleaned_cells(p, k)
+        kept = kept[kept > pc.ZERO_FLOOR]
+        assert got == pytest.approx(math.fsum(kept * np.log(kept)), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("case", ["mechanized", "below_floor"])
+    def test_sums_match_the_cleaned_cells(self, case):
+        # the other sums and the marginals, each against the same quantity
+        # summed over the materialised, cleaned cells. Where every cell of a
+        # mass was dropped, what is left is the rounding of q ks less the
+        # dropped mass, at most 4e-31 here and never below 0: masses are
+        # compared to 1e-18, a thousandth of the floor
+        p, k = mechanized_case() if case == "mechanized" else floor_case(scale=1e-8)
         n = p.n_components
-        for xs, got in zip(np.ndindex(*j.axes[:n]), blocks, strict=True):
-            blk = cells[xs].copy()
-            np.copyto(blk, 0.0, where=blk < pc.ZERO_FLOOR)
-            kept = blk[blk > pc.ZERO_FLOOR]
-            exact = -math.fsum(kept * np.log(kept))
-            assert got == pytest.approx(exact, rel=1e-14, abs=0.0)
-            assert got == pytest.approx(pc._entropy_raw(blk), rel=1e-14, abs=0.0)
+        j = M.monolithic_joint(p, k)
+        _, s_xyb, s_xb, xyu, col, parts = M._decomposition_sums(j, M._bar_kernels(p, j))
+        cells = cleaned_cells(p, k)  # axes: x's, y's, u, b's
+        xyb = cells.sum(axis=2 * n)
+        xb = xyb.sum(axis=tuple(range(n, 2 * n)))
+        assert all((mass >= 0.0).all() for mass in (xyu, col, *parts))
+        for got, marginal in ((s_xyb, xyb), (s_xb, xb)):
+            kept = marginal[marginal > pc.ZERO_FLOOR]
+            assert got == pytest.approx(math.fsum(kept * np.log(kept)), rel=1e-14, abs=0.0)
+        b_axes = tuple(range(2 * n + 1, 3 * n + 1))
+        np.testing.assert_allclose(xyu.reshape(j.axes), cells.sum(axis=b_axes), rtol=1e-13, atol=1e-18)
+        np.testing.assert_allclose(col, xb.sum(axis=tuple(range(n))).ravel(), rtol=1e-13, atol=1e-18)
+        for i, part in enumerate(parts):
+            keep = (i, n + i, 2 * n + 1 + i)
+            want = cells.sum(axis=tuple(a for a in range(cells.ndim) if a not in keep))
+            np.testing.assert_allclose(part, want, rtol=1e-13, atol=1e-18)
 
 
-# (shapes, |U|), RUN_CELLS in x-blocks of xyb, and the (d, r) it gives
-RUN_CASES = [
-    # x-axes (3, 2): runs of two values of x_1, then a short run of one
-    ((((3, 2), (2, 2)), 3), 4, (0, 2)),
-    # (2, 3, 2): under each x_1, runs of two values of x_2, then one
-    ((((2, 2), (3, 2), (2, 2)), 2), 4, (1, 2)),
-    # (2, 2, 3): runs along the last axis, two values and then one
-    ((((2, 2), (2, 2), (3, 2)), 2), 2, (2, 2)),
-    # (2, 2, 2): one x-block per run, each of several chunks
-    ((((2, 3), (2, 3), (2, 3)), 4), 1, (2, 1)),
-    # a run smaller than one block still holds that block
-    ((((3, 2), (2, 3), (2, 2)), 3), 0.5, (2, 1)),
-]
+@st.composite
+def decomposition_cases(draw) -> tuple[Problem, M.Kernel]:
+    """1-3 components of alphabets of at most 3, a full-joint kernel of at
+    most 4 symbols, some with exact zeros and some with one column scaled
+    by 1e-8 to 1e-14 in some slices, so that blocks straddle ZERO_FLOOR."""
+    n = draw(st.integers(1, 3))
+    shapes = [(draw(st.integers(1, 3)), draw(st.integers(1, 3))) for _ in range(n)]
+    card_u = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    comps = tuple(Component(f"c{i}", Joint2(rng.dirichlet(np.ones(a * b)).reshape(a, b)))
+                  for i, (a, b) in enumerate(shapes))
+    p = Problem(comps, (User((0,), 1.0), User(tuple(range(n)), 0.5)), 0.05)
+    nx, ny = map(math.prod, M.flat_axes(p))
+    t = rng.exponential(size=(nx, ny, card_u))
+    if draw(st.booleans()):  # exact zeros, each slice keeping its largest entry
+        t[(rng.random(t.shape) < 0.4) & (t < t.max(axis=2, keepdims=True))] = 0.0
+    if draw(st.booleans()):
+        t[rng.random((nx, ny)) < 0.7, draw(st.integers(0, card_u - 1))] *= 10.0 ** -draw(st.floats(8, 14))
+    return p, M.Kernel(t / t.sum(axis=2, keepdims=True))
 
 
-def xyb_block(p: Problem, card_u: int) -> int:
-    """Cells of one x-block of ``xyb``: |Y| prod |B_i|, |B_i| = |X_1|..|X_{i-1}| |U|."""
-    xs = [c.card_x for c in p.components]
-    bars = [math.prod(xs[:i]) * card_u for i in range(len(xs))]
-    return math.prod(c.card_y for c in p.components) * math.prod(bars)
-
-
-class TestDecomposeRuns:
-    def test_default_runs(self):
-        # the 7.1e6-entry case: blocks of 110,592 cells, one per run; the
-        # 2x2 pairs: all of xyb in one run
-        assert M._run_span((2, 2, 2), 27 * 8 * 16 * 32) == (2, 1)
-        assert M._run_span((2, 2), 4 * 2 * 4) == (0, 2)
-        assert M._run_span((3, 3, 3), 8 * 4 * 12 * 36) == (0, 1)  # nine blocks a run
-
-    @pytest.mark.parametrize("case, blocks, span", RUN_CASES)
-    def test_several_runs(self, monkeypatch, case, blocks, span):
-        p, k = reference_case(*case)
-        axes_x = tuple(c.card_x for c in p.components)
-        block = xyb_block(p, k.alphabet_u)
-        monkeypatch.setattr(M, "RUN_CELLS", int(blocks * block))
-        d, r = M._run_span(axes_x, block)
-        assert (d, r) == span
-        assert math.prod(axes_x[:d]) * math.ceil(axes_x[d] / r) > 1  # several runs
-        assert r == 1 or axes_x[d] % r  # the last run along x_d is short
-        checks = assert_same_decomposition(monkeypatch, p, k)
-        got = (checks.leakage_original, checks.leakage_bar, checks.markov_residual,
-               checks.independence_residual)
-        for g, w in zip(got, reference_decomposition_checks(p, k)):
-            assert g == pytest.approx(w, abs=1e-12)
+class TestDecomposeProperties:
+    @given(decomposition_cases())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_checks_match_reference(self, case):
+        p, k = case
+        checks = assert_same_decomposition(p, k)
+        assert abs(checks.leakage_bar - checks.leakage_original) <= 1e-9
+        assert checks.markov_residual <= 1e-9
+        assert checks.independence_residual <= 1e-9
 
 
 class TestDecomposeMemory:
     def test_peak_below_half_the_joint(self):
         # three 2x3 components at |U| = 8: a 7.1e6-entry decomposition joint
-        rng = np.random.default_rng(77)
-        comps = tuple(Component(f"c{i}", Joint2(rng.dirichlet(np.ones(6)).reshape(2, 3)))
-                      for i in range(3))
-        p = Problem(comps, (User((0,), 1.0), User((0, 1, 2), 0.5)), 0.05)
-        k = random_monolithic_kernel(rng, p, 8)
+        p, k = floor_case()
         bars = (8, 2 * 8, 4 * 8)  # |B_i| = |X_1|..|X_{i-1}| |U|
         joint_bytes = 8 * k.table.size * math.prod(bars)
         tracemalloc.start()
@@ -944,17 +885,10 @@ class TestDecomposeMemory:
 
     def test_peak_with_sub_floor_blocks(self):
         # the same shape, its u = 0 column scaled by 1e-8: about a third of
-        # each block's cells fall below ZERO_FLOOR. Fresh arrays per block (a
-        # copy of its kept cells and their logs) peaked at xyb + three blocks;
-        # gathered into the workspaces, the peak is xyb, the block, its logs
-        # and a cell mask, plus 1 MiB for the rest.
-        rng = np.random.default_rng(77)
-        comps = tuple(Component(f"c{i}", Joint2(rng.dirichlet(np.ones(6)).reshape(2, 3)))
-                      for i in range(3))
-        p = Problem(comps, (User((0,), 1.0), User((0, 1, 2), 0.5)), 0.05)
-        t = rng.exponential(size=(8, 27, 8))
-        t[:, :, 0] *= 1e-8
-        k = M.Kernel(t / t.sum(axis=2, keepdims=True))
+        # each block's cells fall below ZERO_FLOOR. The bound, xyb, two
+        # blocks, a cell mask and 1 MiB, is the one of forming the blocks a
+        # chunk at a time; the factored sums form no block
+        p, k = floor_case(scale=1e-8)
         j = M.monolithic_joint(p, k)
         bar = M._bar_kernels(p, j)
         blk = j.table[0, 0, 0]
@@ -974,18 +908,10 @@ class TestDecomposeMemory:
 
     @pytest.mark.parametrize("sub_floor", [False, True])
     def test_peak_is_xyb_one_block_and_one_chunk(self, sub_floor):
-        # the cases of the two tests above: one block of terms and one chunk
-        # of cells beside xyb, plus 1 MiB for the rest; a whole-block cell
-        # workspace, a copy of xyb or an xyb-sized log after the loop would
-        # each add about 7 MB
-        rng = np.random.default_rng(77)
-        comps = tuple(Component(f"c{i}", Joint2(rng.dirichlet(np.ones(6)).reshape(2, 3)))
-                      for i in range(3))
-        p = Problem(comps, (User((0,), 1.0), User((0, 1, 2), 0.5)), 0.05)
-        t = rng.exponential(size=(8, 27, 8))
-        if sub_floor:
-            t[:, :, 0] *= 1e-8
-        k = M.Kernel(t / t.sum(axis=2, keepdims=True))
+        # the cases of the two tests above, within xyb, one block of cells
+        # and one chunk, plus 1 MiB: a whole-block array, a copy of xyb or an
+        # xyb-sized log would each add about 7 MB
+        p, k = floor_case(scale=1e-8 if sub_floor else 1.0)
         bars = (8, 2 * 8, 4 * 8)
         row = 8 * math.prod(bars)  # one y-row of a block: |U| prod |B_i| cells
         xyb_bytes = 8 * 8 * 27 * math.prod(bars)
@@ -1001,28 +927,18 @@ class TestDecomposeMemory:
 
     @pytest.mark.parametrize("sub_floor", [False, True])
     def test_peak_is_one_run_two_chunks_and_the_xb_marginal(self, monkeypatch, sub_floor):
-        # the 7.1e6-entry case (|X_3| = 2), and the same with |X_3| = 4: xyb
-        # grows from 6.75 to 13.5 MiB while the bar alphabets, the run and
-        # the chunks stay. The peak is at most one run, two chunks and the
-        # (x, b) marginal, |X| prod |B_i| entries, plus 1 MiB for the rest;
-        # beyond that marginal it grows by no more than 64 KiB (xyu and the
-        # monolithic joint, |X||Y||U| entries each, add 13.5 KiB each).
+        # the 7.1e6-entry case (|X_3| = 2), and the same with |X_3| = 4: the
+        # (x, b) marginal grows from 256 to 512 KiB while the bar alphabets
+        # and the chunks stay. The peak is at most two chunks and the (x, b)
+        # marginal, |X| prod |B_i| entries, plus 1 MiB for the rest; beyond
+        # that marginal it grows by no more than 64 KiB (xyu and the
+        # monolithic joint, |X||Y||U| entries each, add 13.5 KiB each)
         monkeypatch.setenv("PRIVBOUND_SIZE_CAP", str(2 * 10**7))
         bars = (8, 2 * 8, 4 * 8)
-        block = 27 * math.prod(bars)  # one x-block of xyb
-        run_bytes = 8 * max(M.RUN_CELLS, block)
         chunk_bytes = 8 * max(pc.GATHER_CHUNK, 8 * math.prod(bars))
         rest = {}
         for card_x3 in (2, 4):
-            rng = np.random.default_rng(77)
-            shapes = ((2, 3), (2, 3), (card_x3, 3))
-            comps = tuple(Component(f"c{i}", Joint2(rng.dirichlet(np.ones(a * b)).reshape(a, b)))
-                          for i, (a, b) in enumerate(shapes))
-            p = Problem(comps, (User((0,), 1.0), User((0, 1, 2), 0.5)), 0.05)
-            t = rng.exponential(size=(4 * card_x3, 27, 8))
-            if sub_floor:
-                t[:, :, 0] *= 1e-8
-            k = M.Kernel(t / t.sum(axis=2, keepdims=True))
+            p, k = floor_case(card_x3, 1e-8 if sub_floor else 1.0)
             xb_bytes = 8 * 4 * card_x3 * math.prod(bars)
             tracemalloc.start()
             try:
@@ -1031,7 +947,7 @@ class TestDecomposeMemory:
             finally:
                 tracemalloc.stop()
             assert bar.alphabets == bars
-            assert peak <= run_bytes + 2 * chunk_bytes + xb_bytes + 2**20
+            assert peak <= 2 * chunk_bytes + xb_bytes + 2**20
             rest[card_x3] = peak - xb_bytes
         assert rest[4] <= rest[2] + 2**16
 
