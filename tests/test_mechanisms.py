@@ -712,17 +712,22 @@ MIXED_X_SHAPES = [
 ]
 
 
-def floor_runs(p: Problem, k: M.Kernel) -> tuple[int, int]:
-    """(flattened |Y|, y-rows per run) where block x = 0 takes out its cells
-    below the floor: GATHER_CHUNK // top, top the most cells of one (y, u)
-    row of the block below the floor."""
+def floor_top(p: Problem, k: M.Kernel) -> tuple[int, int]:
+    """(flattened |Y|, top), top the most cells of one (y, u) row of block
+    x = 0 below the floor."""
     j = M.monolithic_joint(p, k)
     bar = M._bar_kernels(p, j)
     blk = j.table[(0,) * p.n_components]
     for mat in bar.kernels:
         blk = blk[..., None] * mat[0]
     ny = math.prod(c.card_y for c in p.components)
-    top = (blk < pc.ZERO_FLOOR).reshape(ny * k.alphabet_u, -1).sum(axis=1).max()
+    return ny, int((blk < pc.ZERO_FLOOR).reshape(ny * k.alphabet_u, -1).sum(axis=1).max())
+
+
+def floor_runs(p: Problem, k: M.Kernel) -> tuple[int, int]:
+    """(flattened |Y|, y-rows per run) where block x = 0 takes out its cells
+    below the floor: GATHER_CHUNK // top, as in ``floor_top``."""
+    ny, top = floor_top(p, k)
     return ny, max(1, pc.GATHER_CHUNK // top)
 
 
@@ -816,24 +821,61 @@ class TestDecomposeReference:
         # mass was dropped, what is left is the rounding of q ks less the
         # dropped mass, at most 4e-31 here and never below 0: masses are
         # compared to 1e-18, a thousandth of the floor
-        p, k = mechanized_case() if case == "mechanized" else floor_case(scale=1e-8)
-        n = p.n_components
-        j = M.monolithic_joint(p, k)
-        _, s_xyb, s_xb, xyu, col, parts = M._decomposition_sums(j, M._bar_kernels(p, j))
-        cells = cleaned_cells(p, k)  # axes: x's, y's, u, b's
-        xyb = cells.sum(axis=2 * n)
-        xb = xyb.sum(axis=tuple(range(n, 2 * n)))
-        assert all((mass >= 0.0).all() for mass in (xyu, col, *parts))
-        for got, marginal in ((s_xyb, xyb), (s_xb, xb)):
-            kept = marginal[marginal > pc.ZERO_FLOOR]
-            assert got == pytest.approx(math.fsum(kept * np.log(kept)), rel=1e-14, abs=0.0)
-        b_axes = tuple(range(2 * n + 1, 3 * n + 1))
-        np.testing.assert_allclose(xyu.reshape(j.axes), cells.sum(axis=b_axes), rtol=1e-13, atol=1e-18)
-        np.testing.assert_allclose(col, xb.sum(axis=tuple(range(n))).ravel(), rtol=1e-13, atol=1e-18)
-        for i, part in enumerate(parts):
-            keep = (i, n + i, 2 * n + 1 + i)
-            want = cells.sum(axis=tuple(a for a in range(cells.ndim) if a not in keep))
-            np.testing.assert_allclose(part, want, rtol=1e-13, atol=1e-18)
+        assert_sums_match_cleaned_cells(*(mechanized_case() if case == "mechanized" else floor_case(scale=1e-8)))
+
+
+def assert_sums_match_cleaned_cells(p: Problem, k: M.Kernel) -> None:
+    """``_decomposition_sums``' sums over xyb and xb and its marginals, each
+    against the same quantity summed over ``cleaned_cells``."""
+    n = p.n_components
+    j = M.monolithic_joint(p, k)
+    _, s_xyb, s_xb, xyu, col, parts = M._decomposition_sums(j, M._bar_kernels(p, j))
+    cells = cleaned_cells(p, k)  # axes: x's, y's, u, b's
+    xyb = cells.sum(axis=2 * n)
+    xb = xyb.sum(axis=tuple(range(n, 2 * n)))
+    assert all((mass >= 0.0).all() for mass in (xyu, col, *parts))
+    for got, marginal in ((s_xyb, xyb), (s_xb, xb)):
+        kept = marginal[marginal > pc.ZERO_FLOOR]
+        assert got == pytest.approx(math.fsum(kept * np.log(kept)), rel=1e-14, abs=0.0)
+    b_axes = tuple(range(2 * n + 1, 3 * n + 1))
+    np.testing.assert_allclose(xyu.reshape(j.axes), cells.sum(axis=b_axes), rtol=1e-13, atol=1e-18)
+    np.testing.assert_allclose(col, xb.sum(axis=tuple(range(n))).ravel(), rtol=1e-13, atol=1e-18)
+    for i, part in enumerate(parts):
+        keep = (i, n + i, 2 * n + 1 + i)
+        want = cells.sum(axis=tuple(a for a in range(cells.ndim) if a not in keep))
+        np.testing.assert_allclose(part, want, rtol=1e-13, atol=1e-18)
+
+
+RUN_CASES = [
+    # |X_1| = 3: 6 y-rows, a run of four, then a short run of two
+    ((((3, 3), (2, 2)), 3), 4, (6, 4)),
+    # |X_2| = 3: 18 y-rows, four runs of four, then one of two
+    ((((2, 3), (3, 2), (2, 3)), 2), 4, (18, 4)),
+    # |X_3| = 3: 27 y-rows in runs of two, the last of one
+    ((((2, 3), (2, 3), (3, 3)), 2), 2, (27, 2)),
+    # one y-row a run
+    ((((2, 3), (2, 3), (2, 3)), 4), 1, (27, 1)),
+    # a run smaller than one row still holds that row
+    ((((3, 2), (2, 3), (2, 2)), 3), 0.5, (12, 1)),
+]
+
+
+class TestDecomposeRuns:
+    @pytest.mark.parametrize("case, rows, span", RUN_CASES)
+    def test_several_runs(self, monkeypatch, case, rows, span):
+        # the kernel's u = 0 column x 1e-8: every (y, u) row of block x = 0
+        # holds cells below the floor, taken out a run of y-rows at a time,
+        # GATHER_CHUNK set to ``rows`` times the most of them in one row
+        p, k = reference_case(*case)
+        t = k.table.copy()
+        t[:, :, 0] *= 1e-8
+        k = M.Kernel(t / t.sum(axis=2, keepdims=True))
+        monkeypatch.setattr(pc, "GATHER_CHUNK", int(rows * floor_top(p, k)[1]))
+        ny, r = floor_runs(p, k)
+        assert (ny, r) == span
+        assert ny > r and (r == 1 or ny % r)  # several runs, the last short
+        assert_same_decomposition(p, k)
+        assert_sums_match_cleaned_cells(p, k)
 
 
 @st.composite
