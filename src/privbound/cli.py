@@ -479,7 +479,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        # every number a command prints or writes is checked finite first
+        # (``_report_text``, ``_check_finite``): an overflow to inf or NaN
+        # ends in exit 3, with no numpy warning before it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return globals()[f"cmd_{args.command}"](args)
     except SchemaError as e:
         sys.stderr.write(f"schema error: {e}\n")
         return EXIT_SCHEMA

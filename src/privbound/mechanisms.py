@@ -529,16 +529,19 @@ def decompose_transform(p: Problem, m: Kernel) -> tuple[BarMechanism, Decomposit
     exactly as much as the original, B - X - (Y, U) is a Markov chain, and
     the triples (B_i, X_i, Y_i) are mutually independent across components.
 
-    The checks read the decomposition joint over (x's, y's, u, b's), its
-    cells below ``ZERO_FLOOR`` zeroed, but never form its cells: in one
-    x-block they are j(x, y, u) K_x(b), K_x = K_1(x_1, .) (x) ... (x)
-    K_N(x_N, .), so every sum the checks read comes from sums over j and
-    K_x (``_decomposition_sums``), less the share of the cells below the
-    floor, read off the sorted K_x (``_take_out_floor``). Memory, beside the
-    monolithic joint and the bar kernels: a few arrays of |X||Y||U| entries,
-    the b marginal, prod |B_i|, and in a block with cells below the floor a
-    few of at most max(GATHER_CHUNK, prod |B_i|). The size cap still counts
-    every cell of the joint: it bounds the problem, not the memory.
+    The checks read the decomposition joint over (x's, y's, u, b's) but
+    never form its cells: in one x-block they are j(x, y, u) K_x(b), K_x =
+    K_1(x_1, .) (x) ... (x) K_N(x_N, .), so every sum the checks read comes
+    from sums over j and K_x (``_decomposition_sums``). Those cells are
+    exact products of factors, not noisy masses, so each sum takes every
+    cell with 0 ln 0 := 0 and no ``ZERO_FLOOR``: a Markov chain that holds
+    by construction reads a residual of rounding size, however small its
+    cells. The entropies of the (x's, y's, u) marginal stay on
+    ``probcore`` and its floor: that marginal is j times sum K_x = 1, and
+    j, the monolithic joint, is already cleaned. Memory, beside the
+    monolithic joint and the bar kernels: a few arrays of |X||Y||U| entries
+    and the b marginal, prod |B_i|. The size cap still counts every cell of
+    the joint: it bounds the problem, not the memory.
     """
     return _decompose(p, *_joint_and_bar(p, m))
 
@@ -551,13 +554,14 @@ def _joint_and_bar(p: Problem, m: Kernel) -> tuple[JointN, BarMechanism]:
 
 
 def _decomposition_sums(j: JointN, bar: BarMechanism) -> tuple:
-    """sum c ln c over the cleaned decomposition joint's cells c and over its
-    xyb = (x, y's, b's) and xb = (x, b) marginals; its xyu = (x, y's, u), b
-    and (x_i, y_i, b_i) marginals; none renormalized. Per x-block, with q(y)
-    = sum_u j(y, u) and Q = sum_y q: sum c ln c = sum j ln j . sum K_x + Q .
-    sum K_x ln K_x, and the same with q or Q for j over xyb = q (x) K_x or
-    xb = Q K_x; xyu = j . sum K_x; b's is sum_x Q K_x; and part i is q summed
-    over the other y's, times prod_{k != i} sum K_k(x_k, .), (x) K_i(x_i, .)."""
+    """sum c ln c over the decomposition joint's cells c and over its xyb =
+    (x, y's, b's) and xb = (x, b) marginals, 0 ln 0 := 0; its xyu = (x,
+    y's, u), b and (x_i, y_i, b_i) marginals; none renormalized, no cell
+    dropped. Per x-block, with q(y) = sum_u j(y, u) and Q = sum_y q:
+    sum c ln c = sum j ln j . sum K_x + Q . sum K_x ln K_x, and the same
+    with q or Q for j over xyb = q (x) K_x or xb = Q K_x; xyu = j . sum K_x;
+    b's is sum_x Q K_x; and part i is q summed over the other y's, times
+    prod_{k != i} sum K_k(x_k, .), (x) K_i(x_i, .)."""
     n = len(bar.kernels)
     axes_x, axes_y = j.axes[:n], j.axes[n:2 * n]
     jt = j.table.reshape(math.prod(axes_x), -1, j.axes[-1])
@@ -579,58 +583,7 @@ def _decomposition_sums(j: JointN, bar: BarMechanism) -> tuple:
         w = _outer(k_sums[:i] + [np.ones(axes_x[i])] + k_sums[i + 1:])
         q_i = q_xy.sum(axis=tuple(n + a for a in range(n) if a != i)) * w[..., None]
         parts.append(q_i.sum(axis=tuple(a for a in range(n) if a != i))[:, :, None] * k[:, None, :])
-    # a block can hold cells below the floor only where its least positive j . K_x is
-    least = [np.where(k > 0.0, k, np.inf).min(axis=1) for k in bar.kernels]
-    low = np.where(jt > 0.0, jt, np.inf).min(axis=(1, 2)) * _outer(least).ravel() < probcore.ZERO_FLOOR
-    for x in np.flatnonzero(low):
-        xs = np.unravel_index(x, axes_x)
-        k_x = _outer([k[xi] for k, xi in zip(bar.kernels, xs)]).ravel()
-        d = _take_out_floor(k_x, jt[x], q[x], sq[x], xyu[x], col, [part[xi] for part, xi in zip(parts, xs)])
-        s = [a + b for a, b in zip(s, d)]
-    for mass in (col, *parts):  # a mass all of whose cells were dropped is 0
-        np.maximum(mass, 0.0, out=mass)
     return (*s, xyu, col, parts)
-
-
-def _take_out_floor(k_x: np.ndarray, j_x: np.ndarray, q_x: np.ndarray, sq: float, xyu_x: np.ndarray,
-                    col: np.ndarray, parts_x: list) -> tuple[float, float, float]:
-    """Take the cells j_x(y, u) k_x(b) of one x-block below ``ZERO_FLOOR``
-    out of its sums, without listing them: with ks = k_x[order] sorted, row
-    (y, u)'s cells below the floor are r < m(y, u), so prefix sums of ks and
-    ks ln ks give each row's dropped mass and c ln c, and xyb(y, order[r])
-    loses ks[r] times the j(y, u) with m(y, u) > r (j bucketed by m, summed
-    from the top, a run of y-rows of at most GATHER_CHUNK (y, r) cells at a
-    time; y_of and b_of give y_i and b_i of each y and rank). Writes the
-    block's xyu rows over ``xyu_x``, takes the dropped mass out of ``col``
-    and of each part's slice at x_i in ``parts_x``, and returns what to add
-    to sum c ln c over the joint, xyb and xb."""
-    order = np.argsort(k_x, kind="stable")
-    ks = k_x[order]
-    ck, cl = (np.concatenate(([0.0], np.cumsum(v))) for v in (ks, _xlogx(ks)))  # prefix sums
-    m = np.searchsorted(ks, np.divide(probcore.ZERO_FLOOR, j_x, out=np.zeros_like(j_x), where=j_x > 0.0))
-    d_all = -float((_xlogx(j_x) * ck[m] + j_x * cl[m]).sum())
-    np.multiply(j_x, ck[-1] - ck[m], out=xyu_x)
-    top, d_xyb = int(m.max()), 0.0
-    drop = np.zeros(top)
-    y_of = np.unravel_index(np.arange(len(m)), [part.shape[0] for part in parts_x])
-    b_of = np.unravel_index(order[:top], [part.shape[1] for part in parts_x])
-    rows = max(1, probcore.GATHER_CHUNK // max(top, 1))
-    for r in range(0, len(m) if top else 0, rows):
-        mr, qr = m[r:r + rows], q_x[r:r + rows]
-        h = len(mr)
-        a = np.bincount((np.arange(h)[:, None] * (top + 1) + mr).ravel(), j_x[r:r + rows].ravel(), h * (top + 1))
-        d = np.cumsum(a.reshape(h, top + 1)[:, :0:-1], axis=1)[:, ::-1] * ks[:top]
-        # the kept masses' terms, less the cells' before the drop: sum_{y, r < top} q ks ln (q ks)
-        d_xyb -= (probcore._entropy_raw(qr[:, None] * ks[:top] - d)
-                  + float(_xlogx(qr).sum() * ck[top] + qr.sum() * cl[top]))
-        drop += d.sum(axis=0)
-        for part, y_i, b_i in zip(parts_x, y_of, b_of):
-            at = (y_i[r:r + rows, None] * part.shape[1] + b_i).ravel()
-            part -= np.bincount(at, d.ravel(), part.size).reshape(part.shape)
-    col[order[:top]] -= drop
-    xb_x = ks * sq
-    xb_x[:top] -= drop
-    return d_all, d_xyb, -probcore._entropy_raw(xb_x) - float(sq * math.log(sq) * ck[-1] + sq * cl[-1])
 
 
 def _decompose(p: Problem, j: JointN, bar: BarMechanism) -> tuple[BarMechanism, DecompositionChecks]:
@@ -638,21 +591,21 @@ def _decompose(p: Problem, j: JointN, bar: BarMechanism) -> tuple[BarMechanism, 
     n = p.n_components
     probcore.check_size("decomposition joint", j.table.size * math.prod(bar.alphabets))
     s_all, s_xyb, s_xb, xyu, col, parts = _decomposition_sums(j, bar)
-    # the cleaned joint's mass, checked (with JointN's message) as xyu becomes a JointN
+    # the joint's mass, checked (with JointN's message) as xyu becomes a JointN
     total = float(xyu.sum())
     xyu = JointN(j.axes, xyu.reshape(j.axes))
     # H of a renormalized p / T from s = sum p ln p: -sum (p/T) ln (p/T) = ln T - s / T
-    h_all, h_xyb, h_xb = (math.log(total) - v / total for v in (s_all, s_xyb, s_xb))
+    h_all, h_xyb, h_xb, h_b, *h_parts = (math.log(total) - v / total for v in (
+        s_all, s_xyb, s_xb, *(float(_xlogx(mass).sum()) for mass in (col, *parts))))
     h_x = probcore.marginal_entropy(xyu, range(n))
     # I(B; Y,U | X) = H(X,B) + H(X,Y,U) - H(X,Y,U,B) - H(X)
     markov = h_xb + probcore.joint_entropy(xyu) - h_all - h_x
-    # total correlation across the N triples (x_i, y_i, b_i)
-    h_parts = sum(probcore._entropy_raw(part / total) for part in parts)
     checks = DecompositionChecks(
         leakage_original=float(probcore.mi_between(xyu, range(n), [2 * n])),
-        leakage_bar=float(max(0.0, h_x + probcore._entropy_raw(col / total) - h_xb)),
+        leakage_bar=float(max(0.0, h_x + h_b - h_xb)),
         markov_residual=float(max(0.0, markov)),
-        independence_residual=float(max(0.0, h_parts - h_xyb)),
+        # total correlation across the N triples (x_i, y_i, b_i)
+        independence_residual=float(max(0.0, sum(h_parts) - h_xyb)),
     )
     return bar, checks
 

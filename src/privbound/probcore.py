@@ -4,7 +4,12 @@ Conventions used everywhere in this package:
 
 - All information quantities are in nats (natural log).
 - 0 * ln 0 := 0; probabilities below ``ZERO_FLOOR`` are treated as exact
-  zeros before any logarithm is taken, so no -inf can leak out.
+  zeros before any logarithm is taken, so no -inf can leak out. The one
+  exception is ``mechanisms.decompose_transform``, whose sums over the
+  decomposition joint take every cell with 0 ln 0 := 0 alone: its cells
+  are exact products of kernel factors, not noisy input masses, and
+  zeroing the small ones would break the Markov chain and independence
+  that hold by construction.
 - Construction validates and then renormalizes: a total-mass deviation of
   at most ``MASS_REJECT_TOL`` is silently fixed by scaling (keeps file
   round-trips stable); anything larger is rejected as a bad input.
@@ -183,26 +188,23 @@ def _marginal_mass(j: JointN, axes: Sequence[int], name: str = "axes") -> np.nda
     return j.table.sum(axis=drop) if drop else j.table
 
 
-def _entropy_raw(mass: np.ndarray, scratch: np.ndarray | None = None) -> float:
+def _entropy_raw(mass: np.ndarray) -> float:
     """-sum p ln p over an array of non-negative masses, 0 ln 0 := 0.
 
     The terms p ln p of the kept cells, those above ``ZERO_FLOOR``, are
-    written in order by ``_put_terms``, a chunk at a time, into the leading
-    entries of ``scratch`` (a 1-D float array of at least ``mass.size``
-    entries) or of one fresh array of the kept cells, and summed there; the
-    result is the same bits either way. A mask of the kept cells is built
+    written in order by ``_put_terms``, a chunk at a time, into one array
+    of the kept cells, and summed there. A mask of the kept cells is built
     only where ``p.min()`` says some cell is dropped.
     """
     p = np.asarray(mass, dtype=float).ravel()
     if p.size == 0:
         return 0.0
     keep = None if p.min() > ZERO_FLOOR else p > ZERO_FLOOR
-    if scratch is None:
-        scratch = np.empty(p.size if keep is None else np.count_nonzero(keep))
+    terms = np.empty(p.size if keep is None else np.count_nonzero(keep))
     done = 0
     for i in range(0, p.size, GATHER_CHUNK):
-        done = _put_terms(p[i:i + GATHER_CHUNK], None if keep is None else keep[i:i + GATHER_CHUNK], scratch, done)
-    return float(-scratch[:done].sum()) if done else 0.0
+        done = _put_terms(p[i:i + GATHER_CHUNK], None if keep is None else keep[i:i + GATHER_CHUNK], terms, done)
+    return float(-terms.sum()) if done else 0.0
 
 
 GATHER_CHUNK = 2**14  # entries of ``p`` that ``_entropy_raw`` reads at a time
